@@ -33,7 +33,6 @@ from qgame.noise import (
     bayesian_split,
     measure_chi,
     sample_outcomes,
-    sample_shots,
     spam_correct,
 )
 from qgame.parallel import EmptyBranchError, Variant, build_circuit, exact_distribution, parse_branches
@@ -92,7 +91,6 @@ __all__ = [
     "rmsd_at_equilibrium",
     "run_sweep",
     "sample_outcomes",
-    "sample_shots",
     "spam_correct",
     "verify_parallelization",
 ]

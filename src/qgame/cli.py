@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
@@ -73,7 +74,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["mode"] = args.mode
     if args.seed is not None:
         overrides["seed"] = args.seed
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def _write_csv(path: str, columns: tuple, rows: list[dict]) -> None:

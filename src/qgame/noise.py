@@ -2,13 +2,14 @@
 miscalibration, readout confusion, SPAM correction, stochastic type
 assignment.
 
-Noise is applied per shot (trajectory method): every shot evolves its own
-statevector with a possibly perturbed entangling angle, stochastic Pauli
-insertions after gates, and per-qubit readout flips. The statevector core
-stays pure; all randomness lives here. When the evolution itself is
-deterministic (no depolarization, no angle jitter) sampling collapses to
-a single exact distribution, which is much faster and statistically
-identical.
+Every noise source acts on each shot independently, so a run's outcome
+counts are exactly Multinomial(shots, E[p]), where E[p] is the
+noise-averaged outcome distribution. `outcome_law` computes E[p] exactly:
+it evolves the density matrix through the gates with each gate's
+depolarizing channel, averages the Gaussian spread of the entangling angle
+in closed form, and applies the readout confusion matrix, the same matrix
+that SPAM correction inverts. Sampling then draws counts, never per-shot
+outcomes, and the type split draws a binomial per outcome count.
 
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (grid point, circuit variant,
@@ -32,7 +33,6 @@ PURPOSE_SAMPLE = 0
 PURPOSE_SPLIT = 1
 PURPOSE_CALIBRATION = 2
 
-_CHUNK = 32768
 _COND_LIMIT = 1e8
 _NEGATIVE_FLOOR = 1e-3  # fraction of total population
 
@@ -52,12 +52,13 @@ class NoiseModel:
     two_qubit_depol: float = 0.0
     readout_flip_0to1: float = 0.0
     readout_flip_1to0: float = 0.0
+    crosstalk: float = 0.0
     chi_offset: float = 0.0
     chi_jitter_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("single_qubit_depol", "two_qubit_depol", "readout_flip_0to1", "readout_flip_1to0"):
+        for name in ("single_qubit_depol", "two_qubit_depol", "readout_flip_0to1", "readout_flip_1to0", "crosstalk"):
             value = getattr(self, name)
             if not 0.0 <= value <= 0.5:
                 raise ValueError(f"{name}={value} outside [0, 0.5]")
@@ -65,14 +66,6 @@ class NoiseModel:
             raise ValueError("chi_jitter_sigma must be >= 0")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
-
-    @property
-    def stochastic_evolution(self) -> bool:
-        return self.single_qubit_depol > 0 or self.two_qubit_depol > 0 or self.chi_jitter_sigma > 0
-
-    @property
-    def has_readout_error(self) -> bool:
-        return self.readout_flip_0to1 > 0 or self.readout_flip_1to0 > 0
 
     @classmethod
     def default_profile(cls, seed: int = 0) -> "NoiseModel":
@@ -116,10 +109,6 @@ class PopulationVector:
             raise ValueError("counts must be finite and nonnegative")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_outcomes(cls, outcomes: np.ndarray) -> "PopulationVector":
-        return cls(np.bincount(outcomes, minlength=N_OUTCOMES).astype(float))
 
     @property
     def total(self) -> float:
@@ -197,8 +186,8 @@ class ConfusionMatrix:
         return cls(full)
 
     @classmethod
-    def from_noise(cls, noise: NoiseModel, n_qubits: int = N_QUBITS, crosstalk: float = 0.0) -> "ConfusionMatrix":
-        return cls.from_flips(noise.readout_flip_0to1, noise.readout_flip_1to0, n_qubits, crosstalk)
+    def from_noise(cls, noise: NoiseModel, n_qubits: int = N_QUBITS) -> "ConfusionMatrix":
+        return cls.from_flips(noise.readout_flip_0to1, noise.readout_flip_1to0, n_qubits, noise.crosstalk)
 
     @classmethod
     def from_csv(cls, path) -> "ConfusionMatrix":
@@ -255,134 +244,63 @@ def estimate_chi_from_counts(ones: float, shots: int) -> ChiEstimate:
 
 
 # ---------------------------------------------------------------------------
-# trajectory engine (vectorized over shots)
-
-def _batch_apply(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    shots = states.shape[0]
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = [0] + [t + 1 for t in targets] + [q + 1 for q in rest]
-    work = states.reshape([shots] + [2] * n).transpose(perm).reshape(shots, 2**k, -1)
-    work = np.einsum("ab,sbr->sar", mat, work)
-    shaped = [shots] + [2] * n
-    return work.reshape([shaped[axis] for axis in perm]).transpose(np.argsort(perm)).reshape(shots, -1)
+# exact outcome law and count sampling
 
 
-def _flip_mask(targets: tuple[int, ...], n: int) -> int:
-    mask = 0
+def _twirl(rho: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Full Pauli twirl of `targets`: each is traced out and replaced by I/2."""
+    tensor = rho.reshape([2] * (2 * n))
     for t in targets:
-        mask |= 1 << (n - 1 - t)
-    return mask
+        half = np.trace(tensor, axis1=t, axis2=n + t) / 2
+        tensor = np.moveaxis(np.multiply.outer(np.eye(2), half), (0, 1), (t, n + t))
+    return tensor.reshape(-1)
 
 
-def _batch_entangle(states: np.ndarray, chis: np.ndarray, sign: float, targets, n: int) -> np.ndarray:
-    """Per-shot application of the entangler: c*psi - i*sign*s*psi_flipped."""
-    partner = np.arange(states.shape[1]) ^ _flip_mask(targets, n)
-    c = np.cos(chis)[:, None]
-    s = np.sin(sign * chis)[:, None]
-    return c * states - 1j * s * states[:, partner]
+def _noisy_diagonal(gates: tuple[Gate, ...], n: int, chi: float, noise: NoiseModel) -> np.ndarray:
+    """Outcome probabilities before readout at one fixed entangling angle.
 
-
-def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, axis_code: int, qubit: int, n: int) -> None:
-    """In-place X/Y/Z (code 1/2/3) on one qubit for the given shot rows."""
-    dim = states.shape[1]
-    bit = 1 << (n - 1 - qubit)
-    idx = np.arange(dim)
-    if axis_code == 1:  # X
-        states[rows] = states[np.ix_(rows, idx ^ bit)]
-    elif axis_code == 2:  # Y
-        phase = np.where(idx & bit, 1j, -1j)
-        states[rows] = states[np.ix_(rows, idx ^ bit)] * phase
-    elif axis_code == 3:  # Z
-        sign = np.where(idx & bit, -1.0, 1.0)
-        states[rows] = states[rows] * sign
-    else:
-        raise ValueError(f"bad pauli code {axis_code}")
-
-
-def _depolarize(states: np.ndarray, prob: float, targets, n: int, rng: np.random.Generator) -> None:
-    if prob <= 0:
-        return
-    shots = states.shape[0]
-    hit = np.flatnonzero(rng.random(shots) < prob)
-    if hit.size == 0:
-        return
-    k = len(targets)
-    codes = rng.integers(1, 4**k, size=hit.size)  # uniform non-identity Pauli
-    for code in np.unique(codes):
-        rows = hit[codes == code]
-        remaining = int(code)
-        for qubit in targets:
-            axis = remaining % 4
-            remaining //= 4
-            if axis:
-                _apply_pauli_rows(states, rows, axis, qubit, n)
-
-
-def _measure(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    probs = np.abs(states) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(probs, axis=1)
-    draws = rng.random(states.shape[0])
-    return np.minimum((cdf < draws[:, None]).sum(axis=1), states.shape[1] - 1)
-
-
-def _readout_flips(outcomes: np.ndarray, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if not noise.has_readout_error:
-        return outcomes
-    result = outcomes.copy()
-    for qubit in range(n):
-        bit = 1 << (n - 1 - qubit)
-        draws = rng.random(result.shape[0])
-        is_one = (result & bit) != 0
-        flip = np.where(is_one, draws < noise.readout_flip_1to0, draws < noise.readout_flip_0to1)
-        result[flip] ^= bit
-    return result
-
-
-def _trajectory_outcomes(
-    gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: NoiseModel, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    dim = 2**n
-    if noise.chi_jitter_sigma > 0:
-        chis = nominal_chi + noise.chi_offset + rng.normal(0.0, noise.chi_jitter_sigma, shots)
-    else:
-        chis = np.full(shots, nominal_chi + noise.chi_offset)
-    outcomes = np.empty(shots, dtype=np.int64)
-    for start in range(0, shots, _CHUNK):
-        stop = min(start + _CHUNK, shots)
-        size = stop - start
-        states = np.zeros((size, dim), dtype=np.complex128)
-        states[:, 0] = 1.0
-        chunk_chis = chis[start:stop]
-        for gate in gates:
-            if gate.kind is GateKind.J:
-                states = _batch_entangle(states, chunk_chis, 1.0, gate.targets, n)
-            elif gate.kind is GateKind.JDAG:
-                states = _batch_entangle(states, chunk_chis, -1.0, gate.targets, n)
-            else:
-                states = _batch_apply(states, gate.matrix(), gate.targets, n)
-            prob = noise.two_qubit_depol if len(gate.targets) == 2 else noise.single_qubit_depol
-            _depolarize(states, prob, gate.targets, n, rng)
-        measured = _measure(states, rng)
-        outcomes[start:stop] = _readout_flips(measured, noise, n, rng)
-    return outcomes
-
-
-def _exact_gate_distribution(gates: tuple[Gate, ...], n: int, chi_eff: float) -> np.ndarray:
-    """Noise-free distribution with the entangling angle overridden; used by
-    the deterministic-evolution fast path (chi_eff may sit outside the
-    nominal gate range, e.g. from a calibration offset)."""
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = 1.0
+    The density matrix is a 2n-qubit vector: U acts on the row axes
+    (0..n-1), conj(U) on the column axes (n..2n-1). A uniform non-identity
+    Pauli error with probability `prob` equals a mix with the full twirl at
+    weight prob * 4^k / (4^k - 1).
+    """
+    rho = np.zeros(4**n, dtype=np.complex128)
+    rho[0] = 1.0
     for gate in gates:
         if gate.kind is GateKind.J:
-            amps = apply_matrix(amps, xx_rotation(chi_eff), gate.targets, n)
+            mat = xx_rotation(chi)
         elif gate.kind is GateKind.JDAG:
-            amps = apply_matrix(amps, xx_rotation(-chi_eff), gate.targets, n)
+            mat = xx_rotation(-chi)
         else:
-            amps = apply_matrix(amps, gate.matrix(), gate.targets, n)
-    return np.abs(amps) ** 2
+            mat = gate.matrix()
+        columns = tuple(n + t for t in gate.targets)
+        rho = apply_matrix(apply_matrix(rho, mat, gate.targets, 2 * n), mat.conj(), columns, 2 * n)
+        k = len(gate.targets)
+        prob = noise.two_qubit_depol if k == 2 else noise.single_qubit_depol
+        weight = prob * 4**k / (4**k - 1)
+        rho = (1 - weight) * rho + weight * _twirl(rho, gate.targets, n)
+    return rho.reshape(2**n, 2**n).diagonal().real
+
+
+def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: NoiseModel) -> np.ndarray:
+    """Exact per-shot outcome distribution (length 2**n) under `noise`.
+
+    Every J and J-dagger of a shot uses the same angle, nominal + offset +
+    N(0, sigma^2), and each adds 2 to the degree of the outcome
+    probabilities as a trig polynomial in it (degree 4 for the parallelized
+    circuits). Sampling them at 2 * degree + 1 equally spaced offsets and
+    damping frequency k by exp(-k^2 sigma^2 / 2) gives the Gaussian average
+    exactly; the weights below fold that into one quadrature rule.
+    """
+    degree = 2 * sum(gate.kind in (GateKind.J, GateKind.JDAG) for gate in gates)
+    nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
+    freqs = np.arange(1, degree + 1)
+    damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
+    weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
+    chi = nominal_chi + noise.chi_offset
+    probs = weights @ np.array([_noisy_diagonal(gates, n, chi + node, noise) for node in nodes])
+    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
+    return probs / probs.sum()
 
 
 def sample_gate_outcomes(
@@ -393,48 +311,34 @@ def sample_gate_outcomes(
     shots: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Per-shot outcome indices for an arbitrary gate list."""
+    """Outcome counts (length 2**n) of `shots` independent noisy runs: every
+    noise source acts on each shot alone, so the counts are exactly
+    Multinomial(shots, outcome_law)."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    if noise.stochastic_evolution:
-        return _trajectory_outcomes(gates, n, nominal_chi, noise, shots, rng)
-    probs = _exact_gate_distribution(gates, n, nominal_chi + noise.chi_offset)
-    if noise.has_readout_error:
-        probs = ConfusionMatrix.from_flips(
-            noise.readout_flip_0to1, noise.readout_flip_1to0, n
-        ).apply(probs)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return rng.choice(2**n, size=shots, p=probs)
+    return rng.multinomial(shots, outcome_law(gates, n, nominal_chi, noise))
 
 
 def sample_outcomes(
     circuit: ParallelCircuit, noise: NoiseModel, shots: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
+    """32-entry outcome counts of one parallelized circuit."""
     return sample_gate_outcomes(circuit.gate_sequence, N_QUBITS, circuit.chi, noise, shots, rng)
 
 
-def sample_shots(
-    circuit: ParallelCircuit, noise: NoiseModel, shots: int, rng: np.random.Generator | None = None
-) -> PopulationVector:
-    """Aggregate per-shot noisy outcomes into a 32-entry count vector."""
-    return PopulationVector.from_outcomes(sample_outcomes(circuit, noise, shots, rng))
-
-
 def bayesian_split(
-    outcomes: np.ndarray, p: float, seed: int | np.random.Generator = 0
+    counts: np.ndarray, p: float, seed: int | np.random.Generator = 0
 ) -> tuple[PopulationVector, PopulationVector]:
-    """Assign each shot to the B1 pool with probability p, else B2."""
+    """Assign each shot to the B1 pool with probability p, else B2. Per
+    outcome the B1 share is Binomial(count, p), the law of one coin per shot."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    outcomes = np.asarray(outcomes)
-    to_b1 = rng.random(outcomes.shape[0]) < p
-    pool_b1 = np.bincount(outcomes[to_b1], minlength=N_OUTCOMES).astype(float)
-    pool_b2 = np.bincount(outcomes[~to_b1], minlength=N_OUTCOMES).astype(float)
-    return PopulationVector(pool_b1), PopulationVector(pool_b2)
+    counts = np.asarray(counts)
+    to_b1 = rng.binomial(counts, p)
+    return PopulationVector(to_b1), PopulationVector(counts - to_b1)
 
 
 _CALIBRATION_GATES = (Gate(GateKind.J, (0, 1), 0.0),)
@@ -445,5 +349,5 @@ def measure_chi(
 ) -> ChiEstimate:
     """Emulate a calibration run: prepare |00>, entangle, measure, and read
     the angle back from the |11> population."""
-    outcomes = sample_gate_outcomes(_CALIBRATION_GATES, 2, nominal_chi, noise, shots, rng)
-    return estimate_chi_from_counts(int((outcomes == 3).sum()), shots)
+    counts = sample_gate_outcomes(_CALIBRATION_GATES, 2, nominal_chi, noise, shots, rng)
+    return estimate_chi_from_counts(int(counts[3]), shots)

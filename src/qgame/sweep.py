@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from qgame.parallel import (
 )
 from qgame.statevector import CHI_MAX, probabilities
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MODE_ANALYTIC = "analytic"
 MODE_SHOTS = "shots"
 
@@ -119,7 +119,6 @@ class ExperimentConfig:
     payoff_rows_b2: tuple = _as_nested_tuple(DEFAULT_PAYOFF_B2.to_rows())
     tracked_profile: str = "IXI"
     transition_window: int = 3
-    crosstalk: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_ANALYTIC, MODE_SHOTS):
@@ -144,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError("delta must be >= 0")
         if self.transition_window < 1:
             raise ConfigError("transition_window must be >= 1")
-        if not 0.0 <= self.crosstalk <= 0.5:
-            raise ConfigError("crosstalk outside [0, 0.5]")
         if not isinstance(self.noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
         try:
@@ -209,9 +206,6 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def with_overrides(self, **changes) -> "ExperimentConfig":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -279,12 +273,12 @@ def _shot_column(
     chi = chi_pi * np.pi
     noise = config.noise
     delta = config.effective_delta
-    outcomes = {}
+    counts = {}
     full_pops = {}
     for variant in Variant:
         rng = child_rng(config.seed, _chi_key(chi_pi), _VARIANT_INDEX[variant], PURPOSE_SAMPLE)
-        outcomes[variant] = sample_outcomes(build_circuit(variant, chi), noise, config.shots, rng)
-        full_pops[variant] = PopulationVector.from_outcomes(outcomes[variant])
+        counts[variant] = sample_outcomes(build_circuit(variant, chi), noise, config.shots, rng)
+        full_pops[variant] = PopulationVector(counts[variant])
 
     calibration_rng = child_rng(config.seed, _chi_key(chi_pi), 0, PURPOSE_CALIBRATION)
     estimate = measure_chi(noise, chi, config.calibration_shots, calibration_rng)
@@ -292,7 +286,7 @@ def _shot_column(
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
     chi_measured_pi = chi_ref / np.pi
 
-    confusion = ConfusionMatrix.from_noise(noise, crosstalk=config.crosstalk)
+    confusion = ConfusionMatrix.from_noise(noise)
     ref_spec = GameSpec(chi_ref, config.table_b1(), config.table_b2())
     ref_b1 = payoff_tensor(ref_spec, "B1")
     ref_b2 = payoff_tensor(ref_spec, "B2")
@@ -306,7 +300,7 @@ def _shot_column(
                 split_rng = child_rng(
                     config.seed, _chi_key(chi_pi), _VARIANT_INDEX[variant], PURPOSE_SPLIT, _p_key(p)
                 )
-                pool_b1, pool_b2 = bayesian_split(outcomes[variant], p, split_rng)
+                pool_b1, pool_b2 = bayesian_split(counts[variant], p, split_rng)
                 pool_b1 = _pool_or_fallback(pool_b1, full_pops[variant])
                 pool_b2 = _pool_or_fallback(pool_b2, full_pops[variant])
                 dists_b1.update(parse_branches(spam_correct(pool_b1, confusion), variant))

@@ -120,30 +120,128 @@ def brute_force_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta:
     return found
 
 
-def parallel_distribution_dense(variant: str, chi: float) -> np.ndarray:
-    """Exact 32-outcome distribution of the parallelized circuit.
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CZ = np.diag([1, 1, 1, -1]).astype(complex)
+FIXED_GATES = {"H": SH, "X": SX, "CNOT": CNOT, "CZ": CZ}
+CALIBRATION_GATES = (("J", (0, 1)),)
 
-    Qubits (A, B, aux1, aux2, aux3) = indices (0, 1, 2, 3, 4); built as a
-    product of embedded dense unitaries on the full 32-dim space.
+
+def parallel_gates(variant: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(gate name, targets) of the parallelized circuit, in order.
+
+    Qubits (A, B, aux1, aux2, aux3) = indices (0, 1, 2, 3, 4); two-qubit
+    targets are (control, target). J and JDAG take the run's angle.
     """
+    gates = [("H", (2,)), ("H", (3,)), ("H", (4,)), ("J", (0, 1)), ("CNOT", (2, 0)), ("CZ", (3, 0)), ("CZ", (4, 1))]
+    if variant == "X":
+        gates.append(("X", (1,)))
+    gates.append(("JDAG", (0, 1)))
+    return tuple(gates)
+
+
+def gate_matrix(name: str, chi: float) -> np.ndarray:
+    if name == "J":
+        return entangler(chi)
+    if name == "JDAG":
+        return entangler(-chi)
+    return FIXED_GATES[name]
+
+
+def parallel_distribution_dense(variant: str, chi: float) -> np.ndarray:
+    """Exact 32-outcome distribution of the parallelized circuit, built as
+    a product of embedded dense unitaries on the full 32-dim space."""
     n = 5
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    ops = [
-        embed(SH, (2,), n),
-        embed(SH, (3,), n),
-        embed(SH, (4,), n),
-        embed(entangler(chi), (0, 1), n),
-        embed(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex), (2, 0), n),
-        embed(np.diag([1, 1, 1, -1]).astype(complex), (3, 0), n),
-        embed(np.diag([1, 1, 1, -1]).astype(complex), (4, 1), n),
-    ]
-    if variant == "X":
-        ops.append(embed(SX, (1,), n))
-    ops.append(embed(entangler(-chi), (0, 1), n))
-    for op in ops:
-        psi = op @ psi
+    for name, targets in parallel_gates(variant):
+        psi = embed(gate_matrix(name, chi), targets, n) @ psi
     return np.abs(psi) ** 2
+
+
+def trajectory_counts(
+    gates,
+    n: int,
+    chi: float,
+    shots: int,
+    seed: int,
+    *,
+    sigma: float = 0.0,
+    depol_1q: float = 0.0,
+    depol_2q: float = 0.0,
+    flip_01: float = 0.0,
+    flip_10: float = 0.0,
+) -> np.ndarray:
+    """Outcome counts of `shots` runs, simulated one trajectory per shot.
+
+    Every shot draws its own angle chi + N(0, sigma^2), shared by all its J
+    and JDAG gates; after each gate, with probability depol_1q or depol_2q,
+    its own uniform non-identity Pauli on the gate's targets; its own
+    measurement; and its own readout flip per qubit (0->1 with flip_01,
+    1->0 with flip_10).
+
+    Shots with the same Pauli insertions share every fixed matrix, so those
+    are applied once per insertion pattern. The angle enters through
+    entangler(x) = cos(x) entangler(0) + sin(x) entangler(+-pi/2), so after
+    m entangling gates a shot's state is sum_j cos^(m-j) sin^j terms[j], and
+    each shot's own angle is applied to its own pattern's terms.
+    """
+    rng = np.random.default_rng(seed)
+    size = 2**n
+    angles = chi + sigma * rng.standard_normal(shots)
+    # insertion pattern: 4 bits per gate hold its Pauli code, 0 for none
+    keys = np.zeros(shots, dtype=np.int64)
+    for g, (_, targets) in enumerate(gates):
+        k = len(targets)
+        hit = rng.random(shots) < (depol_2q if k == 2 else depol_1q)
+        keys[hit] |= rng.integers(1, 4**k, size=int(hit.sum())) << (4 * g)
+    patterns, pattern_of_shot = np.unique(keys, return_inverse=True)
+
+    single = {(q, axis): embed(PAULI["IXYZ"[axis]], (q,), n) for q in range(n) for axis in (1, 2, 3)}
+    start = np.zeros((len(patterns), size), dtype=complex)
+    start[:, 0] = 1.0
+    terms = [start]  # rows are patterns; terms[j] multiplies cos^(m-j) sin^j
+    for g, (name, targets) in enumerate(gates):
+        if name in ("J", "JDAG"):
+            quarter = np.pi / 2 if name == "J" else -np.pi / 2
+            cos_part = embed(entangler(0.0), targets, n).T
+            sin_part = embed(entangler(quarter), targets, n).T
+            zero = np.zeros_like(start)
+            terms = [
+                (terms[j] @ cos_part if j < len(terms) else zero) + (terms[j - 1] @ sin_part if j else zero)
+                for j in range(len(terms) + 1)
+            ]
+        else:
+            full = embed(FIXED_GATES[name], targets, n).T
+            terms = [term @ full for term in terms]
+        codes = (patterns >> (4 * g)) & 15
+        for code in np.unique(codes[codes > 0]):
+            pauli = np.eye(size, dtype=complex)
+            for position, q in enumerate(targets):
+                axis = (int(code) >> (2 * position)) & 3
+                if axis:
+                    pauli = single[(q, axis)] @ pauli
+            rows = codes == code
+            for term in terms:
+                term[rows] = term[rows] @ pauli.T
+
+    degree = len(terms) - 1
+    chunk = 20_000  # shots per block; bounds the (shots, 2**n) work arrays
+    outcomes = np.empty(shots, dtype=np.int64)
+    for lo in range(0, shots, chunk):
+        hi = min(lo + chunk, shots)
+        c = np.cos(angles[lo:hi])[:, None]
+        s = np.sin(angles[lo:hi])[:, None]
+        rows = pattern_of_shot[lo:hi]
+        psi = sum(c ** (degree - j) * s**j * terms[j][rows] for j in range(degree + 1))
+        cdf = np.cumsum(np.abs(psi) ** 2, axis=1)
+        draws = rng.random(hi - lo) * cdf[:, -1]
+        outcomes[lo:hi] = np.minimum((cdf < draws[:, None]).sum(axis=1), size - 1)
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        draws = rng.random(shots)
+        is_one = (outcomes & bit) != 0
+        outcomes[np.where(is_one, draws < flip_10, draws < flip_01)] ^= bit
+    return np.bincount(outcomes, minlength=size)
 
 
 def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:

@@ -1,5 +1,8 @@
 """Shot sampling, noise channels, SPAM correction, and the type split."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,15 +16,26 @@ from qgame.noise import (
     child_rng,
     estimate_chi_from_counts,
     measure_chi,
+    outcome_law,
     sample_gate_outcomes,
     sample_outcomes,
-    sample_shots,
     spam_correct,
 )
 from qgame.parallel import Variant, build_circuit, exact_distribution
 from qgame.statevector import Gate, GateKind
 
+from oracles import CALIBRATION_GATES, parallel_gates, trajectory_counts
+
 ZERO = NoiseModel()
+HEAVY = replace(
+    NoiseModel.default_profile(),
+    single_qubit_depol=0.05,
+    two_qubit_depol=0.10,
+    readout_flip_0to1=0.03,
+    readout_flip_1to0=0.05,
+    chi_jitter_sigma=0.2,
+)
+CALIBRATION = (Gate(GateKind.J, (0, 1), 0.0),)  # the angle-calibration circuit
 
 
 def binomial_bound(prob: float, shots: int, n_sigma: float = 5.0) -> float:
@@ -33,18 +47,8 @@ class TestSampling:
         circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
         exact = exact_distribution(circuit)
         shots = 50_000
-        pops = sample_shots(circuit, ZERO, shots, np.random.default_rng(11))
+        pops = PopulationVector(sample_outcomes(circuit, ZERO, shots, np.random.default_rng(11)))
         assert pops.shot_count == shots
-        for idx in range(32):
-            assert abs(pops.frequencies[idx] - exact[idx]) < binomial_bound(exact[idx], shots)
-
-    def test_trajectory_path_agrees_with_fast_path(self):
-        # vanishing jitter forces the per-shot engine without changing physics
-        circuit = build_circuit(Variant.X_CIRCUIT, np.pi / 8)
-        exact = exact_distribution(circuit)
-        near_zero = NoiseModel(chi_jitter_sigma=1e-12)
-        shots = 60_000
-        pops = sample_shots(circuit, near_zero, shots, np.random.default_rng(7))
         for idx in range(32):
             assert abs(pops.frequencies[idx] - exact[idx]) < binomial_bound(exact[idx], shots)
 
@@ -54,16 +58,16 @@ class TestSampling:
         gates = (Gate(GateKind.X, (0,)),)
         noise = NoiseModel(single_qubit_depol=0.3)
         shots = 60_000
-        outcomes = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(3))
-        p_zero = np.mean(outcomes == 0)
-        assert abs(p_zero - 0.2) < binomial_bound(0.2, shots)
+        counts = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(3))
+        assert counts.sum() == shots
+        assert abs(counts[0] / shots - 0.2) < binomial_bound(0.2, shots)
 
     def test_readout_flip_rate_in_trajectory_path(self):
         gates: tuple = ()
-        noise = NoiseModel(readout_flip_0to1=0.25, chi_jitter_sigma=1e-12)
+        noise = NoiseModel(readout_flip_0to1=0.25)
         shots = 40_000
-        outcomes = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(5))
-        assert abs(np.mean(outcomes == 1) - 0.25) < binomial_bound(0.25, shots)
+        counts = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(5))
+        assert abs(counts[1] / shots - 0.25) < binomial_bound(0.25, shots)
 
     def test_same_seed_reproduces_outcomes(self):
         circuit = build_circuit(Variant.I_CIRCUIT, 0.2)
@@ -85,6 +89,68 @@ class TestSampling:
             sample_outcomes(circuit, ZERO, 0)
 
 
+def chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail of the chi-squared law, from the series of the lower
+    regularized incomplete gamma function."""
+    a, x = dof / 2, stat / 2
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (a + n)
+        total += term
+    return 1.0 - total * math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+REFERENCE_SHOTS = 200_000
+
+
+class TestOutcomeLaw:
+    @pytest.mark.parametrize("profile", ["default", "heavy"])
+    @pytest.mark.parametrize("circuit", ["I", "X", "calibration"])
+    def test_matches_per_shot_trajectories(self, profile, circuit):
+        noise = NoiseModel.default_profile() if profile == "default" else HEAVY
+        chi = 0.15 * np.pi
+        if circuit == "calibration":
+            gates, reference_gates, n = CALIBRATION, CALIBRATION_GATES, 2
+        else:
+            gates, reference_gates, n = build_circuit(Variant(circuit), chi).gate_sequence, parallel_gates(circuit), 5
+        observed = trajectory_counts(
+            reference_gates,
+            n,
+            chi + noise.chi_offset,
+            REFERENCE_SHOTS,
+            seed=2024,
+            sigma=noise.chi_jitter_sigma,
+            depol_1q=noise.single_qubit_depol,
+            depol_2q=noise.two_qubit_depol,
+            flip_01=noise.readout_flip_0to1,
+            flip_10=noise.readout_flip_1to0,
+        )
+        expected = outcome_law(gates, n, chi, noise) * REFERENCE_SHOTS
+        # outcomes expected fewer than 5 times are pooled into one bin
+        small = expected < 5
+        if small.any():
+            observed = np.append(observed[~small], observed[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2_sf(stat, len(expected) - 1) > 1e-3
+
+    @pytest.mark.parametrize("n", [5, 2])
+    def test_jitter_average_is_exact(self, n):
+        # dense Gauss-Hermite quadrature over the angle spread, each node a
+        # jitter-free law at the shifted angle
+        chi = 0.15 * np.pi
+        gates = build_circuit(Variant.X_CIRCUIT, chi).gate_sequence if n == 5 else CALIBRATION
+        nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+        weights /= weights.sum()
+        fixed = replace(HEAVY, chi_jitter_sigma=0.0)
+        quadrature = sum(
+            w * outcome_law(gates, n, chi + HEAVY.chi_jitter_sigma * x, fixed) for x, w in zip(nodes, weights)
+        )
+        assert np.abs(outcome_law(gates, n, chi, HEAVY) - quadrature).max() < 1e-12
+
+
 class TestNoiseModel:
     def test_probability_fields_bounded(self):
         with pytest.raises(ValueError, match="two_qubit_depol"):
@@ -93,6 +159,8 @@ class TestNoiseModel:
             NoiseModel(readout_flip_1to0=-0.01)
         with pytest.raises(ValueError):
             NoiseModel(chi_jitter_sigma=-1e-3)
+        with pytest.raises(ValueError, match="crosstalk"):
+            NoiseModel(crosstalk=0.6)
 
     def test_dict_round_trip(self):
         noise = NoiseModel.default_profile(seed=17)
@@ -101,10 +169,6 @@ class TestNoiseModel:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             NoiseModel.from_dict({"dephasing": 0.1})
-
-    def test_stochastic_evolution_flag(self):
-        assert not NoiseModel(readout_flip_0to1=0.1, chi_offset=0.01).stochastic_evolution
-        assert NoiseModel(two_qubit_depol=0.01).stochastic_evolution
 
 
 class TestConfusion:
@@ -121,7 +185,7 @@ class TestConfusion:
         assert (conf.matrix >= 0).all()
 
     def test_crosstalk_moves_population_to_neighbor(self):
-        conf = ConfusionMatrix.from_flips(0.0, 0.0, crosstalk=0.1)
+        conf = ConfusionMatrix.from_noise(NoiseModel(crosstalk=0.1))
         # outcome 10000: qubit 0 bright, qubit 1 dark -> bleeds toward 11000
         src = 0b10000
         assert conf.matrix[0b11000, src] > 0.09
@@ -165,7 +229,7 @@ class TestSpamCorrection:
         exact = exact_distribution(circuit)
         noise = NoiseModel(readout_flip_0to1=0.01, readout_flip_1to0=0.012)
         shots = 200_000
-        raw = sample_shots(circuit, noise, shots, np.random.default_rng(21))
+        raw = PopulationVector(sample_outcomes(circuit, noise, shots, np.random.default_rng(21)))
         conf = ConfusionMatrix.from_noise(noise)
         corrected = spam_correct(raw, conf)
         err_raw = np.abs(raw.frequencies - exact).sum()
@@ -202,37 +266,37 @@ class TestSpamCorrection:
 
 class TestBayesianSplit:
     def test_split_sizes_are_binomial(self):
-        outcomes = np.zeros(100_000, dtype=np.int64)
-        pool_b1, pool_b2 = bayesian_split(outcomes, 0.3, seed=12)
+        counts = np.zeros(32, dtype=np.int64)
+        counts[0] = 100_000
+        pool_b1, pool_b2 = bayesian_split(counts, 0.3, seed=12)
         assert pool_b1.total + pool_b2.total == 100_000
         assert abs(pool_b1.total / 100_000 - 0.3) < binomial_bound(0.3, 100_000)
 
     def test_degenerate_probabilities(self):
-        outcomes = np.arange(32, dtype=np.int64)
-        all_b1, none_b1 = bayesian_split(outcomes, 1.0, seed=0)
+        counts = np.ones(32, dtype=np.int64)
+        all_b1, none_b1 = bayesian_split(counts, 1.0, seed=0)
         assert all_b1.total == 32 and none_b1.total == 0
-        none_b2, all_b2 = bayesian_split(outcomes, 0.0, seed=0)
+        none_b2, all_b2 = bayesian_split(counts, 0.0, seed=0)
         assert none_b2.total == 0 and all_b2.total == 32
 
     def test_split_preserves_counts_per_outcome(self):
-        rng = np.random.default_rng(8)
-        outcomes = rng.integers(0, 32, size=5_000)
-        pool_b1, pool_b2 = bayesian_split(outcomes, 0.4, seed=4)
+        counts = np.random.default_rng(8).multinomial(5_000, np.full(32, 1 / 32))
+        pool_b1, pool_b2 = bayesian_split(counts, 0.4, seed=4)
         combined = pool_b1.counts + pool_b2.counts
-        assert np.array_equal(combined, np.bincount(outcomes, minlength=32).astype(float))
+        assert np.array_equal(combined, counts.astype(float))
 
     def test_split_is_independent_of_outcome_value(self):
         # each pool's frequencies estimate the same underlying distribution
         circuit = build_circuit(Variant.I_CIRCUIT, 0.1 * np.pi)
-        outcomes = sample_outcomes(circuit, ZERO, 120_000, np.random.default_rng(31))
-        pool_b1, _ = bayesian_split(outcomes, 0.5, seed=9)
-        full = np.bincount(outcomes, minlength=32) / outcomes.size
+        counts = sample_outcomes(circuit, ZERO, 120_000, np.random.default_rng(31))
+        pool_b1, _ = bayesian_split(counts, 0.5, seed=9)
+        full = counts / counts.sum()
         diff = np.abs(pool_b1.frequencies - full)
         assert diff.max() < 5.0 * np.sqrt(0.25 / pool_b1.total)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            bayesian_split(np.zeros(4, dtype=int), 1.2)
+            bayesian_split(np.zeros(32, dtype=int), 1.2)
 
 
 class TestChiMeasurement:

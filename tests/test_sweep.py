@@ -1,6 +1,7 @@
 """Sweep engine, serialization, parallelization verifier, and CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ class TestConfig:
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig().with_overrides(mode="nope")
-        assert ExperimentConfig().with_overrides(seed=5).seed == 5
+            replace(ExperimentConfig(), mode="nope")
+        assert replace(ExperimentConfig(), seed=5).seed == 5
 
 
 class TestAnalyticSweep:
@@ -183,6 +184,15 @@ class TestShotSweep:
         assert cell.report is None and cell.rmsd is None
         # the transition scan has nothing to work with at this angle
         assert result.transitions[0][1] is None
+
+    def test_crosstalk_is_emulated_and_corrected(self):
+        # emulation and SPAM correction share one readout matrix, crosstalk included
+        for seed in range(3):
+            noise = NoiseModel(readout_flip_0to1=0.006, readout_flip_1to0=0.006, crosstalk=0.03, seed=seed)
+            cfg = shot_config(chi_grid_pi=(0.0,), p_grid=(0.0,), shots=300_000, seed=seed, noise=noise)
+            cell = run_sweep(cfg).cells[0]
+            assert cell.error is None
+            assert cell.rmsd < 0.15
 
     def test_same_seed_same_result(self):
         cfg = shot_config(chi_grid_pi=(0.075,), p_grid=(0.3, 0.7), shots=5_000, seed=13,
