@@ -14,11 +14,12 @@ Exit codes: 0 success, 2 bad configuration or unwritable output,
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 from dataclasses import replace
 
+from qgame.statevector import check_chi
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
     MODE_ANALYTIC,
@@ -30,6 +31,7 @@ from qgame.sweep import (
     run_sweep,
     threshold_rows,
     verify_parallelization,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -77,27 +79,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(config, **overrides)
 
 
-def _write_csv(path: str, columns: tuple, rows: list[dict]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_render(row[col]) for col in columns])
-
-
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, list):
-        return ";".join(repr(float(v)) for v in value)
-    return str(value)
-
-
 def _cell_failures(result) -> int:
     return sum(1 for cell in result.cells if cell.error is not None)
 
@@ -119,7 +100,7 @@ def _cmd_rmsd(args: argparse.Namespace) -> int:
     result = run_sweep(_load_config(args))
     rows = rmsd_analysis(result)
     path = os.path.join(args.out, "rmsd.csv")
-    _write_csv(path, ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells"), rows)
+    write_csv(path, ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells"), rows)
     print(f"wrote csv: {path}")
     for row in rows:
         mean = "n/a" if row["mean_rmsd"] is None else f"{row['mean_rmsd']:.4f}"
@@ -131,7 +112,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     result = run_sweep(_load_config(args))
     rows = threshold_rows(result)
     path = os.path.join(args.out, "thresholds.csv")
-    _write_csv(path, ("chi_pi", "profile", "thresholds", "window"), rows)
+    write_csv(path, ("chi_pi", "profile", "thresholds", "window"), rows)
     print(f"wrote csv: {path}")
     for row in rows:
         marks = "none" if not row["thresholds"] else ", ".join(f"{t:g}" for t in row["thresholds"])
@@ -146,8 +127,11 @@ def _parse_chi_grid(text: str) -> tuple:
         raise ConfigError(f"bad --chi-grid: {exc}") from exc
     if not values:
         raise ConfigError("--chi-grid is empty")
-    if any(v < 0 or v > 0.25 + 1e-12 for v in values):
-        raise ConfigError("--chi-grid values must lie in [0, 0.25] (units of pi)")
+    try:
+        for value in values:
+            check_chi(value * math.pi)  # the angle verify_parallelization builds
+    except ValueError as exc:
+        raise ConfigError(f"--chi-grid values must lie in [0, 0.25] (units of pi): {exc}") from exc
     return values
 
 
@@ -157,7 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     columns = ("chi_pi", "variant", "max_linf", "aux_marginal_dev", "passed", "worst_branch")
     if args.out:
         path = os.path.join(args.out, "verify.csv")
-        _write_csv(path, columns, rows)
+        write_csv(path, columns, rows)
         print(f"wrote csv: {path}")
     all_ok = True
     for row in rows:

@@ -2,6 +2,8 @@
 
 A profile (i, j, k) is a Nash equilibrium when each player's choice is
 within delta of the best payoff available against the others' choices.
+Each player's near-best choices are a boolean mask over the profiles, and
+the equilibria are the profiles where all three masks hold.
 delta = 0 is the analytic case; shot-derived tensors conventionally use
 delta = 0.1 to absorb statistical noise. A 1e-9 slack always applies on
 top of delta so analytically degenerate profiles (floating-point ties)
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgame.bayesian import BayesianTensor
-from qgame.game import Profile, Strategy
+from qgame.game import STRATEGIES, Profile, Strategy
 
 TIE_EPS = 1e-9
 
@@ -29,42 +31,56 @@ class NoEquilibriumError(ValueError):
 
 @dataclass(frozen=True)
 class BestResponseSet:
-    """Per-context sets of near-maximal strategies for one player.
+    """Near-maximal strategies of one player, as a boolean mask over profiles.
 
-    Context keys: (j, k) for player A; the A strategy i alone for B1 and
-    B2, whose payoffs do not depend on the other B type's choice.
+    `mask` is indexed like the player's payoff array: (i, j, k) for player
+    A, (i, j) for B1 and (i, k) for B2, whose payoffs do not depend on the
+    other B type's choice. The player's own choice is axis 0 for A and
+    axis 1 for B1 and B2. `contexts` reads the same mask as per-context
+    sets, keyed (j, k) for A and i for B1 and B2.
     """
 
     player: str
     delta: float
-    contexts: dict
+    mask: np.ndarray
+
+    @property
+    def contexts(self) -> dict:
+        if self.player == "A":
+            return {
+                (j, k): frozenset(STRATEGIES[i] for i in np.flatnonzero(self.mask[:, j, k]))
+                for j in STRATEGIES
+                for k in STRATEGIES
+            }
+        return {i: frozenset(STRATEGIES[j] for j in np.flatnonzero(self.mask[i])) for i in STRATEGIES}
 
     def members(self, context) -> frozenset[Strategy]:
         return self.contexts[context]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BestResponseSet):
+            return NotImplemented
+        same_player = (self.player, self.delta) == (other.player, other.delta)
+        return same_player and np.array_equal(self.mask, other.mask)
 
-def _near_max_set(values: np.ndarray, delta: float) -> frozenset[Strategy]:
-    cutoff = values.max() - delta - TIE_EPS
-    return frozenset(Strategy(i) for i in range(4) if values[i] >= cutoff)
+
+def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
+    return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
 
 
 def best_responses(tensor: BayesianTensor, player: str, delta: float) -> BestResponseSet:
     if delta < 0:
         raise ValueError(f"delta={delta} must be >= 0")
-    contexts: dict = {}
     if player == "A":
-        for j in Strategy:
-            for k in Strategy:
-                contexts[(j, k)] = _near_max_set(tensor.a[:, j, k], delta)
+        mask = _near_max_mask(tensor.a, 0, delta)
     elif player == "B1":
-        for i in Strategy:
-            contexts[i] = _near_max_set(tensor.b1[i, :], delta)
+        mask = _near_max_mask(tensor.b1, 1, delta)
     elif player == "B2":
-        for i in Strategy:
-            contexts[i] = _near_max_set(tensor.b2[i, :], delta)
+        mask = _near_max_mask(tensor.b2, 1, delta)
     else:
         raise ValueError(f"player must be A, B1 or B2, got {player!r}")
-    return BestResponseSet(player, delta, contexts)
+    mask.flags.writeable = False
+    return BestResponseSet(player, delta, mask)
 
 
 @dataclass(frozen=True)
@@ -86,23 +102,15 @@ class EquilibriumReport:
 
 
 def nash_equilibria(tensor: BayesianTensor, delta: float) -> EquilibriumReport:
-    """Intersection of the three best-response sets, in profile order."""
-    br_a = best_responses(tensor, "A", delta)
-    br_b1 = best_responses(tensor, "B1", delta)
-    br_b2 = best_responses(tensor, "B2", delta)
-    profiles: list[Profile] = []
-    payoffs: list[tuple[float, float, float]] = []
-    for i in Strategy:
-        good_j = br_b1.members(i)
-        good_k = br_b2.members(i)
-        for j in good_j:
-            for k in good_k:
-                if i in br_a.members((j, k)):
-                    profiles.append((i, j, k))
-    profiles.sort()
-    for profile in profiles:
-        payoffs.append(tensor.payoffs(profile))
-    return EquilibriumReport(tuple(profiles), tuple(payoffs), tensor.chi, tensor.p, delta)
+    """Intersection of the three best-response masks, in profile order."""
+    nash = (
+        best_responses(tensor, "A", delta).mask
+        & best_responses(tensor, "B1", delta).mask[:, :, None]
+        & best_responses(tensor, "B2", delta).mask[:, None, :]
+    )
+    profiles = tuple(tuple(STRATEGIES[s] for s in index) for index in np.argwhere(nash))
+    payoffs = tuple(tensor.payoffs(profile) for profile in profiles)
+    return EquilibriumReport(profiles, payoffs, tensor.chi, tensor.p, delta)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from qgame.statevector import CHI_MAX, Gate, GateKind, StateVector, apply_gate, probabilities
+from qgame.statevector import Gate, GateKind, StateVector, apply_gate, check_chi, probabilities
 
 
 class Strategy(IntEnum):
@@ -97,8 +97,7 @@ class GameSpec:
     payoff_vs_b2: PayoffTable = DEFAULT_PAYOFF_B2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.chi <= CHI_MAX + 1e-12:
-            raise ValueError(f"chi={self.chi} outside [0, pi/4]")
+        check_chi(self.chi)
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,7 @@ class PayoffTensor:
 
 def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> StateVector:
     """Protocol state for one strategy pair on qubits (A, B) = (0, 1)."""
-    if not 0.0 <= chi <= CHI_MAX + 1e-12:
-        raise ValueError(f"chi={chi} outside [0, pi/4]")
+    check_chi(chi)
     state = apply_gate(StateVector.ground(2), Gate(GateKind.J, (0, 1), chi))
     state = apply_gate(state, Gate(u_a.gate_kind, (0,)))
     state = apply_gate(state, Gate(u_b.gate_kind, (1,)))
@@ -160,10 +158,15 @@ def tensor_from_distributions(
     table: PayoffTable,
     chi: float,
 ) -> PayoffTensor:
-    """Build a payoff tensor from measured per-pair outcome distributions."""
-    pay_a = np.empty((4, 4))
-    pay_b = np.empty((4, 4))
-    for i in STRATEGIES:
-        for j in STRATEGIES:
-            pay_a[i, j], pay_b[i, j] = expected_payoff(dists[(i, j)], table)
-    return PayoffTensor(pay_a, pay_b, chi)
+    """Build a payoff tensor from measured per-pair outcome distributions.
+
+    Each distribution is checked as `expected_payoff` checks it.
+    """
+    stack = np.array([[dists[(i, j)] for j in STRATEGIES] for i in STRATEGIES], dtype=float)
+    if stack.shape != (4, 4, 4):
+        raise ValueError(f"distribution must have 4 entries, got {stack.shape[2:]}")
+    sums = stack.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"distribution sums to {sums[off][0]}, not 1")
+    return PayoffTensor(stack @ table.a_flat, stack @ table.b_flat, chi)

@@ -7,8 +7,11 @@ counts are exactly Multinomial(shots, E[p]), where E[p] is the
 noise-averaged outcome distribution. `outcome_law` computes E[p] exactly:
 it evolves the density matrix through the gates with each gate's
 depolarizing channel, averages the Gaussian spread of the entangling angle
-in closed form, and applies the readout confusion matrix, the same matrix
-that SPAM correction inverts. Sampling then draws counts, never per-shot
+in closed form over a few quadrature nodes whose density matrices evolve
+together as one stack, and applies the readout confusion matrix, the same
+matrix that SPAM correction inverts. A confusion matrix computes its
+condition number and inverse once, so correcting a pool is one
+matrix-vector product. Sampling then draws counts, never per-shot
 outcomes, and the type split draws a binomial per outcome count.
 
 Reproducibility contract: one master seed; every consumer derives an
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +157,11 @@ def _crosstalk_map(gamma: float, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Column-stochastic map from true to observed outcome probabilities."""
+    """Column-stochastic map from true to observed outcome probabilities.
+
+    The matrix is immutable, so its condition number and inverse are
+    computed once, on first use, and kept on the instance.
+    """
 
     matrix: np.ndarray
 
@@ -174,9 +182,12 @@ class ConfusionMatrix:
         return cls(np.eye(2**n_qubits))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def from_flips(
         cls, p01: float, p10: float, n_qubits: int = N_QUBITS, crosstalk: float = 0.0
     ) -> "ConfusionMatrix":
+        """One shared instance per parameter set, so every caller reuses its
+        factorization."""
         single = _per_qubit_confusion(p01, p10)
         full = np.array([[1.0]])
         for _ in range(n_qubits):
@@ -198,6 +209,16 @@ class ConfusionMatrix:
     def apply(self, probs: np.ndarray) -> np.ndarray:
         return self.matrix @ probs
 
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.matrix))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        inverse = np.linalg.inv(self.matrix)
+        inverse.flags.writeable = False
+        return inverse
+
 
 def spam_correct(populations: PopulationVector, confusion: ConfusionMatrix) -> PopulationVector:
     """Invert the confusion map. Small negative results (within 0.1% of the
@@ -205,10 +226,10 @@ def spam_correct(populations: PopulationVector, confusion: ConfusionMatrix) -> P
     confusion model does not match the data and raises."""
     if confusion.matrix.shape[0] != N_OUTCOMES:
         raise ValueError("confusion matrix size does not match population vector")
-    cond = np.linalg.cond(confusion.matrix)
+    cond = confusion.condition
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SpamCorrectionError(f"confusion matrix ill-conditioned (cond={cond:.3g})")
-    corrected = np.linalg.solve(confusion.matrix, populations.counts)
+    corrected = confusion.inverse @ populations.counts
     total = populations.total
     worst = corrected.min()
     if worst < -_NEGATIVE_FLOOR * total:
@@ -248,38 +269,40 @@ def estimate_chi_from_counts(ones: float, shots: int) -> ChiEstimate:
 
 
 def _twirl(rho: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Full Pauli twirl of `targets`: each is traced out and replaced by I/2."""
-    tensor = rho.reshape([2] * (2 * n))
+    """Full Pauli twirl of `targets` in each row of a stack of density
+    matrices: each target is traced out and replaced by I/2."""
+    tensor = rho.reshape(-1, *[2] * (2 * n))
     for t in targets:
-        half = np.trace(tensor, axis1=t, axis2=n + t) / 2
-        tensor = np.moveaxis(np.multiply.outer(np.eye(2), half), (0, 1), (t, n + t))
-    return tensor.reshape(-1)
+        half = np.trace(tensor, axis1=1 + t, axis2=1 + n + t) / 2
+        tensor = np.moveaxis(np.multiply.outer(np.eye(2), half), (0, 1), (1 + t, 1 + n + t))
+    return tensor.reshape(rho.shape)
 
 
-def _noisy_diagonal(gates: tuple[Gate, ...], n: int, chi: float, noise: NoiseModel) -> np.ndarray:
-    """Outcome probabilities before readout at one fixed entangling angle.
+def _noisy_diagonals(gates: tuple[Gate, ...], n: int, chis: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Outcome probabilities before readout, one row per entangling angle.
 
-    The density matrix is a 2n-qubit vector: U acts on the row axes
-    (0..n-1), conj(U) on the column axes (n..2n-1). A uniform non-identity
-    Pauli error with probability `prob` equals a mix with the full twirl at
-    weight prob * 4^k / (4^k - 1).
+    The density matrices at all angles evolve as one stack of 2n-qubit
+    vectors: U acts on the row axes (0..n-1), conj(U) on the column axes
+    (n..2n-1). J and J-dagger take one matrix per angle; every other gate
+    and the depolarization act on the whole stack at once. A uniform
+    non-identity Pauli error with probability `prob` equals a mix with the
+    full twirl at weight prob * 4^k / (4^k - 1).
     """
-    rho = np.zeros(4**n, dtype=np.complex128)
-    rho[0] = 1.0
+    rho = np.zeros((len(chis), 4**n), dtype=np.complex128)
+    rho[:, 0] = 1.0
+    entanglers = {
+        GateKind.J: np.array([xx_rotation(chi) for chi in chis]),
+        GateKind.JDAG: np.array([xx_rotation(-chi) for chi in chis]),
+    }
     for gate in gates:
-        if gate.kind is GateKind.J:
-            mat = xx_rotation(chi)
-        elif gate.kind is GateKind.JDAG:
-            mat = xx_rotation(-chi)
-        else:
-            mat = gate.matrix()
+        mat = entanglers[gate.kind] if gate.kind in entanglers else gate.matrix()
         columns = tuple(n + t for t in gate.targets)
         rho = apply_matrix(apply_matrix(rho, mat, gate.targets, 2 * n), mat.conj(), columns, 2 * n)
         k = len(gate.targets)
         prob = noise.two_qubit_depol if k == 2 else noise.single_qubit_depol
         weight = prob * 4**k / (4**k - 1)
         rho = (1 - weight) * rho + weight * _twirl(rho, gate.targets, n)
-    return rho.reshape(2**n, 2**n).diagonal().real
+    return rho.reshape(len(chis), 2**n, 2**n).diagonal(axis1=1, axis2=2).real
 
 
 def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: NoiseModel) -> np.ndarray:
@@ -290,7 +313,8 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     probabilities as a trig polynomial in it (degree 4 for the parallelized
     circuits). Sampling them at 2 * degree + 1 equally spaced offsets and
     damping frequency k by exp(-k^2 sigma^2 / 2) gives the Gaussian average
-    exactly; the weights below fold that into one quadrature rule.
+    exactly; the weights below fold that into one quadrature rule. The
+    circuit runs once, at all nodes together.
     """
     degree = 2 * sum(gate.kind in (GateKind.J, GateKind.JDAG) for gate in gates)
     nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
@@ -298,7 +322,7 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
     weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
     chi = nominal_chi + noise.chi_offset
-    probs = weights @ np.array([_noisy_diagonal(gates, n, chi + node, noise) for node in nodes])
+    probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise)
     probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
     return probs / probs.sum()
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from qgame.game import Strategy
-from qgame.statevector import CHI_MAX, Gate, GateKind, StateVector, apply_gate, probabilities
+from qgame.statevector import Gate, GateKind, StateVector, apply_gate, check_chi, probabilities
 
 QUBIT_A, QUBIT_B, AUX1, AUX2, AUX3 = range(5)
 N_QUBITS = 5
@@ -43,8 +43,7 @@ class ParallelCircuit:
 
 
 def build_circuit(variant: Variant, chi: float) -> ParallelCircuit:
-    if not 0.0 <= chi <= CHI_MAX + 1e-12:
-        raise ValueError(f"chi={chi} outside [0, pi/4]")
+    check_chi(chi)
     gates = [
         Gate(GateKind.H, (AUX1,)),
         Gate(GateKind.H, (AUX2,)),
@@ -102,6 +101,16 @@ def branch_indices(x: int, y: int, z: int) -> list[int]:
     return [16 * a + 8 * b + tail for a in (0, 1) for b in (0, 1)]
 
 
+def _branch_table(mapping) -> tuple[tuple, np.ndarray, tuple]:
+    """(aux keys, their (n, 4) outcome indices, their strategy pairs) in mapping order."""
+    keys = tuple(mapping)
+    index = np.array([branch_indices(*key) for key in keys], dtype=np.intp).reshape(-1, 4)
+    return keys, index, tuple(mapping[key] for key in keys)
+
+
+_CANONICAL_TABLES = {variant: _branch_table(branch_map(variant)) for variant in Variant}
+
+
 def parse_branches(
     populations, variant: Variant, mapping=None
 ) -> dict[tuple[Strategy, Strategy], np.ndarray]:
@@ -117,15 +126,13 @@ def parse_branches(
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {counts.shape}")
     if (counts < 0).any():
         raise ValueError("negative populations")
-    if mapping is None:
-        mapping = branch_map(variant)
-    out: dict[tuple[Strategy, Strategy], np.ndarray] = {}
-    for (x, y, z), pair in mapping.items():
-        sub = counts[branch_indices(x, y, z)]
-        total = sub.sum()
-        if total <= 0:
-            raise EmptyBranchError(
-                f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
-            )
-        out[pair] = sub / total
-    return out
+    keys, index, pairs = _CANONICAL_TABLES[variant] if mapping is None else _branch_table(mapping)
+    subs = counts[index]
+    totals = subs.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        x, y, z = keys[empty[0]]
+        raise EmptyBranchError(
+            f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
+        )
+    return dict(zip(pairs, subs / totals[:, None]))

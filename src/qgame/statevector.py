@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 CHI_MAX = np.pi / 4
+_CHI_TOL = 1e-12  # radians
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 _PAULIS = {
@@ -90,7 +91,7 @@ class Gate:
 
     def matrix(self) -> np.ndarray:
         if self.kind in (GateKind.J, GateKind.JDAG):
-            _check_chi(self.chi)
+            check_chi(self.chi)
             sign = 1.0 if self.kind is GateKind.J else -1.0
             return xx_rotation(sign * self.chi)
         if self.kind is GateKind.H:
@@ -102,8 +103,9 @@ class Gate:
         return _PAULIS[self.kind.value]
 
 
-def _check_chi(chi: float) -> None:
-    if not 0.0 <= chi <= CHI_MAX + 1e-12:
+def check_chi(chi: float) -> None:
+    """The one range check on a protocol angle, in radians: [0, pi/4]."""
+    if not 0.0 <= chi <= CHI_MAX + _CHI_TOL:
         raise ValueError(f"chi={chi} outside [0, pi/4]")
 
 
@@ -136,13 +138,19 @@ class StateVector:
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the target axes of a 2^n amplitude vector."""
+    """Apply a 2^k x 2^k matrix to the target axes of a 2^n amplitude vector.
+
+    Leading axes of `amps` are a batch of independent vectors; `mat` is one
+    matrix for all of them or a stack with the same leading axes.
+    """
     k = len(targets)
+    batch = amps.shape[:-1]
+    lead = list(range(len(batch)))
     rest = [q for q in range(n) if q not in targets]
-    perm = list(targets) + rest
-    work = amps.reshape([2] * n).transpose(perm).reshape(2**k, -1)
+    perm = lead + [len(batch) + q for q in (*targets, *rest)]
+    work = amps.reshape(*batch, *[2] * n).transpose(perm).reshape(*batch, 2**k, -1)
     work = mat @ work
-    return work.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
+    return work.reshape(*batch, *[2] * n).transpose(np.argsort(perm)).reshape(*batch, -1)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

@@ -68,7 +68,7 @@ from qgame.parallel import (
     exact_distribution,
     parse_branches,
 )
-from qgame.statevector import CHI_MAX, probabilities
+from qgame.statevector import CHI_MAX, check_chi, probabilities
 
 SCHEMA_VERSION = 2
 MODE_ANALYTIC = "analytic"
@@ -127,16 +127,19 @@ class ExperimentConfig:
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "payoff_rows_b1", _as_nested_tuple(self.payoff_rows_b1))
         object.__setattr__(self, "payoff_rows_b2", _as_nested_tuple(self.payoff_rows_b2))
-        for name, grid, low, high in (
-            ("chi_grid_pi", self.chi_grid_pi, 0.0, CHI_MAX / np.pi),
-            ("p_grid", self.p_grid, 0.0, 1.0),
-        ):
+        for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly ascending")
-            if grid[0] < low - 1e-12 or grid[-1] > high + 1e-12:
-                raise ConfigError(f"{name} outside [{low}, {high}]")
+        try:
+            # the angles exactly as run_sweep computes them
+            for chi_pi in self.chi_grid_pi:
+                check_chi(chi_pi * np.pi)
+        except ValueError as exc:
+            raise ConfigError(f"chi_grid_pi: {exc}") from exc
+        if self.p_grid[0] < 0.0 or self.p_grid[-1] > 1.0:  # as strict as compose
+            raise ConfigError("p_grid outside [0.0, 1.0]")
         if self.shots <= 0 or self.calibration_shots <= 0:
             raise ConfigError("shots and calibration_shots must be positive")
         if self.delta is not None and self.delta < 0:
@@ -236,8 +239,10 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # analytic pipeline
 
-def _analytic_column(config: ExperimentConfig, chi_pi: float) -> list[CellResult]:
-    spec = GameSpec(chi_pi * np.pi, config.table_b1(), config.table_b2())
+def _analytic_column(
+    config: ExperimentConfig, chi_pi: float, tables: tuple[PayoffTable, PayoffTable]
+) -> list[CellResult]:
+    spec = GameSpec(chi_pi * np.pi, *tables)
     tensor_b1 = payoff_tensor(spec, "B1")
     tensor_b2 = payoff_tensor(spec, "B2")
     delta = config.effective_delta
@@ -268,7 +273,10 @@ def _pool_or_fallback(pool: PopulationVector, full: PopulationVector) -> Populat
 
 
 def _shot_column(
-    config: ExperimentConfig, chi_pi: float
+    config: ExperimentConfig,
+    chi_pi: float,
+    tables: tuple[PayoffTable, PayoffTable],
+    confusion: ConfusionMatrix,
 ) -> tuple[list[CellResult], ChiEstimate]:
     chi = chi_pi * np.pi
     noise = config.noise
@@ -286,8 +294,7 @@ def _shot_column(
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
     chi_measured_pi = chi_ref / np.pi
 
-    confusion = ConfusionMatrix.from_noise(noise)
-    ref_spec = GameSpec(chi_ref, config.table_b1(), config.table_b2())
+    ref_spec = GameSpec(chi_ref, *tables)
     ref_b1 = payoff_tensor(ref_spec, "B1")
     ref_b2 = payoff_tensor(ref_spec, "B2")
 
@@ -305,8 +312,8 @@ def _shot_column(
                 pool_b2 = _pool_or_fallback(pool_b2, full_pops[variant])
                 dists_b1.update(parse_branches(spam_correct(pool_b1, confusion), variant))
                 dists_b2.update(parse_branches(spam_correct(pool_b2, confusion), variant))
-            observed_b1 = tensor_from_distributions(dists_b1, config.table_b1(), chi_ref)
-            observed_b2 = tensor_from_distributions(dists_b2, config.table_b2(), chi_ref)
+            observed_b1 = tensor_from_distributions(dists_b1, tables[0], chi_ref)
+            observed_b2 = tensor_from_distributions(dists_b2, tables[1], chi_ref)
             observed = compose(observed_b1, observed_b2, p)
             report = nash_equilibria(observed, delta)
             try:
@@ -322,15 +329,18 @@ def _shot_column(
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
     tracked = profile_from_names(config.tracked_profile)
+    tables = (config.table_b1(), config.table_b2())
+    # one readout matrix per sweep: its factorization serves every cell
+    confusion = ConfusionMatrix.from_noise(config.noise) if config.mode == MODE_SHOTS else None
     all_cells: list[CellResult] = []
     transitions: list[tuple[float, TransitionReport | None]] = []
     measurements: list[tuple[float, ChiEstimate]] = []
     for chi_pi in config.chi_grid_pi:
         if config.mode == MODE_ANALYTIC:
-            cells = _analytic_column(config, chi_pi)
+            cells = _analytic_column(config, chi_pi, tables)
             measurements.append((chi_pi, ChiEstimate(chi_pi * np.pi, 0.0)))
         else:
-            cells, estimate = _shot_column(config, chi_pi)
+            cells, estimate = _shot_column(config, chi_pi, tables, confusion)
             measurements.append((chi_pi, estimate))
         reports = [c.report for c in cells if c.report is not None]
         if reports:
@@ -423,12 +433,28 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) ->
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value) -> str:
+def _csv_field(value) -> str:
+    """One CSV cell: blank for None, repr for floats (round-trip exact),
+    lowercase booleans, and ';'-joined floats for lists."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ";".join(repr(float(v)) for v in value)
     return str(value)
+
+
+def write_csv(path, columns: tuple, rows: list[dict]) -> None:
+    """Header plus one line per row, fields in `columns` order."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_field(row[col]) for col in columns])
 
 
 def result_rows(result: SweepResult) -> list[dict]:
@@ -570,11 +596,7 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep", formats=(
     paths = {}
     if "csv" in formats:
         path = os.path.join(out_dir, f"{basename}.csv")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS)
-            for row in result_rows(result):
-                writer.writerow([_fmt(row[col]) for col in _CSV_COLUMNS])
+        write_csv(path, _CSV_COLUMNS, result_rows(result))
         paths["csv"] = path
     if "json" in formats:
         path = os.path.join(out_dir, f"{basename}.json")

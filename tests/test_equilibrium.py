@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qgame.bayesian import BayesianTensor, compose
 from qgame.equilibrium import (
@@ -190,6 +191,30 @@ def test_solver_matches_brute_force(seed):
     got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
     want = oracles.brute_force_equilibria(tensor.a, tensor.b1, tensor.b2, 0.0)
     assert got == want
+
+
+@given(
+    a=hnp.arrays(np.int64, (4, 4, 4), elements=st.integers(0, 3)),
+    b1=hnp.arrays(np.int64, (4, 4), elements=st.integers(0, 3)),
+    b2=hnp.arrays(np.int64, (4, 4), elements=st.integers(0, 3)),
+    delta=st.sampled_from([0.0, 0.1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_brute_force_with_ties(a, b1, b2, delta):
+    # payoffs from {0, ..., 3} make exact ties common, unlike uniform floats
+    tensor = synthetic_tensor(a, b1, b2)
+    report = nash_equilibria(tensor, delta)
+    got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
+    assert got == oracles.brute_force_equilibria(tensor.a, tensor.b1, tensor.b2, delta)
+    assert best_responses(tensor, "A", delta) == best_responses(synthetic_tensor(a, b1, b2), "A", delta)
+    # the per-context sets read off the masks keep every tied maximum
+    for (j, k), members in best_responses(tensor, "A", delta).contexts.items():
+        column = tensor.a[:, j, k]
+        assert members == {Strategy(i) for i in range(4) if column[i] >= column.max() - delta - 1e-9}
+    for player, values in (("B1", tensor.b1), ("B2", tensor.b2)):
+        for i, members in best_responses(tensor, player, delta).contexts.items():
+            best = values[i].max() - delta - 1e-9
+            assert members == {Strategy(x) for x in range(4) if values[i, x] >= best}
 
 
 @given(

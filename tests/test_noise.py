@@ -245,6 +245,25 @@ class TestSpamCorrection:
         with pytest.raises(SpamCorrectionError, match="below"):
             spam_correct(PopulationVector(counts), conf)
 
+    def test_matches_linear_solve_on_random_pools(self):
+        # the cached inverse stands in for a solve per call
+        rng = np.random.default_rng(17)
+        conf = ConfusionMatrix.from_flips(0.03, 0.05, crosstalk=0.02)
+        for _ in range(20):
+            truth = rng.dirichlet(np.ones(32)) * rng.integers(100, 100_000)
+            pops = PopulationVector(conf.apply(truth))
+            want = np.linalg.solve(conf.matrix, pops.counts)
+            got = spam_correct(pops, conf).counts
+            assert np.abs(got - want).max() <= 1e-12 * pops.total
+        # and the negative floor rejects exactly what the solve rejects
+        counts = np.zeros(32)
+        counts[0] = 1_000.0
+        worst = np.linalg.solve(conf.matrix, counts).min()
+        message = f"corrected population {worst:.4g} below -0.001 of total {1000.0:.4g}"
+        with pytest.raises(SpamCorrectionError) as caught:
+            spam_correct(PopulationVector(counts), conf)
+        assert str(caught.value) == message
+
     def test_singular_confusion_rejected(self):
         conf = ConfusionMatrix.from_flips(0.5, 0.5)
         pops = PopulationVector(np.full(32, 1.0))

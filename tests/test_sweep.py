@@ -1,7 +1,9 @@
 """Sweep engine, serialization, parallelization verifier, and CLI."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from qgame.sweep import (
 )
 
 from oracles import bayes_tensor_dense, brute_force_equilibria
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
 
 def analytic_config(**kw) -> ExperimentConfig:
@@ -77,6 +81,17 @@ class TestConfig:
             ExperimentConfig.from_dict({"mode": "analytic", "bogus": 1})
         with pytest.raises(ConfigError, match="noise"):
             ExperimentConfig.from_dict({"noise": {"single_qubit_depol": 0.9}})
+
+    @pytest.mark.parametrize("grids", [((0.25 + 5e-13,), (0.5,)), ((0.0,), (1 + 5e-13,))])
+    def test_grid_just_past_the_bound_is_rejected_or_sweeps(self, grids):
+        # the config and the game once checked each bound with different
+        # tolerances, so these passed validation and then crashed the sweep
+        try:
+            cfg = ExperimentConfig(chi_grid_pi=grids[0], p_grid=grids[1])
+        except ConfigError:
+            return
+        result = run_sweep(cfg)
+        assert all(cell.error is None for cell in result.cells)
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -185,6 +200,25 @@ class TestShotSweep:
         # the transition scan has nothing to work with at this angle
         assert result.transitions[0][1] is None
 
+    def test_readout_matrix_factored_once_per_sweep(self, monkeypatch):
+        calls = {"cond": 0, "inv": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        noise = NoiseModel(readout_flip_0to1=0.004, readout_flip_1to0=0.006, seed=4)
+        cfg = shot_config(chi_grid_pi=(0.05, 0.1), p_grid=(0.2, 0.5, 0.8), shots=60_000, seed=4, noise=noise)
+        result = run_sweep(cfg)
+        # 24 corrected pools, one factorization
+        assert all(cell.error is None for cell in result.cells)
+        assert calls["cond"] <= 1 and calls["inv"] <= 1
+
     def test_crosstalk_is_emulated_and_corrected(self):
         # emulation and SPAM correction share one readout matrix, crosstalk included
         for seed in range(3):
@@ -198,6 +232,24 @@ class TestShotSweep:
         cfg = shot_config(chi_grid_pi=(0.075,), p_grid=(0.3, 0.7), shots=5_000, seed=13,
                           noise=NoiseModel.default_profile(seed=13))
         assert run_sweep(cfg) == run_sweep(cfg)
+
+
+class TestTracedBenchmark:
+    def test_layer_counts_account_for_failed_cells(self):
+        # the starved sweep above, widened to p = 0 and 1 where one pool
+        # falls back to the full dataset, so cells both fail and succeed
+        spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.0, 0.5, 1.0), shots=40, seed=0)
+        with layertrace.Tracer() as tracer:
+            result = run_sweep(cfg)
+        failed = sum(cell.error is not None for cell in result.cells)
+        assert 0 < failed < len(result.cells)
+        counts = tracer.counts
+        errors = counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"]
+        assert errors == failed
+        assert counts["equilibrium.nash_equilibria.calls"] > 0
 
 
 class TestSerialization:
