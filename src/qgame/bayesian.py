@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgame.game import PayoffTensor, Strategy
+from qgame.game import PayoffTensor, Strategy, array_eq
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,8 @@ class BayesianTensor:
     b2: np.ndarray  # shape (4, 4), indexed (i, k)
     p: float
     chi: float | None = None
+
+    __eq__ = array_eq
 
     def __post_init__(self) -> None:
         shapes = {"a": (4, 4, 4), "b1": (4, 4), "b2": (4, 4)}

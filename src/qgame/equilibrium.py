@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgame.bayesian import BayesianTensor
-from qgame.game import STRATEGIES, Profile, Strategy
+from qgame.game import STRATEGIES, Profile, Strategy, array_eq
 
 TIE_EPS = 1e-9
 
@@ -44,6 +44,8 @@ class BestResponseSet:
     delta: float
     mask: np.ndarray
 
+    __eq__ = array_eq
+
     @property
     def contexts(self) -> dict:
         if self.player == "A":
@@ -56,12 +58,6 @@ class BestResponseSet:
 
     def members(self, context) -> frozenset[Strategy]:
         return self.contexts[context]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BestResponseSet):
-            return NotImplemented
-        same_player = (self.player, self.delta) == (other.player, other.delta)
-        return same_player and np.array_equal(self.mask, other.mask)
 
 
 def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:

@@ -9,12 +9,12 @@ A-vs-B2 in which mutual defection pays B2 nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
-from qgame.statevector import Gate, GateKind, StateVector, apply_gate, check_chi, probabilities
+from qgame.statevector import Gate, apply_gate, check_chi
 
 
 class Strategy(IntEnum):
@@ -25,14 +25,18 @@ class Strategy(IntEnum):
     Y = 2
     Z = 3
 
-    @property
-    def gate_kind(self) -> GateKind:
-        return GateKind[self.name]
-
 
 STRATEGIES = tuple(Strategy)
 
 Profile = tuple[Strategy, Strategy, Strategy]
+
+
+def array_eq(self, other) -> bool:
+    """Value equality for dataclasses with ndarray fields, whose generated
+    `==` would raise on the arrays' elementwise comparison."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def profile_from_names(names: str) -> Profile:
@@ -52,6 +56,8 @@ class PayoffTable:
 
     a: np.ndarray  # shape (2, 2)
     b: np.ndarray
+
+    __eq__ = array_eq
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float).copy()
@@ -108,6 +114,8 @@ class PayoffTensor:
     b: np.ndarray
     chi: float
 
+    __eq__ = array_eq
+
     def __post_init__(self) -> None:
         for name in ("a", "b"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
@@ -120,13 +128,19 @@ class PayoffTensor:
         return float(self.a[s_a, s_b]), float(self.b[s_a, s_b])
 
 
-def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> StateVector:
-    """Protocol state for one strategy pair on qubits (A, B) = (0, 1)."""
+_ENTANGLE = Gate("J", (0, 1))
+_UNENTANGLE = Gate("JDAG", (0, 1))
+
+
+def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
+    """Protocol amplitudes for one strategy pair on qubits (A, B) = (0, 1)."""
     check_chi(chi)
-    state = apply_gate(StateVector.ground(2), Gate(GateKind.J, (0, 1), chi))
-    state = apply_gate(state, Gate(u_a.gate_kind, (0,)))
-    state = apply_gate(state, Gate(u_b.gate_kind, (1,)))
-    return apply_gate(state, Gate(GateKind.JDAG, (0, 1), chi))
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[0] = 1.0
+    amps = apply_gate(amps, _ENTANGLE, chi)
+    amps = apply_gate(amps, Gate(u_a.name, (0,)), chi)
+    amps = apply_gate(amps, Gate(u_b.name, (1,)), chi)
+    return apply_gate(amps, _UNENTANGLE, chi)
 
 
 def expected_payoff(dist: np.ndarray, table: PayoffTable) -> tuple[float, float]:
@@ -148,7 +162,7 @@ def payoff_tensor(spec: GameSpec, which_b: str) -> PayoffTensor:
     pay_b = np.empty((4, 4))
     for i in STRATEGIES:
         for j in STRATEGIES:
-            dist = probabilities(final_state(spec.chi, i, j))
+            dist = np.abs(final_state(spec.chi, i, j)) ** 2
             pay_a[i, j], pay_b[i, j] = expected_payoff(dist, table)
     return PayoffTensor(pay_a, pay_b, spec.chi)
 

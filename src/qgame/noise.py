@@ -22,15 +22,16 @@ cell's random numbers.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from qgame.game import array_eq
 from qgame.parallel import N_OUTCOMES, N_QUBITS, ParallelCircuit
-from qgame.statevector import Gate, GateKind, apply_matrix, xx_rotation
+from qgame.statevector import Gate, apply_matrix, gate_matrix
 
 # purpose tags for child stream derivation
 PURPOSE_SAMPLE = 0
@@ -66,8 +67,10 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 0.5:
                 raise ValueError(f"{name}={value} outside [0, 0.5]")
-        if self.chi_jitter_sigma < 0:
-            raise ValueError("chi_jitter_sigma must be >= 0")
+        if not math.isfinite(self.chi_offset):
+            raise ValueError(f"chi_offset={self.chi_offset} must be finite")
+        if not 0 <= self.chi_jitter_sigma < math.inf:
+            raise ValueError("chi_jitter_sigma must be finite and >= 0")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -104,6 +107,8 @@ class PopulationVector:
     """Counts (or frequencies) over the 32 five-qubit outcomes."""
 
     counts: np.ndarray
+
+    __eq__ = array_eq
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=float).copy()
@@ -165,6 +170,8 @@ class ConfusionMatrix:
 
     matrix: np.ndarray
 
+    __eq__ = array_eq
+
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float).copy()
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -199,12 +206,6 @@ class ConfusionMatrix:
     @classmethod
     def from_noise(cls, noise: NoiseModel, n_qubits: int = N_QUBITS) -> "ConfusionMatrix":
         return cls.from_flips(noise.readout_flip_0to1, noise.readout_flip_1to0, n_qubits, noise.crosstalk)
-
-    @classmethod
-    def from_csv(cls, path) -> "ConfusionMatrix":
-        with open(path, newline="") as handle:
-            rows = [[float(cell) for cell in row] for row in csv.reader(handle) if row]
-        return cls(np.array(rows))
 
     def apply(self, probs: np.ndarray) -> np.ndarray:
         return self.matrix @ probs
@@ -283,19 +284,15 @@ def _noisy_diagonals(gates: tuple[Gate, ...], n: int, chis: np.ndarray, noise: N
 
     The density matrices at all angles evolve as one stack of 2n-qubit
     vectors: U acts on the row axes (0..n-1), conj(U) on the column axes
-    (n..2n-1). J and J-dagger take one matrix per angle; every other gate
-    and the depolarization act on the whole stack at once. A uniform
-    non-identity Pauli error with probability `prob` equals a mix with the
-    full twirl at weight prob * 4^k / (4^k - 1).
+    (n..2n-1). `gate_matrix` gives J and J-dagger one matrix per angle;
+    every other gate and the depolarization act on the whole stack at
+    once. A uniform non-identity Pauli error with probability `prob`
+    equals a mix with the full twirl at weight prob * 4^k / (4^k - 1).
     """
     rho = np.zeros((len(chis), 4**n), dtype=np.complex128)
     rho[:, 0] = 1.0
-    entanglers = {
-        GateKind.J: np.array([xx_rotation(chi) for chi in chis]),
-        GateKind.JDAG: np.array([xx_rotation(-chi) for chi in chis]),
-    }
     for gate in gates:
-        mat = entanglers[gate.kind] if gate.kind in entanglers else gate.matrix()
+        mat = gate_matrix(gate, chis)
         columns = tuple(n + t for t in gate.targets)
         rho = apply_matrix(apply_matrix(rho, mat, gate.targets, 2 * n), mat.conj(), columns, 2 * n)
         k = len(gate.targets)
@@ -316,7 +313,7 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     exactly; the weights below fold that into one quadrature rule. The
     circuit runs once, at all nodes together.
     """
-    degree = 2 * sum(gate.kind in (GateKind.J, GateKind.JDAG) for gate in gates)
+    degree = 2 * sum(gate.name in ("J", "JDAG") for gate in gates)
     nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
     freqs = np.arange(1, degree + 1)
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
@@ -365,7 +362,7 @@ def bayesian_split(
     return PopulationVector(to_b1), PopulationVector(counts - to_b1)
 
 
-_CALIBRATION_GATES = (Gate(GateKind.J, (0, 1), 0.0),)
+_CALIBRATION_GATES = (Gate("J", (0, 1)),)
 
 
 def measure_chi(

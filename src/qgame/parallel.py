@@ -9,6 +9,10 @@ X-variant adds an unconditional X on B just before unentangling,
 shifting coverage to U_B in {X, Y}. Composite operators only match the
 bare strategy gates up to phase (ZX = iY, XZ = -iY), which is invisible
 in the measured probabilities.
+
+Each variant's gate list is a constant; only the entangling angle varies
+between runs. The circuits' outcome law, noise-free or not, is
+`noise.outcome_law`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from qgame.game import Strategy
-from qgame.statevector import Gate, GateKind, StateVector, apply_gate, check_chi, probabilities
+from qgame.statevector import Gate, check_chi
 
 QUBIT_A, QUBIT_B, AUX1, AUX2, AUX3 = range(5)
 N_QUBITS = 5
@@ -42,29 +46,25 @@ class ParallelCircuit:
     gate_sequence: tuple[Gate, ...]
 
 
+_PREPARE = (
+    Gate("H", (AUX1,)),
+    Gate("H", (AUX2,)),
+    Gate("H", (AUX3,)),
+    Gate("J", (QUBIT_A, QUBIT_B)),
+    Gate("CNOT", (AUX1, QUBIT_A)),
+    Gate("CZ", (AUX2, QUBIT_A)),
+    Gate("CZ", (AUX3, QUBIT_B)),
+)
+_UNENTANGLE = Gate("JDAG", (QUBIT_A, QUBIT_B))
+_GATE_SEQUENCES = {
+    Variant.I_CIRCUIT: (*_PREPARE, _UNENTANGLE),
+    Variant.X_CIRCUIT: (*_PREPARE, Gate("X", (QUBIT_B,)), _UNENTANGLE),
+}
+
+
 def build_circuit(variant: Variant, chi: float) -> ParallelCircuit:
     check_chi(chi)
-    gates = [
-        Gate(GateKind.H, (AUX1,)),
-        Gate(GateKind.H, (AUX2,)),
-        Gate(GateKind.H, (AUX3,)),
-        Gate(GateKind.J, (QUBIT_A, QUBIT_B), chi),
-        Gate(GateKind.CNOT, (AUX1, QUBIT_A)),
-        Gate(GateKind.CZ, (AUX2, QUBIT_A)),
-        Gate(GateKind.CZ, (AUX3, QUBIT_B)),
-    ]
-    if variant is Variant.X_CIRCUIT:
-        gates.append(Gate(GateKind.X, (QUBIT_B,)))
-    gates.append(Gate(GateKind.JDAG, (QUBIT_A, QUBIT_B), chi))
-    return ParallelCircuit(variant, chi, tuple(gates))
-
-
-def exact_distribution(circuit: ParallelCircuit) -> np.ndarray:
-    """Noise-free 32-outcome probability vector."""
-    state = StateVector.ground(N_QUBITS)
-    for gate in circuit.gate_sequence:
-        state = apply_gate(state, gate)
-    return probabilities(state)
+    return ParallelCircuit(variant, chi, _GATE_SEQUENCES[variant])
 
 
 # (x, y) -> U_A, shared by both variants

@@ -1,10 +1,16 @@
-"""Dense complex statevector simulator for 2-5 qubits.
+"""Gate matrices and the tensor-structured apply shared by every engine.
+
+A gate is an angle-free (name, targets) record. Its matrix comes from
+`gate_matrix(gate, chi)`, where chi is the run's entangling angle, read
+only by J and J-dagger. `apply_matrix` updates the 2-qubit game's
+amplitude vectors and, in `noise.outcome_law`, density matrices stored as
+2n-qubit vectors, through reshape/transpose, never through explicit
+2^n x 2^n matrices.
 
 Basis convention, used everywhere in this package: basis index bit i
 corresponds to qubit i with qubit 0 MOST significant. For a 2-qubit
 register holding players (A, B), the flat index is 2*a + b, i.e. the
-ket |a b> reads left to right. Gate application uses tensor-structured
-updates (reshape/transpose), never explicit 2^n x 2^n matrices.
+ket |a b> reads left to right.
 
 Global phase is never normalized away. Downstream code only consumes
 probabilities, so phase conventions
@@ -13,128 +19,69 @@ are asserted at the probability level only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 CHI_MAX = np.pi / 4
 _CHI_TOL = 1e-12  # radians
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-_PAULIS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-# targets = (control, target)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
-_CZ = np.diag([1, 1, 1, -1]).astype(np.complex128)
+_ROWS = np.arange(4)
 
 
-def xx_rotation(chi: float) -> np.ndarray:
+def xx_rotation(chi) -> np.ndarray:
     """4x4 entangling matrix: cos(chi) on the diagonal, -i sin(chi) on the
     anti-diagonal, coupling |00>:|11> and |01>:|10>.
 
-    Accepts any real angle; the conjugate gate is xx_rotation(-chi).
+    Accepts any real angle, or an array of angles for a stack of matrices;
+    the conjugate gate is xx_rotation(-chi).
     """
-    c, s = np.cos(chi), np.sin(chi)
-    return np.array(
-        [
-            [c, 0, 0, -1j * s],
-            [0, c, -1j * s, 0],
-            [0, -1j * s, c, 0],
-            [-1j * s, 0, 0, c],
-        ],
-        dtype=np.complex128,
-    )
+    chi = np.asarray(chi, dtype=float)
+    c, s = np.cos(chi)[..., None], -1j * np.sin(chi)[..., None]
+    mat = np.zeros(chi.shape + (4, 4), dtype=np.complex128)
+    mat[..., _ROWS, _ROWS] = c
+    mat[..., _ROWS, _ROWS[::-1]] = s
+    return mat
 
 
-class GateKind(Enum):
-    I = "I"
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-    H = "H"
-    CNOT = "CNOT"
-    CZ = "CZ"
-    J = "J"
-    JDAG = "JDAG"
+def _fixed(rows) -> Callable:
+    mat = np.array(rows, dtype=np.complex128)
+    mat.flags.writeable = False  # one instance serves every caller
+    return lambda chi: mat
 
 
-_ONE_QUBIT = {GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H}
+# name -> matrix as a function of the run's angle
+_MATRICES = {
+    "I": _fixed(np.eye(2)),
+    "X": _fixed([[0, 1], [1, 0]]),
+    "Y": _fixed([[0, -1j], [1j, 0]]),
+    "Z": _fixed([[1, 0], [0, -1]]),
+    "H": _fixed(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)),
+    "CNOT": _fixed([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "CZ": _fixed(np.diag([1, 1, 1, -1])),
+    "J": xx_rotation,
+    "JDAG": lambda chi: xx_rotation(-chi),
+}
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A gate instance: kind, target qubits, and the angle for J variants."""
+class Gate(NamedTuple):
+    """A gate's name (I, X, Y, Z, H, CNOT, CZ, J or JDAG) and its target
+    qubits; two-qubit targets are (control, target)."""
 
-    kind: GateKind
+    name: str
     targets: tuple[int, ...]
-    chi: float | None = None
 
-    def __post_init__(self) -> None:
-        want = 1 if self.kind in _ONE_QUBIT else 2
-        if len(self.targets) != want:
-            raise ValueError(f"{self.kind.value} takes {want} target(s), got {self.targets}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate targets {self.targets}")
-        if self.kind in (GateKind.J, GateKind.JDAG):
-            if self.chi is None:
-                raise ValueError("J gates need chi")
-        elif self.chi is not None:
-            raise ValueError(f"{self.kind.value} takes no chi")
 
-    def matrix(self) -> np.ndarray:
-        if self.kind in (GateKind.J, GateKind.JDAG):
-            check_chi(self.chi)
-            sign = 1.0 if self.kind is GateKind.J else -1.0
-            return xx_rotation(sign * self.chi)
-        if self.kind is GateKind.H:
-            return _H
-        if self.kind is GateKind.CNOT:
-            return _CNOT
-        if self.kind is GateKind.CZ:
-            return _CZ
-        return _PAULIS[self.kind.value]
+def gate_matrix(gate: Gate, chi) -> np.ndarray:
+    """The gate's unitary at entangling angle chi (an array of angles gives
+    J and J-dagger as a stack; every other gate ignores chi)."""
+    return _MATRICES[gate.name](chi)
 
 
 def check_chi(chi: float) -> None:
     """The one range check on a protocol angle, in radians: [0, pi/4]."""
     if not 0.0 <= chi <= CHI_MAX + _CHI_TOL:
         raise ValueError(f"chi={chi} outside [0, pi/4]")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Immutable amplitudes over the computational basis of 2-5 qubits."""
-
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        if not 2 <= self.qubit_count <= 5:
-            raise ValueError(f"qubit_count {self.qubit_count} outside [2, 5]")
-        if amps.shape != (2**self.qubit_count,):
-            raise ValueError(
-                f"need {2**self.qubit_count} amplitudes for {self.qubit_count} qubits, got {amps.shape}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
-
-    @classmethod
-    def ground(cls, qubit_count: int) -> "StateVector":
-        amps = np.zeros(2**qubit_count, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps, qubit_count)
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -153,15 +100,6 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n:
     return work.reshape(*batch, *[2] * n).transpose(np.argsort(perm)).reshape(*batch, -1)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    n = state.qubit_count
-    for q in gate.targets:
-        if not 0 <= q < n:
-            raise ValueError(f"target {q} out of range for {n} qubits")
-    out = apply_matrix(state.amplitudes, gate.matrix(), gate.targets, n)
-    return StateVector(out, n)
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """|amplitude|^2 per basis outcome; sums to 1 within 1e-12."""
-    return np.abs(state.amplitudes) ** 2
+def apply_gate(amps: np.ndarray, gate: Gate, chi: float) -> np.ndarray:
+    """One gate on a 2^n amplitude vector at entangling angle chi."""
+    return apply_matrix(amps, gate_matrix(gate, chi), gate.targets, amps.shape[-1].bit_length() - 1)

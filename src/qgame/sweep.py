@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -56,19 +57,20 @@ from qgame.noise import (
     bayesian_split,
     child_rng,
     measure_chi,
+    outcome_law,
     sample_outcomes,
     spam_correct,
 )
 from qgame.parallel import (
+    N_QUBITS,
     EmptyBranchError,
     Variant,
     branch_indices,
     branch_map,
     build_circuit,
-    exact_distribution,
     parse_branches,
 )
-from qgame.statevector import CHI_MAX, check_chi, probabilities
+from qgame.statevector import CHI_MAX, check_chi
 
 SCHEMA_VERSION = 2
 MODE_ANALYTIC = "analytic"
@@ -127,6 +129,11 @@ class ExperimentConfig:
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "payoff_rows_b1", _as_nested_tuple(self.payoff_rows_b1))
         object.__setattr__(self, "payoff_rows_b2", _as_nested_tuple(self.payoff_rows_b2))
+        # json.load accepts NaN and Infinity, which slip past every order check below
+        numbers = (*self.chi_grid_pi, *self.p_grid, self.shots, self.calibration_shots, self.seed)
+        numbers += (self.transition_window,) + (() if self.delta is None else (self.delta,))
+        if any(isinstance(value, float) and not math.isfinite(value) for value in numbers):
+            raise ConfigError("config numbers must be finite")
         for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
@@ -398,7 +405,8 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) ->
     for chi_pi in chi_grid_pi:
         chi = float(chi_pi) * np.pi
         for variant in Variant:
-            dist = exact_distribution(build_circuit(variant, chi))
+            circuit = build_circuit(variant, chi)
+            dist = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
             aux_dev = 0.0
             for x in range(2):
                 for y in range(2):
@@ -413,7 +421,7 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) ->
                 if pair not in parsed:
                     max_linf, worst = 1.0, f"{pair[0].name}{pair[1].name}"
                     continue
-                direct = probabilities(final_state(chi, pair[0], pair[1]))
+                direct = np.abs(final_state(chi, pair[0], pair[1])) ** 2
                 linf = float(np.abs(parsed[pair] - direct).max())
                 if linf > max_linf:
                     max_linf, worst = linf, f"{pair[0].name}{pair[1].name}"
@@ -590,20 +598,14 @@ def result_from_dict(data: dict) -> SweepResult:
     )
 
 
-def emit_report(result: SweepResult, out_dir, basename: str = "sweep", formats=("csv", "json")) -> dict:
-    """Write the sweep to disk; byte-stable for identical inputs."""
+def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
+    """Write the sweep as CSV and JSON; byte-stable for identical inputs."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{basename}.csv")
-        write_csv(path, _CSV_COLUMNS, result_rows(result))
-        paths["csv"] = path
-    if "json" in formats:
-        path = os.path.join(out_dir, f"{basename}.json")
-        with open(path, "w") as handle:
-            json.dump(result_to_dict(result), handle, indent=2)
-            handle.write("\n")
-        paths["json"] = path
+    paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
+    write_csv(paths["csv"], _CSV_COLUMNS, result_rows(result))
+    with open(paths["json"], "w") as handle:
+        json.dump(result_to_dict(result), handle, indent=2)
+        handle.write("\n")
     return paths
 
 

@@ -11,9 +11,9 @@ import numpy as np
 
 from qgame.equilibrium import DELTA_SHOTS
 from qgame.game import PayoffTable, profile_from_names
-from qgame.noise import ConfusionMatrix, NoiseModel, PopulationVector, spam_correct
+from qgame.noise import ConfusionMatrix, NoiseModel, PopulationVector, outcome_law, spam_correct
 from qgame.sweep import ExperimentConfig, emit_report, run_sweep, verify_parallelization
-from qgame.parallel import Variant, build_circuit, exact_distribution
+from qgame.parallel import N_QUBITS, Variant, build_circuit
 
 from oracles import bayes_tensor_dense, brute_force_equilibria
 
@@ -133,7 +133,8 @@ def test_criterion_6_shot_convergence():
         for got, want in zip(shot_report.payoffs, ref_report.payoffs)
     )
 
-    truth = exact_distribution(build_circuit(Variant.I_CIRCUIT, np.pi / 8)) * 30_000
+    circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
+    truth = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel()) * 30_000
     conf = ConfusionMatrix.from_flips(0.006, 0.006)
     recovered = spam_correct(PopulationVector(conf.apply(truth)), conf)
     spam_err = float(np.abs(recovered.counts - truth).max())

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgame.bayesian import compose
+from qgame.equilibrium import best_responses
 from qgame.game import (
     DEFAULT_PAYOFF_B1,
     DEFAULT_PAYOFF_B2,
@@ -19,7 +21,7 @@ from qgame.game import (
     profile_from_names,
     profile_names,
 )
-from qgame.statevector import probabilities
+from qgame.noise import ConfusionMatrix, PopulationVector
 
 import oracles
 
@@ -28,20 +30,20 @@ CHI_GRID = [k * np.pi / 40 for k in range(11)]
 
 def test_final_state_classical_identity():
     state = final_state(0.0, Strategy.I, Strategy.I)
-    np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_final_state_max_entanglement_xx():
     # frozen from hand multiplication; the unentangler restores |11> exactly
     state = final_state(np.pi / 4, Strategy.X, Strategy.X)
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-12)
     dense = oracles.final_state_dense(np.pi / 4, "X", "X")
-    np.testing.assert_allclose(state.amplitudes, dense, atol=1e-12)
+    np.testing.assert_allclose(state, dense, atol=1e-12)
 
 
 def test_final_state_max_entanglement_z_alone():
     # probabilities (0,0,0,1): a lone Z flips the outcome at full entanglement
-    dist = probabilities(final_state(np.pi / 4, Strategy.Z, Strategy.I))
+    dist = np.abs(final_state(np.pi / 4, Strategy.Z, Strategy.I)) ** 2
     np.testing.assert_allclose(dist, [0, 0, 0, 1], atol=1e-12)
 
 
@@ -99,7 +101,7 @@ def test_classical_limit_is_deterministic():
     # chi=0: every distribution is a basis outcome; {I,Z} play C, {X,Y} play D
     for i in Strategy:
         for j in Strategy:
-            dist = probabilities(final_state(0.0, i, j))
+            dist = np.abs(final_state(0.0, i, j)) ** 2
             assert np.max(dist) > 1 - 1e-12
             a = 1 if i in (Strategy.X, Strategy.Y) else 0
             b = 1 if j in (Strategy.X, Strategy.Y) else 0
@@ -113,7 +115,7 @@ def test_classical_limit_is_deterministic():
 )
 @settings(max_examples=80, deadline=None)
 def test_payoffs_within_table_envelope(chi, i, j):
-    dist = probabilities(final_state(chi, i, j))
+    dist = np.abs(final_state(chi, i, j)) ** 2
     pay_a, pay_b = expected_payoff(dist, DEFAULT_PAYOFF_B1)
     assert DEFAULT_PAYOFF_B1.a.min() - 1e-9 <= pay_a <= DEFAULT_PAYOFF_B1.a.max() + 1e-9
     assert DEFAULT_PAYOFF_B1.b.min() - 1e-9 <= pay_b <= DEFAULT_PAYOFF_B1.b.max() + 1e-9
@@ -151,3 +153,27 @@ def test_profile_string_round_trip():
     assert profile_names(profile) == "ZYX"
     with pytest.raises(ValueError):
         profile_from_names("AB")
+
+
+def _bayesian(p):
+    spec = GameSpec(0.3)
+    return compose(payoff_tensor(spec, "B1"), payoff_tensor(spec, "B2"), p)
+
+
+# each maker gives equal values for equal arguments and different ones otherwise
+ARRAY_DATACLASSES = {
+    "PayoffTable": lambda v: PayoffTable.from_rows((DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2)[v].to_rows()),
+    "PayoffTensor": lambda v: payoff_tensor(GameSpec(0.3), ("B1", "B2")[v]),
+    "BayesianTensor": lambda v: _bayesian((0.3, 0.4)[v]),
+    "ConfusionMatrix": lambda v: ConfusionMatrix(np.roll(np.eye(4), v, axis=0)),
+    "PopulationVector": lambda v: PopulationVector(np.arange(32.0) + v),
+    "BestResponseSet": lambda v: best_responses(_bayesian(0.3), "A", (0.0, 0.5)[v]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_by_value(name):
+    make = ARRAY_DATACLASSES[name]
+    assert make(0) == make(0)
+    assert make(0) != make(1)
+    assert make(0) != "not a dataclass"

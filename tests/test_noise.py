@@ -21,8 +21,8 @@ from qgame.noise import (
     sample_outcomes,
     spam_correct,
 )
-from qgame.parallel import Variant, build_circuit, exact_distribution
-from qgame.statevector import Gate, GateKind
+from qgame.parallel import N_QUBITS, Variant, build_circuit
+from qgame.statevector import Gate
 
 from oracles import CALIBRATION_GATES, parallel_gates, trajectory_counts
 
@@ -35,7 +35,11 @@ HEAVY = replace(
     readout_flip_1to0=0.05,
     chi_jitter_sigma=0.2,
 )
-CALIBRATION = (Gate(GateKind.J, (0, 1), 0.0),)  # the angle-calibration circuit
+CALIBRATION = (Gate("J", (0, 1)),)  # the angle-calibration circuit
+
+
+def zero_noise_law(circuit):
+    return outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, ZERO)
 
 
 def binomial_bound(prob: float, shots: int, n_sigma: float = 5.0) -> float:
@@ -45,7 +49,7 @@ def binomial_bound(prob: float, shots: int, n_sigma: float = 5.0) -> float:
 class TestSampling:
     def test_zero_noise_frequencies_match_exact_distribution(self):
         circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
-        exact = exact_distribution(circuit)
+        exact = zero_noise_law(circuit)
         shots = 50_000
         pops = PopulationVector(sample_outcomes(circuit, ZERO, shots, np.random.default_rng(11)))
         assert pops.shot_count == shots
@@ -55,7 +59,7 @@ class TestSampling:
     def test_depolarization_rate_on_single_gate(self):
         # X then depol(p): error branch applies uniform X/Y/Z, two of which
         # return the qubit to |0>, so P(0) = 2p/3
-        gates = (Gate(GateKind.X, (0,)),)
+        gates = (Gate("X", (0,)),)
         noise = NoiseModel(single_qubit_depol=0.3)
         shots = 60_000
         counts = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(3))
@@ -191,17 +195,6 @@ class TestConfusion:
         assert conf.matrix[0b11000, src] > 0.09
         assert conf.matrix[src, src] < 1.0
 
-    def test_csv_round_trip(self, tmp_path):
-        conf = ConfusionMatrix.from_flips(0.013, 0.008)
-        path = tmp_path / "confusion.csv"
-        with open(path, "w", newline="") as handle:
-            import csv as csv_mod
-
-            writer = csv_mod.writer(handle)
-            writer.writerows(conf.matrix.tolist())
-        loaded = ConfusionMatrix.from_csv(path)
-        assert np.allclose(loaded.matrix, conf.matrix, atol=1e-12)
-
     def test_rejects_non_stochastic(self):
         bad = np.eye(32)
         bad[0, 0] = 0.9
@@ -212,7 +205,7 @@ class TestConfusion:
 class TestSpamCorrection:
     def test_round_trip_recovers_true_populations(self):
         circuit = build_circuit(Variant.X_CIRCUIT, np.pi / 8)
-        truth = exact_distribution(circuit) * 30_000
+        truth = zero_noise_law(circuit) * 30_000
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
         smeared = PopulationVector(conf.apply(truth))
         corrected = spam_correct(smeared, conf)
@@ -226,7 +219,7 @@ class TestSpamCorrection:
 
     def test_correction_improves_sampled_estimate(self):
         circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
-        exact = exact_distribution(circuit)
+        exact = zero_noise_law(circuit)
         noise = NoiseModel(readout_flip_0to1=0.01, readout_flip_1to0=0.012)
         shots = 200_000
         raw = PopulationVector(sample_outcomes(circuit, noise, shots, np.random.default_rng(21)))

@@ -6,43 +6,44 @@ import numpy as np
 import pytest
 
 from qgame.game import Strategy, final_state
+from qgame.noise import NoiseModel, outcome_law
 from qgame.parallel import (
+    N_QUBITS,
     EmptyBranchError,
     Variant,
     branch_indices,
     branch_map,
     branch_strategies,
     build_circuit,
-    exact_distribution,
     parse_branches,
 )
-from qgame.statevector import GateKind, probabilities
 
 import oracles
 
 CHI_GRID = [k * np.pi / 40 for k in range(11)]
 
 
+def exact_law(variant, chi):
+    """Noise-free 32-outcome distribution of one parallelized circuit."""
+    circuit = build_circuit(variant, chi)
+    return outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+
+
+def direct_law(chi, u_a, u_b):
+    return np.abs(final_state(chi, u_a, u_b)) ** 2
+
+
 def test_gate_sequence_layout():
     circuit = build_circuit(Variant.I_CIRCUIT, 0.2)
-    kinds = [g.kind for g in circuit.gate_sequence]
-    assert kinds == [
-        GateKind.H,
-        GateKind.H,
-        GateKind.H,
-        GateKind.J,
-        GateKind.CNOT,
-        GateKind.CZ,
-        GateKind.CZ,
-        GateKind.JDAG,
-    ]
-    x_kinds = [g.kind for g in build_circuit(Variant.X_CIRCUIT, 0.2).gate_sequence]
-    assert x_kinds[-2:] == [GateKind.X, GateKind.JDAG]
+    names = [g.name for g in circuit.gate_sequence]
+    assert names == ["H", "H", "H", "J", "CNOT", "CZ", "CZ", "JDAG"]
+    x_names = [g.name for g in build_circuit(Variant.X_CIRCUIT, 0.2).gate_sequence]
+    assert x_names[-2:] == ["X", "JDAG"]
 
 
 def test_classical_branches_are_basis_outcomes():
     # chi=0: each branch is the classical outcome of its strategy pair
-    dist = exact_distribution(build_circuit(Variant.I_CIRCUIT, 0.0))
+    dist = exact_law(Variant.I_CIRCUIT, 0.0)
     branches = parse_branches(dist, Variant.I_CIRCUIT)
     for (ua, ub), sub in branches.items():
         a = 1 if ua in (Strategy.X, Strategy.Y) else 0
@@ -55,7 +56,7 @@ def test_classical_branches_are_basis_outcomes():
 def test_aux_marginals_uniform():
     for variant in Variant:
         for chi in CHI_GRID:
-            dist = exact_distribution(build_circuit(variant, chi))
+            dist = exact_law(variant, chi)
             for x in (0, 1):
                 for y in (0, 1):
                     for z in (0, 1):
@@ -64,9 +65,9 @@ def test_aux_marginals_uniform():
 
 
 def test_branch_equals_direct_game_sampled_case():
-    dist = exact_distribution(build_circuit(Variant.X_CIRCUIT, np.pi / 8))
+    dist = exact_law(Variant.X_CIRCUIT, np.pi / 8)
     branches = parse_branches(dist, Variant.X_CIRCUIT)
-    want = probabilities(final_state(np.pi / 8, Strategy.I, Strategy.X))
+    want = direct_law(np.pi / 8, Strategy.I, Strategy.X)
     np.testing.assert_allclose(branches[(Strategy.I, Strategy.X)], want, atol=1e-10)
 
 
@@ -75,11 +76,11 @@ def test_exhaustive_game_equivalence():
     # distribution matches the direct two-qubit game to 1e-10
     for chi in CHI_GRID:
         for variant in Variant:
-            dist = exact_distribution(build_circuit(variant, chi))
+            dist = exact_law(variant, chi)
             branches = parse_branches(dist, variant)
             assert len(branches) == 8
             for (ua, ub), sub in branches.items():
-                want = probabilities(final_state(chi, ua, ub))
+                want = direct_law(chi, ua, ub)
                 np.testing.assert_allclose(
                     sub, want, atol=1e-10,
                     err_msg=f"chi={chi} {variant} ({ua.name},{ub.name})",
@@ -89,7 +90,7 @@ def test_exhaustive_game_equivalence():
 def test_matches_independent_dense_circuit():
     for variant, tag in ((Variant.I_CIRCUIT, "I"), (Variant.X_CIRCUIT, "X")):
         for chi in (0.0, 0.3, np.pi / 4):
-            got = exact_distribution(build_circuit(variant, chi))
+            got = exact_law(variant, chi)
             want = oracles.parallel_distribution_dense(tag, chi)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -111,11 +112,11 @@ def test_phase_equivalent_composite_strategies():
     # branches with (x,y) = (1,1) realize ZX = iY; probabilities match the
     # direct game with an explicit Y
     for chi in (0.1, np.pi / 4):
-        dist = exact_distribution(build_circuit(Variant.I_CIRCUIT, chi))
+        dist = exact_law(Variant.I_CIRCUIT, chi)
         branches = parse_branches(dist, Variant.I_CIRCUIT)
         for z, ub in ((0, Strategy.I), (1, Strategy.Z)):
             assert branch_strategies(Variant.I_CIRCUIT, 1, 1, z) == (Strategy.Y, ub)
-            want = probabilities(final_state(chi, Strategy.Y, ub))
+            want = direct_law(chi, Strategy.Y, ub)
             np.testing.assert_allclose(branches[(Strategy.Y, ub)], want, atol=1e-10)
 
 

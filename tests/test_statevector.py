@@ -1,4 +1,4 @@
-"""Statevector core: gate application, normalization, basis convention."""
+"""Gate matrices and application: unitarity, basis convention, tensor apply."""
 
 from __future__ import annotations
 
@@ -7,87 +7,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgame.game import Strategy, final_state
+from qgame.noise import NoiseModel, outcome_law
 from qgame.statevector import (
     CHI_MAX,
     Gate,
-    GateKind,
-    StateVector,
     apply_gate,
     apply_matrix,
-    probabilities,
+    check_chi,
+    gate_matrix,
     xx_rotation,
 )
 
 import oracles
 
 INV_SQRT2 = 1 / np.sqrt(2)
+J = Gate("J", (0, 1))
+JDAG = Gate("JDAG", (0, 1))
+ONE_QUBIT = "IXYZH"
+TWO_QUBIT = ("CNOT", "CZ", "J", "JDAG")
 
 
-def j_gate(chi, targets=(0, 1)):
-    return Gate(GateKind.J, targets, chi)
-
-
-def jdag_gate(chi, targets=(0, 1)):
-    return Gate(GateKind.JDAG, targets, chi)
+def ground(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return amps
 
 
 def test_entangler_at_zero_is_identity():
-    state = apply_gate(StateVector.ground(2), j_gate(0.0))
-    np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+    amps = apply_gate(ground(2), J, 0.0)
+    np.testing.assert_allclose(amps, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_entangler_max_on_ground():
     # first column of the 4x4 at chi = pi/4: (|00> - i|11>)/sqrt(2)
-    state = apply_gate(StateVector.ground(2), j_gate(np.pi / 4))
-    np.testing.assert_allclose(
-        state.amplitudes, [INV_SQRT2, 0, 0, -1j * INV_SQRT2], atol=1e-12
-    )
+    amps = apply_gate(ground(2), J, np.pi / 4)
+    np.testing.assert_allclose(amps, [INV_SQRT2, 0, 0, -1j * INV_SQRT2], atol=1e-12)
 
 
 def test_x_flips_most_significant_qubit():
     # qubit 0 is the most significant index bit: X on it maps |00> to |10>
-    state = apply_gate(StateVector.ground(2), Gate(GateKind.X, (0,)))
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
+    amps = apply_gate(ground(2), Gate("X", (0,)), 0.0)
+    np.testing.assert_allclose(amps, [0, 0, 1, 0], atol=1e-15)
 
 
 def test_probabilities_ground():
-    np.testing.assert_allclose(probabilities(StateVector.ground(2)), [1, 0, 0, 0])
+    # the outcome law of an empty circuit is the ground state's
+    np.testing.assert_allclose(outcome_law((), 2, 0.0, NoiseModel()), [1, 0, 0, 0])
 
 
 def test_probabilities_equal_superposition():
-    state = StateVector(np.array([INV_SQRT2, 0, 0, -1j * INV_SQRT2]), 2)
-    np.testing.assert_allclose(probabilities(state), [0.5, 0, 0, 0.5], atol=1e-12)
+    # J(pi/4)|00> = (|00> - i|11>)/sqrt(2)
+    law = outcome_law((J,), 2, np.pi / 4, NoiseModel())
+    np.testing.assert_allclose(law, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_unentangle_z_sandwich():
     # J'(pi/4) (Z x I) J(pi/4) |00>: frozen from hand multiplication of the
     # three 4x4 matrices, cross-checked against the dense oracle below.
-    state = apply_gate(StateVector.ground(2), j_gate(np.pi / 4))
-    state = apply_gate(state, Gate(GateKind.Z, (0,)))
-    state = apply_gate(state, jdag_gate(np.pi / 4))
-    np.testing.assert_allclose(probabilities(state), [0, 0, 0, 1], atol=1e-12)
+    amps = apply_gate(ground(2), J, np.pi / 4)
+    amps = apply_gate(amps, Gate("Z", (0,)), np.pi / 4)
+    amps = apply_gate(amps, JDAG, np.pi / 4)
+    np.testing.assert_allclose(np.abs(amps) ** 2, [0, 0, 0, 1], atol=1e-12)
 
     dense = oracles.final_state_dense(np.pi / 4, "Z", "I")
-    np.testing.assert_allclose(probabilities(state), np.abs(dense) ** 2, atol=1e-12)
+    np.testing.assert_allclose(np.abs(amps) ** 2, np.abs(dense) ** 2, atol=1e-12)
 
 
 def test_all_gate_matrices_unitary():
-    gates = [
-        Gate(GateKind.I, (0,)),
-        Gate(GateKind.X, (0,)),
-        Gate(GateKind.Y, (0,)),
-        Gate(GateKind.Z, (0,)),
-        Gate(GateKind.H, (0,)),
-        Gate(GateKind.CNOT, (0, 1)),
-        Gate(GateKind.CZ, (0, 1)),
-        j_gate(0.3),
-        jdag_gate(0.3),
-    ]
+    gates = [Gate(name, (0,)) for name in ONE_QUBIT] + [Gate(name, (0, 1)) for name in TWO_QUBIT]
     for gate in gates:
-        mat = gate.matrix()
+        mat = gate_matrix(gate, 0.3)
         np.testing.assert_allclose(
             mat @ mat.conj().T, np.eye(mat.shape[0]), atol=1e-12,
-            err_msg=f"{gate.kind} not unitary",
+            err_msg=f"{gate.name} not unitary",
         )
 
 
@@ -97,9 +90,8 @@ def test_entangle_unentangle_roundtrip(chi):
     rng = np.random.default_rng(7)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
-    state = StateVector(amps, 2)
-    out = apply_gate(apply_gate(state, j_gate(chi)), jdag_gate(chi))
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-12)
+    out = apply_gate(apply_gate(amps, J, chi), JDAG, chi)
+    np.testing.assert_allclose(out, amps, atol=1e-12)
 
 
 @given(
@@ -109,74 +101,51 @@ def test_entangle_unentangle_roundtrip(chi):
 )
 @settings(max_examples=60, deadline=None)
 def test_protocol_state_normalized(chi, ua, ub):
-    state = apply_gate(StateVector.ground(2), j_gate(chi))
-    state = apply_gate(state, Gate(GateKind[ua], (0,)))
-    state = apply_gate(state, Gate(GateKind[ub], (1,)))
-    state = apply_gate(state, jdag_gate(chi))
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+    amps = apply_gate(ground(2), J, chi)
+    amps = apply_gate(amps, Gate(ua, (0,)), chi)
+    amps = apply_gate(amps, Gate(ub, (1,)), chi)
+    amps = apply_gate(amps, JDAG, chi)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_tensor_application_matches_dense_oracle():
     # every gate kind, random states, all qubit counts and target choices
     rng = np.random.default_rng(11)
-    one_q = [Gate(GateKind[k], (0,)) for k in "IXYZH"]
     for n in range(2, 6):
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        cases = []
-        for q in range(n):
-            cases += [Gate(g.kind, (q,)) for g in one_q]
+        cases = [Gate(name, (q,)) for q in range(n) for name in ONE_QUBIT]
         for q1 in range(n):
             for q2 in range(n):
-                if q1 == q2:
-                    continue
-                cases += [
-                    Gate(GateKind.CNOT, (q1, q2)),
-                    Gate(GateKind.CZ, (q1, q2)),
-                    j_gate(0.37, (q1, q2)),
-                    jdag_gate(0.37, (q1, q2)),
-                ]
+                if q1 != q2:
+                    cases += [Gate(name, (q1, q2)) for name in TWO_QUBIT]
         for gate in cases:
-            got = apply_gate(StateVector(amps, n), gate).amplitudes
-            want = oracles.embed(gate.matrix(), gate.targets, n) @ amps
+            got = apply_gate(amps, gate, 0.37)
+            want = oracles.embed(gate_matrix(gate, 0.37), gate.targets, n) @ amps
             np.testing.assert_allclose(got, want, atol=1e-12,
-                                       err_msg=f"{gate.kind} on {gate.targets}, n={n}")
+                                       err_msg=f"{gate.name} on {gate.targets}, n={n}")
 
 
 def test_norm_preserved_through_long_sequence():
-    state = StateVector.ground(5)
+    amps = ground(5)
     for gate in [
-        Gate(GateKind.H, (2,)),
-        Gate(GateKind.H, (3,)),
-        j_gate(0.61, (0, 1)),
-        Gate(GateKind.CNOT, (2, 0)),
-        Gate(GateKind.CZ, (3, 0)),
-        jdag_gate(0.61, (0, 1)),
+        Gate("H", (2,)),
+        Gate("H", (3,)),
+        J,
+        Gate("CNOT", (2, 0)),
+        Gate("CZ", (3, 0)),
+        JDAG,
     ]:
-        state = apply_gate(state, gate)
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
-
-
-def test_target_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        apply_gate(StateVector.ground(2), Gate(GateKind.X, (2,)))
-
-
-def test_duplicate_targets_rejected():
-    with pytest.raises(ValueError):
-        Gate(GateKind.CNOT, (1, 1))
+        amps = apply_gate(amps, gate, 0.61)
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
 
 
 def test_chi_out_of_range_rejected():
+    check_chi(np.pi / 4)
     with pytest.raises(ValueError):
-        apply_gate(StateVector.ground(2), j_gate(np.pi / 4 + 0.01))
+        check_chi(np.pi / 4 + 0.01)
     with pytest.raises(ValueError):
-        apply_gate(StateVector.ground(2), j_gate(-0.01))
-
-
-def test_unnormalized_state_rejected():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0, 0, 0]), 2)
+        final_state(-0.01, Strategy.I, Strategy.I)
 
 
 def test_xx_rotation_sign_convention():
@@ -185,6 +154,15 @@ def test_xx_rotation_sign_convention():
     np.testing.assert_allclose(
         xx_rotation(chi).conj().T, xx_rotation(-chi), atol=1e-15
     )
+
+
+def test_entangler_stack_matches_each_angle():
+    chis = np.array([-0.4, 0.0, 0.3, 2.0])
+    for gate in (J, JDAG):
+        stack = gate_matrix(gate, chis)
+        assert stack.shape == (4, 4, 4)
+        for mat, chi in zip(stack, chis):
+            assert np.array_equal(mat, gate_matrix(gate, chi))
 
 
 def test_apply_matrix_on_middle_qubits():

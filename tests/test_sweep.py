@@ -1,5 +1,7 @@
 """Sweep engine, serialization, parallelization verifier, and CLI."""
 
+import ast
+import hashlib
 import importlib.util
 import json
 from dataclasses import replace
@@ -31,7 +33,8 @@ from qgame.sweep import (
 
 from oracles import bayes_tensor_dense, brute_force_equilibria
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def analytic_config(**kw) -> ExperimentConfig:
@@ -269,6 +272,21 @@ class TestSerialization:
             "payoff_A,payoff_B1,payoff_B2,rmsd,delta,mode,seed"
         )
 
+    def test_default_analytic_csv_matches_pinned_digest(self, tmp_path):
+        # the digest is read from the benchmark's source: importing run.py
+        # would rewrite os.environ
+        tree = ast.parse((PERFBENCH / "run.py").read_text())
+        pinned = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["ANALYTIC_CSV_SHA256"]
+        )
+        paths = emit_report(run_sweep(ExperimentConfig(mode="analytic")), tmp_path)
+        data = Path(paths["csv"]).read_bytes()
+        without_seed = b"\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\n"))
+        assert hashlib.sha256(without_seed).hexdigest() == pinned
+
     def test_multi_equilibrium_cell_spans_rows(self):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         rows = result_rows(run_sweep(cfg))
@@ -306,19 +324,19 @@ class TestSerialization:
             noise=NoiseModel.default_profile(seed=34),
         )
         result = run_sweep(cfg)
-        paths = emit_report(result, tmp_path, formats=("json",))
+        paths = emit_report(result, tmp_path)
         assert load_result(paths["json"]) == result
 
     def test_round_trip_preserves_error_cells(self, tmp_path):
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), shots=40, seed=0)
         result = run_sweep(cfg)
         assert result.cells[0].error is not None
-        paths = emit_report(result, tmp_path, formats=("json",))
+        paths = emit_report(result, tmp_path)
         assert load_result(paths["json"]) == result
 
     def test_schema_version_checked(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
-        paths = emit_report(run_sweep(cfg), tmp_path, formats=("json",))
+        paths = emit_report(run_sweep(cfg), tmp_path)
         data = json.loads(open(paths["json"]).read())
         data["schema_version"] = 99
         bad = tmp_path / "bad.json"
@@ -385,6 +403,26 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"noise": {"chi_jitter_sigma": float("nan")}},
+            {"noise": {"chi_offset": float("nan")}},
+            {"noise": {"chi_offset": float("inf")}},
+            {"p_grid": [0.1, float("nan")]},
+            {"delta": float("nan")},
+        ],
+        ids=["jitter-nan", "offset-nan", "offset-inf", "p-grid-nan", "delta-nan"],
+    )
+    def test_non_finite_config_number_is_config_error(self, tmp_path, capsys, override):
+        # json.load reads NaN and Infinity literals; each of these once passed
+        # validation and then crashed the sweep or emptied every equilibrium set
+        config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_cell_failures_exit_code(self, tmp_path, capsys):
