@@ -17,13 +17,11 @@ from qgame.game import PayoffTensor, Strategy, array_eq
 
 @dataclass(frozen=True)
 class BayesianTensor:
-    """Payoff triples over profiles (A, B1, B2), plus the mixing weight."""
+    """Payoff triples over profiles (A, B1, B2) at one mixing weight."""
 
     a: np.ndarray  # shape (4, 4, 4), indexed (i, j, k)
     b1: np.ndarray  # shape (4, 4), indexed (i, j)
     b2: np.ndarray  # shape (4, 4), indexed (i, k)
-    p: float
-    chi: float | None = None
 
     __eq__ = array_eq
 
@@ -46,5 +44,4 @@ def compose(tensor_b1: PayoffTensor, tensor_b2: PayoffTensor, p: float) -> Bayes
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     a = p * tensor_b1.a[:, :, None] + (1.0 - p) * tensor_b2.a[:, None, :]
-    chi = tensor_b1.chi if tensor_b1.chi == tensor_b2.chi else None
-    return BayesianTensor(a, tensor_b1.b, tensor_b2.b, p, chi)
+    return BayesianTensor(a, tensor_b1.b, tensor_b2.b)

@@ -1,4 +1,4 @@
-"""Best-response sets, Nash equilibria, transition detection, RMSD.
+"""Best-response masks, Nash equilibria, transition detection, RMSD.
 
 A profile (i, j, k) is a Nash equilibrium when each player's choice is
 within delta of the best payoff available against the others' choices.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgame.bayesian import BayesianTensor
-from qgame.game import STRATEGIES, Profile, Strategy, array_eq
+from qgame.game import STRATEGIES, Profile
 
 TIE_EPS = 1e-9
 
@@ -29,42 +29,18 @@ class NoEquilibriumError(ValueError):
     """Raised when an operation needs at least one reference equilibrium."""
 
 
-@dataclass(frozen=True)
-class BestResponseSet:
-    """Near-maximal strategies of one player, as a boolean mask over profiles.
-
-    `mask` is indexed like the player's payoff array: (i, j, k) for player
-    A, (i, j) for B1 and (i, k) for B2, whose payoffs do not depend on the
-    other B type's choice. The player's own choice is axis 0 for A and
-    axis 1 for B1 and B2. `contexts` reads the same mask as per-context
-    sets, keyed (j, k) for A and i for B1 and B2.
-    """
-
-    player: str
-    delta: float
-    mask: np.ndarray
-
-    __eq__ = array_eq
-
-    @property
-    def contexts(self) -> dict:
-        if self.player == "A":
-            return {
-                (j, k): frozenset(STRATEGIES[i] for i in np.flatnonzero(self.mask[:, j, k]))
-                for j in STRATEGIES
-                for k in STRATEGIES
-            }
-        return {i: frozenset(STRATEGIES[j] for j in np.flatnonzero(self.mask[i])) for i in STRATEGIES}
-
-    def members(self, context) -> frozenset[Strategy]:
-        return self.contexts[context]
-
-
 def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
     return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
 
 
-def best_responses(tensor: BayesianTensor, player: str, delta: float) -> BestResponseSet:
+def best_responses(tensor: BayesianTensor, player: str, delta: float) -> np.ndarray:
+    """Read-only mask of one player's near-maximal choices.
+
+    The mask is indexed like the player's payoff array: (i, j, k) for
+    player A, (i, j) for B1 and (i, k) for B2, whose payoffs do not depend
+    on the other B type's choice. The player's own choice is axis 0 for A
+    and axis 1 for B1 and B2.
+    """
     if delta < 0:
         raise ValueError(f"delta={delta} must be >= 0")
     if player == "A":
@@ -76,18 +52,15 @@ def best_responses(tensor: BayesianTensor, player: str, delta: float) -> BestRes
     else:
         raise ValueError(f"player must be A, B1 or B2, got {player!r}")
     mask.flags.writeable = False
-    return BestResponseSet(player, delta, mask)
+    return mask
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """All Nash profiles at one (chi, p) grid point, with their payoffs."""
+    """All Nash profiles of one Bayesian tensor, with their payoffs."""
 
     profiles: tuple[Profile, ...]
     payoffs: tuple[tuple[float, float, float], ...]
-    chi: float | None
-    p: float
-    delta: float
 
     def contains(self, profile: Profile) -> bool:
         return profile in self.profiles
@@ -100,38 +73,33 @@ class EquilibriumReport:
 def nash_equilibria(tensor: BayesianTensor, delta: float) -> EquilibriumReport:
     """Intersection of the three best-response masks, in profile order."""
     nash = (
-        best_responses(tensor, "A", delta).mask
-        & best_responses(tensor, "B1", delta).mask[:, :, None]
-        & best_responses(tensor, "B2", delta).mask[:, None, :]
+        best_responses(tensor, "A", delta)
+        & best_responses(tensor, "B1", delta)[:, :, None]
+        & best_responses(tensor, "B2", delta)[:, None, :]
     )
     profiles = tuple(tuple(STRATEGIES[s] for s in index) for index in np.argwhere(nash))
     payoffs = tuple(tensor.payoffs(profile) for profile in profiles)
-    return EquilibriumReport(profiles, payoffs, tensor.chi, tensor.p, delta)
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    tracked_profile: Profile
-    thresholds: tuple[float, ...]
-    stability_window: int
+    return EquilibriumReport(profiles, payoffs)
 
 
 def detect_transitions(
-    reports: list[EquilibriumReport], profile: Profile, window: int = 3
-) -> TransitionReport:
+    ps: list[float], reports: list[EquilibriumReport], profile: Profile, window: int
+) -> tuple[float, ...]:
     """p values where the profile's equilibrium membership flips and stays
-    flipped for `window` consecutive grid points.
+    flipped for `window` consecutive grid points; `reports[n]` is the
+    report at `ps[n]`.
 
     Shorter excursions are treated as blur and ignored. A flip that runs
     to the end of the grid counts as sustained regardless of length.
     """
     if not reports:
         raise ValueError("no reports to scan")
+    if len(ps) != len(reports):
+        raise ValueError(f"{len(ps)} p values for {len(reports)} reports")
     if window < 1:
         raise ValueError(f"window={window} must be >= 1")
-    ps = [r.p for r in reports]
     if any(b <= a for a, b in zip(ps, ps[1:])):
-        raise ValueError("reports must be ordered by strictly ascending p")
+        raise ValueError("p values must be strictly ascending")
     member = [r.contains(profile) for r in reports]
     thresholds: list[float] = []
     current = member[0]
@@ -145,7 +113,7 @@ def detect_transitions(
                 thresholds.append(ps[idx])
                 current = member[idx]
         idx += 1
-    return TransitionReport(profile, tuple(thresholds), window)
+    return tuple(thresholds)
 
 
 def max_payoff_profile(report: EquilibriumReport) -> Profile:

@@ -112,7 +112,6 @@ class PayoffTensor:
 
     a: np.ndarray
     b: np.ndarray
-    chi: float
 
     __eq__ = array_eq
 
@@ -123,9 +122,6 @@ class PayoffTensor:
                 raise ValueError("payoff tensor is 4x4")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def payoffs(self, s_a: Strategy, s_b: Strategy) -> tuple[float, float]:
-        return float(self.a[s_a, s_b]), float(self.b[s_a, s_b])
 
 
 _ENTANGLE = Gate("J", (0, 1))
@@ -164,13 +160,11 @@ def payoff_tensor(spec: GameSpec, which_b: str) -> PayoffTensor:
         for j in STRATEGIES:
             dist = np.abs(final_state(spec.chi, i, j)) ** 2
             pay_a[i, j], pay_b[i, j] = expected_payoff(dist, table)
-    return PayoffTensor(pay_a, pay_b, spec.chi)
+    return PayoffTensor(pay_a, pay_b)
 
 
 def tensor_from_distributions(
-    dists: dict[tuple[Strategy, Strategy], np.ndarray],
-    table: PayoffTable,
-    chi: float,
+    dists: dict[tuple[Strategy, Strategy], np.ndarray], table: PayoffTable
 ) -> PayoffTensor:
     """Build a payoff tensor from measured per-pair outcome distributions.
 
@@ -183,4 +177,4 @@ def tensor_from_distributions(
     off = np.abs(sums - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"distribution sums to {sums[off][0]}, not 1")
-    return PayoffTensor(stack @ table.a_flat, stack @ table.b_flat, chi)
+    return PayoffTensor(stack @ table.a_flat, stack @ table.b_flat)

@@ -123,17 +123,6 @@ class PopulationVector:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    @property
-    def shot_count(self) -> int:
-        return int(round(self.total))
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        total = self.total
-        if total <= 0:
-            raise ValueError("empty population vector has no frequencies")
-        return self.counts / total
-
 
 def _per_qubit_confusion(p01: float, p10: float) -> np.ndarray:
     # column j = true bit j, rows = observed bit
@@ -183,10 +172,6 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix columns must sum to 1")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def identity(cls, n_qubits: int = N_QUBITS) -> "ConfusionMatrix":
-        return cls(np.eye(2**n_qubits))
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -350,13 +335,12 @@ def sample_outcomes(
 
 
 def bayesian_split(
-    counts: np.ndarray, p: float, seed: int | np.random.Generator = 0
+    counts: np.ndarray, p: float, rng: np.random.Generator
 ) -> tuple[PopulationVector, PopulationVector]:
     """Assign each shot to the B1 pool with probability p, else B2. Per
     outcome the B1 share is Binomial(count, p), the law of one coin per shot."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     counts = np.asarray(counts)
     to_b1 = rng.binomial(counts, p)
     return PopulationVector(to_b1), PopulationVector(counts - to_b1)

@@ -112,16 +112,15 @@ _CANONICAL_TABLES = {variant: _branch_table(branch_map(variant)) for variant in 
 
 
 def parse_branches(
-    populations, variant: Variant, mapping=None
+    counts: np.ndarray, variant: Variant, mapping=None
 ) -> dict[tuple[Strategy, Strategy], np.ndarray]:
     """Split a 32-outcome population into 8 per-pair conditional distributions.
 
-    `populations` is a 32-vector of counts or frequencies (anything with a
-    `.counts` attribute also works). Each branch is renormalized to sum 1.
-    A branch with zero total raises EmptyBranchError rather than silently
-    emitting zeros.
+    `counts` is a 32-vector of counts or frequencies. Each branch is
+    renormalized to sum 1. A branch with zero total raises EmptyBranchError
+    rather than silently emitting zeros.
     """
-    counts = np.asarray(getattr(populations, "counts", populations), dtype=float)
+    counts = np.asarray(counts, dtype=float)
     if counts.shape != (N_OUTCOMES,):
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {counts.shape}")
     if (counts < 0).any():

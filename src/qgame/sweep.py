@@ -29,7 +29,6 @@ from qgame.equilibrium import (
     DELTA_SHOTS,
     EquilibriumReport,
     NoEquilibriumError,
-    TransitionReport,
     detect_transitions,
     nash_equilibria,
     rmsd_at_equilibrium,
@@ -72,7 +71,7 @@ from qgame.parallel import (
 )
 from qgame.statevector import CHI_MAX, check_chi
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MODE_ANALYTIC = "analytic"
 MODE_SHOTS = "shots"
 
@@ -130,10 +129,16 @@ class ExperimentConfig:
         object.__setattr__(self, "payoff_rows_b1", _as_nested_tuple(self.payoff_rows_b1))
         object.__setattr__(self, "payoff_rows_b2", _as_nested_tuple(self.payoff_rows_b2))
         # json.load accepts NaN and Infinity, which slip past every order check below
-        numbers = (*self.chi_grid_pi, *self.p_grid, self.shots, self.calibration_shots, self.seed)
-        numbers += (self.transition_window,) + (() if self.delta is None else (self.delta,))
+        numbers = (*self.chi_grid_pi, *self.p_grid) + (() if self.delta is None else (self.delta,))
         if any(isinstance(value, float) and not math.isfinite(value) for value in numbers):
             raise ConfigError("config numbers must be finite")
+        # bool is an int subclass; a JSON true must not count as 1
+        for name in ("shots", "calibration_shots", "transition_window", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # the range NoiseModel.seed takes
+            raise ConfigError(f"seed={self.seed} outside [0, 2**64)")
         for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
@@ -147,12 +152,10 @@ class ExperimentConfig:
             raise ConfigError(f"chi_grid_pi: {exc}") from exc
         if self.p_grid[0] < 0.0 or self.p_grid[-1] > 1.0:  # as strict as compose
             raise ConfigError("p_grid outside [0.0, 1.0]")
-        if self.shots <= 0 or self.calibration_shots <= 0:
-            raise ConfigError("shots and calibration_shots must be positive")
+        if self.shots <= 0 or self.calibration_shots <= 0 or self.transition_window <= 0:
+            raise ConfigError("shots, calibration_shots and transition_window must be positive")
         if self.delta is not None and self.delta < 0:
             raise ConfigError("delta must be >= 0")
-        if self.transition_window < 1:
-            raise ConfigError("transition_window must be >= 1")
         if not isinstance(self.noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
         try:
@@ -235,9 +238,9 @@ class CellResult:
 class SweepResult:
     config: ExperimentConfig
     cells: tuple[CellResult, ...]
-    transitions: tuple[tuple[float, TransitionReport | None], ...]
+    # (chi_pi, thresholds of config.tracked_profile); None where every cell failed
+    transitions: tuple[tuple[float, tuple[float, ...] | None], ...]
     chi_measurements: tuple[tuple[float, ChiEstimate], ...]
-    schema_version: int = SCHEMA_VERSION
 
     def cells_at_chi(self, chi_pi: float) -> list[CellResult]:
         return [c for c in self.cells if c.chi_nominal_pi == chi_pi]
@@ -317,10 +320,10 @@ def _shot_column(
                 pool_b1, pool_b2 = bayesian_split(counts[variant], p, split_rng)
                 pool_b1 = _pool_or_fallback(pool_b1, full_pops[variant])
                 pool_b2 = _pool_or_fallback(pool_b2, full_pops[variant])
-                dists_b1.update(parse_branches(spam_correct(pool_b1, confusion), variant))
-                dists_b2.update(parse_branches(spam_correct(pool_b2, confusion), variant))
-            observed_b1 = tensor_from_distributions(dists_b1, tables[0], chi_ref)
-            observed_b2 = tensor_from_distributions(dists_b2, tables[1], chi_ref)
+                dists_b1.update(parse_branches(spam_correct(pool_b1, confusion).counts, variant))
+                dists_b2.update(parse_branches(spam_correct(pool_b2, confusion).counts, variant))
+            observed_b1 = tensor_from_distributions(dists_b1, tables[0])
+            observed_b2 = tensor_from_distributions(dists_b2, tables[1])
             observed = compose(observed_b1, observed_b2, p)
             report = nash_equilibria(observed, delta)
             try:
@@ -340,7 +343,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     # one readout matrix per sweep: its factorization serves every cell
     confusion = ConfusionMatrix.from_noise(config.noise) if config.mode == MODE_SHOTS else None
     all_cells: list[CellResult] = []
-    transitions: list[tuple[float, TransitionReport | None]] = []
+    transitions: list[tuple[float, tuple[float, ...] | None]] = []
     measurements: list[tuple[float, ChiEstimate]] = []
     for chi_pi in config.chi_grid_pi:
         if config.mode == MODE_ANALYTIC:
@@ -349,9 +352,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         else:
             cells, estimate = _shot_column(config, chi_pi, tables, confusion)
             measurements.append((chi_pi, estimate))
-        reports = [c.report for c in cells if c.report is not None]
-        if reports:
-            transitions.append((chi_pi, detect_transitions(reports, tracked, config.transition_window)))
+        solved = [c for c in cells if c.report is not None]
+        if solved:
+            ps, reports = [c.p for c in solved], [c.report for c in solved]
+            transitions.append((chi_pi, detect_transitions(ps, reports, tracked, config.transition_window)))
         else:
             transitions.append((chi_pi, None))
         all_cells.extend(cells)
@@ -382,12 +386,12 @@ def rmsd_analysis(result: SweepResult) -> list[dict]:
 def threshold_rows(result: SweepResult) -> list[dict]:
     """Per-angle transition thresholds of the tracked profile."""
     rows = []
-    for chi_pi, report in result.transitions:
+    for chi_pi, thresholds in result.transitions:
         rows.append(
             {
                 "chi_pi": chi_pi,
                 "profile": result.config.tracked_profile,
-                "thresholds": None if report is None else list(report.thresholds),
+                "thresholds": None if thresholds is None else list(thresholds),
                 "window": result.config.transition_window,
             }
         )
@@ -509,9 +513,6 @@ def _report_to_dict(report: EquilibriumReport | None) -> dict | None:
     return {
         "profiles": [profile_names(pr) for pr in report.profiles],
         "payoffs": [list(pay) for pay in report.payoffs],
-        "chi": report.chi,
-        "p": report.p,
-        "delta": report.delta,
     }
 
 
@@ -521,28 +522,20 @@ def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     return EquilibriumReport(
         profiles=tuple(profile_from_names(name) for name in data["profiles"]),
         payoffs=tuple(tuple(float(v) for v in pay) for pay in data["payoffs"]),
-        chi=data["chi"],
-        p=data["p"],
-        delta=data["delta"],
     )
 
 
 def result_to_dict(result: SweepResult) -> dict:
     return {
-        "schema_version": result.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": result.config.to_dict(),
         "chi_measurements": [
             {"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
             for chi_pi, est in result.chi_measurements
         ],
         "transitions": [
-            {
-                "chi_pi": chi_pi,
-                "profile": None if rep is None else profile_names(rep.tracked_profile),
-                "thresholds": None if rep is None else list(rep.thresholds),
-                "window": None if rep is None else rep.stability_window,
-            }
-            for chi_pi, rep in result.transitions
+            {"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
+            for chi_pi, thresholds in result.transitions
         ],
         "cells": [
             {
@@ -561,21 +554,6 @@ def result_to_dict(result: SweepResult) -> dict:
 def result_from_dict(data: dict) -> SweepResult:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
-    transitions = []
-    for entry in data["transitions"]:
-        if entry["profile"] is None:
-            transitions.append((entry["chi_pi"], None))
-        else:
-            transitions.append(
-                (
-                    entry["chi_pi"],
-                    TransitionReport(
-                        profile_from_names(entry["profile"]),
-                        tuple(entry["thresholds"]),
-                        entry["window"],
-                    ),
-                )
-            )
     return SweepResult(
         config=ExperimentConfig.from_dict(data["config"]),
         cells=tuple(
@@ -589,12 +567,14 @@ def result_from_dict(data: dict) -> SweepResult:
             )
             for c in data["cells"]
         ),
-        transitions=tuple(transitions),
+        transitions=tuple(
+            (t["chi_pi"], None if t["thresholds"] is None else tuple(t["thresholds"]))
+            for t in data["transitions"]
+        ),
         chi_measurements=tuple(
             (m["chi_nominal_pi"], ChiEstimate(m["value_rad"], m["sigma_rad"]))
             for m in data["chi_measurements"]
         ),
-        schema_version=data["schema_version"],
     )
 
 

@@ -72,11 +72,11 @@ def test_criterion_2_entanglement_phase_change():
 def test_criterion_3_p_threshold():
     cfg = ExperimentConfig(mode="analytic", chi_grid_pi=(0.05,), delta=0.0)
     result = run_sweep(cfg)
-    _, transition = result.transitions[0]
-    threshold_ok = bool(transition.thresholds) and abs(transition.thresholds[0] - 0.16) <= 0.01 + 1e-12
+    _, thresholds = result.transitions[0]
+    threshold_ok = bool(thresholds) and abs(thresholds[0] - 0.16) <= 0.01 + 1e-12
     mid_cell = [c for c in result.cells if c.p == 0.5][0]
     ok = threshold_ok and mid_cell.report.empty
-    found = transition.thresholds[0] if transition.thresholds else None
+    found = thresholds[0] if thresholds else None
     check(ok, f"p-threshold at chi=pi/20: low-p transition at {found} (0.16 +/- 0.01), empty set at p=0.5")
 
 

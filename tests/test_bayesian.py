@@ -95,4 +95,4 @@ def test_component_independence_structure():
 
 def test_tensor_shape_validation():
     with pytest.raises(ValueError):
-        BayesianTensor(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), 0.5)
+        BayesianTensor(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))

@@ -29,8 +29,8 @@ def bayes_at(chi, p):
     return compose(payoff_tensor(spec, "B1"), payoff_tensor(spec, "B2"), p)
 
 
-def synthetic_tensor(a, b1, b2, p=0.5):
-    return BayesianTensor(np.asarray(a, float), np.asarray(b1, float), np.asarray(b2, float), p)
+def synthetic_tensor(a, b1, b2):
+    return BayesianTensor(np.asarray(a, float), np.asarray(b1, float), np.asarray(b2, float))
 
 
 def random_tensor(rng):
@@ -47,17 +47,18 @@ def test_dominant_strategy_gives_singletons():
     b2 = np.zeros((4, 4))
     b2[:, 3] = 1.0
     tensor = synthetic_tensor(a, b1, b2)
-    for player, want in (("A", {Strategy.X}), ("B1", {Strategy.Y}), ("B2", {Strategy.Z})):
-        br = best_responses(tensor, player, 0.0)
-        assert all(members == want for members in br.contexts.values())
+    for player, own_axis, want in (("A", 0, Strategy.X), ("B1", 1, Strategy.Y), ("B2", 1, Strategy.Z)):
+        own = np.moveaxis(best_responses(tensor, player, 0.0), own_axis, 0)
+        # exactly the dominant choice, in every context
+        assert own[want].all() and not np.delete(own, want, axis=0).any()
 
 
 def test_best_response_classical_context():
     # chi=0, p=0: against (B1=X, B2=I), cooperation pays 11 > 10, so the
     # two cooperate-equivalent strategies I and Z tie for best
     tensor = bayes_at(0.0, 0.0)
-    br = best_responses(tensor, "A", 0.0)
-    assert br.members((Strategy.X, Strategy.I)) == {Strategy.I, Strategy.Z}
+    mask = best_responses(tensor, "A", 0.0)
+    assert set(np.flatnonzero(mask[:, Strategy.X, Strategy.I])) == {Strategy.I, Strategy.Z}
     # brute force over the 4 choices agrees
     col = tensor.a[:, Strategy.X, Strategy.I]
     best = {Strategy(i) for i in range(4) if col[i] >= col.max() - 1e-9}
@@ -68,8 +69,8 @@ def test_delta_tolerance_widens_set():
     a = np.zeros((4, 4, 4))
     a[:, 0, 0] = [11.00, 10.95, 3, 3]
     tensor = synthetic_tensor(a, np.zeros((4, 4)), np.zeros((4, 4)))
-    br = best_responses(tensor, "A", 0.1)
-    assert br.members((Strategy.I, Strategy.I)) == {Strategy.I, Strategy.X}
+    mask = best_responses(tensor, "A", 0.1)
+    assert set(np.flatnonzero(mask[:, Strategy.I, Strategy.I])) == {Strategy.I, Strategy.X}
 
 
 def test_classical_low_p_equilibria():
@@ -103,49 +104,54 @@ def test_transition_low_p_profile():
     t1 = payoff_tensor(tensor_pairs, "B1")
     t2 = payoff_tensor(tensor_pairs, "B2")
     reports = [nash_equilibria(compose(t1, t2, p), 0.0) for p in P_GRID]
-    result = detect_transitions(reports, profile_from_names("IXI"), window=3)
-    assert result.thresholds == (0.17,)
-    assert abs(result.thresholds[0] - 0.16) <= 0.010001
+    thresholds = detect_transitions(P_GRID, reports, profile_from_names("IXI"), window=3)
+    assert thresholds == (0.17,)
+    assert abs(thresholds[0] - 0.16) <= 0.010001
     # and the equilibrium set is empty in a band containing p = 0.5
-    by_p = {r.p: r for r in reports}
+    by_p = dict(zip(P_GRID, reports))
     assert by_p[0.5].empty
 
     # the high-p equilibrium appears at 9/14 rounded up to the grid
-    appear = detect_transitions(reports, profile_from_names("XYZ"), window=3)
-    assert appear.thresholds == (0.65,)
+    appear = detect_transitions(P_GRID, reports, profile_from_names("XYZ"), window=3)
+    assert appear == (0.65,)
     # with the shot-analysis tolerance the appearance moves near p ~ 0.55
     loose = [nash_equilibria(compose(t1, t2, p), 0.1) for p in P_GRID]
-    appear_loose = detect_transitions(loose, profile_from_names("XYZ"), window=3)
-    assert appear_loose.thresholds == (0.57,)
+    appear_loose = detect_transitions(P_GRID, loose, profile_from_names("XYZ"), window=3)
+    assert appear_loose == (0.57,)
 
 
 def test_transition_constant_membership():
-    reports = [nash_equilibria(bayes_at(0.0, p), 0.0) for p in (0.0, 0.01, 0.02, 0.03)]
-    result = detect_transitions(reports, profile_from_names("IXI"), window=3)
-    assert result.thresholds == ()
+    ps = [0.0, 0.01, 0.02, 0.03]
+    reports = [nash_equilibria(bayes_at(0.0, p), 0.0) for p in ps]
+    assert detect_transitions(ps, reports, profile_from_names("IXI"), window=3) == ()
 
 
 def test_transition_ignores_short_blips():
     from qgame.equilibrium import EquilibriumReport
 
-    def stub(p, member):
+    def stub(member):
         profiles = (profile_from_names("IXI"),) if member else ()
         payoffs = ((11.0, 10.0, 9.0),) if member else ()
-        return EquilibriumReport(profiles, payoffs, 0.0, p, 0.0)
+        return EquilibriumReport(profiles, payoffs)
 
     membership = [1, 1, 0, 1, 1, 1, 0, 0, 0, 0]
-    reports = [stub(i / 10, m) for i, m in enumerate(membership)]
-    result = detect_transitions(reports, profile_from_names("IXI"), window=3)
+    ps = [i / 10 for i in range(len(membership))]
+    thresholds = detect_transitions(ps, [stub(m) for m in membership], profile_from_names("IXI"), window=3)
     # the lone dip at p=0.2 is blur; the sustained flip lands at p=0.6
-    assert result.thresholds == (0.6,)
+    assert thresholds == (0.6,)
 
 
 def test_transition_validates_input():
+    ixi = profile_from_names("IXI")
     with pytest.raises(ValueError):
-        detect_transitions([], profile_from_names("IXI"), window=3)
+        detect_transitions([], [], ixi, window=3)
     reports = [nash_equilibria(bayes_at(0.0, p), 0.0) for p in (0.5, 0.4)]
-    with pytest.raises(ValueError):
-        detect_transitions(reports, profile_from_names("IXI"), window=3)
+    with pytest.raises(ValueError, match="ascending"):
+        detect_transitions([0.5, 0.4], reports, ixi, window=3)
+    with pytest.raises(ValueError, match="2 reports"):
+        detect_transitions([0.5], reports, ixi, window=3)
+    with pytest.raises(ValueError, match="window"):
+        detect_transitions([0.4, 0.5], reports, ixi, window=0)
 
 
 def test_rmsd_identical_tensors():
@@ -156,9 +162,7 @@ def test_rmsd_identical_tensors():
 
 def test_rmsd_uniform_offset():
     reference = bayes_at(0.0, 0.0)
-    observed = BayesianTensor(
-        reference.a - 1.0, reference.b1 - 1.0, reference.b2 - 1.0, reference.p, reference.chi
-    )
+    observed = BayesianTensor(reference.a - 1.0, reference.b1 - 1.0, reference.b2 - 1.0)
     assert rmsd_at_equilibrium(observed, reference, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -206,15 +210,18 @@ def test_solver_matches_brute_force_with_ties(a, b1, b2, delta):
     report = nash_equilibria(tensor, delta)
     got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
     assert got == oracles.brute_force_equilibria(tensor.a, tensor.b1, tensor.b2, delta)
-    assert best_responses(tensor, "A", delta) == best_responses(synthetic_tensor(a, b1, b2), "A", delta)
-    # the per-context sets read off the masks keep every tied maximum
-    for (j, k), members in best_responses(tensor, "A", delta).contexts.items():
-        column = tensor.a[:, j, k]
-        assert members == {Strategy(i) for i in range(4) if column[i] >= column.max() - delta - 1e-9}
+    # the masks keep every tied maximum in every context
+    mask_a = best_responses(tensor, "A", delta)
+    assert not mask_a.flags.writeable
+    for j in range(4):
+        for k in range(4):
+            best = tensor.a[:, j, k].max() - delta - 1e-9
+            assert set(np.flatnonzero(mask_a[:, j, k])) == {i for i in range(4) if tensor.a[i, j, k] >= best}
     for player, values in (("B1", tensor.b1), ("B2", tensor.b2)):
-        for i, members in best_responses(tensor, player, delta).contexts.items():
+        mask = best_responses(tensor, player, delta)
+        for i in range(4):
             best = values[i].max() - delta - 1e-9
-            assert members == {Strategy(x) for x in range(4) if values[i, x] >= best}
+            assert set(np.flatnonzero(mask[i])) == {x for x in range(4) if values[i, x] >= best}
 
 
 @given(
@@ -235,7 +242,7 @@ def test_delta_monotonicity(seed, d1, d2):
 def test_affine_shift_invariance():
     rng = np.random.default_rng(5)
     tensor = random_tensor(rng)
-    shifted = BayesianTensor(tensor.a + 3.7, tensor.b1, tensor.b2, tensor.p)
+    shifted = BayesianTensor(tensor.a + 3.7, tensor.b1, tensor.b2)
     for delta in (0.0, 0.1, 0.5):
         before = nash_equilibria(tensor, delta).profiles
         after = nash_equilibria(shifted, delta).profiles

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.bayesian import compose
-from qgame.equilibrium import best_responses
 from qgame.game import (
     DEFAULT_PAYOFF_B1,
     DEFAULT_PAYOFF_B2,
@@ -68,7 +67,7 @@ def test_expected_payoff_validates_distribution():
 
 def test_tensor_classical_corner():
     tensor = payoff_tensor(GameSpec(0.0), "B1")
-    assert tensor.payoffs(Strategy.I, Strategy.I) == (11, 9)
+    assert (tensor.a[Strategy.I, Strategy.I], tensor.b[Strategy.I, Strategy.I]) == (11, 9)
 
 
 def test_tensor_classical_degeneracy():
@@ -76,12 +75,12 @@ def test_tensor_classical_degeneracy():
     tensor = payoff_tensor(GameSpec(0.0), "B1")
     for i in (Strategy.I, Strategy.Z):
         for j in (Strategy.I, Strategy.Z):
-            assert tensor.payoffs(i, j) == (11, 9)
+            assert (tensor.a[i, j], tensor.b[i, j]) == (11, 9)
 
 
 def test_tensor_max_entanglement_z_entry():
     tensor = payoff_tensor(GameSpec(np.pi / 4), "B1")
-    pay = tensor.payoffs(Strategy.Z, Strategy.I)
+    pay = (tensor.a[Strategy.Z, Strategy.I], tensor.b[Strategy.Z, Strategy.I])
     np.testing.assert_allclose(pay, (6, 6), atol=1e-12)
 
 
@@ -167,7 +166,6 @@ ARRAY_DATACLASSES = {
     "BayesianTensor": lambda v: _bayesian((0.3, 0.4)[v]),
     "ConfusionMatrix": lambda v: ConfusionMatrix(np.roll(np.eye(4), v, axis=0)),
     "PopulationVector": lambda v: PopulationVector(np.arange(32.0) + v),
-    "BestResponseSet": lambda v: best_responses(_bayesian(0.3), "A", (0.0, 0.5)[v]),
 }
 
 

@@ -126,10 +126,10 @@ class TestAnalyticSweep:
     def test_transition_column_matches_reference_point(self):
         cfg = analytic_config(chi_grid_pi=(0.05,))
         result = run_sweep(cfg)
-        chi_pi, transition = result.transitions[0]
+        chi_pi, thresholds = result.transitions[0]
         assert chi_pi == 0.05
-        assert transition.thresholds == (0.17,)
-        assert abs(transition.thresholds[0] - 0.16) <= 0.01 + 1e-12
+        assert thresholds == (0.17,)
+        assert abs(thresholds[0] - 0.16) <= 0.01 + 1e-12
         mid = [c for c in result.cells if c.p == 0.5][0]
         assert mid.report.empty
 
@@ -326,6 +326,17 @@ class TestSerialization:
         result = run_sweep(cfg)
         paths = emit_report(result, tmp_path)
         assert load_result(paths["json"]) == result
+        # schema 3: the cell holds chi and p, the config holds delta, the
+        # tracked profile and the window; reports and transitions hold only
+        # what the solver computed
+        data = json.loads(Path(paths["json"]).read_text())
+        assert data["schema_version"] == 3
+        assert {"delta", "tracked_profile", "transition_window"} <= set(data["config"])
+        assert {"chi_nominal_pi", "p"} <= set(data["cells"][0])
+        reports = [cell["report"] for cell in data["cells"] if cell["report"] is not None]
+        assert reports and all(set(report) == {"profiles", "payoffs"} for report in reports)
+        assert len(data["transitions"]) == 2
+        assert all(set(entry) == {"chi_pi", "thresholds"} for entry in data["transitions"])
 
     def test_round_trip_preserves_error_cells(self, tmp_path):
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), shots=40, seed=0)
@@ -338,11 +349,13 @@ class TestSerialization:
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         paths = emit_report(run_sweep(cfg), tmp_path)
         data = json.loads(open(paths["json"]).read())
-        data["schema_version"] = 99
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="schema_version"):
-            load_result(bad)
+        # 2 is the layout before reports and transitions lost their copied keys
+        for version in (99, 2):
+            data["schema_version"] = version
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            with pytest.raises(ConfigError, match="schema_version"):
+                load_result(bad)
 
 
 class TestAnalyses:
@@ -403,6 +416,42 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 1.5},
+            {"seed": True},
+            {"shots": 1000.5},
+            {"shots": True},
+            {"calibration_shots": 300.5},
+            {"calibration_shots": True},
+            {"transition_window": 2.5},
+            {"transition_window": True},
+        ],
+        ids=[
+            "seed-negative",
+            "seed-too-big",
+            "seed-float",
+            "seed-bool",
+            "shots-float",
+            "shots-bool",
+            "calibration-shots-float",
+            "calibration-shots-bool",
+            "window-float",
+            "window-bool",
+        ],
+    )
+    def test_non_integer_or_out_of_range_count_is_config_error(self, tmp_path, capsys, override):
+        # seeds, shot counts and the window are ints; JSON floats and true
+        # once passed validation and then crashed the sweep or ran silently
+        config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
