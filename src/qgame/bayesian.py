@@ -39,9 +39,21 @@ class BayesianTensor:
         return float(self.a[i, j, k]), float(self.b1[i, j]), float(self.b2[i, k])
 
 
+def compose_a(pay_b1: np.ndarray, pay_b2: np.ndarray, p) -> np.ndarray:
+    """Player A's payoff(i, j, k) = p * A-vs-B1(i, j) + (1-p) * A-vs-B2(i, k).
+
+    `pay_b1` and `pay_b2` are A's (..., 4, 4) payoffs in the two games and
+    `p` has their leading shape, so a column of p values gives a
+    (..., 4, 4, 4) stack.
+    """
+    p = np.asarray(p, dtype=float)
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not inside.all():
+        raise ValueError(f"p={p[~inside][0]} outside [0, 1]")
+    p = p[..., None, None, None]
+    return p * pay_b1[..., None] + (1.0 - p) * pay_b2[..., None, :]
+
+
 def compose(tensor_b1: PayoffTensor, tensor_b2: PayoffTensor, p: float) -> BayesianTensor:
-    """payoff_A(i,j,k) = p * A-vs-B1(i,j) + (1-p) * A-vs-B2(i,k)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    a = p * tensor_b1.a[:, :, None] + (1.0 - p) * tensor_b2.a[:, None, :]
-    return BayesianTensor(a, tensor_b1.b, tensor_b2.b)
+    """The Bayesian tensor at one p: `compose_a` for A, each B type's own game."""
+    return BayesianTensor(compose_a(tensor_b1.a, tensor_b2.a, p), tensor_b1.b, tensor_b2.b)

@@ -125,14 +125,10 @@ def max_payoff_profile(report: EquilibriumReport) -> Profile:
     return ranked[0][0]
 
 
-def rmsd_at_equilibrium(
-    observed: BayesianTensor, reference: BayesianTensor, delta: float
-) -> float:
-    """Root-mean-square payoff deviation at the reference's best equilibrium."""
-    ref_report = nash_equilibria(reference, delta)
-    if ref_report.empty:
-        raise NoEquilibriumError("reference tensor has no equilibria at this delta")
-    profile = max_payoff_profile(ref_report)
+def rmsd_at_equilibrium(observed: BayesianTensor, reference: EquilibriumReport) -> float:
+    """Root-mean-square payoff deviation from the reference report at its
+    best equilibrium (`max_payoff_profile`)."""
+    profile = max_payoff_profile(reference)
     obs = np.array(observed.payoffs(profile))
-    ref = np.array(reference.payoffs(profile))
+    ref = np.array(reference.payoffs[reference.profiles.index(profile)])
     return float(np.sqrt(np.mean((obs - ref) ** 2)))

@@ -140,13 +140,10 @@ def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
 
 
 def expected_payoff(dist: np.ndarray, table: PayoffTable) -> tuple[float, float]:
-    """Weighted average of the table entries under a 4-outcome distribution."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (4,):
-        raise ValueError(f"distribution must have 4 entries, got {dist.shape}")
-    if abs(dist.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {dist.sum()}, not 1")
-    return float(dist @ table.a_flat), float(dist @ table.b_flat)
+    """Weighted average of the table entries under one 4-outcome
+    distribution: the single-distribution case of `tensor_from_distributions`."""
+    pay_a, pay_b = tensor_from_distributions(dist, table)
+    return float(pay_a), float(pay_b)
 
 
 def payoff_tensor(spec: GameSpec, which_b: str) -> PayoffTensor:
@@ -163,18 +160,20 @@ def payoff_tensor(spec: GameSpec, which_b: str) -> PayoffTensor:
     return PayoffTensor(pay_a, pay_b)
 
 
-def tensor_from_distributions(
-    dists: dict[tuple[Strategy, Strategy], np.ndarray], table: PayoffTable
-) -> PayoffTensor:
-    """Build a payoff tensor from measured per-pair outcome distributions.
+def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
+    """Expected (A, B) payoffs under a stack of 4-outcome distributions.
 
-    Each distribution is checked as `expected_payoff` checks it.
+    `dists[..., :]` is one distribution; each must sum to 1. A game's
+    measured per-pair distributions, indexed (strategy A, strategy B,
+    outcome), give its two 4x4 payoff arrays; further leading axes stack
+    games.
     """
-    stack = np.array([[dists[(i, j)] for j in STRATEGIES] for i in STRATEGIES], dtype=float)
-    if stack.shape != (4, 4, 4):
-        raise ValueError(f"distribution must have 4 entries, got {stack.shape[2:]}")
-    sums = stack.sum(axis=-1)
+    # contiguous, so a row's sum does not depend on the stack's layout
+    dists = np.ascontiguousarray(dists, dtype=float)
+    if dists.shape[-1:] != (4,):
+        raise ValueError(f"distribution must have 4 entries, got {dists.shape[-1:]}")
+    sums = dists.sum(axis=-1)
     off = np.abs(sums - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"distribution sums to {sums[off][0]}, not 1")
-    return PayoffTensor(stack @ table.a_flat, stack @ table.b_flat)
+    return dists @ table.a_flat, dists @ table.b_flat

@@ -11,7 +11,8 @@ in closed form over a few quadrature nodes whose density matrices evolve
 together as one stack, and applies the readout confusion matrix, the same
 matrix that SPAM correction inverts. A confusion matrix computes its
 condition number and inverse once, so correcting a pool is one
-matrix-vector product. Sampling then draws counts, never per-shot
+matrix-vector product, and a stack of pools is corrected in one call.
+Sampling then draws counts, never per-shot
 outcomes, and the type split draws a binomial per outcome count.
 
 Reproducibility contract: one master seed; every consumer derives an
@@ -206,27 +207,43 @@ class ConfusionMatrix:
         return inverse
 
 
-def spam_correct(populations: PopulationVector, confusion: ConfusionMatrix) -> PopulationVector:
-    """Invert the confusion map. Small negative results (within 0.1% of the
-    total) are clipped and the vector renormalized; anything worse means the
-    confusion model does not match the data and raises."""
+def spam_correct_stack(
+    counts: np.ndarray, confusion: ConfusionMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the confusion map on every row of a (..., 32) stack of counts.
+
+    Small negative results (within 0.1% of the row's total) are clipped and
+    the row rescaled to its total; anything worse means the confusion model
+    does not match the data. Returns the corrected stack, the mask of rows
+    that fail, whose corrected values mean nothing, and each row's most
+    negative corrected value. An unusable matrix raises for the whole stack.
+    """
     if confusion.matrix.shape[0] != N_OUTCOMES:
         raise ValueError("confusion matrix size does not match population vector")
     cond = confusion.condition
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SpamCorrectionError(f"confusion matrix ill-conditioned (cond={cond:.3g})")
-    corrected = confusion.inverse @ populations.counts
-    total = populations.total
-    worst = corrected.min()
-    if worst < -_NEGATIVE_FLOOR * total:
-        raise SpamCorrectionError(
-            f"corrected population {worst:.4g} below -{_NEGATIVE_FLOOR} of total {total:.4g}"
-        )
+    counts = np.ascontiguousarray(counts, dtype=float)
+    # one matrix-vector product per row, so a row's result does not depend on the stack
+    corrected = (confusion.inverse @ counts[..., None])[..., 0]
+    total = counts.sum(axis=-1)
+    worst = corrected.min(axis=-1)
     clipped = np.clip(corrected, 0.0, None)
-    scale = clipped.sum()
-    if scale <= 0:
+    scale = clipped.sum(axis=-1)
+    failed = (worst < -_NEGATIVE_FLOOR * total) | (scale <= 0)
+    return clipped * (total / np.where(failed, 1.0, scale))[..., None], failed, worst
+
+
+def spam_correct(populations: PopulationVector, confusion: ConfusionMatrix) -> PopulationVector:
+    """One population's case of `spam_correct_stack`; a failed row raises."""
+    corrected, failed, worst = spam_correct_stack(populations.counts, confusion)
+    if failed:
+        if worst < 0:  # else every entry was 0 and clipping left nothing
+            raise SpamCorrectionError(
+                f"corrected population {worst:.4g} below -{_NEGATIVE_FLOOR} of total {populations.total:.4g}"
+            )
         raise SpamCorrectionError("correction wiped out all population")
-    return PopulationVector(clipped * (total / scale))
+    return PopulationVector(corrected)
 
 
 class ChiEstimate(NamedTuple):

@@ -111,27 +111,46 @@ def _branch_table(mapping) -> tuple[tuple, np.ndarray, tuple]:
 _CANONICAL_TABLES = {variant: _branch_table(branch_map(variant)) for variant in Variant}
 
 
+def _table(variant: Variant, mapping) -> tuple[tuple, np.ndarray, tuple]:
+    return _CANONICAL_TABLES[variant] if mapping is None else _branch_table(mapping)
+
+
+def branch_distributions(counts: np.ndarray, variant: Variant, mapping=None) -> tuple[np.ndarray, np.ndarray]:
+    """Split each row of a (..., 32) stack of populations into its 8 branches.
+
+    Returns the (..., 8, 4) per-branch outcome distributions, each
+    renormalized to sum 1, and the (..., 8) mask of branches with zero
+    total, whose distributions are zero. Branches follow the order of
+    `mapping`, by default the variant's `branch_map`.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape[-1:] != (N_OUTCOMES,):
+        raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("negative populations")
+    _, index, _ = _table(variant, mapping)
+    subs = counts[..., index]
+    totals = subs.sum(axis=-1)
+    empty = totals <= 0
+    return subs / np.where(empty, 1.0, totals)[..., None], empty
+
+
 def parse_branches(
     counts: np.ndarray, variant: Variant, mapping=None
 ) -> dict[tuple[Strategy, Strategy], np.ndarray]:
     """Split a 32-outcome population into 8 per-pair conditional distributions.
 
-    `counts` is a 32-vector of counts or frequencies. Each branch is
-    renormalized to sum 1. A branch with zero total raises EmptyBranchError
+    `counts` is a 32-vector of counts or frequencies; this is one row of
+    `branch_distributions`. A branch with zero total raises EmptyBranchError
     rather than silently emitting zeros.
     """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (N_OUTCOMES,):
-        raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {counts.shape}")
-    if (counts < 0).any():
-        raise ValueError("negative populations")
-    keys, index, pairs = _CANONICAL_TABLES[variant] if mapping is None else _branch_table(mapping)
-    subs = counts[index]
-    totals = subs.sum(axis=1)
-    empty = np.flatnonzero(totals <= 0)
-    if empty.size:
-        x, y, z = keys[empty[0]]
+    if np.ndim(counts) != 1:
+        raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {np.shape(counts)}")
+    dists, empty = branch_distributions(counts, variant, mapping)
+    keys, _, pairs = _table(variant, mapping)
+    if empty.any():
+        x, y, z = keys[np.argmax(empty)]
         raise EmptyBranchError(
             f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
         )
-    return dict(zip(pairs, subs / totals[:, None]))
+    return dict(zip(pairs, dists))

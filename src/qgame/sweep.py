@@ -3,11 +3,25 @@
 Two modes share one result schema. Analytic mode evaluates exact payoff
 tensors on the grid. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant, measures the angle from a
-separate calibration run, then for every p re-splits the same dataset into
-the two type pools, SPAM-corrects, parses branches into per-pair outcome
-distributions, rebuilds payoff tensors, and solves for equilibria. Cell
-failures (an empty branch after an unlucky split, an inconsistent SPAM
-inversion) are recorded on the cell instead of aborting the sweep.
+separate calibration run, and re-splits the same dataset into the two type
+pools at every p, each split on its own keyed stream. The rest of the
+angle's column is one array pass: the pools, stacked as (variant, type, p,
+outcome), are SPAM-corrected, parsed into per-pair outcome distributions,
+turned into payoff tensors and composed into one Bayesian tensor per p,
+and only the equilibrium solve runs cell by cell. Those steps are
+`spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`
+and `compose_a`; `spam_correct`, `parse_branches`, `expected_payoff` and
+`compose` are their one-row case, so each check exists once.
+
+Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
+inversion) are recorded on the cell instead of aborting the sweep. A
+failed cell carries its first failure in per-cell order: I-circuit before
+X-circuit, B1 before B2, SPAM correction before branch parsing. Those
+single-cell steps, replayed on the failed cell's pools, raise it, so each
+failed cell makes exactly one failing `spam_correct` or `parse_branches`
+call, and each solved cell one `nash_equilibria` call. `perfbench/layertrace.py`
+counts those calls and wraps the names it traces where this module looks
+them up, so every name in its TRACE_POINTS stays an attribute here.
 
 All angles are expressed in units of pi in configs and output files and in
 radians inside the package.
@@ -18,12 +32,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from qgame.bayesian import compose
+from qgame.bayesian import BayesianTensor, compose, compose_a
 from qgame.equilibrium import (
     DELTA_ANALYTIC,
     DELTA_SHOTS,
@@ -36,6 +51,7 @@ from qgame.equilibrium import (
 from qgame.game import (
     DEFAULT_PAYOFF_B1,
     DEFAULT_PAYOFF_B2,
+    STRATEGIES,
     GameSpec,
     PayoffTable,
     final_state,
@@ -59,11 +75,14 @@ from qgame.noise import (
     outcome_law,
     sample_outcomes,
     spam_correct,
+    spam_correct_stack,
 )
 from qgame.parallel import (
+    N_OUTCOMES,
     N_QUBITS,
     EmptyBranchError,
     Variant,
+    branch_distributions,
     branch_indices,
     branch_map,
     build_circuit,
@@ -74,8 +93,6 @@ from qgame.statevector import CHI_MAX, check_chi
 SCHEMA_VERSION = 3
 MODE_ANALYTIC = "analytic"
 MODE_SHOTS = "shots"
-
-_VARIANT_INDEX = {variant: idx for idx, variant in enumerate(Variant)}
 
 DEFAULT_CHI_GRID_PI = tuple(i / 40 for i in range(11))  # 0 to 0.25 in steps of 0.025
 DEFAULT_P_GRID = tuple(i / 100 for i in range(101))
@@ -106,6 +123,13 @@ def _as_nested_tuple(rows) -> tuple:
     return rows
 
 
+def _config_number(name: str, value) -> float:
+    # bool is an int subclass; a JSON true must not count as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = MODE_ANALYTIC
@@ -124,8 +148,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_ANALYTIC, MODE_SHOTS):
             raise ConfigError(f"mode must be '{MODE_ANALYTIC}' or '{MODE_SHOTS}', got {self.mode!r}")
-        object.__setattr__(self, "chi_grid_pi", tuple(float(c) for c in self.chi_grid_pi))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        for name in ("chi_grid_pi", "p_grid"):
+            object.__setattr__(self, name, tuple(_config_number(name, value) for value in getattr(self, name)))
+        if self.delta is not None:
+            _config_number("delta", self.delta)
         object.__setattr__(self, "payoff_rows_b1", _as_nested_tuple(self.payoff_rows_b1))
         object.__setattr__(self, "payoff_rows_b2", _as_nested_tuple(self.payoff_rows_b2))
         # json.load accepts NaN and Infinity, which slip past every order check below
@@ -249,20 +275,26 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # analytic pipeline
 
+def _analytic_reports(
+    chi: float, tables: tuple[PayoffTable, PayoffTable], p_grid: tuple, delta: float
+) -> list[EquilibriumReport]:
+    """Exact equilibrium reports at angle chi (radians), one per p."""
+    spec = GameSpec(chi, *tables)
+    tensor_b1 = payoff_tensor(spec, "B1")
+    tensor_b2 = payoff_tensor(spec, "B2")
+    return [nash_equilibria(compose(tensor_b1, tensor_b2, p), delta) for p in p_grid]
+
+
 def _analytic_column(
     config: ExperimentConfig, chi_pi: float, tables: tuple[PayoffTable, PayoffTable]
 ) -> list[CellResult]:
-    spec = GameSpec(chi_pi * np.pi, *tables)
-    tensor_b1 = payoff_tensor(spec, "B1")
-    tensor_b2 = payoff_tensor(spec, "B2")
-    delta = config.effective_delta
-    cells = []
-    for p in config.p_grid:
-        report = nash_equilibria(compose(tensor_b1, tensor_b2, p), delta)
-        # the analytic run is its own benchmark; no reference point exists
-        # where the equilibrium set is empty
-        cells.append(CellResult(chi_pi, chi_pi, p, report, None if report.empty else 0.0))
-    return cells
+    reports = _analytic_reports(chi_pi * np.pi, tables, config.p_grid, config.effective_delta)
+    # the analytic run is its own benchmark; no reference point exists
+    # where the equilibrium set is empty
+    return [
+        CellResult(chi_pi, chi_pi, p, report, None if report.empty else 0.0)
+        for p, report in zip(config.p_grid, reports)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +308,37 @@ def _p_key(p: float) -> int:
     return round(p * 10**6)
 
 
-def _pool_or_fallback(pool: PopulationVector, full: PopulationVector) -> PopulationVector:
+_BRANCH_PAIRS = [pair for variant in Variant for pair in branch_map(variant).values()]
+# for each strategy pair (i, j) in profile-index order, its place among the
+# branches of both variants, variant by variant
+_PAIR_ORDER = np.array([_BRANCH_PAIRS.index((i, j)) for i in STRATEGIES for j in STRATEGIES])
+
+
+def _split_pools(config: ExperimentConfig, chi_pi: float, counts: list[np.ndarray]) -> np.ndarray:
+    """(variant, type, p, outcome) stack of the B1 and B2 pools of every
+    variant's shots at every p, each split on its own keyed stream."""
+    pools = np.empty((len(Variant), 2, len(config.p_grid), N_OUTCOMES))
+    for v, variant_counts in enumerate(counts):
+        for n, p in enumerate(config.p_grid):
+            rng = child_rng(config.seed, _chi_key(chi_pi), v, PURPOSE_SPLIT, _p_key(p))
+            for t, pool in enumerate(bayesian_split(variant_counts, p, rng)):
+                pools[v, t, n] = pool.counts
     # a pool emptied by the split (p at or near 0 or 1) estimates its game
     # tensor from the full unsplit dataset instead
-    return pool if pool.total > 0 else full
+    full = np.asarray(counts, dtype=float)[:, None, None, :]
+    return np.where(pools.sum(axis=-1, keepdims=True) > 0, pools, full)
+
+
+def _cell_error(pools: np.ndarray, confusion: ConfusionMatrix) -> str:
+    """A failed cell's message: the first error of the single-cell steps
+    replayed on the cell's (variant, type, outcome) pools, in per-cell order."""
+    try:
+        for variant, variant_pools in zip(Variant, pools):
+            for pool in variant_pools:
+                parse_branches(spam_correct(PopulationVector(pool), confusion).counts, variant)
+    except (SpamCorrectionError, EmptyBranchError) as exc:
+        return str(exc)
+    raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
 
 
 def _shot_column(
@@ -289,50 +348,51 @@ def _shot_column(
     confusion: ConfusionMatrix,
 ) -> tuple[list[CellResult], ChiEstimate]:
     chi = chi_pi * np.pi
-    noise = config.noise
     delta = config.effective_delta
-    counts = {}
-    full_pops = {}
-    for variant in Variant:
-        rng = child_rng(config.seed, _chi_key(chi_pi), _VARIANT_INDEX[variant], PURPOSE_SAMPLE)
-        counts[variant] = sample_outcomes(build_circuit(variant, chi), noise, config.shots, rng)
-        full_pops[variant] = PopulationVector(counts[variant])
+    counts = []
+    for v, variant in enumerate(Variant):
+        rng = child_rng(config.seed, _chi_key(chi_pi), v, PURPOSE_SAMPLE)
+        counts.append(sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng))
 
     calibration_rng = child_rng(config.seed, _chi_key(chi_pi), 0, PURPOSE_CALIBRATION)
-    estimate = measure_chi(noise, chi, config.calibration_shots, calibration_rng)
+    estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
     # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
     chi_measured_pi = chi_ref / np.pi
+    references = _analytic_reports(chi_ref, tables, config.p_grid, delta)
 
-    ref_spec = GameSpec(chi_ref, *tables)
-    ref_b1 = payoff_tensor(ref_spec, "B1")
-    ref_b2 = payoff_tensor(ref_spec, "B2")
+    pools = _split_pools(config, chi_pi, counts)
+    try:
+        corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
+    except SpamCorrectionError:
+        # an unusable readout matrix fails every cell, each with its own error
+        corrected, spam_failed = pools, np.ones(pools.shape[:-1], dtype=bool)
+    parsed = [branch_distributions(corrected[v], variant) for v, variant in enumerate(Variant)]
+    empty = np.stack([branch_empty for _, branch_empty in parsed]).any(axis=-1)
+    failed = (spam_failed | empty).any(axis=(0, 1))
+
+    # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome)
+    dists = np.moveaxis(np.stack([branch_dists for branch_dists, _ in parsed]), 0, 2)
+    dists = dists.reshape(2, len(config.p_grid), -1, 4)[:, ~failed][:, :, _PAIR_ORDER]
+    dists = dists.reshape(2, -1, 4, 4, 4)
+    pay_a_b1, pay_b1 = tensor_from_distributions(dists[0], tables[0])
+    pay_a_b2, pay_b2 = tensor_from_distributions(dists[1], tables[1])
+    pay_a = compose_a(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
+    solved = iter(zip(pay_a, pay_b1, pay_b2))
 
     cells = []
-    for p in config.p_grid:
+    for n, p in enumerate(config.p_grid):
+        if failed[n]:
+            error = _cell_error(pools[:, :, n], confusion)
+            cells.append(CellResult(chi_pi, chi_measured_pi, p, None, None, error=error))
+            continue
+        observed = BayesianTensor(*next(solved))
+        report = nash_equilibria(observed, delta)
         try:
-            dists_b1: dict = {}
-            dists_b2: dict = {}
-            for variant in Variant:
-                split_rng = child_rng(
-                    config.seed, _chi_key(chi_pi), _VARIANT_INDEX[variant], PURPOSE_SPLIT, _p_key(p)
-                )
-                pool_b1, pool_b2 = bayesian_split(counts[variant], p, split_rng)
-                pool_b1 = _pool_or_fallback(pool_b1, full_pops[variant])
-                pool_b2 = _pool_or_fallback(pool_b2, full_pops[variant])
-                dists_b1.update(parse_branches(spam_correct(pool_b1, confusion).counts, variant))
-                dists_b2.update(parse_branches(spam_correct(pool_b2, confusion).counts, variant))
-            observed_b1 = tensor_from_distributions(dists_b1, tables[0])
-            observed_b2 = tensor_from_distributions(dists_b2, tables[1])
-            observed = compose(observed_b1, observed_b2, p)
-            report = nash_equilibria(observed, delta)
-            try:
-                rmsd = rmsd_at_equilibrium(observed, compose(ref_b1, ref_b2, p), delta)
-            except NoEquilibriumError:
-                rmsd = None  # no analytic benchmark at this grid point
-            cells.append(CellResult(chi_pi, chi_measured_pi, p, report, rmsd))
-        except (SpamCorrectionError, EmptyBranchError) as exc:
-            cells.append(CellResult(chi_pi, chi_measured_pi, p, None, None, error=str(exc)))
+            rmsd = rmsd_at_equilibrium(observed, references[n])
+        except NoEquilibriumError:
+            rmsd = None  # no analytic benchmark at this grid point
+        cells.append(CellResult(chi_pi, chi_measured_pi, p, report, rmsd))
     return cells, estimate
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way: explicit
 dense matrices built by index arithmetic, plain triple loops for the
 equilibrium search. No code is shared with the package so that agreement
-between the two is meaningful.
+between the two is meaningful. The one exception is `reference_shot_sweep`,
+which checks the sweep's batched shot column against the package's own
+single-cell functions run cell by cell.
 """
 
 from __future__ import annotations
@@ -252,3 +254,89 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
     else:
         u_b = "Y" if z else "X"
     return u_a, u_b
+
+
+def reference_shot_sweep(config):
+    """A shot-mode sweep run one grid cell at a time.
+
+    Each cell splits both variants' shots on its own keyed stream, falls
+    back to the full dataset for an empty pool, SPAM-corrects and parses
+    each pool (I-circuit before X, B1 before B2, correction before parsing,
+    so the first failure names the cell's error), builds and composes the
+    tensors, solves them, and reads the RMSD against the analytic report at
+    the measured angle. Returns (cells, transitions, chi_measurements) laid
+    out as in `run_sweep`'s result.
+    """
+    from qgame.bayesian import compose
+    from qgame.equilibrium import NoEquilibriumError, detect_transitions, nash_equilibria, rmsd_at_equilibrium
+    from qgame.game import STRATEGIES, GameSpec, PayoffTensor, payoff_tensor, profile_from_names, tensor_from_distributions
+    from qgame.noise import (
+        PURPOSE_CALIBRATION,
+        PURPOSE_SAMPLE,
+        PURPOSE_SPLIT,
+        ConfusionMatrix,
+        PopulationVector,
+        SpamCorrectionError,
+        bayesian_split,
+        child_rng,
+        measure_chi,
+        sample_outcomes,
+        spam_correct,
+    )
+    from qgame.parallel import EmptyBranchError, Variant, build_circuit, parse_branches
+    from qgame.statevector import CHI_MAX
+    from qgame.sweep import CellResult
+
+    tables = (config.table_b1(), config.table_b2())
+    confusion = ConfusionMatrix.from_noise(config.noise)
+    delta = config.effective_delta
+    cells, transitions, measurements = [], [], []
+    for chi_pi in config.chi_grid_pi:
+        chi, chi_key = chi_pi * np.pi, round(chi_pi * 10**6)
+        counts = [
+            sample_outcomes(
+                build_circuit(variant, chi), config.noise, config.shots, child_rng(config.seed, chi_key, v, PURPOSE_SAMPLE)
+            )
+            for v, variant in enumerate(Variant)
+        ]
+        calibration_rng = child_rng(config.seed, chi_key, 0, PURPOSE_CALIBRATION)
+        estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
+        measurements.append((chi_pi, estimate))
+        chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
+        ref_spec = GameSpec(chi_ref, *tables)
+        ref_b1, ref_b2 = payoff_tensor(ref_spec, "B1"), payoff_tensor(ref_spec, "B2")
+        column = []
+        for p in config.p_grid:
+            try:
+                dists = ({}, {})
+                for v, variant in enumerate(Variant):
+                    split_rng = child_rng(config.seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
+                    for t, pool in enumerate(bayesian_split(counts[v], p, split_rng)):
+                        if pool.total == 0:
+                            pool = PopulationVector(counts[v])
+                        dists[t].update(parse_branches(spam_correct(pool, confusion).counts, variant))
+            except (SpamCorrectionError, EmptyBranchError) as exc:
+                column.append(CellResult(chi_pi, chi_ref / np.pi, p, None, None, error=str(exc)))
+                continue
+            observed_b1, observed_b2 = (
+                PayoffTensor(*tensor_from_distributions([[d[(i, j)] for j in STRATEGIES] for i in STRATEGIES], table))
+                for d, table in zip(dists, tables)
+            )
+            observed = compose(observed_b1, observed_b2, p)
+            try:
+                rmsd = rmsd_at_equilibrium(observed, nash_equilibria(compose(ref_b1, ref_b2, p), delta))
+            except NoEquilibriumError:
+                rmsd = None
+            column.append(CellResult(chi_pi, chi_ref / np.pi, p, nash_equilibria(observed, delta), rmsd))
+        solved = [cell for cell in column if cell.report is not None]
+        thresholds = None
+        if solved:
+            thresholds = detect_transitions(
+                [cell.p for cell in solved],
+                [cell.report for cell in solved],
+                profile_from_names(config.tracked_profile),
+                config.transition_window,
+            )
+        transitions.append((chi_pi, thresholds))
+        cells.extend(column)
+    return cells, transitions, measurements

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qgame.bayesian import BayesianTensor, compose
+from qgame.bayesian import BayesianTensor, compose, compose_a
 from qgame.game import GameSpec, Strategy, payoff_tensor
 
 import oracles
@@ -72,6 +72,22 @@ def test_matches_dense_oracle():
     np.testing.assert_allclose(bayes.a, want_a, atol=1e-10)
     np.testing.assert_allclose(bayes.b1, want_b1, atol=1e-10)
     np.testing.assert_allclose(bayes.b2, want_b2, atol=1e-10)
+
+
+def test_p_column_rows_match_compose():
+    pairs = [tensors_at(chi) for chi in (0.0, 0.13, 0.4, 0.7)]
+    ps = np.array([0.0, 0.17, 0.5, 1.0])
+    stacked = compose_a(np.stack([t1.a for t1, _ in pairs]), np.stack([t2.a for _, t2 in pairs]), ps)
+    assert stacked.shape == (4, 4, 4, 4)
+    for n, ((t1, t2), p) in enumerate(zip(pairs, ps)):
+        np.testing.assert_allclose(stacked[n], compose(t1, t2, p).a, rtol=0, atol=1e-12)
+    # a column fails on its first p outside [0, 1], as that p alone does
+    t1, t2 = pairs[0]
+    with pytest.raises(ValueError) as column:
+        compose_a(np.stack([t1.a] * 3), np.stack([t2.a] * 3), np.array([0.2, 1.2, -0.1]))
+    with pytest.raises(ValueError) as single:
+        compose(t1, t2, 1.2)
+    assert str(column.value) == str(single.value)
 
 
 def test_p_out_of_range_rejected():

@@ -157,19 +157,19 @@ def test_transition_validates_input():
 def test_rmsd_identical_tensors():
     tensor = bayes_at(0.1, 0.05)
     assert not nash_equilibria(tensor, 0.0).empty
-    assert rmsd_at_equilibrium(tensor, tensor, 0.0) == 0.0
+    assert rmsd_at_equilibrium(tensor, nash_equilibria(tensor, 0.0)) == 0.0
 
 
 def test_rmsd_uniform_offset():
     reference = bayes_at(0.0, 0.0)
     observed = BayesianTensor(reference.a - 1.0, reference.b1 - 1.0, reference.b2 - 1.0)
-    assert rmsd_at_equilibrium(observed, reference, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert rmsd_at_equilibrium(observed, nash_equilibria(reference, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rmsd_requires_reference_equilibrium():
     empty_ref = bayes_at(0.05 * np.pi, 0.5)
     with pytest.raises(NoEquilibriumError):
-        rmsd_at_equilibrium(empty_ref, empty_ref, 0.0)
+        rmsd_at_equilibrium(empty_ref, nash_equilibria(empty_ref, 0.0))
 
 
 def test_max_payoff_tie_break_is_lexicographic():

@@ -19,6 +19,7 @@ from qgame.game import (
     payoff_tensor,
     profile_from_names,
     profile_names,
+    tensor_from_distributions,
 )
 from qgame.noise import ConfusionMatrix, PopulationVector
 
@@ -63,6 +64,30 @@ def test_expected_payoff_validates_distribution():
         expected_payoff(np.array([0.5, 0.5, 0.5, 0.5]), DEFAULT_PAYOFF_B1)
     with pytest.raises(ValueError):
         expected_payoff(np.array([1.0, 0.0]), DEFAULT_PAYOFF_B1)
+
+
+def test_tensor_stack_rows_match_single_calls():
+    rng = np.random.default_rng(13)
+    dists = rng.dirichlet(np.ones(4), size=(3, 4, 4))
+    pay_a, pay_b = tensor_from_distributions(dists, DEFAULT_PAYOFF_B2)
+    assert pay_a.shape == pay_b.shape == (3, 4, 4)
+    for n in range(3):
+        row_a, row_b = tensor_from_distributions(dists[n], DEFAULT_PAYOFF_B2)
+        np.testing.assert_allclose(pay_a[n], row_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pay_b[n], row_b, rtol=0, atol=1e-12)
+        for i in range(4):
+            for j in range(4):
+                got = expected_payoff(dists[n, i, j], DEFAULT_PAYOFF_B2)
+                np.testing.assert_allclose(got, (pay_a[n, i, j], pay_b[n, i, j]), rtol=0, atol=1e-12)
+    # a stack fails on its first bad distribution, as that row alone does
+    bad = dists.copy()
+    bad[1, 2, 3] *= 0.9
+    bad[2, 0, 0] *= 1.1
+    with pytest.raises(ValueError) as stacked:
+        tensor_from_distributions(bad, DEFAULT_PAYOFF_B2)
+    with pytest.raises(ValueError) as single:
+        expected_payoff(bad[1, 2, 3], DEFAULT_PAYOFF_B2)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_tensor_classical_corner():

@@ -20,6 +20,7 @@ from qgame.noise import (
     sample_gate_outcomes,
     sample_outcomes,
     spam_correct,
+    spam_correct_stack,
 )
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.statevector import Gate
@@ -274,6 +275,32 @@ class TestSpamCorrection:
         corrected = spam_correct(PopulationVector(smeared), conf)
         assert (corrected.counts >= 0).all()
         assert corrected.total == pytest.approx(smeared.sum())
+
+
+    def test_stack_rows_match_single_calls(self):
+        # sampled pools clip small negatives; a pure outcome breaks the
+        # floor and an all-zero row leaves nothing after clipping
+        conf = ConfusionMatrix.from_flips(0.006, 0.006)
+        rng = np.random.default_rng(23)
+        law = conf.apply(rng.dirichlet(np.full(32, 0.3)))
+        stack = rng.multinomial(3_000, law / law.sum(), size=(3, 4)).astype(float)
+        stack[0, 1] = 0.0
+        stack[0, 1, 5] = 800.0
+        stack[2, 3] = 0.0
+        corrected, failed, worst = spam_correct_stack(stack, conf)
+        assert failed[0, 1] and failed[2, 3] and failed.sum() == 2
+        for index in np.ndindex(failed.shape):
+            pops = PopulationVector(stack[index])
+            if not failed[index]:
+                np.testing.assert_allclose(corrected[index], spam_correct(pops, conf).counts, rtol=0, atol=1e-12)
+                continue
+            with pytest.raises(SpamCorrectionError) as caught:
+                spam_correct(pops, conf)
+            if pops.total > 0:
+                want = f"corrected population {worst[index]:.4g} below -0.001 of total {pops.total:.4g}"
+            else:
+                want = "correction wiped out all population"
+            assert str(caught.value) == want
 
 
 class TestBayesianSplit:

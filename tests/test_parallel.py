@@ -11,6 +11,7 @@ from qgame.parallel import (
     N_QUBITS,
     EmptyBranchError,
     Variant,
+    branch_distributions,
     branch_indices,
     branch_map,
     branch_strategies,
@@ -132,6 +133,28 @@ def test_empty_branch_rejected():
     counts[branch_indices(1, 0, 1)] = 0.0
     with pytest.raises(EmptyBranchError, match=r"\(1,0,1\)"):
         parse_branches(counts, Variant.I_CIRCUIT)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stack_rows_match_single_calls(variant):
+    rng = np.random.default_rng(31)
+    stack = rng.integers(1, 60, size=(2, 5, 32)).astype(float) * rng.random((2, 5, 32))
+    stack[1, 2, branch_indices(0, 1, 1)] = 0.0
+    stack[0, 4, branch_indices(1, 1, 0)] = 0.0
+    stack[0, 4, branch_indices(0, 0, 1)] = 0.0  # the first empty branch names the error
+    dists, empty = branch_distributions(stack, variant)
+    assert empty.any(axis=-1).sum() == 2
+    keys, pairs = list(branch_map(variant)), list(branch_map(variant).values())
+    for index in np.ndindex(stack.shape[:-1]):
+        if not empty[index].any():
+            single = parse_branches(stack[index], variant)
+            for branch, pair in enumerate(pairs):
+                np.testing.assert_allclose(dists[index][branch], single[pair], rtol=0, atol=1e-12)
+            continue
+        with pytest.raises(EmptyBranchError) as caught:
+            parse_branches(stack[index], variant)
+        x, y, z = keys[np.flatnonzero(empty[index])[0]]
+        assert str(caught.value) == f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
 
 
 def test_chi_out_of_range_rejected():

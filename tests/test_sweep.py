@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS
 from qgame.game import profile_from_names
 from qgame.noise import NoiseModel
-from qgame.parallel import Variant, branch_map
+from qgame.parallel import Variant, branch_indices, branch_map
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
     DEFAULT_P_GRID,
@@ -31,7 +32,7 @@ from qgame.sweep import (
     verify_parallelization,
 )
 
-from oracles import bayes_tensor_dense, brute_force_equilibria
+from oracles import bayes_tensor_dense, brute_force_equilibria, reference_shot_sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
@@ -230,6 +231,52 @@ class TestShotSweep:
             cell = run_sweep(cfg).cells[0]
             assert cell.error is None
             assert cell.rmsd < 0.15
+
+    @pytest.mark.parametrize(
+        "seed, noise",
+        [
+            (0, NoiseModel.default_profile(0)),
+            (1, NoiseModel.default_profile(1)),
+            (0, NoiseModel(readout_flip_0to1=0.5, readout_flip_1to0=0.5)),
+        ],
+        ids=["default-seed0", "default-seed1", "singular-readout"],
+    )
+    def test_column_matches_per_cell_reference(self, seed, noise):
+        # p near 0 and 1 leaves small pools, whose correction fails at
+        # these seeds; a singular readout matrix fails every cell
+        p_grid = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.5, 0.96, 0.97, 0.98, 0.99, 1.0)
+        cfg = shot_config(chi_grid_pi=(0.05, 0.2), p_grid=p_grid, seed=seed, noise=noise)
+        result = run_sweep(cfg)
+        cells, transitions, measurements = reference_shot_sweep(cfg)
+        assert any(cell.error is not None for cell in cells)
+        assert len(result.cells) == len(cells)
+        for got, want in zip(result.cells, cells):
+            assert (got.chi_nominal_pi, got.chi_measured_pi, got.p) == (want.chi_nominal_pi, want.chi_measured_pi, want.p)
+            assert got.error == want.error
+            assert (got.report is None) == (want.report is None)
+            assert (got.rmsd is None) == (want.rmsd is None)
+            if want.report is not None:
+                assert got.report.profiles == want.report.profiles
+                np.testing.assert_allclose(got.report.payoffs, want.report.payoffs, rtol=0, atol=1e-12)
+            if want.rmsd is not None:
+                assert abs(got.rmsd - want.rmsd) <= 1e-12
+        assert result.transitions == tuple(transitions)
+        assert result.chi_measurements == tuple(measurements)
+
+    def test_first_failure_in_cell_order_names_the_error(self, monkeypatch):
+        # the I-circuit's shots miss a whole branch, and the X-circuit's all
+        # sit in one outcome, which breaks the SPAM floor; the I-circuit
+        # comes first, so its empty branch names the cell's error
+        counts = {Variant.I_CIRCUIT: np.full(32, 100), Variant.X_CIRCUIT: np.zeros(32, dtype=int)}
+        counts[Variant.I_CIRCUIT][branch_indices(1, 1, 1)] = 0
+        counts[Variant.X_CIRCUIT][0] = 3_200
+        monkeypatch.setattr(qgame.sweep, "sample_outcomes", lambda circuit, *args: counts[circuit.variant])
+        cfg = shot_config(chi_grid_pi=(0.1,), p_grid=(0.5,), noise=NoiseModel(readout_flip_0to1=0.005))
+        cell = run_sweep(cfg).cells[0]
+        assert cell.error == "branch (x,y,z)=(1,1,1) of I-circuit has zero population"
+        counts[Variant.I_CIRCUIT][:] = 100
+        cell = run_sweep(cfg).cells[0]
+        assert cell.error is not None and cell.error.startswith("corrected population")
 
     def test_same_seed_same_result(self):
         cfg = shot_config(chi_grid_pi=(0.075,), p_grid=(0.3, 0.7), shots=5_000, seed=13,
@@ -468,6 +515,26 @@ class TestCli:
     def test_non_finite_config_number_is_config_error(self, tmp_path, capsys, override):
         # json.load reads NaN and Infinity literals; each of these once passed
         # validation and then crashed the sweep or emptied every equilibrium set
+        config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"chi_grid_pi": ["a"]},
+            {"p_grid": [0.1, "0.5"]},
+            {"chi_grid_pi": [False]},
+            {"p_grid": [True]},
+            {"delta": True},
+        ],
+        ids=["chi-grid-string", "p-grid-string", "chi-grid-bool", "p-grid-bool", "delta-bool"],
+    )
+    def test_non_numeric_config_number_is_config_error(self, tmp_path, capsys, override):
+        # a string entry once ended in a ValueError traceback; a JSON true or
+        # false passed as 1 or 0, and "delta": true ran with delta = 1
         config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
