@@ -8,11 +8,17 @@ delta = 0 is the analytic case; shot-derived tensors conventionally use
 delta = 0.1 to absorb statistical noise. A 1e-9 slack always applies on
 top of delta so analytically degenerate profiles (floating-point ties)
 are kept.
+
+`nash_equilibria_stack` solves a whole column of tensors (one per p) in
+one array pass: the masks take the player's own choice on a negative
+axis, so one rule serves a single tensor and a stack, and B payoffs shared
+by the column are masked once. `nash_equilibria` is its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -29,7 +35,13 @@ class NoEquilibriumError(ValueError):
     """Raised when an operation needs at least one reference equilibrium."""
 
 
+# the 64 profiles in profile order: (i, j, k) is entry 16 i + 4 j + k
+_PROFILES = tuple(product(STRATEGIES, repeat=3))
+
+
 def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
+    if delta < 0:
+        raise ValueError(f"delta={delta} must be >= 0")
     return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
 
 
@@ -41,14 +53,12 @@ def best_responses(tensor: BayesianTensor, player: str, delta: float) -> np.ndar
     on the other B type's choice. The player's own choice is axis 0 for A
     and axis 1 for B1 and B2.
     """
-    if delta < 0:
-        raise ValueError(f"delta={delta} must be >= 0")
     if player == "A":
-        mask = _near_max_mask(tensor.a, 0, delta)
+        mask = _near_max_mask(tensor.a, -3, delta)
     elif player == "B1":
-        mask = _near_max_mask(tensor.b1, 1, delta)
+        mask = _near_max_mask(tensor.b1, -1, delta)
     elif player == "B2":
-        mask = _near_max_mask(tensor.b2, 1, delta)
+        mask = _near_max_mask(tensor.b2, -1, delta)
     else:
         raise ValueError(f"player must be A, B1 or B2, got {player!r}")
     mask.flags.writeable = False
@@ -70,16 +80,42 @@ class EquilibriumReport:
         return not self.profiles
 
 
-def nash_equilibria(tensor: BayesianTensor, delta: float) -> EquilibriumReport:
-    """Intersection of the three best-response masks, in profile order."""
+def nash_equilibria_stack(
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float
+) -> list[EquilibriumReport]:
+    """One report per row of a column of Bayesian tensors.
+
+    `a` is a (P, 4, 4, 4) stack of A's payoffs; `b1` and `b2` are either
+    (4, 4), shared by every row, or (P, 4, 4). Each row's report lists the
+    intersection of its three best-response masks in profile order.
+    """
+    a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
+    rows = len(a)
+    if a.shape != (rows, 4, 4, 4) or {b1.shape, b2.shape} - {(4, 4), (rows, 4, 4)}:
+        shapes = f"{a.shape}, {b1.shape}, {b2.shape}"
+        raise ValueError(f"expected (P, 4, 4, 4), then (4, 4) or (P, 4, 4) twice; got {shapes}")
     nash = (
-        best_responses(tensor, "A", delta)
-        & best_responses(tensor, "B1", delta)[:, :, None]
-        & best_responses(tensor, "B2", delta)[:, None, :]
+        _near_max_mask(a, -3, delta)
+        & _near_max_mask(b1, -1, delta)[..., :, :, None]
+        & _near_max_mask(b2, -1, delta)[..., :, None, :]
     )
-    profiles = tuple(tuple(STRATEGIES[s] for s in index) for index in np.argwhere(nash))
-    payoffs = tuple(tensor.payoffs(profile) for profile in profiles)
-    return EquilibriumReport(profiles, payoffs)
+    row, i, j, k = nash.nonzero()
+    # a shared B array drops the row index
+    pay_b1 = b1[(row, i, j)[3 - b1.ndim :]]
+    pay_b2 = b2[(row, i, k)[3 - b2.ndim :]]
+    profiles = [_PROFILES[f] for f in (16 * i + 4 * j + k).tolist()]
+    payoffs = list(zip(a[row, i, j, k].tolist(), pay_b1.tolist(), pay_b2.tolist()))
+    # the rows are in order, so each report is one slice
+    stops = np.bincount(row, minlength=rows).cumsum().tolist()
+    return [
+        EquilibriumReport(tuple(profiles[start:stop]), tuple(payoffs[start:stop]))
+        for start, stop in zip([0, *stops], stops)
+    ]
+
+
+def nash_equilibria(tensor: BayesianTensor, delta: float) -> EquilibriumReport:
+    """One tensor's case of `nash_equilibria_stack`."""
+    return nash_equilibria_stack(tensor.a[None], tensor.b1, tensor.b2, delta)[0]
 
 
 def detect_transitions(

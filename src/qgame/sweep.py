@@ -1,20 +1,23 @@
 """Grid sweeps over the entangling angle and the type probability.
 
 Two modes share one result schema. Analytic mode evaluates exact payoff
-tensors on the grid. Shot mode emulates the experiment: for each angle it
+tensors on the grid and solves each angle's p column at once with
+`nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant, measures the angle from a
 separate calibration run, and re-splits the same dataset into the two type
 pools at every p, each split on its own keyed stream. The rest of the
 angle's column is one array pass: the pools, stacked as (variant, type, p,
 outcome), are SPAM-corrected, parsed into per-pair outcome distributions,
 turned into payoff tensors and composed into one Bayesian tensor per p,
-and only the equilibrium solve runs cell by cell. Those steps are
+and only the observed cells' equilibrium solve runs cell by cell (their
+analytic references are one column solve). Those steps are
 `spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`
 and `compose_a`; `spam_correct`, `parse_branches`, `expected_payoff` and
 `compose` are their one-row case, so each check exists once.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
-inversion) are recorded on the cell instead of aborting the sweep. A
+inversion) are recorded on the cell instead of aborting the sweep. A branch
+with no raw shots is empty, whatever the readout inverse spreads into it. A
 failed cell carries its first failure in per-cell order: I-circuit before
 X-circuit, B1 before B2, SPAM correction before branch parsing. Those
 single-cell steps, replayed on the failed cell's pools, raise it, so each
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# unused here, but perfbench/layertrace.py wraps `compose` under this module's name
 from qgame.bayesian import BayesianTensor, compose, compose_a
 from qgame.equilibrium import (
     DELTA_ANALYTIC,
@@ -46,6 +50,7 @@ from qgame.equilibrium import (
     NoEquilibriumError,
     detect_transitions,
     nash_equilibria,
+    nash_equilibria_stack,
     rmsd_at_equilibrium,
 )
 from qgame.game import (
@@ -278,11 +283,13 @@ class SweepResult:
 def _analytic_reports(
     chi: float, tables: tuple[PayoffTable, PayoffTable], p_grid: tuple, delta: float
 ) -> list[EquilibriumReport]:
-    """Exact equilibrium reports at angle chi (radians), one per p."""
+    """Exact equilibrium reports at angle chi (radians), one per p; the B
+    payoffs do not depend on p, so one pair serves the column."""
     spec = GameSpec(chi, *tables)
     tensor_b1 = payoff_tensor(spec, "B1")
     tensor_b2 = payoff_tensor(spec, "B2")
-    return [nash_equilibria(compose(tensor_b1, tensor_b2, p), delta) for p in p_grid]
+    pay_a = compose_a(tensor_b1.a, tensor_b2.a, p_grid)
+    return nash_equilibria_stack(pay_a, tensor_b1.b, tensor_b2.b, delta)
 
 
 def _analytic_column(
@@ -335,7 +342,9 @@ def _cell_error(pools: np.ndarray, confusion: ConfusionMatrix) -> str:
     try:
         for variant, variant_pools in zip(Variant, pools):
             for pool in variant_pools:
-                parse_branches(spam_correct(PopulationVector(pool), confusion).counts, variant)
+                corrected = spam_correct(PopulationVector(pool), confusion)
+                parse_branches(pool, variant)
+                parse_branches(corrected.counts, variant)
     except (SpamCorrectionError, EmptyBranchError) as exc:
         return str(exc)
     raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
@@ -368,8 +377,10 @@ def _shot_column(
         # an unusable readout matrix fails every cell, each with its own error
         corrected, spam_failed = pools, np.ones(pools.shape[:-1], dtype=bool)
     parsed = [branch_distributions(corrected[v], variant) for v, variant in enumerate(Variant)]
-    empty = np.stack([branch_empty for _, branch_empty in parsed]).any(axis=-1)
-    failed = (spam_failed | empty).any(axis=(0, 1))
+    # a branch without raw shots is empty, whatever the readout inverse spreads into it
+    raw_empty = [branch_distributions(pools[v], variant)[1] for v, variant in enumerate(Variant)]
+    empty = np.stack([branch_empty for _, branch_empty in parsed] + raw_empty).any(axis=-1)
+    failed = spam_failed.any(axis=(0, 1)) | empty.any(axis=(0, 1))
 
     # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome)
     dists = np.moveaxis(np.stack([branch_dists for branch_dists, _ in parsed]), 0, 2)

@@ -3,9 +3,9 @@
 Everything here is deliberately written the slow, obvious way: explicit
 dense matrices built by index arithmetic, plain triple loops for the
 equilibrium search. No code is shared with the package so that agreement
-between the two is meaningful. The one exception is `reference_shot_sweep`,
-which checks the sweep's batched shot column against the package's own
-single-cell functions run cell by cell.
+between the two is meaningful. The exceptions are `reference_analytic_reports`
+and `reference_shot_sweep`, which check the sweep's batched columns against
+the package's own single-cell functions run cell by cell.
 """
 
 from __future__ import annotations
@@ -256,13 +256,26 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
     return u_a, u_b
 
 
+def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
+    """Exact equilibrium reports at angle chi (radians), one Bayesian
+    tensor composed and solved per p."""
+    from qgame.bayesian import compose
+    from qgame.equilibrium import nash_equilibria
+    from qgame.game import GameSpec, payoff_tensor
+
+    spec = GameSpec(chi, *tables)
+    tensor_b1, tensor_b2 = payoff_tensor(spec, "B1"), payoff_tensor(spec, "B2")
+    return [nash_equilibria(compose(tensor_b1, tensor_b2, p), delta) for p in p_grid]
+
+
 def reference_shot_sweep(config):
     """A shot-mode sweep run one grid cell at a time.
 
     Each cell splits both variants' shots on its own keyed stream, falls
     back to the full dataset for an empty pool, SPAM-corrects and parses
     each pool (I-circuit before X, B1 before B2, correction before parsing,
-    so the first failure names the cell's error), builds and composes the
+    so the first failure names the cell's error; a branch is empty when the
+    raw pool or the corrected one has nothing in it), builds and composes the
     tensors, solves them, and reads the RMSD against the analytic report at
     the measured angle. Returns (cells, transitions, chi_measurements) laid
     out as in `run_sweep`'s result.
@@ -314,7 +327,9 @@ def reference_shot_sweep(config):
                     for t, pool in enumerate(bayesian_split(counts[v], p, split_rng)):
                         if pool.total == 0:
                             pool = PopulationVector(counts[v])
-                        dists[t].update(parse_branches(spam_correct(pool, confusion).counts, variant))
+                        corrected = spam_correct(pool, confusion)
+                        parse_branches(pool.counts, variant)  # a branch without raw shots is empty
+                        dists[t].update(parse_branches(corrected.counts, variant))
             except (SpamCorrectionError, EmptyBranchError) as exc:
                 column.append(CellResult(chi_pi, chi_ref / np.pi, p, None, None, error=str(exc)))
                 continue

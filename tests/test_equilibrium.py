@@ -15,6 +15,7 @@ from qgame.equilibrium import (
     detect_transitions,
     max_payoff_profile,
     nash_equilibria,
+    nash_equilibria_stack,
     rmsd_at_equilibrium,
 )
 from qgame.game import GameSpec, Strategy, payoff_tensor, profile_from_names
@@ -222,6 +223,55 @@ def test_solver_matches_brute_force_with_ties(a, b1, b2, delta):
         for i in range(4):
             best = values[i].max() - delta - 1e-9
             assert set(np.flatnonzero(mask[i])) == {x for x in range(4) if values[i, x] >= best}
+
+
+@st.composite
+def integer_columns(draw):
+    """A column of P tensors with payoffs in {0, ..., 3}, its B arrays
+    either shared (4, 4) or one per row (P, 4, 4)."""
+    rows = draw(st.integers(1, 5))
+    payoffs = st.integers(0, 3)
+    a = draw(hnp.arrays(np.int64, (rows, 4, 4, 4), elements=payoffs))
+    b_shape = draw(st.sampled_from([(4, 4), (rows, 4, 4)]))
+    b1 = draw(hnp.arrays(np.int64, b_shape, elements=payoffs))
+    b2 = draw(hnp.arrays(np.int64, b_shape, elements=payoffs))
+    return a, b1, b2
+
+
+@given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
+@settings(max_examples=100, deadline=None)
+def test_stack_rows_match_single_solves_and_brute_force(column, delta):
+    a, b1, b2 = column
+    reports = nash_equilibria_stack(a, b1, b2, delta)
+    assert len(reports) == len(a)
+    for n, report in enumerate(reports):
+        row_b1 = b1 if b1.ndim == 2 else b1[n]
+        row_b2 = b2 if b2.ndim == 2 else b2[n]
+        tensor = synthetic_tensor(a[n], row_b1, row_b2)
+        single = nash_equilibria(tensor, delta)
+        assert report.profiles == single.profiles
+        assert report.payoffs == single.payoffs == tuple(map(tensor.payoffs, report.profiles))
+        got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
+        assert got == oracles.brute_force_equilibria(tensor.a, tensor.b1, tensor.b2, delta)
+
+
+def test_negative_delta_rejected():
+    tensor = bayes_at(0.1 * np.pi, 0.5)
+    message = "delta=-0.1 must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        nash_equilibria(tensor, -0.1)
+    with pytest.raises(ValueError, match=message):
+        nash_equilibria_stack(tensor.a[None], tensor.b1, tensor.b2, -0.1)
+    with pytest.raises(ValueError, match=message):
+        best_responses(tensor, "B1", -0.1)
+
+
+def test_stack_shape_validation():
+    a = np.zeros((3, 4, 4, 4))
+    with pytest.raises(ValueError, match=r"got \(4, 4, 4\), \(4, 4\), \(4, 4\)"):
+        nash_equilibria_stack(a[0], np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+    with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
+        nash_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
 
 
 @given(

@@ -13,7 +13,7 @@ import pytest
 import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS
-from qgame.game import profile_from_names
+from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
 from qgame.noise import NoiseModel
 from qgame.parallel import Variant, branch_indices, branch_map
 from qgame.sweep import (
@@ -23,6 +23,7 @@ from qgame.sweep import (
     ConfigError,
     ExperimentConfig,
     SweepResult,
+    _analytic_reports,
     emit_report,
     load_result,
     result_rows,
@@ -32,7 +33,7 @@ from qgame.sweep import (
     verify_parallelization,
 )
 
-from oracles import bayes_tensor_dense, brute_force_equilibria, reference_shot_sweep
+from oracles import bayes_tensor_dense, brute_force_equilibria, reference_analytic_reports, reference_shot_sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
@@ -159,6 +160,22 @@ class TestAnalyticSweep:
         expected = brute_force_equilibria(a, b1, b2, 0.0)
         assert [tuple(int(s) for s in pr) for pr in report.profiles] == expected
 
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("chi", [0.0, 0.1 * np.pi, np.pi / 4])
+    @pytest.mark.parametrize("custom", [False, True], ids=["default-tables", "custom-tables"])
+    def test_column_solve_matches_per_p_reference(self, chi, delta, custom):
+        # at chi = 0, p = 0 eight profiles tie, so the profile order is checked too
+        tables = (DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2)
+        if custom:
+            tables = (
+                PayoffTable.from_rows([[[3, 3], [0, 5]], [[5, 0], [1, 1]]]),
+                PayoffTable.from_rows([[[2, 1], [0, 0]], [[0, 0], [1, 2]]]),
+            )
+        got = _analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
+        assert got == reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
+        if chi == 0.0 and not custom:
+            assert len(got[0].profiles) == 8
+
 
 class TestShotSweep:
     def test_zero_noise_classical_cell_matches_analytic(self):
@@ -263,6 +280,20 @@ class TestShotSweep:
         assert result.transitions == tuple(transitions)
         assert result.chi_measurements == tuple(measurements)
 
+    def test_tiny_pools_under_readout_noise_fail_their_cells(self):
+        # at p = 0.01 to 0.03 the B1 pools hold 1 to 3 of 100 shots; the
+        # readout inverse spreads clipped mass into every branch, so only
+        # the raw pool shows which branches are empty
+        noise = NoiseModel(readout_flip_0to1=5e-4, readout_flip_1to0=5e-4)
+        cfg = shot_config(chi_grid_pi=(0.2,), p_grid=(0.01, 0.02, 0.03), shots=100, seed=0, noise=noise)
+        result = run_sweep(cfg)
+        for cell in result.cells:
+            assert cell.report is None and cell.rmsd is None
+            assert cell.error is not None and cell.error.endswith("has zero population")
+        cells, transitions, _ = reference_shot_sweep(cfg)
+        assert [cell.error for cell in result.cells] == [cell.error for cell in cells]
+        assert result.transitions == tuple(transitions) == ((0.2, None),)
+
     def test_first_failure_in_cell_order_names_the_error(self, monkeypatch):
         # the I-circuit's shots miss a whole branch, and the X-circuit's all
         # sit in one outcome, which breaks the SPAM floor; the I-circuit
@@ -300,6 +331,22 @@ class TestTracedBenchmark:
         errors = counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"]
         assert errors == failed
         assert counts["equilibrium.nash_equilibria.calls"] > 0
+
+    def test_tiny_pool_failures_replay_one_error_each(self):
+        # cells that fail on a branch empty only in the raw pool still make
+        # exactly one failing single-cell call in the replay
+        spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        noise = NoiseModel(readout_flip_0to1=5e-4, readout_flip_1to0=5e-4)
+        cfg = shot_config(chi_grid_pi=(0.2,), p_grid=(0.01, 0.02, 0.03, 0.5), shots=100, seed=0, noise=noise)
+        with layertrace.Tracer() as tracer:
+            result = run_sweep(cfg)
+        failed = sum(cell.error is not None for cell in result.cells)
+        assert failed == 3
+        counts = tracer.counts
+        assert counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"] == failed
+        assert counts["equilibrium.nash_equilibria.calls"] == len(result.cells) - failed
 
 
 class TestSerialization:
