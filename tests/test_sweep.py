@@ -381,6 +381,11 @@ class TestSerialization:
         without_seed = b"\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\n"))
         assert hashlib.sha256(without_seed).hexdigest() == pinned
 
+    def test_default_analytic_json_matches_pinned_digest(self, tmp_path):
+        paths = emit_report(run_sweep(ExperimentConfig(mode="analytic")), tmp_path)
+        digest = hashlib.sha256(Path(paths["json"]).read_bytes()).hexdigest()
+        assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
+
     def test_multi_equilibrium_cell_spans_rows(self):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         rows = result_rows(run_sweep(cfg))
