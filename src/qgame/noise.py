@@ -24,6 +24,7 @@ cell's random numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -52,6 +53,17 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
 
 
+def config_number(name: str, value) -> float:
+    """A config number as a float: a finite real, not a bool or a string."""
+    # bool is an int subclass; a JSON true must not count as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    # json.load reads NaN and Infinity, which slip past every order check
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     single_qubit_depol: float = 0.0
@@ -64,15 +76,18 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "seed":
+                object.__setattr__(self, f.name, config_number(f.name, getattr(self, f.name)))
         for name in ("single_qubit_depol", "two_qubit_depol", "readout_flip_0to1", "readout_flip_1to0", "crosstalk"):
             value = getattr(self, name)
             if not 0.0 <= value <= 0.5:
                 raise ValueError(f"{name}={value} outside [0, 0.5]")
-        if not math.isfinite(self.chi_offset):
-            raise ValueError(f"chi_offset={self.chi_offset} must be finite")
-        if not 0 <= self.chi_jitter_sigma < math.inf:
-            raise ValueError("chi_jitter_sigma must be finite and >= 0")
-        if not 0 <= int(self.seed) < 2**64:
+        if self.chi_jitter_sigma < 0:
+            raise ValueError("chi_jitter_sigma must be >= 0")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
     @classmethod
@@ -92,7 +107,7 @@ class NoiseModel:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: (int if f.name == "seed" else float)(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":

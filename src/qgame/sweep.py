@@ -33,10 +33,10 @@ radians inside the package.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
-import numbers
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -76,6 +76,7 @@ from qgame.noise import (
     SpamCorrectionError,
     bayesian_split,
     child_rng,
+    config_number,
     measure_chi,
     outcome_law,
     sample_outcomes,
@@ -122,17 +123,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration or result file."""
 
 
-def _as_nested_tuple(rows) -> tuple:
+def _number_rows(name: str, rows) -> tuple:
+    """Nested lists of config numbers as nested tuples, the numbers as given."""
     if isinstance(rows, (list, tuple)):
-        return tuple(_as_nested_tuple(r) for r in rows)
+        return tuple(_number_rows(name, r) for r in rows)
+    config_number(name, rows)
     return rows
-
-
-def _config_number(name: str, value) -> float:
-    # bool is an int subclass; a JSON true must not count as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -145,24 +141,23 @@ class ExperimentConfig:
     calibration_shots: int = 3_000
     seed: int = 0
     noise: NoiseModel = field(default_factory=NoiseModel)
-    payoff_rows_b1: tuple = _as_nested_tuple(DEFAULT_PAYOFF_B1.to_rows())
-    payoff_rows_b2: tuple = _as_nested_tuple(DEFAULT_PAYOFF_B2.to_rows())
+    payoff_rows_b1: tuple = _number_rows("payoff_rows_b1", DEFAULT_PAYOFF_B1.to_rows())
+    payoff_rows_b2: tuple = _number_rows("payoff_rows_b2", DEFAULT_PAYOFF_B2.to_rows())
     tracked_profile: str = "IXI"
     transition_window: int = 3
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_ANALYTIC, MODE_SHOTS):
             raise ConfigError(f"mode must be '{MODE_ANALYTIC}' or '{MODE_SHOTS}', got {self.mode!r}")
-        for name in ("chi_grid_pi", "p_grid"):
-            object.__setattr__(self, name, tuple(_config_number(name, value) for value in getattr(self, name)))
-        if self.delta is not None:
-            _config_number("delta", self.delta)
-        object.__setattr__(self, "payoff_rows_b1", _as_nested_tuple(self.payoff_rows_b1))
-        object.__setattr__(self, "payoff_rows_b2", _as_nested_tuple(self.payoff_rows_b2))
-        # json.load accepts NaN and Infinity, which slip past every order check below
-        numbers = (*self.chi_grid_pi, *self.p_grid) + (() if self.delta is None else (self.delta,))
-        if any(isinstance(value, float) and not math.isfinite(value) for value in numbers):
-            raise ConfigError("config numbers must be finite")
+        try:
+            for name in ("chi_grid_pi", "p_grid"):
+                object.__setattr__(self, name, tuple(config_number(name, value) for value in getattr(self, name)))
+            if self.delta is not None:
+                config_number("delta", self.delta)
+            for name in ("payoff_rows_b1", "payoff_rows_b2"):
+                object.__setattr__(self, name, _number_rows(name, getattr(self, name)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # bool is an int subclass; a JSON true must not count as 1
         for name in ("shots", "calibration_shots", "transition_window", "seed"):
             value = getattr(self, name)
@@ -540,53 +535,6 @@ def write_csv(path, columns: tuple, rows: list[dict]) -> None:
             writer.writerow([_csv_field(row[col]) for col in columns])
 
 
-def result_rows(result: SweepResult) -> list[dict]:
-    """Flatten a sweep into CSV rows: one per equilibrium, one for an empty
-    cell, one (with blank equilibrium fields) for a failed cell."""
-    delta = result.config.effective_delta
-    rows = []
-    base = {"delta": delta, "mode": result.config.mode, "seed": result.config.seed}
-    for cell in result.cells:
-        shared = {
-            "chi_nominal_pi": cell.chi_nominal_pi,
-            "chi_measured_pi": cell.chi_measured_pi,
-            "p": cell.p,
-            "rmsd": cell.rmsd,
-            **base,
-        }
-        if cell.report is None:
-            rows.append(
-                {**shared, "n_equilibria": None, "profile": "", "payoff_A": None, "payoff_B1": None, "payoff_B2": None}
-            )
-        elif cell.report.empty:
-            rows.append(
-                {**shared, "n_equilibria": 0, "profile": "", "payoff_A": None, "payoff_B1": None, "payoff_B2": None}
-            )
-        else:
-            count = len(cell.report.profiles)
-            for profile, payoffs in zip(cell.report.profiles, cell.report.payoffs):
-                rows.append(
-                    {
-                        **shared,
-                        "n_equilibria": count,
-                        "profile": profile_names(profile),
-                        "payoff_A": payoffs[0],
-                        "payoff_B1": payoffs[1],
-                        "payoff_B2": payoffs[2],
-                    }
-                )
-    return rows
-
-
-def _report_to_dict(report: EquilibriumReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "profiles": [profile_names(pr) for pr in report.profiles],
-        "payoffs": [list(pay) for pay in report.payoffs],
-    }
-
-
 def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     if data is None:
         return None
@@ -596,7 +544,8 @@ def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     )
 
 
-def result_to_dict(result: SweepResult) -> dict:
+def _result_head(result: SweepResult) -> dict:
+    """Everything of the JSON document but its cells."""
     return {
         "schema_version": SCHEMA_VERSION,
         "config": result.config.to_dict(),
@@ -607,17 +556,6 @@ def result_to_dict(result: SweepResult) -> dict:
         "transitions": [
             {"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
             for chi_pi, thresholds in result.transitions
-        ],
-        "cells": [
-            {
-                "chi_nominal_pi": cell.chi_nominal_pi,
-                "chi_measured_pi": cell.chi_measured_pi,
-                "p": cell.p,
-                "report": _report_to_dict(cell.report),
-                "rmsd": cell.rmsd,
-                "error": cell.error,
-            }
-            for cell in result.cells
         ],
     }
 
@@ -649,14 +587,98 @@ def result_from_dict(data: dict) -> SweepResult:
     )
 
 
+# json.dump writes non-finite floats as these JavaScript literals
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
+
+
+def _json_scalar(value) -> str:
+    """One cell field exactly as json.dump writes it."""
+    if type(value) is float:
+        text = repr(value)
+        return _JSON_NONFINITE.get(text, text)
+    # a string goes through json's encode_basestring_ascii, as in json.dump
+    return "null" if value is None else json.dumps(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Preformatted items as a list in json.dump's indent-2 layout, the
+    list's own line indented by `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_report(report: EquilibriumReport | None) -> str:
+    if report is None:
+        return "null"
+    profiles = _json_list([f'"{_PROFILE_NAMES[profile]}"' for profile in report.profiles], " " * 8)
+    payoffs = _json_list([_json_list(list(map(_json_scalar, pay)), " " * 10) for pay in report.payoffs], " " * 8)
+    return '{\n        "profiles": ' + profiles + ',\n        "payoffs": ' + payoffs + "\n      }"
+
+
+def _json_cells(cells: tuple[CellResult, ...]) -> Iterator[str]:
+    """Each cell's block of the JSON "cells" list, after its separator."""
+    separator = "\n"
+    for cell in cells:
+        yield (
+            f"{separator}    {{\n"
+            f'      "chi_nominal_pi": {_json_scalar(cell.chi_nominal_pi)},\n'
+            f'      "chi_measured_pi": {_json_scalar(cell.chi_measured_pi)},\n'
+            f'      "p": {_json_scalar(cell.p)},\n'
+            f'      "report": {_json_report(cell.report)},\n'
+            f'      "rmsd": {_json_scalar(cell.rmsd)},\n'
+            f'      "error": {_json_scalar(cell.error)}\n'
+            "    }"
+        )
+        separator = ",\n"
+
+
+def _csv_lines(result: SweepResult) -> Iterator[str]:
+    """The sweep's CSV lines: one per equilibrium, one for an empty cell,
+    one (with blank equilibrium fields) for a failed cell. No field can hold
+    a comma, a quote or a line break, so csv.writer would quote none."""
+    config = result.config
+    constant = ",".join(map(_csv_field, (config.effective_delta, config.mode, config.seed)))
+    yield ",".join(_CSV_COLUMNS) + "\n"
+    for cell in result.cells:
+        head = f"{_csv_field(cell.chi_nominal_pi)},{_csv_field(cell.chi_measured_pi)},{_csv_field(cell.p)},"
+        tail = f",{_csv_field(cell.rmsd)},{constant}\n"
+        report = cell.report
+        if report is None:
+            yield head + ",,,," + tail
+        elif report.empty:
+            yield head + "0,,,," + tail
+        else:
+            count = len(report.profiles)
+            for profile, (a, b1, b2) in zip(report.profiles, report.payoffs):
+                yield (
+                    f"{head}{count},{_PROFILE_NAMES[profile]},"
+                    f"{_csv_field(a)},{_csv_field(b1)},{_csv_field(b2)}{tail}"
+                )
+
+
 def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
-    """Write the sweep as CSV and JSON; byte-stable for identical inputs."""
+    """Write the sweep as CSV and JSON; byte-stable for identical inputs.
+
+    The JSON is byte for byte what `json.dump(..., indent=2)` writes; each
+    cell's block is formatted directly, since that encoder runs in pure
+    Python whenever it indents."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
-    write_csv(paths["csv"], _CSV_COLUMNS, result_rows(result))
+    with open(paths["csv"], "w", newline="") as handle:
+        handle.writelines(_csv_lines(result))
+    # the head object's closing "\n}" is cut so the cells list can follow
+    head = json.dumps(_result_head(result), indent=2)[:-2]
     with open(paths["json"], "w") as handle:
-        json.dump(result_to_dict(result), handle, indent=2)
-        handle.write("\n")
+        handle.write(head + ',\n  "cells": ')
+        if result.cells:
+            handle.write("[")
+            handle.writelines(_json_cells(result.cells))
+            handle.write("\n  ]\n}\n")
+        else:
+            handle.write("[]\n}\n")
     return paths
 
 

@@ -5,10 +5,15 @@ dense matrices built by index arithmetic, plain triple loops for the
 equilibrium search. No code is shared with the package so that agreement
 between the two is meaningful. The exceptions are `reference_analytic_reports`
 and `reference_shot_sweep`, which check the sweep's batched columns against
-the package's own single-cell functions run cell by cell.
+the package's own single-cell functions run cell by cell, and
+`reference_emit`, which writes a sweep through the stdlib's csv and json
+encoders.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 
@@ -355,3 +360,84 @@ def reference_shot_sweep(config):
         transitions.append((chi_pi, thresholds))
         cells.extend(column)
     return cells, transitions, measurements
+
+
+def _reference_rows(result) -> list[dict]:
+    """The sweep's CSV rows: one per equilibrium, one for an empty cell, one
+    (with blank equilibrium fields) for a failed cell."""
+    from qgame.game import profile_names
+
+    rows = []
+    base = {"delta": result.config.effective_delta, "mode": result.config.mode, "seed": result.config.seed}
+    for cell in result.cells:
+        shared = {"chi_nominal_pi": cell.chi_nominal_pi, "chi_measured_pi": cell.chi_measured_pi, "p": cell.p}
+        shared.update(rmsd=cell.rmsd, **base)
+        blank = {"profile": "", "payoff_A": None, "payoff_B1": None, "payoff_B2": None}
+        if cell.report is None:
+            rows.append({**shared, "n_equilibria": None, **blank})
+        elif cell.report.empty:
+            rows.append({**shared, "n_equilibria": 0, **blank})
+        else:
+            for profile, payoffs in zip(cell.report.profiles, cell.report.payoffs):
+                rows.append(
+                    {
+                        **shared,
+                        "n_equilibria": len(cell.report.profiles),
+                        "profile": profile_names(profile),
+                        "payoff_A": payoffs[0],
+                        "payoff_B1": payoffs[1],
+                        "payoff_B2": payoffs[2],
+                    }
+                )
+    return rows
+
+
+def _reference_dict(result) -> dict:
+    """The whole sweep as one JSON document (schema 3)."""
+    from qgame.game import profile_names
+    from qgame.sweep import SCHEMA_VERSION
+
+    def report(rep):
+        if rep is None:
+            return None
+        return {"profiles": [profile_names(pr) for pr in rep.profiles], "payoffs": [list(pay) for pay in rep.payoffs]}
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": result.config.to_dict(),
+        "chi_measurements": [
+            {"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
+            for chi_pi, est in result.chi_measurements
+        ],
+        "transitions": [
+            {"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
+            for chi_pi, thresholds in result.transitions
+        ],
+        "cells": [
+            {
+                "chi_nominal_pi": cell.chi_nominal_pi,
+                "chi_measured_pi": cell.chi_measured_pi,
+                "p": cell.p,
+                "report": report(cell.report),
+                "rmsd": cell.rmsd,
+                "error": cell.error,
+            }
+            for cell in result.cells
+        ],
+    }
+
+
+def reference_emit(result, out_dir) -> tuple[bytes, bytes]:
+    """The bytes of sweep.csv and sweep.json written the slow way:
+    `csv.writer` (through `write_csv`) over one dict per row, and
+    `json.dump(..., indent=2)` of the whole result."""
+    from qgame.sweep import _CSV_COLUMNS, write_csv
+
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path, json_path = os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.json")
+    write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))
+    with open(json_path, "w") as handle:
+        json.dump(_reference_dict(result), handle, indent=2)
+        handle.write("\n")
+    with open(csv_path, "rb") as csv_file, open(json_path, "rb") as json_file:
+        return csv_file.read(), json_file.read()

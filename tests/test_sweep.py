@@ -1,18 +1,23 @@
 """Sweep engine, serialization, parallelization verifier, and CLI."""
 
 import ast
+import csv
 import hashlib
 import importlib.util
 import json
+import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgame.sweep
 from qgame.cli import main
-from qgame.equilibrium import DELTA_SHOTS
+from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
 from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
 from qgame.noise import NoiseModel
 from qgame.parallel import Variant, branch_indices, branch_map
@@ -26,14 +31,19 @@ from qgame.sweep import (
     _analytic_reports,
     emit_report,
     load_result,
-    result_rows,
     rmsd_analysis,
     run_sweep,
     threshold_rows,
     verify_parallelization,
 )
 
-from oracles import bayes_tensor_dense, brute_force_equilibria, reference_analytic_reports, reference_shot_sweep
+from oracles import (
+    bayes_tensor_dense,
+    brute_force_equilibria,
+    reference_analytic_reports,
+    reference_emit,
+    reference_shot_sweep,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
@@ -46,6 +56,11 @@ def analytic_config(**kw) -> ExperimentConfig:
 def shot_config(**kw) -> ExperimentConfig:
     kw.setdefault("noise", NoiseModel())
     return ExperimentConfig(mode="shots", **kw)
+
+
+def emitted_rows(result: SweepResult, out_dir) -> list[dict]:
+    with open(emit_report(result, out_dir)["csv"], newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 class TestConfig:
@@ -386,22 +401,22 @@ class TestSerialization:
         digest = hashlib.sha256(Path(paths["json"]).read_bytes()).hexdigest()
         assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
 
-    def test_multi_equilibrium_cell_spans_rows(self):
+    def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
-        rows = result_rows(run_sweep(cfg))
+        rows = emitted_rows(run_sweep(cfg), tmp_path)
         assert len(rows) == 8
-        assert {r["n_equilibria"] for r in rows} == {8}
-        assert all((r["chi_nominal_pi"], r["p"]) == (0.0, 0.0) for r in rows)
+        assert {r["n_equilibria"] for r in rows} == {"8"}
+        assert all((r["chi_nominal_pi"], r["p"]) == ("0.0", "0.0") for r in rows)
 
-    def test_empty_cell_row(self):
+    def test_empty_cell_row(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.25,), p_grid=(0.5,))
-        rows = result_rows(run_sweep(cfg))
+        rows = emitted_rows(run_sweep(cfg), tmp_path)
         assert len(rows) == 1
-        assert rows[0]["n_equilibria"] == 0
+        assert rows[0]["n_equilibria"] == "0"
         assert rows[0]["profile"] == ""
-        assert rows[0]["payoff_A"] is None
+        assert rows[0]["payoff_A"] == ""
 
-    def test_failed_cell_row_blanks_equilibrium_fields(self):
+    def test_failed_cell_row_blanks_equilibrium_fields(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,))
         base = run_sweep(cfg)
         failed = SweepResult(
@@ -410,8 +425,8 @@ class TestSerialization:
             transitions=((0.1, None),),
             chi_measurements=base.chi_measurements,
         )
-        row = result_rows(failed)[0]
-        assert row["n_equilibria"] is None
+        row = emitted_rows(failed, tmp_path)[0]
+        assert row["n_equilibria"] == ""
         assert row["profile"] == ""
 
     def test_json_round_trip_exact(self, tmp_path):
@@ -455,6 +470,68 @@ class TestSerialization:
             bad.write_text(json.dumps(data))
             with pytest.raises(ConfigError, match="schema_version"):
                 load_result(bad)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def hand_built_result(cells, transitions=None) -> SweepResult:
+    base = run_sweep(analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,)))
+    return SweepResult(base.config, tuple(cells), transitions or ((0.1, None),), base.chi_measurements)
+
+
+class TestEmitterMatchesReference:
+    """emit_report writes the bytes of csv.writer and json.dump(indent=2)."""
+
+    @staticmethod
+    def assert_matches_reference(result: SweepResult, out_dir) -> None:
+        out_dir = Path(out_dir)
+        paths = emit_report(result, out_dir / "emitted")
+        csv_bytes, json_bytes = reference_emit(result, out_dir / "reference")
+        assert Path(paths["csv"]).read_bytes() == csv_bytes
+        assert Path(paths["json"]).read_bytes() == json_bytes
+
+    def test_default_analytic_sweep(self, tmp_path):
+        self.assert_matches_reference(run_sweep(ExperimentConfig(mode="analytic")), tmp_path)
+
+    def test_starved_shot_sweep_with_failed_cells(self, tmp_path):
+        cfg = shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0)
+        result = run_sweep(cfg)
+        assert 0 < sum(cell.error is not None for cell in result.cells) < len(result.cells)
+        self.assert_matches_reference(result, tmp_path)
+
+    def test_empty_equilibrium_cell(self, tmp_path):
+        result = run_sweep(analytic_config(chi_grid_pi=(0.25,), p_grid=(0.5,)))
+        assert result.cells[0].report.empty
+        self.assert_matches_reference(result, tmp_path)
+
+    def test_hand_built_cells_with_awkward_strings_and_non_finite_floats(self, tmp_path):
+        profile = profile_from_names("ZYX")
+        cells = (
+            CellResult(0.1, 0.1, 0.5, None, None, error='quote " backslash \\ newline \n tab \t é 😀'),
+            CellResult(0.1, 0.1, 0.6, EquilibriumReport((), ()), None),
+            CellResult(0.1, 0.1, 0.7, EquilibriumReport((profile,), ((math.inf, -math.inf, math.nan),)), math.nan),
+        )
+        self.assert_matches_reference(hand_built_result(cells), tmp_path)
+
+    def test_no_cells(self, tmp_path):
+        self.assert_matches_reference(hand_built_result(()), tmp_path)
+
+    def test_emit_load_emit_is_byte_identical(self, tmp_path):
+        cfg = shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0)
+        first = emit_report(run_sweep(cfg), tmp_path / "first")
+        second = emit_report(load_result(first["json"]), tmp_path / "second")
+        for fmt in ("csv", "json"):
+            assert Path(first[fmt]).read_bytes() == Path(second[fmt]).read_bytes()
+
+    @given(p=FINITE, rmsd=FINITE, payoffs=st.tuples(FINITE, FINITE, FINITE))
+    @example(p=-0.0, rmsd=5e-324, payoffs=(1e16, 1e300, -0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_any_finite_floats(self, p, rmsd, payoffs):
+        report = EquilibriumReport((profile_from_names("IXI"),), (payoffs,))
+        result = hand_built_result((CellResult(0.1, 0.1, p, report, rmsd),))
+        with tempfile.TemporaryDirectory() as out_dir:
+            self.assert_matches_reference(result, out_dir)
 
 
 class TestAnalyses:
@@ -581,12 +658,32 @@ class TestCli:
             {"chi_grid_pi": [False]},
             {"p_grid": [True]},
             {"delta": True},
+            {"noise": {"chi_offset": True}},
+            {"noise": {"seed": "5"}},
+            {"noise": {"seed": 1.7}},
+            {"noise": {"seed": True}},
+            {"payoff_rows_b1": [[[True, 9], [1, 10]], [[10, 1], [6, 6]]]},
+            {"payoff_rows_b2": [[["11", 9], [1, 6]], [[10, 1], [6, 0]]]},
         ],
-        ids=["chi-grid-string", "p-grid-string", "chi-grid-bool", "p-grid-bool", "delta-bool"],
+        ids=[
+            "chi-grid-string",
+            "p-grid-string",
+            "chi-grid-bool",
+            "p-grid-bool",
+            "delta-bool",
+            "noise-offset-bool",
+            "noise-seed-string",
+            "noise-seed-float",
+            "noise-seed-bool",
+            "payoff-row-bool",
+            "payoff-row-string",
+        ],
     )
     def test_non_numeric_config_number_is_config_error(self, tmp_path, capsys, override):
         # a string entry once ended in a ValueError traceback; a JSON true or
-        # false passed as 1 or 0, and "delta": true ran with delta = 1
+        # false passed as 1 or 0, and "delta": true ran with delta = 1; the
+        # noise seed took "5", 1.7 and true as 5, 1 and 1, and a payoff entry
+        # true or "11" ran as 1.0 or 11.0 and was echoed back as given
         config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
