@@ -672,13 +672,9 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
     # the head object's closing "\n}" is cut so the cells list can follow
     head = json.dumps(_result_head(result), indent=2)[:-2]
     with open(paths["json"], "w") as handle:
-        handle.write(head + ',\n  "cells": ')
-        if result.cells:
-            handle.write("[")
-            handle.writelines(_json_cells(result.cells))
-            handle.write("\n  ]\n}\n")
-        else:
-            handle.write("[]\n}\n")
+        handle.write(head + ',\n  "cells": [')
+        handle.writelines(_json_cells(result.cells))
+        handle.write("\n  ]\n}\n" if result.cells else "]\n}\n")
     return paths
 
 
