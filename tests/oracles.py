@@ -369,10 +369,15 @@ def _reference_rows(result) -> list[dict]:
 
     rows = []
     base = {"delta": result.config.effective_delta, "mode": result.config.mode, "seed": result.config.seed}
+    blank = {"profile": "", "payoff_A": None, "payoff_B1": None, "payoff_B2": None}
     for cell in result.cells:
-        shared = {"chi_nominal_pi": cell.chi_nominal_pi, "chi_measured_pi": cell.chi_measured_pi, "p": cell.p}
-        shared.update(rmsd=cell.rmsd, **base)
-        blank = {"profile": "", "payoff_A": None, "payoff_B1": None, "payoff_B2": None}
+        shared = {
+            "chi_nominal_pi": cell.chi_nominal_pi,
+            "chi_measured_pi": cell.chi_measured_pi,
+            "p": cell.p,
+            "rmsd": cell.rmsd,
+            **base,
+        }
         if cell.report is None:
             rows.append({**shared, "n_equilibria": None, **blank})
         elif cell.report.empty:
@@ -433,9 +438,8 @@ def reference_emit(result, out_dir) -> tuple[bytes, bytes]:
     `json.dump(..., indent=2)` of the whole result."""
     from qgame.sweep import _CSV_COLUMNS, write_csv
 
-    os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path = os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.json")
-    write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))
+    write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))  # makes out_dir
     with open(json_path, "w") as handle:
         json.dump(_reference_dict(result), handle, indent=2)
         handle.write("\n")
