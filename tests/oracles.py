@@ -6,12 +6,13 @@ equilibrium search. No code is shared with the package so that agreement
 between the two is meaningful. The exceptions are `reference_analytic_reports`
 and `reference_shot_sweep`, which check the sweep's batched columns against
 the package's own single-cell functions run cell by cell, and
-`reference_emit`, which writes a sweep through the stdlib's csv and json
-encoders.
+`reference_write_csv` and `reference_emit`, which write tables and a sweep
+through the stdlib's csv and json encoders.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -432,14 +433,27 @@ def _reference_dict(result) -> dict:
     }
 
 
+def reference_write_csv(path, columns: tuple, rows: list[dict]) -> None:
+    """A table written through `csv.writer`: header plus one line per row,
+    each field formatted by the package's `_csv_field`."""
+    from qgame.sweep import _csv_field
+
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_field(row[col]) for col in columns])
+
+
 def reference_emit(result, out_dir) -> tuple[bytes, bytes]:
     """The bytes of sweep.csv and sweep.json written the slow way:
-    `csv.writer` (through `write_csv`) over one dict per row, and
+    `csv.writer` (through `reference_write_csv`) over one dict per row, and
     `json.dump(..., indent=2)` of the whole result."""
-    from qgame.sweep import _CSV_COLUMNS, write_csv
+    from qgame.sweep import _CSV_COLUMNS
 
     csv_path, json_path = os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.json")
-    write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))  # makes out_dir
+    reference_write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))  # makes out_dir
     with open(json_path, "w") as handle:
         json.dump(_reference_dict(result), handle, indent=2)
         handle.write("\n")

@@ -35,6 +35,7 @@ from qgame.sweep import (
     run_sweep,
     threshold_rows,
     verify_parallelization,
+    write_csv,
 )
 
 from oracles import (
@@ -43,6 +44,7 @@ from oracles import (
     reference_analytic_reports,
     reference_emit,
     reference_shot_sweep,
+    reference_write_csv,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -532,6 +534,56 @@ class TestEmitterMatchesReference:
         result = hand_built_result((CellResult(0.1, 0.1, p, report, rmsd),))
         with tempfile.TemporaryDirectory() as out_dir:
             self.assert_matches_reference(result, out_dir)
+
+
+RMSD_COLUMNS = ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells")
+THRESHOLD_COLUMNS = ("chi_pi", "profile", "thresholds", "window")
+VERIFY_COLUMNS = ("chi_pi", "variant", "max_linf", "aux_marginal_dev", "passed", "worst_branch")
+
+
+class TestTableCsvMatchesReference:
+    """write_csv writes the bytes of csv.writer for every table it serves."""
+
+    @staticmethod
+    def assert_matches_reference(path, columns, rows, ref_dir) -> None:
+        reference = Path(ref_dir) / Path(path).name
+        reference_write_csv(reference, columns, rows)
+        assert Path(path).read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            analytic_config(chi_grid_pi=(0.0, 0.05, 0.25)),
+            shot_config(chi_grid_pi=(0.05, 0.25), p_grid=(0.0, 0.5, 1.0), shots=40, seed=0),
+        ],
+        ids=["analytic", "starved-shots"],
+    )
+    def test_cli_rmsd_and_thresholds_tables(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config.to_dict()))
+        for command in ("rmsd", "thresholds"):
+            main([command, "--config", str(path), "--out", str(tmp_path / "cli")])
+        result = run_sweep(config)
+        self.assert_matches_reference(tmp_path / "cli" / "rmsd.csv", RMSD_COLUMNS, rmsd_analysis(result), tmp_path)
+        self.assert_matches_reference(
+            tmp_path / "cli" / "thresholds.csv", THRESHOLD_COLUMNS, threshold_rows(result), tmp_path
+        )
+
+    def test_cli_verify_table(self, tmp_path):
+        assert main(["verify", "--chi-grid", "0,0.125,0.25", "--out", str(tmp_path / "cli")]) == 0
+        rows = verify_parallelization((0.0, 0.125, 0.25))
+        self.assert_matches_reference(tmp_path / "cli" / "verify.csv", VERIFY_COLUMNS, rows, tmp_path)
+
+    def test_hand_built_none_and_empty_fields(self, tmp_path):
+        cells = (CellResult(0.1, 0.1, 0.5, None, None, error="failed"),)
+        result = hand_built_result(cells, transitions=((0.1, None), (0.2, ())))
+        rmsd_rows, rows = rmsd_analysis(result), threshold_rows(result)
+        assert rmsd_rows[0]["mean_rmsd"] is None
+        assert [row["thresholds"] for row in rows] == [None, []]
+        write_csv(tmp_path / "out" / "rmsd.csv", RMSD_COLUMNS, rmsd_rows)
+        write_csv(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows)
+        self.assert_matches_reference(tmp_path / "out" / "rmsd.csv", RMSD_COLUMNS, rmsd_rows, tmp_path)
+        self.assert_matches_reference(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows, tmp_path)
 
 
 class TestAnalyses:
