@@ -1,5 +1,7 @@
-"""Best-response masks, Nash equilibria, transition detection, RMSD.
+"""Nash equilibria, transition detection, RMSD.
 
+A Bayesian game is three payoff arrays: A's (4, 4, 4) array indexed
+(i, j, k), B1's (4, 4) array indexed (i, j) and B2's indexed (i, k).
 A profile (i, j, k) is a Nash equilibrium when each player's choice is
 within delta of the best payoff available against the others' choices.
 Each player's near-best choices are a boolean mask over the profiles, and
@@ -22,7 +24,6 @@ from itertools import product
 
 import numpy as np
 
-from qgame.bayesian import BayesianTensor
 from qgame.game import STRATEGIES, Profile
 
 TIE_EPS = 1e-9
@@ -43,26 +44,6 @@ def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta={delta} must be >= 0")
     return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
-
-
-def best_responses(tensor: BayesianTensor, player: str, delta: float) -> np.ndarray:
-    """Read-only mask of one player's near-maximal choices.
-
-    The mask is indexed like the player's payoff array: (i, j, k) for
-    player A, (i, j) for B1 and (i, k) for B2, whose payoffs do not depend
-    on the other B type's choice. The player's own choice is axis 0 for A
-    and axis 1 for B1 and B2.
-    """
-    if player == "A":
-        mask = _near_max_mask(tensor.a, -3, delta)
-    elif player == "B1":
-        mask = _near_max_mask(tensor.b1, -1, delta)
-    elif player == "B2":
-        mask = _near_max_mask(tensor.b2, -1, delta)
-    else:
-        raise ValueError(f"player must be A, B1 or B2, got {player!r}")
-    mask.flags.writeable = False
-    return mask
 
 
 @dataclass(frozen=True)
@@ -113,9 +94,9 @@ def nash_equilibria_stack(
     ]
 
 
-def nash_equilibria(tensor: BayesianTensor, delta: float) -> EquilibriumReport:
-    """One tensor's case of `nash_equilibria_stack`."""
-    return nash_equilibria_stack(tensor.a[None], tensor.b1, tensor.b2, delta)[0]
+def nash_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> EquilibriumReport:
+    """One Bayesian game's case of `nash_equilibria_stack`."""
+    return nash_equilibria_stack(np.asarray(a)[None], b1, b2, delta)[0]
 
 
 def detect_transitions(
@@ -161,10 +142,11 @@ def max_payoff_profile(report: EquilibriumReport) -> Profile:
     return ranked[0][0]
 
 
-def rmsd_at_equilibrium(observed: BayesianTensor, reference: EquilibriumReport) -> float:
-    """Root-mean-square payoff deviation from the reference report at its
-    best equilibrium (`max_payoff_profile`)."""
+def rmsd_at_equilibrium(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, reference: EquilibriumReport) -> float:
+    """Root-mean-square deviation of the observed payoffs `a`, `b1`, `b2`
+    from the reference report at its best equilibrium (`max_payoff_profile`)."""
     profile = max_payoff_profile(reference)
-    obs = np.array(observed.payoffs(profile))
+    i, j, k = profile
+    obs = np.array((a[i, j, k], b1[i, j], b2[i, k]), dtype=float)
     ref = np.array(reference.payoffs[reference.profiles.index(profile)])
     return float(np.sqrt(np.mean((obs - ref) ** 2)))

@@ -1,5 +1,5 @@
 """Two-player game engine: entangle, apply local strategies, unentangle,
-convert the outcome distribution to expected payoffs.
+convert the outcome distributions to 4x4 arrays of expected payoffs.
 
 Outcome convention is fixed: |0> is cooperate, |1> is defect. Payoff
 tables are configuration inputs; the bundled defaults are the standard
@@ -96,34 +96,6 @@ DEFAULT_PAYOFF_B1 = PayoffTable.from_rows([[[11, 9], [1, 10]], [[10, 1], [6, 6]]
 DEFAULT_PAYOFF_B2 = PayoffTable.from_rows([[[11, 9], [1, 6]], [[10, 1], [6, 0]]])
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    chi: float
-    payoff_vs_b1: PayoffTable = DEFAULT_PAYOFF_B1
-    payoff_vs_b2: PayoffTable = DEFAULT_PAYOFF_B2
-
-    def __post_init__(self) -> None:
-        check_chi(self.chi)
-
-
-@dataclass(frozen=True)
-class PayoffTensor:
-    """4x4 expected payoffs per (Strategy_A, Strategy_B), one game type."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    __eq__ = array_eq
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if arr.shape != (4, 4):
-                raise ValueError("payoff tensor is 4x4")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
 _ENTANGLE = Gate("J", (0, 1))
 _UNENTANGLE = Gate("JDAG", (0, 1))
 
@@ -139,34 +111,25 @@ def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
     return apply_gate(amps, _UNENTANGLE, chi)
 
 
-def expected_payoff(dist: np.ndarray, table: PayoffTable) -> tuple[float, float]:
-    """Weighted average of the table entries under one 4-outcome
-    distribution: the single-distribution case of `tensor_from_distributions`."""
-    pay_a, pay_b = tensor_from_distributions(dist, table)
-    return float(pay_a), float(pay_b)
-
-
-def payoff_tensor(spec: GameSpec, which_b: str) -> PayoffTensor:
-    """Expected payoffs for all 16 strategy pairs of one game type."""
-    if which_b not in ("B1", "B2"):
-        raise ValueError(f"which_b must be B1 or B2, got {which_b!r}")
-    table = spec.payoff_vs_b1 if which_b == "B1" else spec.payoff_vs_b2
+def payoff_tensor(chi: float, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
+    """Expected (A, B) payoffs of one game at angle chi, each a 4x4 array
+    indexed (strategy A, strategy B)."""
     pay_a = np.empty((4, 4))
     pay_b = np.empty((4, 4))
     for i in STRATEGIES:
         for j in STRATEGIES:
-            dist = np.abs(final_state(spec.chi, i, j)) ** 2
-            pay_a[i, j], pay_b[i, j] = expected_payoff(dist, table)
-    return PayoffTensor(pay_a, pay_b)
+            dist = np.abs(final_state(chi, i, j)) ** 2
+            pay_a[i, j], pay_b[i, j] = tensor_from_distributions(dist, table)
+    return pay_a, pay_b
 
 
 def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
     """Expected (A, B) payoffs under a stack of 4-outcome distributions.
 
-    `dists[..., :]` is one distribution; each must sum to 1. A game's
-    measured per-pair distributions, indexed (strategy A, strategy B,
-    outcome), give its two 4x4 payoff arrays; further leading axes stack
-    games.
+    `dists[..., :]` is one distribution; each must sum to 1. One
+    distribution gives one pair of payoffs. A game's measured per-pair
+    distributions, indexed (strategy A, strategy B, outcome), give its two
+    4x4 payoff arrays; further leading axes stack games.
     """
     # contiguous, so a row's sum does not depend on the stack's layout
     dists = np.ascontiguousarray(dists, dtype=float)

@@ -8,12 +8,13 @@ separate calibration run, and re-splits the same dataset into the two type
 pools at every p, each split on its own keyed stream. The rest of the
 angle's column is one array pass: the pools, stacked as (variant, type, p,
 outcome), are SPAM-corrected, parsed into per-pair outcome distributions,
-turned into payoff tensors and composed into one Bayesian tensor per p,
+turned into payoff arrays and composed into A's Bayesian payoffs per p,
 and only the observed cells' equilibrium solve runs cell by cell (their
 analytic references are one column solve). Those steps are
 `spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`
-and `compose_a`; `spam_correct`, `parse_branches`, `expected_payoff` and
-`compose` are their one-row case, so each check exists once.
+and `compose`; `spam_correct` and `parse_branches` are the one-row case of
+the first two, and the last two take one row or a stack, so each check
+exists once.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
 inversion) are recorded on the cell instead of aborting the sweep. A branch
@@ -41,8 +42,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# unused here, but perfbench/layertrace.py wraps `compose` under this module's name
-from qgame.bayesian import BayesianTensor, compose, compose_a
+from qgame.bayesian import compose
 from qgame.equilibrium import (
     DELTA_ANALYTIC,
     DELTA_SHOTS,
@@ -57,7 +57,6 @@ from qgame.game import (
     DEFAULT_PAYOFF_B1,
     DEFAULT_PAYOFF_B2,
     STRATEGIES,
-    GameSpec,
     PayoffTable,
     final_state,
     payoff_tensor,
@@ -280,11 +279,9 @@ def _analytic_reports(
 ) -> list[EquilibriumReport]:
     """Exact equilibrium reports at angle chi (radians), one per p; the B
     payoffs do not depend on p, so one pair serves the column."""
-    spec = GameSpec(chi, *tables)
-    tensor_b1 = payoff_tensor(spec, "B1")
-    tensor_b2 = payoff_tensor(spec, "B2")
-    pay_a = compose_a(tensor_b1.a, tensor_b2.a, p_grid)
-    return nash_equilibria_stack(pay_a, tensor_b1.b, tensor_b2.b, delta)
+    pay_a_b1, pay_b1 = payoff_tensor(chi, tables[0])
+    pay_a_b2, pay_b2 = payoff_tensor(chi, tables[1])
+    return nash_equilibria_stack(compose(pay_a_b1, pay_a_b2, p_grid), pay_b1, pay_b2, delta)
 
 
 def _analytic_column(
@@ -383,7 +380,7 @@ def _shot_column(
     dists = dists.reshape(2, -1, 4, 4, 4)
     pay_a_b1, pay_b1 = tensor_from_distributions(dists[0], tables[0])
     pay_a_b2, pay_b2 = tensor_from_distributions(dists[1], tables[1])
-    pay_a = compose_a(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
+    pay_a = compose(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
     solved = iter(zip(pay_a, pay_b1, pay_b2))
 
     cells = []
@@ -392,10 +389,10 @@ def _shot_column(
             error = _cell_error(pools[:, :, n], confusion)
             cells.append(CellResult(chi_pi, chi_measured_pi, p, None, None, error=error))
             continue
-        observed = BayesianTensor(*next(solved))
-        report = nash_equilibria(observed, delta)
+        observed = next(solved)
+        report = nash_equilibria(*observed, delta)
         try:
-            rmsd = rmsd_at_equilibrium(observed, references[n])
+            rmsd = rmsd_at_equilibrium(*observed, references[n])
         except NoEquilibriumError:
             rmsd = None  # no analytic benchmark at this grid point
         cells.append(CellResult(chi_pi, chi_measured_pi, p, report, rmsd))

@@ -264,14 +264,13 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
 
 def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
     """Exact equilibrium reports at angle chi (radians), one Bayesian
-    tensor composed and solved per p."""
+    game composed and solved per p."""
     from qgame.bayesian import compose
     from qgame.equilibrium import nash_equilibria
-    from qgame.game import GameSpec, payoff_tensor
+    from qgame.game import payoff_tensor
 
-    spec = GameSpec(chi, *tables)
-    tensor_b1, tensor_b2 = payoff_tensor(spec, "B1"), payoff_tensor(spec, "B2")
-    return [nash_equilibria(compose(tensor_b1, tensor_b2, p), delta) for p in p_grid]
+    (a1, b1), (a2, b2) = payoff_tensor(chi, tables[0]), payoff_tensor(chi, tables[1])
+    return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
 
 
 def reference_shot_sweep(config):
@@ -288,7 +287,7 @@ def reference_shot_sweep(config):
     """
     from qgame.bayesian import compose
     from qgame.equilibrium import NoEquilibriumError, detect_transitions, nash_equilibria, rmsd_at_equilibrium
-    from qgame.game import STRATEGIES, GameSpec, PayoffTensor, payoff_tensor, profile_from_names, tensor_from_distributions
+    from qgame.game import STRATEGIES, payoff_tensor, profile_from_names, tensor_from_distributions
     from qgame.noise import (
         PURPOSE_CALIBRATION,
         PURPOSE_SAMPLE,
@@ -322,8 +321,7 @@ def reference_shot_sweep(config):
         estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
         measurements.append((chi_pi, estimate))
         chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
-        ref_spec = GameSpec(chi_ref, *tables)
-        ref_b1, ref_b2 = payoff_tensor(ref_spec, "B1"), payoff_tensor(ref_spec, "B2")
+        (ref_a1, ref_b1), (ref_a2, ref_b2) = payoff_tensor(chi_ref, tables[0]), payoff_tensor(chi_ref, tables[1])
         column = []
         for p in config.p_grid:
             try:
@@ -339,16 +337,17 @@ def reference_shot_sweep(config):
             except (SpamCorrectionError, EmptyBranchError) as exc:
                 column.append(CellResult(chi_pi, chi_ref / np.pi, p, None, None, error=str(exc)))
                 continue
-            observed_b1, observed_b2 = (
-                PayoffTensor(*tensor_from_distributions([[d[(i, j)] for j in STRATEGIES] for i in STRATEGIES], table))
+            (obs_a1, obs_b1), (obs_a2, obs_b2) = (
+                tensor_from_distributions([[d[(i, j)] for j in STRATEGIES] for i in STRATEGIES], table)
                 for d, table in zip(dists, tables)
             )
-            observed = compose(observed_b1, observed_b2, p)
+            observed = (compose(obs_a1, obs_a2, p), obs_b1, obs_b2)
             try:
-                rmsd = rmsd_at_equilibrium(observed, nash_equilibria(compose(ref_b1, ref_b2, p), delta))
+                reference = nash_equilibria(compose(ref_a1, ref_a2, p), ref_b1, ref_b2, delta)
+                rmsd = rmsd_at_equilibrium(*observed, reference)
             except NoEquilibriumError:
                 rmsd = None
-            column.append(CellResult(chi_pi, chi_ref / np.pi, p, nash_equilibria(observed, delta), rmsd))
+            column.append(CellResult(chi_pi, chi_ref / np.pi, p, nash_equilibria(*observed, delta), rmsd))
         solved = [cell for cell in column if cell.report is not None]
         thresholds = None
         if solved:

@@ -97,7 +97,7 @@ def test_criterion_4_parallelization_equivalence():
 def test_criterion_5_oracle_equivalence():
     from qgame.bayesian import compose
     from qgame.equilibrium import nash_equilibria
-    from qgame.game import GameSpec, payoff_tensor
+    from qgame.game import payoff_tensor
 
     rng = np.random.default_rng(2024)
     mismatches = 0
@@ -106,9 +106,10 @@ def test_criterion_5_oracle_equivalence():
         p = rng.uniform(0.0, 1.0)
         rows1 = rng.uniform(0.0, 12.0, size=(2, 2, 2)).tolist()
         rows2 = rng.uniform(0.0, 12.0, size=(2, 2, 2)).tolist()
-        spec = GameSpec(chi, PayoffTable.from_rows(rows1), PayoffTable.from_rows(rows2))
-        tensor = compose(payoff_tensor(spec, "B1"), payoff_tensor(spec, "B2"), p)
-        solver = [tuple(int(s) for s in pr) for pr in nash_equilibria(tensor, 0.0).profiles]
+        pay_a1, pay_b1 = payoff_tensor(chi, PayoffTable.from_rows(rows1))
+        pay_a2, pay_b2 = payoff_tensor(chi, PayoffTable.from_rows(rows2))
+        report = nash_equilibria(compose(pay_a1, pay_a2, p), pay_b1, pay_b2, 0.0)
+        solver = [tuple(int(s) for s in pr) for pr in report.profiles]
         a, b1, b2 = bayes_tensor_dense(chi, rows1, rows2, p)
         if solver != brute_force_equilibria(a, b1, b2, 0.0):
             mismatches += 1

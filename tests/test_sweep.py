@@ -332,13 +332,27 @@ class TestShotSweep:
         assert run_sweep(cfg) == run_sweep(cfg)
 
 
+def load_layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return layertrace
+
+
 class TestTracedBenchmark:
+    def test_analytic_sweep_goes_through_the_traced_names(self):
+        # two payoff arrays and one Bayesian mix per angle, each looked up
+        # where the tracer wraps it
+        cfg = analytic_config(chi_grid_pi=(0.05, 0.25))
+        with load_layertrace().Tracer() as tracer:
+            run_sweep(cfg)
+        assert tracer.counts["game.payoff_tensor.calls"] == 2 * len(cfg.chi_grid_pi)
+        assert tracer.counts["bayesian.compose.calls"] == len(cfg.chi_grid_pi)
+
     def test_layer_counts_account_for_failed_cells(self):
         # the starved sweep above, widened to p = 0 and 1 where one pool
         # falls back to the full dataset, so cells both fail and succeed
-        spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-        layertrace = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layertrace)
+        layertrace = load_layertrace()
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.0, 0.5, 1.0), shots=40, seed=0)
         with layertrace.Tracer() as tracer:
             result = run_sweep(cfg)
@@ -352,9 +366,7 @@ class TestTracedBenchmark:
     def test_tiny_pool_failures_replay_one_error_each(self):
         # cells that fail on a branch empty only in the raw pool still make
         # exactly one failing single-cell call in the replay
-        spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-        layertrace = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layertrace)
+        layertrace = load_layertrace()
         noise = NoiseModel(readout_flip_0to1=5e-4, readout_flip_1to0=5e-4)
         cfg = shot_config(chi_grid_pi=(0.2,), p_grid=(0.01, 0.02, 0.03, 0.5), shots=100, seed=0, noise=noise)
         with layertrace.Tracer() as tracer:
