@@ -33,7 +33,6 @@ radians inside the package.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -523,13 +522,13 @@ def _csv_field(value) -> str:
 
 
 def write_csv(path, columns: tuple, rows: list[dict]) -> None:
-    """Header plus one line per row, fields in `columns` order."""
+    """Header plus one line per row, fields in `columns` order. No field of
+    the rmsd, thresholds or verify tables can hold a comma, a quote or a
+    line break, so csv.writer would quote none."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_field(row[col]) for col in columns])
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(",".join(_csv_field(row[col]) for col in columns) + "\n" for row in rows)
 
 
 def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
