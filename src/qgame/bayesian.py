@@ -2,8 +2,8 @@
 
 Player A faces type B1 with probability p and type B2 with probability
 1-p. A's payoff is the p-weighted mix; each B type's payoff depends only
-on its own game, so its 4x4 array from that game is used as it is and is
-invariant in p by construction.
+on its own game, so each B type keeps its game's 4x4 array, invariant in
+p by construction.
 """
 
 from __future__ import annotations
