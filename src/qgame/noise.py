@@ -4,15 +4,20 @@ assignment.
 
 Every noise source acts on each shot independently, so a run's outcome
 counts are exactly Multinomial(shots, E[p]), where E[p] is the
-noise-averaged outcome distribution. `outcome_law` computes E[p] exactly:
-it evolves the density matrix through the gates with each gate's
-depolarizing channel, averages the Gaussian spread of the entangling angle
-in closed form over a few quadrature nodes whose density matrices evolve
-together as one stack, and applies the readout confusion matrix, the same
-matrix that SPAM correction inverts. A confusion matrix computes its
-condition number and inverse once, so correcting a pool is one
-matrix-vector product, and a stack of pools is corrected in one call.
-Sampling then draws counts, never per-shot
+noise-averaged outcome distribution. `outcome_law` computes E[p] exactly.
+Before readout, the outcome probabilities are a trig polynomial in the
+entangling angle, so their values at a few fixed angle nodes determine
+them at every angle. Those node values come from one density-matrix
+evolution through the gates, each gate followed by its depolarizing
+channel, with the nodes' density matrices evolving together as one stack.
+It runs once per (gates, qubit count, noise model) and is cached, so a
+sweep evolves each circuit once, not once per angle. The law at an angle
+is then a weighted sum of the node values, the weights folding in the
+systematic offset and the Gaussian spread of the angle, followed by the
+readout confusion matrix, the same matrix that SPAM correction inverts.
+A confusion matrix computes its condition number and inverse once, so
+correcting a pool is one matrix-vector product, and a stack of pools is
+corrected in one call. Sampling then draws counts, never per-shot
 outcomes, and the type split draws a binomial per outcome count.
 
 Reproducibility contract: one master seed; every consumer derives an
@@ -319,25 +324,40 @@ def _noisy_diagonals(gates: tuple[Gate, ...], n: int, chis: np.ndarray, noise: N
     return rho.reshape(len(chis), 2**n, 2**n).diagonal(axis1=1, axis2=2).real
 
 
-def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: NoiseModel) -> np.ndarray:
-    """Exact per-shot outcome distribution (length 2**n) under `noise`.
+@lru_cache(maxsize=8)
+def _node_diagonals(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The angle nodes 2 pi j / (2 degree + 1) and the outcome probabilities
+    before readout at each, evaluated once per (gates, n, noise).
 
-    Every J and J-dagger of a shot uses the same angle, nominal + offset +
-    N(0, sigma^2), and each adds 2 to the degree of the outcome
-    probabilities as a trig polynomial in it (degree 4 for the parallelized
-    circuits). Sampling them at 2 * degree + 1 equally spaced offsets and
-    damping frequency k by exp(-k^2 sigma^2 / 2) gives the Gaussian average
-    exactly; the weights below fold that into one quadrature rule. The
-    circuit runs once, at all nodes together.
+    Every J and J-dagger adds 2 to the degree of the probabilities as a
+    trig polynomial in the angle (degree 4 for the parallelized circuits),
+    so 2 * degree + 1 equally spaced nodes determine them at every angle.
     """
     degree = 2 * sum(gate.name in ("J", "JDAG") for gate in gates)
     nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
-    freqs = np.arange(1, degree + 1)
+    # a copy: the diagonal view would keep the whole density-matrix stack alive
+    diagonals = _noisy_diagonals(gates, n, nodes, noise).copy()
+    nodes.flags.writeable = diagonals.flags.writeable = False
+    return nodes, diagonals
+
+
+def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: NoiseModel) -> np.ndarray:
+    """Exact per-shot outcome distribution (length 2**n) under `noise`.
+
+    Every J and J-dagger of a shot uses the same angle, c + N(0, sigma^2)
+    with c = nominal + offset. Interpolating through the node values of
+    `_node_diagonals` (degree d, nodes theta_j) and damping frequency m by
+    exp(-m^2 sigma^2 / 2) gives the Gaussian average exactly, as
+    sum_j w_j diag(theta_j) with weights shifted by c:
+    w_j = (1 + 2 sum_m exp(-m^2 sigma^2 / 2) cos(m (theta_j - c))) / (2d + 1).
+    The readout matrix then acts on the average.
+    """
+    nodes, diagonals = _node_diagonals(gates, n, noise)
+    freqs = np.arange(1, len(nodes) // 2 + 1)
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
-    weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
     chi = nominal_chi + noise.chi_offset
-    probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise)
-    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
+    weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes - chi))) / len(nodes)
+    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(weights @ diagonals), 0.0, None)
     return probs / probs.sum()
 
 
@@ -366,16 +386,23 @@ def sample_outcomes(
     return sample_gate_outcomes(circuit.gate_sequence, N_QUBITS, circuit.chi, noise, shots, rng)
 
 
-def bayesian_split(
-    counts: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[PopulationVector, PopulationVector]:
-    """Assign each shot to the B1 pool with probability p, else B2. Per
-    outcome the B1 share is Binomial(count, p), the law of one coin per shot."""
+def split_counts(counts: np.ndarray, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Assign each shot to the B1 pool with probability p, else B2, and
+    return the two pools' counts. Per outcome the B1 share is
+    Binomial(count, p), the law of one coin per shot."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     counts = np.asarray(counts)
     to_b1 = rng.binomial(counts, p)
-    return PopulationVector(to_b1), PopulationVector(counts - to_b1)
+    return to_b1, counts - to_b1
+
+
+def bayesian_split(
+    counts: np.ndarray, p: float, rng: np.random.Generator
+) -> tuple[PopulationVector, PopulationVector]:
+    """`split_counts` with each pool as a `PopulationVector`."""
+    to_b1, to_b2 = split_counts(counts, p, rng)
+    return PopulationVector(to_b1), PopulationVector(to_b2)
 
 
 _CALIBRATION_GATES = (Gate("J", (0, 1)),)

@@ -3,18 +3,19 @@
 Two modes share one result schema. Analytic mode evaluates exact payoff
 tensors on the grid and solves each angle's p column at once with
 `nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
-draws one shot dataset per circuit variant, measures the angle from a
-separate calibration run, and re-splits the same dataset into the two type
-pools at every p, each split on its own keyed stream. The rest of the
-angle's column is one array pass: the pools, stacked as (variant, type, p,
-outcome), are SPAM-corrected, parsed into per-pair outcome distributions,
-turned into payoff arrays and composed into A's Bayesian payoffs per p,
-and only the observed cells' equilibrium solve runs cell by cell (their
-analytic references are one column solve). Those steps are
-`spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`
-and `compose`; `spam_correct` and `parse_branches` are the one-row case of
-the first two, and the last two take one row or a stack, so each check
-exists once.
+draws one shot dataset per circuit variant from `outcome_law` (which evolves
+each circuit once per noise model, not once per angle), measures the angle
+from a separate calibration run, and re-splits the same dataset into the two
+type pools at every p with `split_counts`, each split on its own keyed
+stream and written straight into a (variant, type, p, outcome) stack. The
+rest of the angle's column is one array pass: the stacked pools are
+SPAM-corrected, parsed into per-pair outcome distributions, turned into
+payoff arrays and composed into A's Bayesian payoffs per p, and only the
+observed cells' equilibrium solve runs cell by cell (their analytic
+references are one column solve). Those steps are `spam_correct_stack`,
+`branch_distributions`, `tensor_from_distributions` and `compose`;
+`spam_correct` and `parse_branches` are the one-row case of the first two,
+and the last two take one row or a stack, so each check exists once.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
 inversion) are recorded on the cell instead of aborting the sweep. A branch
@@ -72,7 +73,7 @@ from qgame.noise import (
     NoiseModel,
     PopulationVector,
     SpamCorrectionError,
-    bayesian_split,
+    bayesian_split,  # noqa: F401  perfbench/layertrace.py wraps it here
     child_rng,
     config_number,
     measure_chi,
@@ -80,6 +81,7 @@ from qgame.noise import (
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
+    split_counts,
 )
 from qgame.parallel import (
     N_OUTCOMES,
@@ -319,8 +321,7 @@ def _split_pools(config: ExperimentConfig, chi_pi: float, counts: list[np.ndarra
     for v, variant_counts in enumerate(counts):
         for n, p in enumerate(config.p_grid):
             rng = child_rng(config.seed, _chi_key(chi_pi), v, PURPOSE_SPLIT, _p_key(p))
-            for t, pool in enumerate(bayesian_split(variant_counts, p, rng)):
-                pools[v, t, n] = pool.counts
+            pools[v, 0, n], pools[v, 1, n] = split_counts(variant_counts, p, rng)
     # a pool emptied by the split (p at or near 0 or 1) estimates its game
     # tensor from the full unsplit dataset instead
     full = np.asarray(counts, dtype=float)[:, None, None, :]
@@ -478,7 +479,7 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) ->
                 for y in range(2):
                     for z in range(2):
                         weight = dist[branch_indices(x, y, z)].sum()
-                        aux_dev = max(aux_dev, abs(weight - 0.125))
+                        aux_dev = max(aux_dev, float(abs(weight - 0.125)))
             mapping = None if branch_maps is None else branch_maps.get(variant)
             parsed = parse_branches(dist, variant, mapping=mapping)
             max_linf = 0.0

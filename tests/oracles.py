@@ -5,7 +5,9 @@ dense matrices built by index arithmetic, plain triple loops for the
 equilibrium search. No code is shared with the package so that agreement
 between the two is meaningful. The exceptions are `reference_analytic_reports`
 and `reference_shot_sweep`, which check the sweep's batched columns against
-the package's own single-cell functions run cell by cell, and
+the package's own single-cell functions run cell by cell,
+`reference_outcome_law`, which evolves the package's density matrices at
+each call's own shifted angles instead of reusing cached node values, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
 through the stdlib's csv and json encoders.
 """
@@ -250,6 +252,23 @@ def trajectory_counts(
         is_one = (outcomes & bit) != 0
         outcomes[np.where(is_one, draws < flip_10, draws < flip_01)] ^= bit
     return np.bincount(outcomes, minlength=size)
+
+
+def reference_outcome_law(gates, n: int, nominal_chi: float, noise) -> np.ndarray:
+    """`noise.outcome_law` evaluated per angle: the density matrices evolve
+    at nominal + offset + each quadrature node, and the node weights carry
+    no shift."""
+    from qgame.noise import ConfusionMatrix, _noisy_diagonals
+
+    degree = 2 * sum(gate.name in ("J", "JDAG") for gate in gates)
+    nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
+    freqs = np.arange(1, degree + 1)
+    damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
+    weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
+    chi = nominal_chi + noise.chi_offset
+    probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise)
+    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
+    return probs / probs.sum()
 
 
 def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:

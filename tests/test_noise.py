@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame.noise import (
     ChiEstimate,
@@ -21,11 +23,12 @@ from qgame.noise import (
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
+    split_counts,
 )
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.statevector import Gate
 
-from oracles import CALIBRATION_GATES, parallel_gates, trajectory_counts
+from oracles import CALIBRATION_GATES, parallel_gates, reference_outcome_law, trajectory_counts
 
 ZERO = NoiseModel()
 HEAVY = replace(
@@ -36,6 +39,8 @@ HEAVY = replace(
     readout_flip_1to0=0.05,
     chi_jitter_sigma=0.2,
 )
+CROSSTALK_HEAVY = replace(HEAVY, crosstalk=0.03, chi_offset=0.05)
+NOISE_IDS = ["zero", "default", "crosstalk-heavy"]
 CALIBRATION = (Gate("J", (0, 1)),)  # the angle-calibration circuit
 
 
@@ -154,6 +159,20 @@ class TestOutcomeLaw:
             w * outcome_law(gates, n, chi + HEAVY.chi_jitter_sigma * x, fixed) for x, w in zip(nodes, weights)
         )
         assert np.abs(outcome_law(gates, n, chi, HEAVY) - quadrature).max() < 1e-12
+
+    @pytest.mark.parametrize("noise", [ZERO, NoiseModel.default_profile(), CROSSTALK_HEAVY], ids=NOISE_IDS)
+    @pytest.mark.parametrize("circuit", ["I", "X", "calibration", "empty"])
+    @settings(max_examples=25, deadline=None)
+    @given(chi=st.floats(0.0, np.pi / 4))
+    def test_node_law_matches_per_angle_evolution(self, noise, circuit, chi):
+        gates, n = {
+            "I": (build_circuit(Variant.I_CIRCUIT, 0.0).gate_sequence, N_QUBITS),
+            "X": (build_circuit(Variant.X_CIRCUIT, 0.0).gate_sequence, N_QUBITS),
+            "calibration": (CALIBRATION, 2),
+            "empty": ((), 2),
+        }[circuit]
+        law = outcome_law(gates, n, chi, noise)
+        assert np.abs(law - reference_outcome_law(gates, n, chi, noise)).max() <= 1e-14
 
 
 class TestNoiseModel:
@@ -336,6 +355,8 @@ class TestBayesianSplit:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             bayesian_split(np.zeros(32, dtype=int), 1.2, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            split_counts(np.zeros(32, dtype=int), -0.1, np.random.default_rng(0))
 
 
 class TestChiMeasurement:

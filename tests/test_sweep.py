@@ -15,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qgame.noise
 import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
 from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
-from qgame.noise import NoiseModel
-from qgame.parallel import Variant, branch_indices, branch_map
+from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, bayesian_split, child_rng, sample_outcomes
+from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
     DEFAULT_P_GRID,
@@ -29,6 +30,7 @@ from qgame.sweep import (
     ExperimentConfig,
     SweepResult,
     _analytic_reports,
+    _split_pools,
     emit_report,
     load_result,
     rmsd_analysis,
@@ -256,6 +258,41 @@ class TestShotSweep:
         # 24 corrected pools, one factorization
         assert all(cell.error is None for cell in result.cells)
         assert calls["cond"] <= 1 and calls["inv"] <= 1
+
+    @pytest.mark.parametrize("n_chi", [1, 5])
+    def test_each_circuit_evolved_once_per_sweep(self, monkeypatch, n_chi):
+        calls = {"n": 0}
+        real = qgame.noise._noisy_diagonals
+
+        def counting(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(qgame.noise, "_noisy_diagonals", counting)
+        qgame.noise._node_diagonals.cache_clear()
+        chi_grid_pi = tuple(0.05 * i for i in range(n_chi))
+        run_sweep(shot_config(chi_grid_pi=chi_grid_pi, p_grid=(0.3, 0.7), shots=2_000, noise=NoiseModel.default_profile()))
+        # the two variants plus the calibration circuit, whatever the number of angles
+        assert calls["n"] <= 3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_pools_match_per_key_bayesian_split(self, seed):
+        cfg = shot_config(p_grid=DEFAULT_P_GRID, shots=30_000, seed=seed, noise=NoiseModel.default_profile(seed))
+        chi_pi, chi_key = 0.15, 150_000
+        counts = [
+            sample_outcomes(
+                build_circuit(variant, chi_pi * np.pi), cfg.noise, cfg.shots, child_rng(seed, chi_key, v, PURPOSE_SAMPLE)
+            )
+            for v, variant in enumerate(Variant)
+        ]
+        pools = _split_pools(cfg, chi_pi, counts)
+        for v in range(len(Variant)):
+            for n, p in enumerate(cfg.p_grid):
+                rng = child_rng(seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
+                for t, pool in enumerate(bayesian_split(counts[v], p, rng)):
+                    # an emptied pool falls back to the full dataset
+                    expected = pool.counts if pool.total > 0 else counts[v]
+                    assert np.array_equal(pools[v, t, n], expected)
 
     def test_crosstalk_is_emulated_and_corrected(self):
         # emulation and SPAM correction share one readout matrix, crosstalk included
@@ -644,6 +681,13 @@ class TestCli:
         main(["sweep", "--mode", "analytic", "--out", str(tmp_path), "--seed", "77"])
         result = load_result(tmp_path / "sweep.json")
         assert result.config.seed == 77
+
+    def test_verify_csv_holds_plain_numbers_and_booleans(self, tmp_path):
+        assert main(["verify", "--chi-grid", "0,0.125,0.25", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "verify.csv").read_text()
+        assert "np." not in text
+        rows = list(csv.DictReader(text.splitlines()))
+        assert len(rows) == 6 and all(row["passed"] == "true" for row in rows)
 
     def test_verify_passes_on_default_grid(self, capsys):
         assert main(["verify", "--chi-grid", "0,0.125,0.25"]) == 0
