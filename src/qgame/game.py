@@ -1,5 +1,8 @@
 """Two-player game engine: entangle, apply local strategies, unentangle,
-convert the outcome distributions to 4x4 arrays of expected payoffs.
+convert the outcome distributions to 4x4 arrays of expected payoffs. The
+protocol is evolved for all 16 strategy pairs as one stack per angle. Each
+pair's payoffs are a 1-D dot of its own distribution: a stacked product
+rounds the last bit differently, and the analytic digest pins it.
 
 Outcome convention is fixed: |0> is cooperate, |1> is defect. Payoff
 tables are configuration inputs; the bundled defaults are the standard
@@ -14,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from qgame.statevector import Gate, apply_gate, check_chi
+from qgame.statevector import Gate, apply_gate, apply_matrix, check_chi, gate_matrix
 
 
 class Strategy(IntEnum):
@@ -100,27 +103,44 @@ _ENTANGLE = Gate("J", (0, 1))
 _UNENTANGLE = Gate("JDAG", (0, 1))
 
 
-def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
-    """Protocol amplitudes for one strategy pair on qubits (A, B) = (0, 1)."""
+# row 4*a + b of each stack is strategy pair (a, b): A's matrices on qubit 0, B's on qubit 1
+_STRATEGY_MATRICES = np.stack([gate_matrix(Gate(s.name, (0,)), 0.0) for s in STRATEGIES])
+_A_STACK, _B_STACK = np.repeat(_STRATEGY_MATRICES, 4, axis=0), np.tile(_STRATEGY_MATRICES, (4, 1, 1))
+
+
+def final_states(chi: float) -> np.ndarray:
+    """(16, 4) protocol amplitudes on qubits (A, B) = (0, 1): J|00> once,
+    each row's strategy pair (a, b) at row 4*a + b, J-dagger once."""
     check_chi(chi)
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
-    amps = apply_gate(amps, _ENTANGLE, chi)
-    amps = apply_gate(amps, Gate(u_a.name, (0,)), chi)
-    amps = apply_gate(amps, Gate(u_b.name, (1,)), chi)
+    amps = np.broadcast_to(apply_gate(np.eye(1, 4, dtype=np.complex128)[0], _ENTANGLE, chi), (16, 4))
+    amps = apply_matrix(amps, _A_STACK, (0,), 2)
+    amps = apply_matrix(amps, _B_STACK, (1,), 2)
     return apply_gate(amps, _UNENTANGLE, chi)
+
+
+def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
+    """Protocol amplitudes for one strategy pair."""
+    return final_states(chi)[4 * u_a + u_b]
 
 
 def payoff_tensor(chi: float, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
     """Expected (A, B) payoffs of one game at angle chi, each a 4x4 array
     indexed (strategy A, strategy B)."""
-    pay_a = np.empty((4, 4))
-    pay_b = np.empty((4, 4))
-    for i in STRATEGIES:
-        for j in STRATEGIES:
-            dist = np.abs(final_state(chi, i, j)) ** 2
-            pay_a[i, j], pay_b[i, j] = tensor_from_distributions(dist, table)
-    return pay_a, pay_b
+    dists = _distributions(np.abs(final_states(chi)) ** 2)
+    return tuple(np.array([d @ flat for d in dists]).reshape(4, 4) for flat in (table.a_flat, table.b_flat))
+
+
+def _distributions(dists) -> np.ndarray:
+    """`dists` as a contiguous float stack of checked 4-outcome distributions."""
+    # contiguous, so a row's sum does not depend on the stack's layout
+    dists = np.ascontiguousarray(dists, dtype=float)
+    if dists.shape[-1:] != (4,):
+        raise ValueError(f"distribution must have 4 entries, got {dists.shape[-1:]}")
+    sums = dists.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"distribution sums to {sums[off][0]}, not 1")
+    return dists
 
 
 def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
@@ -131,12 +151,5 @@ def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np
     distributions, indexed (strategy A, strategy B, outcome), give its two
     4x4 payoff arrays; further leading axes stack games.
     """
-    # contiguous, so a row's sum does not depend on the stack's layout
-    dists = np.ascontiguousarray(dists, dtype=float)
-    if dists.shape[-1:] != (4,):
-        raise ValueError(f"distribution must have 4 entries, got {dists.shape[-1:]}")
-    sums = dists.sum(axis=-1)
-    off = np.abs(sums - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"distribution sums to {sums[off][0]}, not 1")
+    dists = _distributions(dists)
     return dists @ table.a_flat, dists @ table.b_flat

@@ -58,7 +58,7 @@ from qgame.game import (
     DEFAULT_PAYOFF_B2,
     STRATEGIES,
     PayoffTable,
-    final_state,
+    final_states,
     payoff_tensor,
     profile_from_names,
     profile_names,
@@ -471,37 +471,23 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) ->
     rows = []
     for chi_pi in chi_grid_pi:
         chi = float(chi_pi) * np.pi
+        direct_dists = np.abs(final_states(chi)) ** 2  # row 4*a + b per strategy pair (a, b)
         for variant in Variant:
             circuit = build_circuit(variant, chi)
             dist = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
-            aux_dev = 0.0
-            for x in range(2):
-                for y in range(2):
-                    for z in range(2):
-                        weight = dist[branch_indices(x, y, z)].sum()
-                        aux_dev = max(aux_dev, float(abs(weight - 0.125)))
+            branches = itertools.product(range(2), repeat=3)
+            aux_dev = max(float(abs(dist[branch_indices(*xyz)].sum() - 0.125)) for xyz in branches)
             mapping = None if branch_maps is None else branch_maps.get(variant)
             parsed = parse_branches(dist, variant, mapping=mapping)
-            max_linf = 0.0
-            worst = ""
-            for pair in branch_map(variant).values():
-                if pair not in parsed:
-                    max_linf, worst = 1.0, f"{pair[0].name}{pair[1].name}"
-                    continue
-                direct = np.abs(final_state(chi, pair[0], pair[1])) ** 2
-                linf = float(np.abs(parsed[pair] - direct).max())
-                if linf > max_linf:
-                    max_linf, worst = linf, f"{pair[0].name}{pair[1].name}"
-            rows.append(
-                {
-                    "chi_pi": float(chi_pi),
-                    "variant": variant.value,
-                    "max_linf": max_linf,
-                    "aux_marginal_dev": aux_dev,
-                    "passed": max_linf < 1e-10 and aux_dev < 1e-12,
-                    "worst_branch": worst,
-                }
-            )
+            max_linf, worst = 0.0, ""
+            for a, b in branch_map(variant).values():
+                missing = (a, b) not in parsed
+                linf = 1.0 if missing else float(np.abs(parsed[a, b] - direct_dists[4 * a + b]).max())
+                if missing or linf > max_linf:
+                    max_linf, worst = linf, a.name + b.name
+            passed = max_linf < 1e-10 and aux_dev < 1e-12
+            rows.append({"chi_pi": float(chi_pi), "variant": variant.value, "max_linf": max_linf,
+                         "aux_marginal_dev": aux_dev, "passed": passed, "worst_branch": worst})
     return rows
 
 

@@ -3,9 +3,12 @@
 Everything here is deliberately written the slow, obvious way: explicit
 dense matrices built by index arithmetic, plain triple loops for the
 equilibrium search. No code is shared with the package so that agreement
-between the two is meaningful. The exceptions are `reference_analytic_reports`
-and `reference_shot_sweep`, which check the sweep's batched columns against
-the package's own single-cell functions run cell by cell,
+between the two is meaningful. The exceptions are `reference_payoff_tensor`,
+which evolves each strategy pair on its own through the package's gate
+apply so its bits pin the stacked `payoff_tensor`,
+`reference_analytic_reports` and `reference_shot_sweep`, which check the
+sweep's batched columns against the package's own single-cell functions
+run cell by cell,
 `reference_outcome_law`, which evolves the package's density matrices at
 each call's own shifted angles instead of reusing cached node values, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
@@ -279,6 +282,25 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
     else:
         u_b = "Y" if z else "X"
     return u_a, u_b
+
+
+def reference_payoff_tensor(chi: float, table):
+    """A game's (A, B) 4x4 payoff arrays, one strategy pair at a time: each
+    pair's protocol state from its own four single-vector gate applications,
+    its payoffs from its own distribution."""
+    from qgame.game import STRATEGIES, tensor_from_distributions
+    from qgame.statevector import Gate, apply_gate, check_chi
+
+    check_chi(chi)
+    pay_a, pay_b = np.empty((4, 4)), np.empty((4, 4))
+    for i in STRATEGIES:
+        for j in STRATEGIES:
+            amps = np.zeros(4, dtype=np.complex128)
+            amps[0] = 1.0
+            for gate in (Gate("J", (0, 1)), Gate(i.name, (0,)), Gate(j.name, (1,)), Gate("JDAG", (0, 1))):
+                amps = apply_gate(amps, gate, chi)
+            pay_a[i, j], pay_b[i, j] = tensor_from_distributions(np.abs(amps) ** 2, table)
+    return pay_a, pay_b
 
 
 def reference_analytic_reports(chi: float, tables, p_grid, delta: float):

@@ -13,6 +13,7 @@ from qgame.game import (
     PayoffTable,
     Strategy,
     final_state,
+    final_states,
     payoff_tensor,
     profile_from_names,
     profile_names,
@@ -113,6 +114,50 @@ def test_tensor_matches_dense_oracle_on_grid():
             want_a, want_b = oracles.game_tensor_dense(chi, table.to_rows())
             np.testing.assert_allclose(pay_a, want_a, atol=1e-10)
             np.testing.assert_allclose(pay_b, want_b, atol=1e-10)
+
+
+def test_final_states_rows_match_dense_oracle():
+    for chi in (0.0, np.pi / 8, np.pi / 4):
+        states = final_states(chi)
+        assert states.shape == (16, 4)
+        for i in Strategy:
+            for j in Strategy:
+                want = oracles.final_state_dense(chi, i.name, j.name)
+                np.testing.assert_allclose(states[4 * i + j], want, atol=1e-12)
+
+
+def test_final_states_rows_are_normalized():
+    for chi in CHI_GRID:
+        np.testing.assert_allclose((np.abs(final_states(chi)) ** 2).sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_final_states_rejects_the_angle_final_state_rejects():
+    messages = []
+    for evolve in (final_states, lambda chi: final_state(chi, Strategy.I, Strategy.I)):
+        with pytest.raises(ValueError) as info:
+            evolve(-0.01)
+        messages.append(str(info.value))
+    assert messages == ["chi=-0.01 outside [0, pi/4]"] * 2
+
+
+def test_payoff_tensor_bits_match_per_pair_reference():
+    # the stacked evolution and per-row dots keep the per-pair loop's bits,
+    # which the pinned analytic digest depends on
+    for chi in np.linspace(0.0, np.pi / 4, 201):
+        for table in (DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2):
+            got, want = payoff_tensor(chi, table), oracles.reference_payoff_tensor(chi, table)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@given(
+    chi=st.floats(min_value=0.0, max_value=float(np.pi / 4)),
+    entries=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=8, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_payoff_tensor_bits_match_per_pair_reference_on_drawn_tables(chi, entries):
+    table = PayoffTable(np.reshape(entries[:4], (2, 2)), np.reshape(entries[4:], (2, 2)))
+    got, want = payoff_tensor(chi, table), oracles.reference_payoff_tensor(chi, table)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_classical_limit_is_deterministic():

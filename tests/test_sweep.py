@@ -386,6 +386,16 @@ class TestTracedBenchmark:
         assert tracer.counts["game.payoff_tensor.calls"] == 2 * len(cfg.chi_grid_pi)
         assert tracer.counts["bayesian.compose.calls"] == len(cfg.chi_grid_pi)
 
+    def test_payoff_tensor_evolves_all_pairs_in_one_stack(self):
+        # at most four gate applications per payoff array; evolving the
+        # strategy pairs one at a time takes 64
+        cfg = analytic_config(chi_grid_pi=(0.05, 0.25))
+        with load_layertrace().Tracer() as tracer:
+            run_sweep(cfg)
+        calls = tracer.counts["game.payoff_tensor.calls"]
+        assert calls > 0
+        assert tracer.counts["statevector.apply_gate.calls"] <= 4 * calls
+
     def test_layer_counts_account_for_failed_cells(self):
         # the starved sweep above, widened to p = 0 and 1 where one pool
         # falls back to the full dataset, so cells both fail and succeed
