@@ -118,11 +118,6 @@ def final_states(chi: float) -> np.ndarray:
     return apply_gate(amps, _UNENTANGLE, chi)
 
 
-def final_state(chi: float, u_a: Strategy, u_b: Strategy) -> np.ndarray:
-    """Protocol amplitudes for one strategy pair."""
-    return final_states(chi)[4 * u_a + u_b]
-
-
 def payoff_tensor(chi: float, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
     """Expected (A, B) payoffs of one game at angle chi, each a 4x4 array
     indexed (strategy A, strategy B)."""

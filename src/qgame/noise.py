@@ -10,15 +10,18 @@ entangling angle, so their values at a few fixed angle nodes determine
 them at every angle. Those node values come from one density-matrix
 evolution through the gates, each gate followed by its depolarizing
 channel, with the nodes' density matrices evolving together as one stack.
-It runs once per (gates, qubit count, noise model) and is cached, so a
-sweep evolves each circuit once, not once per angle. The law at an angle
-is then a weighted sum of the node values, the weights folding in the
-systematic offset and the Gaussian spread of the angle, followed by the
-readout confusion matrix, the same matrix that SPAM correction inverts.
+It runs once per (gates, qubit count, depolarization probabilities) and is
+cached, so a sweep evolves each circuit once, not once per angle, and
+models that differ only in readout, angle error or seed share it. The law
+at an angle is then a weighted sum of the node values, the weights folding
+in the systematic offset and the Gaussian spread of the angle, followed by
+the readout confusion matrix, the same matrix that SPAM correction inverts.
 A confusion matrix computes its condition number and inverse once, so
 correcting a pool is one matrix-vector product, and a stack of pools is
 corrected in one call. Sampling then draws counts, never per-shot
-outcomes, and the type split draws a binomial per outcome count.
+outcomes, and the type split draws a binomial per outcome count. A
+population is a plain 32-entry count array, and each single-row function
+is the one-row case of its stacked form.
 
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (grid point, circuit variant,
@@ -121,28 +124,6 @@ class NoiseModel:
         if extra:
             raise ValueError(f"unknown noise fields: {sorted(extra)}")
         return cls(**data)
-
-
-@dataclass(frozen=True)
-class PopulationVector:
-    """Counts (or frequencies) over the 32 five-qubit outcomes."""
-
-    counts: np.ndarray
-
-    __eq__ = array_eq
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=float).copy()
-        if counts.shape != (N_OUTCOMES,):
-            raise ValueError(f"expected {N_OUTCOMES} entries, got {counts.shape}")
-        if not np.isfinite(counts).all() or (counts < 0).any():
-            raise ValueError("counts must be finite and nonnegative")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
 
 
 def _per_qubit_confusion(p01: float, p10: float) -> np.ndarray:
@@ -254,16 +235,21 @@ def spam_correct_stack(
     return clipped * (total / np.where(failed, 1.0, scale))[..., None], failed, worst
 
 
-def spam_correct(populations: PopulationVector, confusion: ConfusionMatrix) -> PopulationVector:
-    """One population's case of `spam_correct_stack`; a failed row raises."""
-    corrected, failed, worst = spam_correct_stack(populations.counts, confusion)
+def spam_correct(counts: np.ndarray, confusion: ConfusionMatrix) -> np.ndarray:
+    """One 32-entry count array's case of `spam_correct_stack`; a failed row raises."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (N_OUTCOMES,):
+        raise ValueError(f"expected {N_OUTCOMES} entries, got {counts.shape}")
+    if not np.isfinite(counts).all() or (counts < 0).any():
+        raise ValueError("counts must be finite and nonnegative")
+    corrected, failed, worst = spam_correct_stack(counts, confusion)
     if failed:
         if worst < 0:  # else every entry was 0 and clipping left nothing
             raise SpamCorrectionError(
-                f"corrected population {worst:.4g} below -{_NEGATIVE_FLOOR} of total {populations.total:.4g}"
+                f"corrected population {worst:.4g} below -{_NEGATIVE_FLOOR} of total {counts.sum():.4g}"
             )
         raise SpamCorrectionError("correction wiped out all population")
-    return PopulationVector(corrected)
+    return corrected
 
 
 class ChiEstimate(NamedTuple):
@@ -301,7 +287,9 @@ def _twirl(rho: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     return tensor.reshape(rho.shape)
 
 
-def _noisy_diagonals(gates: tuple[Gate, ...], n: int, chis: np.ndarray, noise: NoiseModel) -> np.ndarray:
+def _noisy_diagonals(
+    gates: tuple[Gate, ...], n: int, chis: np.ndarray, single_qubit_depol: float, two_qubit_depol: float
+) -> np.ndarray:
     """Outcome probabilities before readout, one row per entangling angle.
 
     The density matrices at all angles evolve as one stack of 2n-qubit
@@ -318,16 +306,19 @@ def _noisy_diagonals(gates: tuple[Gate, ...], n: int, chis: np.ndarray, noise: N
         columns = tuple(n + t for t in gate.targets)
         rho = apply_matrix(apply_matrix(rho, mat, gate.targets, 2 * n), mat.conj(), columns, 2 * n)
         k = len(gate.targets)
-        prob = noise.two_qubit_depol if k == 2 else noise.single_qubit_depol
+        prob = two_qubit_depol if k == 2 else single_qubit_depol
         weight = prob * 4**k / (4**k - 1)
         rho = (1 - weight) * rho + weight * _twirl(rho, gate.targets, n)
     return rho.reshape(len(chis), 2**n, 2**n).diagonal(axis1=1, axis2=2).real
 
 
 @lru_cache(maxsize=8)
-def _node_diagonals(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def _node_diagonals(
+    gates: tuple[Gate, ...], n: int, single_qubit_depol: float, two_qubit_depol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The angle nodes 2 pi j / (2 degree + 1) and the outcome probabilities
-    before readout at each, evaluated once per (gates, n, noise).
+    before readout at each, evaluated once per (gates, n, depolarization
+    probabilities): no other noise source acts before readout.
 
     Every J and J-dagger adds 2 to the degree of the probabilities as a
     trig polynomial in the angle (degree 4 for the parallelized circuits),
@@ -336,7 +327,7 @@ def _node_diagonals(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple
     degree = 2 * sum(gate.name in ("J", "JDAG") for gate in gates)
     nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
     # a copy: the diagonal view would keep the whole density-matrix stack alive
-    diagonals = _noisy_diagonals(gates, n, nodes, noise).copy()
+    diagonals = _noisy_diagonals(gates, n, nodes, single_qubit_depol, two_qubit_depol).copy()
     nodes.flags.writeable = diagonals.flags.writeable = False
     return nodes, diagonals
 
@@ -352,7 +343,7 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     w_j = (1 + 2 sum_m exp(-m^2 sigma^2 / 2) cos(m (theta_j - c))) / (2d + 1).
     The readout matrix then acts on the average.
     """
-    nodes, diagonals = _node_diagonals(gates, n, noise)
+    nodes, diagonals = _node_diagonals(gates, n, noise.single_qubit_depol, noise.two_qubit_depol)
     freqs = np.arange(1, len(nodes) // 2 + 1)
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
     chi = nominal_chi + noise.chi_offset
@@ -395,14 +386,6 @@ def split_counts(counts: np.ndarray, p: float, rng: np.random.Generator) -> tupl
     counts = np.asarray(counts)
     to_b1 = rng.binomial(counts, p)
     return to_b1, counts - to_b1
-
-
-def bayesian_split(
-    counts: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[PopulationVector, PopulationVector]:
-    """`split_counts` with each pool as a `PopulationVector`."""
-    to_b1, to_b2 = split_counts(counts, p, rng)
-    return PopulationVector(to_b1), PopulationVector(to_b2)
 
 
 _CALIBRATION_GATES = (Gate("J", (0, 1)),)

@@ -4,7 +4,7 @@ Two modes share one result schema. Analytic mode evaluates exact payoff
 tensors on the grid and solves each angle's p column at once with
 `nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant from `outcome_law` (which evolves
-each circuit once per noise model, not once per angle), measures the angle
+each circuit once per depolarization, not once per angle), measures the angle
 from a separate calibration run, and re-splits the same dataset into the two
 type pools at every p with `split_counts`, each split on its own keyed
 stream and written straight into a (variant, type, p, outcome) stack. The
@@ -71,9 +71,7 @@ from qgame.noise import (
     ChiEstimate,
     ConfusionMatrix,
     NoiseModel,
-    PopulationVector,
     SpamCorrectionError,
-    bayesian_split,  # noqa: F401  perfbench/layertrace.py wraps it here
     child_rng,
     config_number,
     measure_chi,
@@ -95,6 +93,10 @@ from qgame.parallel import (
     parse_branches,
 )
 from qgame.statevector import CHI_MAX, check_chi
+
+# The sweep never calls this name; perfbench/layertrace.py still traces it. It
+# goes away with that trace point when the benchmark traces the stacked steps.
+bayesian_split = split_counts
 
 SCHEMA_VERSION = 3
 MODE_ANALYTIC = "analytic"
@@ -334,9 +336,9 @@ def _cell_error(pools: np.ndarray, confusion: ConfusionMatrix) -> str:
     try:
         for variant, variant_pools in zip(Variant, pools):
             for pool in variant_pools:
-                corrected = spam_correct(PopulationVector(pool), confusion)
+                corrected = spam_correct(pool, confusion)
                 parse_branches(pool, variant)
-                parse_branches(corrected.counts, variant)
+                parse_branches(corrected, variant)
     except (SpamCorrectionError, EmptyBranchError) as exc:
         return str(exc)
     raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
@@ -663,4 +665,7 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
 
 def load_result(json_path) -> SweepResult:
     with open(json_path) as handle:
-        return result_from_dict(json.load(handle))
+        try:
+            return result_from_dict(json.load(handle))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad result file {json_path}: {type(exc).__name__}: {exc}") from exc

@@ -269,7 +269,7 @@ def reference_outcome_law(gates, n: int, nominal_chi: float, noise) -> np.ndarra
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
     weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
     chi = nominal_chi + noise.chi_offset
-    probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise)
+    probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise.single_qubit_depol, noise.two_qubit_depol)
     probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
     return probs / probs.sum()
 
@@ -334,13 +334,12 @@ def reference_shot_sweep(config):
         PURPOSE_SAMPLE,
         PURPOSE_SPLIT,
         ConfusionMatrix,
-        PopulationVector,
         SpamCorrectionError,
-        bayesian_split,
         child_rng,
         measure_chi,
         sample_outcomes,
         spam_correct,
+        split_counts,
     )
     from qgame.parallel import EmptyBranchError, Variant, build_circuit, parse_branches
     from qgame.statevector import CHI_MAX
@@ -369,12 +368,12 @@ def reference_shot_sweep(config):
                 dists = ({}, {})
                 for v, variant in enumerate(Variant):
                     split_rng = child_rng(config.seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
-                    for t, pool in enumerate(bayesian_split(counts[v], p, split_rng)):
-                        if pool.total == 0:
-                            pool = PopulationVector(counts[v])
+                    for t, pool in enumerate(split_counts(counts[v], p, split_rng)):
+                        if pool.sum() == 0:
+                            pool = counts[v]
                         corrected = spam_correct(pool, confusion)
-                        parse_branches(pool.counts, variant)  # a branch without raw shots is empty
-                        dists[t].update(parse_branches(corrected.counts, variant))
+                        parse_branches(pool, variant)  # a branch without raw shots is empty
+                        dists[t].update(parse_branches(corrected, variant))
             except (SpamCorrectionError, EmptyBranchError) as exc:
                 column.append(CellResult(chi_pi, chi_ref / np.pi, p, None, None, error=str(exc)))
                 continue

@@ -11,7 +11,7 @@ import numpy as np
 
 from qgame.equilibrium import DELTA_SHOTS
 from qgame.game import PayoffTable, profile_from_names
-from qgame.noise import ConfusionMatrix, NoiseModel, PopulationVector, outcome_law, spam_correct
+from qgame.noise import ConfusionMatrix, NoiseModel, outcome_law, spam_correct
 from qgame.sweep import ExperimentConfig, emit_report, run_sweep, verify_parallelization
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 
@@ -137,8 +137,8 @@ def test_criterion_6_shot_convergence():
     circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
     truth = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel()) * 30_000
     conf = ConfusionMatrix.from_flips(0.006, 0.006)
-    recovered = spam_correct(PopulationVector(conf.apply(truth)), conf)
-    spam_err = float(np.abs(recovered.counts - truth).max())
+    recovered = spam_correct(conf.apply(truth), conf)
+    spam_err = float(np.abs(recovered - truth).max())
     ok = sets_match and payoffs_close and spam_err < 1e-9
     check(
         ok,

@@ -12,14 +12,13 @@ from qgame.game import (
     DEFAULT_PAYOFF_B2,
     PayoffTable,
     Strategy,
-    final_state,
     final_states,
     payoff_tensor,
     profile_from_names,
     profile_names,
     tensor_from_distributions,
 )
-from qgame.noise import ConfusionMatrix, PopulationVector
+from qgame.noise import ConfusionMatrix
 
 import oracles
 
@@ -27,13 +26,13 @@ CHI_GRID = [k * np.pi / 40 for k in range(11)]
 
 
 def test_final_state_classical_identity():
-    state = final_state(0.0, Strategy.I, Strategy.I)
+    state = final_states(0.0)[4 * Strategy.I + Strategy.I]
     np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_final_state_max_entanglement_xx():
     # frozen from hand multiplication; the unentangler restores |11> exactly
-    state = final_state(np.pi / 4, Strategy.X, Strategy.X)
+    state = final_states(np.pi / 4)[4 * Strategy.X + Strategy.X]
     np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-12)
     dense = oracles.final_state_dense(np.pi / 4, "X", "X")
     np.testing.assert_allclose(state, dense, atol=1e-12)
@@ -41,7 +40,7 @@ def test_final_state_max_entanglement_xx():
 
 def test_final_state_max_entanglement_z_alone():
     # probabilities (0,0,0,1): a lone Z flips the outcome at full entanglement
-    dist = np.abs(final_state(np.pi / 4, Strategy.Z, Strategy.I)) ** 2
+    dist = np.abs(final_states(np.pi / 4)[4 * Strategy.Z + Strategy.I]) ** 2
     np.testing.assert_allclose(dist, [0, 0, 0, 1], atol=1e-12)
 
 
@@ -132,8 +131,9 @@ def test_final_states_rows_are_normalized():
 
 
 def test_final_states_rejects_the_angle_final_state_rejects():
+    # the one angle check, shared by the protocol states and the payoff arrays
     messages = []
-    for evolve in (final_states, lambda chi: final_state(chi, Strategy.I, Strategy.I)):
+    for evolve in (final_states, lambda chi: payoff_tensor(chi, DEFAULT_PAYOFF_B1)):
         with pytest.raises(ValueError) as info:
             evolve(-0.01)
         messages.append(str(info.value))
@@ -162,9 +162,10 @@ def test_payoff_tensor_bits_match_per_pair_reference_on_drawn_tables(chi, entrie
 
 def test_classical_limit_is_deterministic():
     # chi=0: every distribution is a basis outcome; {I,Z} play C, {X,Y} play D
+    dists = np.abs(final_states(0.0)) ** 2
     for i in Strategy:
         for j in Strategy:
-            dist = np.abs(final_state(0.0, i, j)) ** 2
+            dist = dists[4 * i + j]
             assert np.max(dist) > 1 - 1e-12
             a = 1 if i in (Strategy.X, Strategy.Y) else 0
             b = 1 if j in (Strategy.X, Strategy.Y) else 0
@@ -178,7 +179,7 @@ def test_classical_limit_is_deterministic():
 )
 @settings(max_examples=80, deadline=None)
 def test_payoffs_within_table_envelope(chi, i, j):
-    dist = np.abs(final_state(chi, i, j)) ** 2
+    dist = np.abs(final_states(chi)[4 * i + j]) ** 2
     pay_a, pay_b = tensor_from_distributions(dist, DEFAULT_PAYOFF_B1)
     assert DEFAULT_PAYOFF_B1.a.min() - 1e-9 <= pay_a <= DEFAULT_PAYOFF_B1.a.max() + 1e-9
     assert DEFAULT_PAYOFF_B1.b.min() - 1e-9 <= pay_b <= DEFAULT_PAYOFF_B1.b.max() + 1e-9
@@ -205,7 +206,7 @@ def test_payoff_table_json_round_trip():
 
 def test_chi_out_of_range_rejected():
     with pytest.raises(ValueError):
-        final_state(np.pi / 2, Strategy.I, Strategy.I)
+        final_states(np.pi / 2)
     with pytest.raises(ValueError):
         payoff_tensor(-0.1, DEFAULT_PAYOFF_B1)
 
@@ -222,7 +223,6 @@ def test_profile_string_round_trip():
 ARRAY_DATACLASSES = {
     "PayoffTable": lambda v: PayoffTable.from_rows((DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2)[v].to_rows()),
     "ConfusionMatrix": lambda v: ConfusionMatrix(np.roll(np.eye(4), v, axis=0)),
-    "PopulationVector": lambda v: PopulationVector(np.arange(32.0) + v),
 }
 
 

@@ -12,9 +12,7 @@ from qgame.noise import (
     ChiEstimate,
     ConfusionMatrix,
     NoiseModel,
-    PopulationVector,
     SpamCorrectionError,
-    bayesian_split,
     child_rng,
     estimate_chi_from_counts,
     measure_chi,
@@ -227,26 +225,25 @@ class TestSpamCorrection:
         circuit = build_circuit(Variant.X_CIRCUIT, np.pi / 8)
         truth = zero_noise_law(circuit) * 30_000
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
-        smeared = PopulationVector(conf.apply(truth))
-        corrected = spam_correct(smeared, conf)
-        assert np.abs(corrected.counts - truth).max() < 1e-9
-        assert corrected.total == pytest.approx(30_000)
+        corrected = spam_correct(conf.apply(truth), conf)
+        assert np.abs(corrected - truth).max() < 1e-9
+        assert corrected.sum() == pytest.approx(30_000)
 
     def test_identity_confusion_is_noop(self):
-        pops = PopulationVector(np.full(32, 10.0))
+        pops = np.full(32, 10.0)
         corrected = spam_correct(pops, ConfusionMatrix(np.eye(32)))
-        assert np.allclose(corrected.counts, pops.counts)
+        assert np.allclose(corrected, pops)
 
     def test_correction_improves_sampled_estimate(self):
         circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
         exact = zero_noise_law(circuit)
         noise = NoiseModel(readout_flip_0to1=0.01, readout_flip_1to0=0.012)
         shots = 200_000
-        raw = PopulationVector(sample_outcomes(circuit, noise, shots, np.random.default_rng(21)))
+        raw = sample_outcomes(circuit, noise, shots, np.random.default_rng(21))
         conf = ConfusionMatrix.from_noise(noise)
         corrected = spam_correct(raw, conf)
-        err_raw = np.abs(raw.counts / raw.total - exact).sum()
-        err_corrected = np.abs(corrected.counts / corrected.total - exact).sum()
+        err_raw = np.abs(raw / raw.sum() - exact).sum()
+        err_corrected = np.abs(corrected / corrected.sum() - exact).sum()
         assert err_corrected < err_raw
 
     def test_inconsistent_populations_raise(self):
@@ -256,7 +253,7 @@ class TestSpamCorrection:
         counts[0] = 1_000.0
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
         with pytest.raises(SpamCorrectionError, match="below"):
-            spam_correct(PopulationVector(counts), conf)
+            spam_correct(counts, conf)
 
     def test_matches_linear_solve_on_random_pools(self):
         # the cached inverse stands in for a solve per call
@@ -264,24 +261,23 @@ class TestSpamCorrection:
         conf = ConfusionMatrix.from_flips(0.03, 0.05, crosstalk=0.02)
         for _ in range(20):
             truth = rng.dirichlet(np.ones(32)) * rng.integers(100, 100_000)
-            pops = PopulationVector(conf.apply(truth))
-            want = np.linalg.solve(conf.matrix, pops.counts)
-            got = spam_correct(pops, conf).counts
-            assert np.abs(got - want).max() <= 1e-12 * pops.total
+            pops = conf.apply(truth)
+            want = np.linalg.solve(conf.matrix, pops)
+            got = spam_correct(pops, conf)
+            assert np.abs(got - want).max() <= 1e-12 * pops.sum()
         # and the negative floor rejects exactly what the solve rejects
         counts = np.zeros(32)
         counts[0] = 1_000.0
         worst = np.linalg.solve(conf.matrix, counts).min()
         message = f"corrected population {worst:.4g} below -0.001 of total {1000.0:.4g}"
         with pytest.raises(SpamCorrectionError) as caught:
-            spam_correct(PopulationVector(counts), conf)
+            spam_correct(counts, conf)
         assert str(caught.value) == message
 
     def test_singular_confusion_rejected(self):
         conf = ConfusionMatrix.from_flips(0.5, 0.5)
-        pops = PopulationVector(np.full(32, 1.0))
         with pytest.raises(SpamCorrectionError, match="ill-conditioned"):
-            spam_correct(pops, conf)
+            spam_correct(np.full(32, 1.0), conf)
 
     def test_small_negatives_clipped_and_total_preserved(self):
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
@@ -291,9 +287,9 @@ class TestSpamCorrection:
         smeared = conf.apply(truth)
         # nudge one channel just below its consistent value
         smeared[1] = max(smeared[1] - 0.4, 0.0)
-        corrected = spam_correct(PopulationVector(smeared), conf)
-        assert (corrected.counts >= 0).all()
-        assert corrected.total == pytest.approx(smeared.sum())
+        corrected = spam_correct(smeared, conf)
+        assert (corrected >= 0).all()
+        assert corrected.sum() == pytest.approx(smeared.sum())
 
 
     def test_stack_rows_match_single_calls(self):
@@ -309,52 +305,63 @@ class TestSpamCorrection:
         corrected, failed, worst = spam_correct_stack(stack, conf)
         assert failed[0, 1] and failed[2, 3] and failed.sum() == 2
         for index in np.ndindex(failed.shape):
-            pops = PopulationVector(stack[index])
+            pops = stack[index]
             if not failed[index]:
-                np.testing.assert_allclose(corrected[index], spam_correct(pops, conf).counts, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(corrected[index], spam_correct(pops, conf), rtol=0, atol=1e-12)
                 continue
             with pytest.raises(SpamCorrectionError) as caught:
                 spam_correct(pops, conf)
-            if pops.total > 0:
-                want = f"corrected population {worst[index]:.4g} below -0.001 of total {pops.total:.4g}"
+            if pops.sum() > 0:
+                want = f"corrected population {worst[index]:.4g} below -0.001 of total {pops.sum():.4g}"
             else:
                 want = "correction wiped out all population"
             assert str(caught.value) == want
+
+    def test_shape_and_sign_validation(self):
+        conf = ConfusionMatrix.from_flips(0.006, 0.006)
+        with pytest.raises(ValueError, match="expected 32 entries"):
+            spam_correct(np.zeros(16), conf)
+        with pytest.raises(ValueError, match="expected 32 entries"):
+            spam_correct(np.ones((2, 32)), conf)  # a stack goes through spam_correct_stack
+        for value in (-1.0, np.nan, np.inf):
+            bad = np.zeros(32)
+            bad[2] = value
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                spam_correct(bad, conf)
 
 
 class TestBayesianSplit:
     def test_split_sizes_are_binomial(self):
         counts = np.zeros(32, dtype=np.int64)
         counts[0] = 100_000
-        pool_b1, pool_b2 = bayesian_split(counts, 0.3, np.random.default_rng(12))
-        assert pool_b1.total + pool_b2.total == 100_000
-        assert abs(pool_b1.total / 100_000 - 0.3) < binomial_bound(0.3, 100_000)
+        pool_b1, pool_b2 = split_counts(counts, 0.3, np.random.default_rng(12))
+        assert pool_b1.sum() + pool_b2.sum() == 100_000
+        assert abs(pool_b1.sum() / 100_000 - 0.3) < binomial_bound(0.3, 100_000)
 
     def test_degenerate_probabilities(self):
         counts = np.ones(32, dtype=np.int64)
-        all_b1, none_b1 = bayesian_split(counts, 1.0, np.random.default_rng(0))
-        assert all_b1.total == 32 and none_b1.total == 0
-        none_b2, all_b2 = bayesian_split(counts, 0.0, np.random.default_rng(0))
-        assert none_b2.total == 0 and all_b2.total == 32
+        all_b1, none_b1 = split_counts(counts, 1.0, np.random.default_rng(0))
+        assert all_b1.sum() == 32 and none_b1.sum() == 0
+        none_b2, all_b2 = split_counts(counts, 0.0, np.random.default_rng(0))
+        assert none_b2.sum() == 0 and all_b2.sum() == 32
 
     def test_split_preserves_counts_per_outcome(self):
         counts = np.random.default_rng(8).multinomial(5_000, np.full(32, 1 / 32))
-        pool_b1, pool_b2 = bayesian_split(counts, 0.4, np.random.default_rng(4))
-        combined = pool_b1.counts + pool_b2.counts
-        assert np.array_equal(combined, counts.astype(float))
+        pool_b1, pool_b2 = split_counts(counts, 0.4, np.random.default_rng(4))
+        assert np.array_equal(pool_b1 + pool_b2, counts)
 
     def test_split_is_independent_of_outcome_value(self):
         # each pool's frequencies estimate the same underlying distribution
         circuit = build_circuit(Variant.I_CIRCUIT, 0.1 * np.pi)
         counts = sample_outcomes(circuit, ZERO, 120_000, np.random.default_rng(31))
-        pool_b1, _ = bayesian_split(counts, 0.5, np.random.default_rng(9))
+        pool_b1, _ = split_counts(counts, 0.5, np.random.default_rng(9))
         full = counts / counts.sum()
-        diff = np.abs(pool_b1.counts / pool_b1.total - full)
-        assert diff.max() < 5.0 * np.sqrt(0.25 / pool_b1.total)
+        diff = np.abs(pool_b1 / pool_b1.sum() - full)
+        assert diff.max() < 5.0 * np.sqrt(0.25 / pool_b1.sum())
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            bayesian_split(np.zeros(32, dtype=int), 1.2, np.random.default_rng(0))
+            split_counts(np.zeros(32, dtype=int), 1.2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             split_counts(np.zeros(32, dtype=int), -0.1, np.random.default_rng(0))
 
@@ -392,13 +399,3 @@ class TestChiMeasurement:
             estimate_chi_from_counts(101, 100)
         with pytest.raises(ValueError):
             estimate_chi_from_counts(5, 0)
-
-
-class TestPopulationVector:
-    def test_shape_and_sign_validation(self):
-        with pytest.raises(ValueError):
-            PopulationVector(np.zeros(16))
-        bad = np.zeros(32)
-        bad[2] = -1.0
-        with pytest.raises(ValueError):
-            PopulationVector(bad)

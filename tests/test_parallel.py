@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qgame.game import Strategy, final_state
+from qgame.game import Strategy, final_states
 from qgame.noise import NoiseModel, outcome_law
 from qgame.parallel import (
     N_QUBITS,
@@ -31,7 +31,7 @@ def exact_law(variant, chi):
 
 
 def direct_law(chi, u_a, u_b):
-    return np.abs(final_state(chi, u_a, u_b)) ** 2
+    return np.abs(final_states(chi)[4 * u_a + u_b]) ** 2
 
 
 def test_gate_sequence_layout():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame.game import Strategy, final_state
+from qgame.game import final_states
 from qgame.noise import NoiseModel, outcome_law
 from qgame.statevector import (
     CHI_MAX,
@@ -145,7 +145,7 @@ def test_chi_out_of_range_rejected():
     with pytest.raises(ValueError):
         check_chi(np.pi / 4 + 0.01)
     with pytest.raises(ValueError):
-        final_state(-0.01, Strategy.I, Strategy.I)
+        final_states(-0.01)
 
 
 def test_xx_rotation_sign_convention():

@@ -20,7 +20,7 @@ import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
 from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
-from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, bayesian_split, child_rng, sample_outcomes
+from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, child_rng, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
@@ -271,12 +271,16 @@ class TestShotSweep:
         monkeypatch.setattr(qgame.noise, "_noisy_diagonals", counting)
         qgame.noise._node_diagonals.cache_clear()
         chi_grid_pi = tuple(0.05 * i for i in range(n_chi))
-        run_sweep(shot_config(chi_grid_pi=chi_grid_pi, p_grid=(0.3, 0.7), shots=2_000, noise=NoiseModel.default_profile()))
+        noise = NoiseModel.default_profile()
+        # the node values depend on the depolarization alone, so a model that
+        # differs in seed or angle offset reuses them
+        for model in (noise, replace(noise, seed=1), replace(noise, chi_offset=0.01)):
+            run_sweep(shot_config(chi_grid_pi=chi_grid_pi, p_grid=(0.3, 0.7), shots=2_000, noise=model))
         # the two variants plus the calibration circuit, whatever the number of angles
         assert calls["n"] <= 3
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_split_pools_match_per_key_bayesian_split(self, seed):
+    def test_split_pools_match_per_key_split_counts(self, seed):
         cfg = shot_config(p_grid=DEFAULT_P_GRID, shots=30_000, seed=seed, noise=NoiseModel.default_profile(seed))
         chi_pi, chi_key = 0.15, 150_000
         counts = [
@@ -289,9 +293,9 @@ class TestShotSweep:
         for v in range(len(Variant)):
             for n, p in enumerate(cfg.p_grid):
                 rng = child_rng(seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
-                for t, pool in enumerate(bayesian_split(counts[v], p, rng)):
+                for t, pool in enumerate(split_counts(counts[v], p, rng)):
                     # an emptied pool falls back to the full dataset
-                    expected = pool.counts if pool.total > 0 else counts[v]
+                    expected = pool if pool.sum() > 0 else counts[v]
                     assert np.array_equal(pools[v, t, n], expected)
 
     def test_crosstalk_is_emulated_and_corrected(self):
@@ -424,6 +428,15 @@ class TestTracedBenchmark:
         assert counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"] == failed
         assert counts["equilibrium.nash_equilibria.calls"] == len(result.cells) - failed
 
+    def test_traced_split_alias_is_never_called(self):
+        # the tracer's split counter reads `.total`, which a count array lacks,
+        # so the sweep must not call the name it traces
+        cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.0, 0.5, 1.0), shots=40, seed=0)
+        with load_layertrace().Tracer() as tracer:
+            run_sweep(cfg)
+        assert tracer.counts["noise.bayesian_split.calls"] == 0
+        assert qgame.sweep.bayesian_split is qgame.noise.split_counts
+
 
 class TestSerialization:
     def test_csv_layout_and_determinism(self, tmp_path):
@@ -531,6 +544,26 @@ class TestSerialization:
             bad.write_text(json.dumps(data))
             with pytest.raises(ConfigError, match="schema_version"):
                 load_result(bad)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: json.dumps({key: value for key, value in data.items() if key != "cells"}),
+            lambda data: json.dumps({**data, "cells": [{**data["cells"][0], "report": 5}]}),
+            lambda data: json.dumps({**data, "transitions": None}),
+            lambda data: json.dumps(data).replace('"profiles": ["', '"profiles": ["QQQ", "', 1),
+            lambda data: json.dumps([data]),
+            lambda data: json.dumps(data)[:-40],
+        ],
+        ids=["no-cells", "report-not-object", "null-transitions", "unknown-profile", "top-level-list", "truncated"],
+    )
+    def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
+        cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(corrupt(data))
+        with pytest.raises(ConfigError, match="bad result file .*bad.json"):
+            load_result(bad)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
