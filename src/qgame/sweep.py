@@ -8,6 +8,12 @@ each circuit once per depolarization, not once per angle), measures the angle
 from a separate calibration run, and re-splits the same dataset into the two
 type pools at every p with `split_counts`, each split on its own keyed
 stream and written straight into a (variant, type, p, outcome) stack. The
+column's keyed streams come from two `child_rngs` batches, one for the
+sample and calibration streams and one for the split streams; each is
+bit-identical to its own `SeedSequence(seed, spawn_key=key)` stream, so
+batching changes no random number. Keys are the angle and p in millionths,
+the variant and the purpose tag, all within the [0, 2**32) a key entry
+may take. The
 rest of the angle's column is one array pass: the stacked pools are
 SPAM-corrected, parsed into per-pair outcome distributions, turned into
 payoff arrays and composed into A's Bayesian payoffs per p, and only the
@@ -72,7 +78,7 @@ from qgame.noise import (
     ConfusionMatrix,
     NoiseModel,
     SpamCorrectionError,
-    child_rng,
+    child_rngs,
     config_number,
     measure_chi,
     outcome_law,
@@ -320,10 +326,12 @@ def _split_pools(config: ExperimentConfig, chi_pi: float, counts: list[np.ndarra
     """(variant, type, p, outcome) stack of the B1 and B2 pools of every
     variant's shots at every p, each split on its own keyed stream."""
     pools = np.empty((len(Variant), 2, len(config.p_grid), N_OUTCOMES))
+    chi_key, p_keys = _chi_key(chi_pi), [_p_key(p) for p in config.p_grid]
+    keys = np.array([(chi_key, v, PURPOSE_SPLIT, p_key) for v in range(len(Variant)) for p_key in p_keys])
+    rngs = iter(child_rngs(config.seed, keys))
     for v, variant_counts in enumerate(counts):
         for n, p in enumerate(config.p_grid):
-            rng = child_rng(config.seed, _chi_key(chi_pi), v, PURPOSE_SPLIT, _p_key(p))
-            pools[v, 0, n], pools[v, 1, n] = split_counts(variant_counts, p, rng)
+            pools[v, 0, n], pools[v, 1, n] = split_counts(variant_counts, p, next(rngs))
     # a pool emptied by the split (p at or near 0 or 1) estimates its game
     # tensor from the full unsplit dataset instead
     full = np.asarray(counts, dtype=float)[:, None, None, :]
@@ -352,12 +360,12 @@ def _shot_column(
 ) -> tuple[list[CellResult], ChiEstimate]:
     chi = chi_pi * np.pi
     delta = config.effective_delta
-    counts = []
-    for v, variant in enumerate(Variant):
-        rng = child_rng(config.seed, _chi_key(chi_pi), v, PURPOSE_SAMPLE)
-        counts.append(sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng))
-
-    calibration_rng = child_rng(config.seed, _chi_key(chi_pi), 0, PURPOSE_CALIBRATION)
+    keys = [(_chi_key(chi_pi), v, PURPOSE_SAMPLE) for v in range(len(Variant))]
+    *sample_rngs, calibration_rng = child_rngs(config.seed, keys + [(_chi_key(chi_pi), 0, PURPOSE_CALIBRATION)])
+    counts = [
+        sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
+        for variant, rng in zip(Variant, sample_rngs)
+    ]
     estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
     # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
@@ -664,8 +672,12 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
 
 
 def load_result(json_path) -> SweepResult:
-    with open(json_path) as handle:
-        try:
+    """Read a sweep written by `emit_report`; a missing, unreadable or
+    malformed file raises ConfigError, as a config file does."""
+    try:
+        with open(json_path) as handle:
             return result_from_dict(json.load(handle))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad result file {json_path}: {type(exc).__name__}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read result file {json_path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad result file {json_path}: {type(exc).__name__}: {exc}") from exc

@@ -8,7 +8,8 @@ which evolves each strategy pair on its own through the package's gate
 apply so its bits pin the stacked `payoff_tensor`,
 `reference_analytic_reports` and `reference_shot_sweep`, which check the
 sweep's batched columns against the package's own single-cell functions
-run cell by cell,
+run cell by cell, on streams from `reference_child_rng`, one numpy
+SeedSequence per key,
 `reference_outcome_law`, which evolves the package's density matrices at
 each call's own shifted angles instead of reusing cached node values, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
@@ -314,6 +315,12 @@ def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
     return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
 
 
+def reference_child_rng(seed: int, *key: int) -> np.random.Generator:
+    """A keyed child stream built the documented numpy way, one SeedSequence
+    per key, not through the package's batched derivation."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def reference_shot_sweep(config):
     """A shot-mode sweep run one grid cell at a time.
 
@@ -335,7 +342,6 @@ def reference_shot_sweep(config):
         PURPOSE_SPLIT,
         ConfusionMatrix,
         SpamCorrectionError,
-        child_rng,
         measure_chi,
         sample_outcomes,
         spam_correct,
@@ -353,11 +359,14 @@ def reference_shot_sweep(config):
         chi, chi_key = chi_pi * np.pi, round(chi_pi * 10**6)
         counts = [
             sample_outcomes(
-                build_circuit(variant, chi), config.noise, config.shots, child_rng(config.seed, chi_key, v, PURPOSE_SAMPLE)
+                build_circuit(variant, chi),
+                config.noise,
+                config.shots,
+                reference_child_rng(config.seed, chi_key, v, PURPOSE_SAMPLE),
             )
             for v, variant in enumerate(Variant)
         ]
-        calibration_rng = child_rng(config.seed, chi_key, 0, PURPOSE_CALIBRATION)
+        calibration_rng = reference_child_rng(config.seed, chi_key, 0, PURPOSE_CALIBRATION)
         estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
         measurements.append((chi_pi, estimate))
         chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
@@ -367,7 +376,7 @@ def reference_shot_sweep(config):
             try:
                 dists = ({}, {})
                 for v, variant in enumerate(Variant):
-                    split_rng = child_rng(config.seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
+                    split_rng = reference_child_rng(config.seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
                     for t, pool in enumerate(split_counts(counts[v], p, split_rng)):
                         if pool.sum() == 0:
                             pool = counts[v]

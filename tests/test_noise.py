@@ -14,6 +14,7 @@ from qgame.noise import (
     NoiseModel,
     SpamCorrectionError,
     child_rng,
+    child_rngs,
     estimate_chi_from_counts,
     measure_chi,
     outcome_law,
@@ -26,7 +27,13 @@ from qgame.noise import (
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.statevector import Gate
 
-from oracles import CALIBRATION_GATES, parallel_gates, reference_outcome_law, trajectory_counts
+from oracles import (
+    CALIBRATION_GATES,
+    parallel_gates,
+    reference_child_rng,
+    reference_outcome_law,
+    trajectory_counts,
+)
 
 ZERO = NoiseModel()
 HEAVY = replace(
@@ -95,6 +102,60 @@ class TestSampling:
         circuit = build_circuit(Variant.I_CIRCUIT, 0.1)
         with pytest.raises(ValueError):
             sample_outcomes(circuit, ZERO, 0)
+
+
+# 0, one- and two-word seeds, and the largest
+MASTER_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+KEY_ENTRIES = st.integers(0, 2**32 - 1)
+KEY_ROWS = st.integers(0, 5).flatmap(
+    lambda m: st.lists(st.tuples(*[KEY_ENTRIES] * m), min_size=1, max_size=6)
+)
+BAD_KEY_ENTRIES = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=2**32), st.booleans(), st.floats(allow_nan=False)
+)
+
+
+def assert_same_stream(stream, reference):
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(stream.binomial(1_000, 0.3, 8), reference.binomial(1_000, 0.3, 8))
+    assert np.array_equal(stream.integers(0, 2**63, 8), reference.integers(0, 2**63, 8))
+
+
+class TestKeyedStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=MASTER_SEEDS, keys=KEY_ROWS, dtype=st.sampled_from([None, np.int64, np.uint32, np.uint64]))
+    def test_batched_streams_match_one_seed_sequence_per_key(self, seed, keys, dtype):
+        # a plain list of tuples or an integer array of any width
+        batch = keys if dtype is None else np.array(keys, dtype=dtype)
+        for key, stream in zip(keys, child_rngs(seed, batch), strict=True):
+            assert_same_stream(stream, reference_child_rng(seed, *key))
+            assert_same_stream(child_rng(seed, *key), reference_child_rng(seed, *key))
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.lists(KEY_ENTRIES, max_size=4), bad=BAD_KEY_ENTRIES, at=st.integers(0, 4))
+    def test_key_entry_outside_one_word_raises(self, key, bad, at):
+        key.insert(min(at, len(key)), bad)
+        with pytest.raises(ValueError):
+            child_rng(0, *key)
+        with pytest.raises(ValueError):
+            child_rngs(0, [key])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [np.array([[-1]]), np.array([[2**32]]), np.array([[True]]), np.array([[1.0]]), np.array([1, 2])],
+        ids=["negative", "two-words", "bool", "float", "one-dimensional"],
+    )
+    def test_bad_key_array_raises(self, keys):
+        with pytest.raises(ValueError):
+            child_rngs(0, keys)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+    def test_master_seed_outside_two_words_raises(self, seed):
+        with pytest.raises(ValueError, match="master seed"):
+            child_rng(seed, 1)
+
+    def test_no_keys_no_streams(self):
+        assert child_rngs(0, np.zeros((0, 4), dtype=np.int64)) == []
 
 
 def chi2_sf(stat: float, dof: int) -> float:

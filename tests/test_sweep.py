@@ -6,6 +6,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +24,7 @@ import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
 from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
-from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, child_rng, sample_outcomes, split_counts
+from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
@@ -44,6 +48,7 @@ from oracles import (
     bayes_tensor_dense,
     brute_force_equilibria,
     reference_analytic_reports,
+    reference_child_rng,
     reference_emit,
     reference_shot_sweep,
     reference_write_csv,
@@ -169,6 +174,18 @@ class TestAnalyticSweep:
             assert a.report == b.report
             assert a.rmsd == b.rmsd
 
+    def test_analytic_run_does_not_load_numpy_random(self):
+        # numpy 2 imports numpy.random lazily; a run that draws nothing should
+        # not pay for it in import time or memory
+        script = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules\n"
+            "from qgame.sweep import ExperimentConfig, run_sweep\n"
+            "run_sweep(ExperimentConfig(chi_grid_pi=(0.1,), p_grid=(0.3,)))\n"
+            "assert ('numpy.random' in sys.modules) == before"
+        )
+        src = Path(qgame.sweep.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": str(src)})
+
     def test_cells_match_brute_force_oracle(self):
         chi_pi, p = 0.075, 0.4
         cfg = analytic_config(chi_grid_pi=(chi_pi,), p_grid=(p,))
@@ -279,20 +296,43 @@ class TestShotSweep:
         # the two variants plus the calibration circuit, whatever the number of angles
         assert calls["n"] <= 3
 
+    def test_column_derives_its_streams_in_two_batches(self, monkeypatch):
+        seed_sequences, batches = {"n": 0}, {"n": 0}
+        seed_sequence, child_rngs = np.random.SeedSequence, qgame.sweep.child_rngs
+
+        def counting_seed_sequence(*args, **kwargs):
+            seed_sequences["n"] += 1
+            return seed_sequence(*args, **kwargs)
+
+        def counting_child_rngs(*args):
+            batches["n"] += 1
+            return child_rngs(*args)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        monkeypatch.setattr(qgame.sweep, "child_rngs", counting_child_rngs)
+        run_sweep(shot_config(chi_grid_pi=(0.15,), p_grid=DEFAULT_P_GRID, shots=2_000))
+        # one SeedSequence per stream would make 2 sample + 1 calibration + 202 split = 205
+        assert seed_sequences["n"] == 0
+        # the sample and calibration streams, then the split streams
+        assert batches["n"] <= 2
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_pools_match_per_key_split_counts(self, seed):
         cfg = shot_config(p_grid=DEFAULT_P_GRID, shots=30_000, seed=seed, noise=NoiseModel.default_profile(seed))
         chi_pi, chi_key = 0.15, 150_000
         counts = [
             sample_outcomes(
-                build_circuit(variant, chi_pi * np.pi), cfg.noise, cfg.shots, child_rng(seed, chi_key, v, PURPOSE_SAMPLE)
+                build_circuit(variant, chi_pi * np.pi),
+                cfg.noise,
+                cfg.shots,
+                reference_child_rng(seed, chi_key, v, PURPOSE_SAMPLE),
             )
             for v, variant in enumerate(Variant)
         ]
         pools = _split_pools(cfg, chi_pi, counts)
         for v in range(len(Variant)):
             for n, p in enumerate(cfg.p_grid):
-                rng = child_rng(seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
+                rng = reference_child_rng(seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
                 for t, pool in enumerate(split_counts(counts[v], p, rng)):
                     # an emptied pool falls back to the full dataset
                     expected = pool if pool.sum() > 0 else counts[v]
@@ -564,6 +604,12 @@ class TestSerialization:
         bad.write_text(corrupt(data))
         with pytest.raises(ConfigError, match="bad result file .*bad.json"):
             load_result(bad)
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["nonexistent", "directory"])
+    def test_unreadable_result_file_is_config_error(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=f"cannot read result file {re.escape(str(path))}: "):
+            load_result(path)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
