@@ -13,10 +13,16 @@ in the measured probabilities.
 Each variant's gate list is a constant; only the entangling angle varies
 between runs. The circuits' outcome law, noise-free or not, is
 `noise.outcome_law`.
+
+This module alone knows the outcome-bit layout. Both variants share one
+branch table: `branch_distributions` splits any stack of 32-outcome
+populations into the 8 aux branches, and `BRANCH_PAIRS` names the strategy
+pair that each branch of each variant plays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,6 +73,8 @@ def build_circuit(variant: Variant, chi: float) -> ParallelCircuit:
     return ParallelCircuit(variant, chi, _GATE_SEQUENCES[variant])
 
 
+# both variants share one branch table: branch 4x + 2y + z holds aux outcome (x, y, z)
+_AUX_KEYS = tuple(itertools.product((0, 1), repeat=3))
 # (x, y) -> U_A, shared by both variants
 _UA_BY_XY = {
     (0, 0): Strategy.I,
@@ -87,12 +95,7 @@ def branch_strategies(variant: Variant, x: int, y: int, z: int) -> tuple[Strateg
 
 
 def branch_map(variant: Variant) -> dict[tuple[int, int, int], tuple[Strategy, Strategy]]:
-    return {
-        (x, y, z): branch_strategies(variant, x, y, z)
-        for x in (0, 1)
-        for y in (0, 1)
-        for z in (0, 1)
-    }
+    return {key: branch_strategies(variant, *key) for key in _AUX_KEYS}
 
 
 def branch_indices(x: int, y: int, z: int) -> list[int]:
@@ -101,43 +104,30 @@ def branch_indices(x: int, y: int, z: int) -> list[int]:
     return [16 * a + 8 * b + tail for a in (0, 1) for b in (0, 1)]
 
 
-def _branch_table(mapping) -> tuple[tuple, np.ndarray, tuple]:
-    """(aux keys, their (n, 4) outcome indices, their strategy pairs) in mapping order."""
-    keys = tuple(mapping)
-    index = np.array([branch_indices(*key) for key in keys], dtype=np.intp).reshape(-1, 4)
-    return keys, index, tuple(mapping[key] for key in keys)
+_BRANCH_INDEX = np.array([branch_indices(*key) for key in _AUX_KEYS])  # [branch, 2A + B]: outcome
+# BRANCH_PAIRS[v, branch]: the strategy pair 4*a + b that the branch plays in variant v
+BRANCH_PAIRS = np.array([[4 * a + b for a, b in branch_map(variant).values()] for variant in Variant])
 
 
-_CANONICAL_TABLES = {variant: _branch_table(branch_map(variant)) for variant in Variant}
-
-
-def _table(variant: Variant, mapping) -> tuple[tuple, np.ndarray, tuple]:
-    return _CANONICAL_TABLES[variant] if mapping is None else _branch_table(mapping)
-
-
-def branch_distributions(counts: np.ndarray, variant: Variant, mapping=None) -> tuple[np.ndarray, np.ndarray]:
+def branch_distributions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of a (..., 32) stack of populations into its 8 branches.
 
     Returns the (..., 8, 4) per-branch outcome distributions, each
-    renormalized to sum 1, and the (..., 8) mask of branches with zero
-    total, whose distributions are zero. Branches follow the order of
-    `mapping`, by default the variant's `branch_map`.
+    renormalized to sum 1, and the (..., 8) branch totals. A branch whose
+    total is zero has a zero distribution. Branches are in aux-outcome
+    order, the same for both variants; `BRANCH_PAIRS` names their pairs.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape[-1:] != (N_OUTCOMES,):
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {counts.shape}")
     if (counts < 0).any():
         raise ValueError("negative populations")
-    _, index, _ = _table(variant, mapping)
-    subs = counts[..., index]
+    subs = counts[..., _BRANCH_INDEX]
     totals = subs.sum(axis=-1)
-    empty = totals <= 0
-    return subs / np.where(empty, 1.0, totals)[..., None], empty
+    return subs / np.where(totals <= 0, 1.0, totals)[..., None], totals
 
 
-def parse_branches(
-    counts: np.ndarray, variant: Variant, mapping=None
-) -> dict[tuple[Strategy, Strategy], np.ndarray]:
+def parse_branches(counts: np.ndarray, variant: Variant) -> dict[tuple[Strategy, Strategy], np.ndarray]:
     """Split a 32-outcome population into 8 per-pair conditional distributions.
 
     `counts` is a 32-vector of counts or frequencies; this is one row of
@@ -146,11 +136,10 @@ def parse_branches(
     """
     if np.ndim(counts) != 1:
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {np.shape(counts)}")
-    dists, empty = branch_distributions(counts, variant, mapping)
-    keys, _, pairs = _table(variant, mapping)
-    if empty.any():
-        x, y, z = keys[np.argmax(empty)]
+    dists, totals = branch_distributions(counts)
+    if (totals <= 0).any():
+        x, y, z = _AUX_KEYS[np.argmax(totals <= 0)]
         raise EmptyBranchError(
             f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
         )
-    return dict(zip(pairs, dists))
+    return dict(zip(branch_map(variant).values(), dists))

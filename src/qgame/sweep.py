@@ -13,15 +13,19 @@ sample and calibration streams and one for the split streams; each is
 bit-identical to its own `SeedSequence(seed, spawn_key=key)` stream, so
 batching changes no random number. Keys are the angle and p in millionths,
 the variant and the purpose tag, all within the [0, 2**32) a key entry
-may take. The
-rest of the angle's column is one array pass: the stacked pools are
-SPAM-corrected, parsed into per-pair outcome distributions, turned into
-payoff arrays and composed into A's Bayesian payoffs per p, and only the
-observed cells' equilibrium solve runs cell by cell (their analytic
+may take; a shot-mode config rejects two grid points that share a
+millionth, since they would share their streams. The rest of the angle's
+column is one array pass: the stacked pools are SPAM-corrected, split into
+branch distributions (one call on the corrected stack, one on the raw
+stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`, turned
+into payoff arrays and composed into A's Bayesian payoffs per p, and only
+the observed cells' equilibrium solve runs cell by cell (their analytic
 references are one column solve). Those steps are `spam_correct_stack`,
 `branch_distributions`, `tensor_from_distributions` and `compose`;
 `spam_correct` and `parse_branches` are the one-row case of the first two,
 and the last two take one row or a stack, so each check exists once.
+`parallel` alone knows the outcome-bit layout; this module and
+`verify_parallelization` read its branch table.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
 inversion) are recorded on the cell instead of aborting the sweep. A branch
@@ -88,13 +92,12 @@ from qgame.noise import (
     split_counts,
 )
 from qgame.parallel import (
+    BRANCH_PAIRS,
     N_OUTCOMES,
     N_QUBITS,
     EmptyBranchError,
     Variant,
     branch_distributions,
-    branch_indices,
-    branch_map,
     build_circuit,
     parse_branches,
 )
@@ -129,6 +132,11 @@ _CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or result file."""
+
+
+def _grid_key(value: float) -> int:
+    """A grid point's entry in its shot-mode stream keys: the point in millionths."""
+    return round(value * 10**6)
 
 
 def _number_rows(name: str, rows) -> tuple:
@@ -176,8 +184,11 @@ class ExperimentConfig:
         for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} must be strictly ascending")
+            for a, b in zip(grid, grid[1:]):
+                if b <= a:
+                    raise ConfigError(f"{name} must be strictly ascending")
+                if self.mode == MODE_SHOTS and _grid_key(a) == _grid_key(b):
+                    raise ConfigError(f"{name} points {a!r} and {b!r} share one keyed stream (same millionth)")
         try:
             # the angles exactly as run_sweep computes them
             for chi_pi in self.chi_grid_pi:
@@ -308,25 +319,11 @@ def _analytic_column(
 # ---------------------------------------------------------------------------
 # shot-emulation pipeline
 
-def _chi_key(chi_pi: float) -> int:
-    return round(chi_pi * 10**6)
-
-
-def _p_key(p: float) -> int:
-    return round(p * 10**6)
-
-
-_BRANCH_PAIRS = [pair for variant in Variant for pair in branch_map(variant).values()]
-# for each strategy pair (i, j) in profile-index order, its place among the
-# branches of both variants, variant by variant
-_PAIR_ORDER = np.array([_BRANCH_PAIRS.index((i, j)) for i in STRATEGIES for j in STRATEGIES])
-
-
 def _split_pools(config: ExperimentConfig, chi_pi: float, counts: list[np.ndarray]) -> np.ndarray:
     """(variant, type, p, outcome) stack of the B1 and B2 pools of every
     variant's shots at every p, each split on its own keyed stream."""
     pools = np.empty((len(Variant), 2, len(config.p_grid), N_OUTCOMES))
-    chi_key, p_keys = _chi_key(chi_pi), [_p_key(p) for p in config.p_grid]
+    chi_key, p_keys = _grid_key(chi_pi), [_grid_key(p) for p in config.p_grid]
     keys = np.array([(chi_key, v, PURPOSE_SPLIT, p_key) for v in range(len(Variant)) for p_key in p_keys])
     rngs = iter(child_rngs(config.seed, keys))
     for v, variant_counts in enumerate(counts):
@@ -360,8 +357,8 @@ def _shot_column(
 ) -> tuple[list[CellResult], ChiEstimate]:
     chi = chi_pi * np.pi
     delta = config.effective_delta
-    keys = [(_chi_key(chi_pi), v, PURPOSE_SAMPLE) for v in range(len(Variant))]
-    *sample_rngs, calibration_rng = child_rngs(config.seed, keys + [(_chi_key(chi_pi), 0, PURPOSE_CALIBRATION)])
+    keys = [(_grid_key(chi_pi), v, PURPOSE_SAMPLE) for v in range(len(Variant))]
+    *sample_rngs, calibration_rng = child_rngs(config.seed, keys + [(_grid_key(chi_pi), 0, PURPOSE_CALIBRATION)])
     counts = [
         sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
         for variant, rng in zip(Variant, sample_rngs)
@@ -378,16 +375,15 @@ def _shot_column(
     except SpamCorrectionError:
         # an unusable readout matrix fails every cell, each with its own error
         corrected, spam_failed = pools, np.ones(pools.shape[:-1], dtype=bool)
-    parsed = [branch_distributions(corrected[v], variant) for v, variant in enumerate(Variant)]
+    dists, totals = branch_distributions(corrected)
     # a branch without raw shots is empty, whatever the readout inverse spreads into it
-    raw_empty = [branch_distributions(pools[v], variant)[1] for v, variant in enumerate(Variant)]
-    empty = np.stack([branch_empty for _, branch_empty in parsed] + raw_empty).any(axis=-1)
-    failed = spam_failed.any(axis=(0, 1)) | empty.any(axis=(0, 1))
+    empty = (totals <= 0) | (branch_distributions(pools)[1] <= 0)
+    failed = (spam_failed | empty.any(axis=-1)).any(axis=(0, 1))
 
-    # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome)
-    dists = np.moveaxis(np.stack([branch_dists for branch_dists, _ in parsed]), 0, 2)
-    dists = dists.reshape(2, len(config.p_grid), -1, 4)[:, ~failed][:, :, _PAIR_ORDER]
-    dists = dists.reshape(2, -1, 4, 4, 4)
+    # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome),
+    # each variant's branches taken in the order of the pairs they play
+    dists = np.moveaxis(dists, 0, 2).reshape(2, len(config.p_grid), -1, 4)
+    dists = dists[:, ~failed][:, :, np.argsort(BRANCH_PAIRS, axis=None)].reshape(2, -1, 4, 4, 4)
     pay_a_b1, pay_b1 = tensor_from_distributions(dists[0], tables[0])
     pay_a_b2, pay_b2 = tensor_from_distributions(dists[1], tables[1])
     pay_a = compose(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
@@ -471,30 +467,26 @@ def threshold_rows(result: SweepResult) -> list[dict]:
     return rows
 
 
-def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI, branch_maps=None) -> list[dict]:
+def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
     """Compare every branch-conditional distribution against the two-qubit
     game evaluated directly; one row per (angle, circuit variant).
 
-    `branch_maps` substitutes the branch-to-pair mapping (negative-control
-    fixture); by default each variant uses its canonical mapping.
+    Each branch is checked against the pair `BRANCH_PAIRS` assigns it;
+    `worst_branch` names the pair of the first branch with the largest
+    deviation, or is blank when every branch matches exactly.
     """
     rows = []
     for chi_pi in chi_grid_pi:
         chi = float(chi_pi) * np.pi
         direct_dists = np.abs(final_states(chi)) ** 2  # row 4*a + b per strategy pair (a, b)
-        for variant in Variant:
+        for pairs, variant in zip(BRANCH_PAIRS, Variant):
             circuit = build_circuit(variant, chi)
-            dist = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
-            branches = itertools.product(range(2), repeat=3)
-            aux_dev = max(float(abs(dist[branch_indices(*xyz)].sum() - 0.125)) for xyz in branches)
-            mapping = None if branch_maps is None else branch_maps.get(variant)
-            parsed = parse_branches(dist, variant, mapping=mapping)
-            max_linf, worst = 0.0, ""
-            for a, b in branch_map(variant).values():
-                missing = (a, b) not in parsed
-                linf = 1.0 if missing else float(np.abs(parsed[a, b] - direct_dists[4 * a + b]).max())
-                if missing or linf > max_linf:
-                    max_linf, worst = linf, a.name + b.name
+            law = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+            dists, totals = branch_distributions(law)
+            linf = np.abs(dists - direct_dists[pairs]).max(axis=-1)
+            max_linf, aux_dev = float(linf.max()), float(np.abs(totals - 0.125).max())
+            a, b = divmod(int(pairs[np.argmax(linf)]), 4)
+            worst = "" if max_linf == 0 else STRATEGIES[a].name + STRATEGIES[b].name
             passed = max_linf < 1e-10 and aux_dev < 1e-12
             rows.append({"chi_pi": float(chi_pi), "variant": variant.value, "max_linf": max_linf,
                          "aux_marginal_dev": aux_dev, "passed": passed, "worst_branch": worst})
@@ -531,9 +523,12 @@ def write_csv(path, columns: tuple, rows: list[dict]) -> None:
 def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     if data is None:
         return None
+    profiles, payoffs = data["profiles"], data["payoffs"]
+    if len(payoffs) != len(profiles) or any(len(pay) != 3 for pay in payoffs):
+        raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {[len(pay) for pay in payoffs]}")
     return EquilibriumReport(
-        profiles=tuple(profile_from_names(name) for name in data["profiles"]),
-        payoffs=tuple(tuple(float(v) for v in pay) for pay in data["payoffs"]),
+        profiles=tuple(profile_from_names(name) for name in profiles),
+        payoffs=tuple(tuple(float(v) for v in pay) for pay in payoffs),
     )
 
 

@@ -11,7 +11,10 @@ sweep's batched columns against the package's own single-cell functions
 run cell by cell, on streams from `reference_child_rng`, one numpy
 SeedSequence per key,
 `reference_outcome_law`, which evolves the package's density matrices at
-each call's own shifted angles instead of reusing cached node values, and
+each call's own shifted angles instead of reusing cached node values,
+`reference_verify_rows`, which checks the package's circuit laws against
+its two-qubit game branch by branch through a per-variant dict of pairs
+instead of the shared branch table, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
 through the stdlib's csv and json encoders.
 """
@@ -19,6 +22,7 @@ through the stdlib's csv and json encoders.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 
@@ -283,6 +287,42 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
     else:
         u_b = "Y" if z else "X"
     return u_a, u_b
+
+
+def reference_verify_rows(chi_grid_pi, branch_maps=None) -> list[dict]:
+    """`verify_parallelization`'s rows from a dict-based loop: each branch
+    parsed on its own by `branch_indices` into a {pair: distribution} dict
+    built from the variant's `branch_map`, then each pair looked up in
+    canonical branch-map order. `branch_maps` substitutes a variant's
+    (x, y, z) -> pair mapping, as a negative control."""
+    from qgame.game import final_states
+    from qgame.noise import NoiseModel, outcome_law
+    from qgame.parallel import N_QUBITS, Variant, branch_indices, branch_map, build_circuit
+
+    rows = []
+    for chi_pi in chi_grid_pi:
+        chi = float(chi_pi) * np.pi
+        direct_dists = np.abs(final_states(chi)) ** 2  # row 4*a + b per strategy pair (a, b)
+        for variant in Variant:
+            circuit = build_circuit(variant, chi)
+            dist = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+            branches = itertools.product(range(2), repeat=3)
+            aux_dev = max(float(abs(dist[branch_indices(*xyz)].sum() - 0.125)) for xyz in branches)
+            mapping = (branch_maps or {}).get(variant, branch_map(variant))
+            parsed = {}
+            for xyz, pair in mapping.items():
+                sub = dist[branch_indices(*xyz)]
+                parsed[pair] = sub / sub.sum()
+            max_linf, worst = 0.0, ""
+            for a, b in branch_map(variant).values():
+                missing = (a, b) not in parsed
+                linf = 1.0 if missing else float(np.abs(parsed[a, b] - direct_dists[4 * a + b]).max())
+                if missing or linf > max_linf:
+                    max_linf, worst = linf, a.name + b.name
+            passed = max_linf < 1e-10 and aux_dev < 1e-12
+            rows.append({"chi_pi": float(chi_pi), "variant": variant.value, "max_linf": max_linf,
+                         "aux_marginal_dev": aux_dev, "passed": passed, "worst_branch": worst})
+    return rows
 
 
 def reference_payoff_tensor(chi: float, table):

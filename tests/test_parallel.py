@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qgame.game import Strategy, final_states
 from qgame.noise import NoiseModel, outcome_law
 from qgame.parallel import (
+    BRANCH_PAIRS,
     N_QUBITS,
     EmptyBranchError,
     Variant,
@@ -107,6 +110,11 @@ def test_branch_maps_cover_all_pairs_once():
     for variant, tag in ((Variant.I_CIRCUIT, "I"), (Variant.X_CIRCUIT, "X")):
         for (x, y, z), (ua, ub) in branch_map(variant).items():
             assert (ua.name, ub.name) == oracles.branch_pair_dense(tag, x, y, z)
+    # as does the branch table: branch 4x + 2y + z plays pair 4*a + b
+    for v, tag in enumerate("IX"):
+        for x, y, z in itertools.product((0, 1), repeat=3):
+            ua, ub = (oracles.STRATEGY_ORDER.index(name) for name in oracles.branch_pair_dense(tag, x, y, z))
+            assert BRANCH_PAIRS[v, 4 * x + 2 * y + z] == 4 * ua + ub
 
 
 def test_phase_equivalent_composite_strategies():
@@ -142,10 +150,12 @@ def test_stack_rows_match_single_calls(variant):
     stack[1, 2, branch_indices(0, 1, 1)] = 0.0
     stack[0, 4, branch_indices(1, 1, 0)] = 0.0
     stack[0, 4, branch_indices(0, 0, 1)] = 0.0  # the first empty branch names the error
-    dists, empty = branch_distributions(stack, variant)
+    dists, totals = branch_distributions(stack)
+    empty = totals <= 0
     assert empty.any(axis=-1).sum() == 2
     keys, pairs = list(branch_map(variant)), list(branch_map(variant).values())
     for index in np.ndindex(stack.shape[:-1]):
+        np.testing.assert_array_equal(totals[index], [stack[index][branch_indices(*key)].sum() for key in keys])
         if not empty[index].any():
             single = parse_branches(stack[index], variant)
             for branch, pair in enumerate(pairs):

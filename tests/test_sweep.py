@@ -51,6 +51,7 @@ from oracles import (
     reference_child_rng,
     reference_emit,
     reference_shot_sweep,
+    reference_verify_rows,
     reference_write_csv,
 )
 
@@ -121,6 +122,17 @@ class TestConfig:
             return
         result = run_sweep(cfg)
         assert all(cell.error is None for cell in result.cells)
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [("p_grid", (0.25, 0.2500004)), ("p_grid", (0.5, 0.5000004)), ("chi_grid_pi", (0.1, 0.1000004))],
+    )
+    def test_shot_grid_points_sharing_a_stream_key_are_rejected(self, name, grid):
+        # both points would draw on one keyed stream: identical or mirrored pools
+        with pytest.raises(ConfigError, match=re.escape(f"{name} points {grid[0]!r} and {grid[1]!r}")):
+            shot_config(**{name: grid})
+        analytic_config(**{name: grid})  # analytic mode draws no streams
+        shot_config(**{name: (grid[0], grid[0] + 1e-6)})
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -594,8 +606,20 @@ class TestSerialization:
             lambda data: json.dumps(data).replace('"profiles": ["', '"profiles": ["QQQ", "', 1),
             lambda data: json.dumps([data]),
             lambda data: json.dumps(data)[:-40],
+            # cell (chi=0, p=0) holds 8 equilibria
+            lambda data: with_first_payoffs(data, lambda payoffs: payoffs[:1]),
+            lambda data: with_first_payoffs(data, lambda payoffs: [[1.0]] + payoffs[1:]),
         ],
-        ids=["no-cells", "report-not-object", "null-transitions", "unknown-profile", "top-level-list", "truncated"],
+        ids=[
+            "no-cells",
+            "report-not-object",
+            "null-transitions",
+            "unknown-profile",
+            "top-level-list",
+            "truncated",
+            "one-payoff-row-for-8-profiles",
+            "payoff-row-not-3-entries",
+        ],
     )
     def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
@@ -610,6 +634,13 @@ class TestSerialization:
         path = tmp_path / name
         with pytest.raises(ConfigError, match=f"cannot read result file {re.escape(str(path))}: "):
             load_result(path)
+
+
+def with_first_payoffs(data: dict, change) -> str:
+    """The result document with its first cell's payoff rows changed."""
+    cell = data["cells"][0]
+    report = {**cell["report"], "payoffs": change(cell["report"]["payoffs"])}
+    return json.dumps({**data, "cells": [{**cell, "report": report}, *data["cells"][1:]]})
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -746,16 +777,29 @@ class TestVerifyParallelization:
         assert max(r["max_linf"] for r in rows) < 1e-10
         assert max(r["aux_marginal_dev"] for r in rows) < 1e-12
 
-    def test_corrupted_branch_map_is_caught(self):
-        mapping = dict(branch_map(Variant.I_CIRCUIT))
-        keys = sorted(mapping)
-        mapping[keys[0]], mapping[keys[1]] = mapping[keys[1]], mapping[keys[0]]
-        rows = verify_parallelization((0.1,), branch_maps={Variant.I_CIRCUIT: mapping})
+    @pytest.mark.parametrize(
+        "grid", [DEFAULT_CHI_GRID_PI, tuple(i / 400 for i in range(101))], ids=["default-grid", "101-angles"]
+    )
+    def test_rows_match_dict_based_reference(self, grid):
+        rows = verify_parallelization(grid)
+        assert rows == reference_verify_rows(grid)
+        assert all(type(row["passed"]) is bool for row in rows)
+
+    def test_corrupted_branch_map_is_caught(self, monkeypatch):
+        # I-circuit branches (0,0,0) and (0,0,1) claim each other's pair
+        pairs = qgame.sweep.BRANCH_PAIRS.copy()
+        pairs[0, [0, 1]] = pairs[0, [1, 0]]
+        monkeypatch.setattr(qgame.sweep, "BRANCH_PAIRS", pairs)
+        rows = verify_parallelization((0.1,))
         bad = [r for r in rows if r["variant"] == "I"][0]
         good = [r for r in rows if r["variant"] == "X"][0]
         assert not bad["passed"]
         assert bad["worst_branch"] != ""
         assert good["passed"]
+        mapping = dict(branch_map(Variant.I_CIRCUIT))
+        keys = sorted(mapping)
+        mapping[keys[0]], mapping[keys[1]] = mapping[keys[1]], mapping[keys[0]]
+        assert rows == reference_verify_rows((0.1,), branch_maps={Variant.I_CIRCUIT: mapping})
 
 
 class TestCli:
