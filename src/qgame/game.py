@@ -1,18 +1,21 @@
 """Two-player game engine: entangle, apply local strategies, unentangle,
 convert the outcome distributions to 4x4 arrays of expected payoffs. The
-protocol is evolved for all 16 strategy pairs as one stack per angle. Each
-pair's payoffs are a 1-D dot of its own distribution: a stacked product
-rounds the last bit differently, and the analytic digest pins it.
+protocol is evolved for all 16 strategy pairs as one stack per angle, and
+that one evolution serves every payoff table: the B1 and B2 games share
+their quantum states and differ only in their tables. Each pair's payoffs
+are a 1-D dot of its own distribution: a stacked product rounds the last
+bit differently, and the analytic digest pins it.
 
-Outcome convention is fixed: |0> is cooperate, |1> is defect. Payoff
-tables are configuration inputs; the bundled defaults are the standard
-prisoner's dilemma for the A-vs-B1 game and an asymmetric variant for
-A-vs-B2 in which mutual defection pays B2 nothing.
+Outcome convention is fixed: |0> is cooperate, |1> is defect. A payoff
+table is a read-only (2, 4) float array: row 0 holds A's payoffs and row 1
+B's, each indexed by outcome 2*a + b. Tables are configuration inputs; the
+bundled default rows are the standard prisoner's dilemma for the A-vs-B1
+game and an asymmetric variant for A-vs-B2 in which mutual defection pays
+B2 nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -34,14 +37,6 @@ STRATEGIES = tuple(Strategy)
 Profile = tuple[Strategy, Strategy, Strategy]
 
 
-def array_eq(self, other) -> bool:
-    """Value equality for dataclasses with ndarray fields, whose generated
-    `==` would raise on the arrays' elementwise comparison."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
 def profile_from_names(names: str) -> Profile:
     """Parse e.g. "IXI" into a strategy triple."""
     if len(names) != 3 or any(c not in "IXYZ" for c in names):
@@ -53,50 +48,21 @@ def profile_names(profile: Profile) -> str:
     return "".join(s.name for s in profile)
 
 
-@dataclass(frozen=True)
-class PayoffTable:
-    """2x2 grid of (payoff_A, payoff_B) indexed by (outcome_A, outcome_B)."""
-
-    a: np.ndarray  # shape (2, 2)
-    b: np.ndarray
-
-    __eq__ = array_eq
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float).copy()
-        b = np.asarray(self.b, dtype=float).copy()
-        if a.shape != (2, 2) or b.shape != (2, 2):
-            raise ValueError("payoff tables are 2x2")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("payoffs must be finite")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_rows(cls, rows) -> "PayoffTable":
-        """rows[outcome_A][outcome_B] = [payoff_A, payoff_B] (the JSON shape)."""
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValueError(f"rows must be 2x2 pairs, got shape {arr.shape}")
-        return cls(arr[:, :, 0], arr[:, :, 1])
-
-    def to_rows(self) -> list:
-        return np.stack([self.a, self.b], axis=-1).tolist()
-
-    # flat views aligned with the outcome index 2*a + b
-    @property
-    def a_flat(self) -> np.ndarray:
-        return self.a.reshape(4)
-
-    @property
-    def b_flat(self) -> np.ndarray:
-        return self.b.reshape(4)
+def payoff_table(rows) -> np.ndarray:
+    """The (2, 4) table of rows[outcome_A][outcome_B] = [payoff_A, payoff_B]
+    (the JSON shape), read-only."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (2, 2, 2):
+        raise ValueError(f"rows must be 2x2 pairs, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("payoffs must be finite")
+    table = rows.reshape(4, 2).T.copy()
+    table.flags.writeable = False
+    return table
 
 
-DEFAULT_PAYOFF_B1 = PayoffTable.from_rows([[[11, 9], [1, 10]], [[10, 1], [6, 6]]])
-DEFAULT_PAYOFF_B2 = PayoffTable.from_rows([[[11, 9], [1, 6]], [[10, 1], [6, 0]]])
+DEFAULT_PAYOFF_ROWS_B1 = (((11.0, 9.0), (1.0, 10.0)), ((10.0, 1.0), (6.0, 6.0)))
+DEFAULT_PAYOFF_ROWS_B2 = (((11.0, 9.0), (1.0, 6.0)), ((10.0, 1.0), (6.0, 0.0)))
 
 
 _ENTANGLE = Gate("J", (0, 1))
@@ -118,11 +84,13 @@ def final_states(chi: float) -> np.ndarray:
     return apply_gate(amps, _UNENTANGLE, chi)
 
 
-def payoff_tensor(chi: float, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
-    """Expected (A, B) payoffs of one game at angle chi, each a 4x4 array
-    indexed (strategy A, strategy B)."""
+def payoff_tensor(chi: float, tables: np.ndarray) -> np.ndarray:
+    """Expected payoffs at angle chi under one (2, 4) table or a (..., 2, 4)
+    stack of them, from one protocol evolution: (..., 2, 4, 4), the A and B
+    payoffs each indexed (strategy A, strategy B)."""
     dists = _distributions(np.abs(final_states(chi)) ** 2)
-    return tuple(np.array([d @ flat for d in dists]).reshape(4, 4) for flat in (table.a_flat, table.b_flat))
+    pays = np.array([[d @ flat for d in dists] for flat in np.reshape(tables, (-1, 4))])
+    return pays.reshape(*np.shape(tables)[:-1], 4, 4)
 
 
 def _distributions(dists) -> np.ndarray:
@@ -138,7 +106,7 @@ def _distributions(dists) -> np.ndarray:
     return dists
 
 
-def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np.ndarray, np.ndarray]:
+def tensor_from_distributions(dists: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected (A, B) payoffs under a stack of 4-outcome distributions.
 
     `dists[..., :]` is one distribution; each must sum to 1. One
@@ -147,4 +115,4 @@ def tensor_from_distributions(dists: np.ndarray, table: PayoffTable) -> tuple[np
     4x4 payoff arrays; further leading axes stack games.
     """
     dists = _distributions(dists)
-    return dists @ table.a_flat, dists @ table.b_flat
+    return dists @ table[0], dists @ table[1]

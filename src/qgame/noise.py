@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qgame.game import array_eq
 from qgame.parallel import N_OUTCOMES, N_QUBITS, ParallelCircuit
 from qgame.statevector import Gate, apply_matrix, gate_matrix
 
@@ -173,8 +172,8 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 def config_number(name: str, value) -> float:
     """A config number as a float: a finite real, not a bool or a string."""
-    # bool is an int subclass; a JSON true must not count as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # bool is an int subclass (a JSON true must not count as 1); a float or int skips the slow ABC check
+    if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     # json.load reads NaN and Infinity, which slip past every order check
     if not math.isfinite(value):
@@ -271,7 +270,10 @@ class ConfusionMatrix:
 
     matrix: np.ndarray
 
-    __eq__ = array_eq
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float).copy()

@@ -1,7 +1,9 @@
 """Grid sweeps over the entangling angle and the type probability.
 
-Two modes share one result schema. Analytic mode evaluates exact payoff
-tensors on the grid and solves each angle's p column at once with
+Two modes share one result schema. A config's payoff tables are one
+read-only (2, 2, 4) array, `ExperimentConfig.tables`: the B1 game's (2, 4)
+table, then B2's. Analytic mode evaluates both games' exact payoff tensors
+from one protocol evolution per angle and solves each p column at once with
 `nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant from `outcome_law` (which evolves
 each circuit once per depolarization, not once per angle), measures the angle
@@ -49,6 +51,7 @@ import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +67,11 @@ from qgame.equilibrium import (
     rmsd_at_equilibrium,
 )
 from qgame.game import (
-    DEFAULT_PAYOFF_B1,
-    DEFAULT_PAYOFF_B2,
+    DEFAULT_PAYOFF_ROWS_B1,
+    DEFAULT_PAYOFF_ROWS_B2,
     STRATEGIES,
-    PayoffTable,
     final_states,
+    payoff_table,
     payoff_tensor,
     profile_from_names,
     profile_names,
@@ -157,8 +160,8 @@ class ExperimentConfig:
     calibration_shots: int = 3_000
     seed: int = 0
     noise: NoiseModel = field(default_factory=NoiseModel)
-    payoff_rows_b1: tuple = _number_rows("payoff_rows_b1", DEFAULT_PAYOFF_B1.to_rows())
-    payoff_rows_b2: tuple = _number_rows("payoff_rows_b2", DEFAULT_PAYOFF_B2.to_rows())
+    payoff_rows_b1: tuple = DEFAULT_PAYOFF_ROWS_B1
+    payoff_rows_b2: tuple = DEFAULT_PAYOFF_ROWS_B2
     tracked_profile: str = "IXI"
     transition_window: int = 3
 
@@ -199,14 +202,15 @@ class ExperimentConfig:
             raise ConfigError("p_grid outside [0.0, 1.0]")
         if self.shots <= 0 or self.calibration_shots <= 0 or self.transition_window <= 0:
             raise ConfigError("shots, calibration_shots and transition_window must be positive")
+        if max(self.shots, self.calibration_shots) >= 2**63:  # Generator.multinomial takes a C long
+            raise ConfigError("shots and calibration_shots must be below 2**63")
         if self.delta is not None and self.delta < 0:
             raise ConfigError("delta must be >= 0")
         if not isinstance(self.noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
         try:
             profile_from_names(self.tracked_profile)
-            self.table_b1()
-            self.table_b2()
+            self.tables
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -216,11 +220,12 @@ class ExperimentConfig:
             return self.delta
         return DELTA_ANALYTIC if self.mode == MODE_ANALYTIC else DELTA_SHOTS
 
-    def table_b1(self) -> PayoffTable:
-        return PayoffTable.from_rows(self.payoff_rows_b1)
-
-    def table_b2(self) -> PayoffTable:
-        return PayoffTable.from_rows(self.payoff_rows_b2)
+    @cached_property
+    def tables(self) -> np.ndarray:
+        """The read-only (game, player, outcome) payoff stack: B1's table, then B2's."""
+        tables = np.stack([payoff_table(self.payoff_rows_b1), payoff_table(self.payoff_rows_b2)])
+        tables.flags.writeable = False
+        return tables
 
     def to_dict(self) -> dict:
         out = {}
@@ -294,20 +299,16 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # analytic pipeline
 
-def _analytic_reports(
-    chi: float, tables: tuple[PayoffTable, PayoffTable], p_grid: tuple, delta: float
-) -> list[EquilibriumReport]:
-    """Exact equilibrium reports at angle chi (radians), one per p; the B
+def _analytic_reports(chi: float, tables: np.ndarray, p_grid: tuple, delta: float) -> list[EquilibriumReport]:
+    """Exact equilibrium reports at angle chi (radians), one per p, from one
+    protocol evolution for both games of the (2, 2, 4) `tables`; the B
     payoffs do not depend on p, so one pair serves the column."""
-    pay_a_b1, pay_b1 = payoff_tensor(chi, tables[0])
-    pay_a_b2, pay_b2 = payoff_tensor(chi, tables[1])
+    (pay_a_b1, pay_b1), (pay_a_b2, pay_b2) = payoff_tensor(chi, tables)
     return nash_equilibria_stack(compose(pay_a_b1, pay_a_b2, p_grid), pay_b1, pay_b2, delta)
 
 
-def _analytic_column(
-    config: ExperimentConfig, chi_pi: float, tables: tuple[PayoffTable, PayoffTable]
-) -> list[CellResult]:
-    reports = _analytic_reports(chi_pi * np.pi, tables, config.p_grid, config.effective_delta)
+def _analytic_column(config: ExperimentConfig, chi_pi: float) -> list[CellResult]:
+    reports = _analytic_reports(chi_pi * np.pi, config.tables, config.p_grid, config.effective_delta)
     # the analytic run is its own benchmark; no reference point exists
     # where the equilibrium set is empty
     return [
@@ -350,13 +351,9 @@ def _cell_error(pools: np.ndarray, confusion: ConfusionMatrix) -> str:
 
 
 def _shot_column(
-    config: ExperimentConfig,
-    chi_pi: float,
-    tables: tuple[PayoffTable, PayoffTable],
-    confusion: ConfusionMatrix,
+    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix
 ) -> tuple[list[CellResult], ChiEstimate]:
-    chi = chi_pi * np.pi
-    delta = config.effective_delta
+    chi, delta, tables = chi_pi * np.pi, config.effective_delta, config.tables
     keys = [(_grid_key(chi_pi), v, PURPOSE_SAMPLE) for v in range(len(Variant))]
     *sample_rngs, calibration_rng = child_rngs(config.seed, keys + [(_grid_key(chi_pi), 0, PURPOSE_CALIBRATION)])
     counts = [
@@ -408,7 +405,6 @@ def _shot_column(
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
     tracked = profile_from_names(config.tracked_profile)
-    tables = (config.table_b1(), config.table_b2())
     # one readout matrix per sweep: its factorization serves every cell
     confusion = ConfusionMatrix.from_noise(config.noise) if config.mode == MODE_SHOTS else None
     all_cells: list[CellResult] = []
@@ -416,10 +412,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     measurements: list[tuple[float, ChiEstimate]] = []
     for chi_pi in config.chi_grid_pi:
         if config.mode == MODE_ANALYTIC:
-            cells = _analytic_column(config, chi_pi, tables)
+            cells = _analytic_column(config, chi_pi)
             measurements.append((chi_pi, ChiEstimate(chi_pi * np.pi, 0.0)))
         else:
-            cells, estimate = _shot_column(config, chi_pi, tables, confusion)
+            cells, estimate = _shot_column(config, chi_pi, confusion)
             measurements.append((chi_pi, estimate))
         solved = [c for c in cells if c.report is not None]
         if solved:
@@ -527,7 +523,7 @@ def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     if len(payoffs) != len(profiles) or any(len(pay) != 3 for pay in payoffs):
         raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {[len(pay) for pay in payoffs]}")
     return EquilibriumReport(
-        profiles=tuple(profile_from_names(name) for name in profiles),
+        profiles=tuple(_PROFILES.get(name) or profile_from_names(name) for name in profiles),
         payoffs=tuple(tuple(float(v) for v in pay) for pay in payoffs),
     )
 
@@ -548,22 +544,30 @@ def _result_head(result: SweepResult) -> dict:
     }
 
 
+def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellResult:
+    """Cell `index` of a result file, which must hold numbers and sit at
+    `point`, the (chi_nominal_pi, p) that run_sweep emits at that index."""
+    try:
+        chi_pi, p = config_number("chi_nominal_pi", data["chi_nominal_pi"]), config_number("p", data["p"])
+        measured = config_number("chi_measured_pi", data["chi_measured_pi"])
+        rmsd = None if data["rmsd"] is None else config_number("rmsd", data["rmsd"])
+    except ValueError as exc:
+        raise ConfigError(f"cell {index}: {exc}") from exc
+    if (chi_pi, p) != point:
+        raise ConfigError(f"cell {index} at (chi_nominal_pi, p) = {(chi_pi, p)}, expected {point}")
+    return CellResult(chi_pi, measured, p, _report_from_dict(data["report"]), rmsd, data["error"])
+
+
 def result_from_dict(data: dict) -> SweepResult:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
+    config = ExperimentConfig.from_dict(data["config"])
+    points = list(itertools.product(config.chi_grid_pi, config.p_grid))  # run_sweep's order
+    if len(data["cells"]) != len(points):
+        raise ConfigError(f"{len(data['cells'])} cells for {len(points)} grid points")
     return SweepResult(
-        config=ExperimentConfig.from_dict(data["config"]),
-        cells=tuple(
-            CellResult(
-                chi_nominal_pi=c["chi_nominal_pi"],
-                chi_measured_pi=c["chi_measured_pi"],
-                p=c["p"],
-                report=_report_from_dict(c["report"]),
-                rmsd=c["rmsd"],
-                error=c["error"],
-            )
-            for c in data["cells"]
-        ),
+        config=config,
+        cells=tuple(_cell_from_dict(n, c, point) for n, (c, point) in enumerate(zip(data["cells"], points))),
         transitions=tuple(
             (t["chi_pi"], None if t["thresholds"] is None else tuple(t["thresholds"]))
             for t in data["transitions"]
@@ -578,6 +582,7 @@ def result_from_dict(data: dict) -> SweepResult:
 # json.dump writes non-finite floats as these JavaScript literals
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
+_PROFILES = {name: profile for profile, name in _PROFILE_NAMES.items()}  # a bad name raises in profile_from_names
 
 
 def _json_scalar(value) -> str:

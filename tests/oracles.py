@@ -391,7 +391,7 @@ def reference_shot_sweep(config):
     from qgame.statevector import CHI_MAX
     from qgame.sweep import CellResult
 
-    tables = (config.table_b1(), config.table_b2())
+    tables = config.tables
     confusion = ConfusionMatrix.from_noise(config.noise)
     delta = config.effective_delta
     cells, transitions, measurements = [], [], []

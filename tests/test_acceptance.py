@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from qgame.equilibrium import DELTA_SHOTS
-from qgame.game import PayoffTable, profile_from_names
+from qgame.game import payoff_table, profile_from_names
 from qgame.noise import ConfusionMatrix, NoiseModel, outcome_law, spam_correct
 from qgame.sweep import ExperimentConfig, emit_report, run_sweep, verify_parallelization
 from qgame.parallel import N_QUBITS, Variant, build_circuit
@@ -106,8 +106,8 @@ def test_criterion_5_oracle_equivalence():
         p = rng.uniform(0.0, 1.0)
         rows1 = rng.uniform(0.0, 12.0, size=(2, 2, 2)).tolist()
         rows2 = rng.uniform(0.0, 12.0, size=(2, 2, 2)).tolist()
-        pay_a1, pay_b1 = payoff_tensor(chi, PayoffTable.from_rows(rows1))
-        pay_a2, pay_b2 = payoff_tensor(chi, PayoffTable.from_rows(rows2))
+        pay_a1, pay_b1 = payoff_tensor(chi, payoff_table(rows1))
+        pay_a2, pay_b2 = payoff_tensor(chi, payoff_table(rows2))
         report = nash_equilibria(compose(pay_a1, pay_a2, p), pay_b1, pay_b2, 0.0)
         solver = [tuple(int(s) for s in pr) for pr in report.profiles]
         a, b1, b2 = bayes_tensor_dense(chi, rows1, rows2, p)

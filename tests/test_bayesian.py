@@ -7,7 +7,7 @@ import pytest
 
 from qgame.bayesian import compose
 from qgame.equilibrium import nash_equilibria, nash_equilibria_stack
-from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, Strategy, payoff_tensor
+from qgame.game import DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2, Strategy, payoff_table, payoff_tensor
 
 import oracles
 
@@ -15,9 +15,12 @@ import oracles
 EVERY_PROFILE = 100.0
 
 
+TABLES = [payoff_table(rows) for rows in (DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2)]
+
+
 def tensors_at(chi):
     """((A, B1) payoffs of the A-vs-B1 game, (A, B2) payoffs of A-vs-B2)."""
-    return payoff_tensor(chi, DEFAULT_PAYOFF_B1), payoff_tensor(chi, DEFAULT_PAYOFF_B2)
+    return payoff_tensor(chi, TABLES[0]), payoff_tensor(chi, TABLES[1])
 
 
 def test_p_one_reduces_to_b1_game():
@@ -71,9 +74,7 @@ def test_b_payoffs_invariant_in_p():
 def test_matches_dense_oracle():
     chi, p = 0.19, 0.42
     (a1, b1), (a2, b2) = tensors_at(chi)
-    want_a, want_b1, want_b2 = oracles.bayes_tensor_dense(
-        chi, DEFAULT_PAYOFF_B1.to_rows(), DEFAULT_PAYOFF_B2.to_rows(), p
-    )
+    want_a, want_b1, want_b2 = oracles.bayes_tensor_dense(chi, DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2, p)
     np.testing.assert_allclose(compose(a1, a2, p), want_a, atol=1e-10)
     np.testing.assert_allclose(b1, want_b1, atol=1e-10)
     np.testing.assert_allclose(b2, want_b2, atol=1e-10)

@@ -17,16 +17,24 @@ from qgame.equilibrium import (
     nash_equilibria_stack,
     rmsd_at_equilibrium,
 )
-from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, Strategy, payoff_tensor, profile_from_names
+from qgame.game import (
+    DEFAULT_PAYOFF_ROWS_B1,
+    DEFAULT_PAYOFF_ROWS_B2,
+    Strategy,
+    payoff_table,
+    payoff_tensor,
+    profile_from_names,
+)
 
 import oracles
 
 P_GRID = [i / 100 for i in range(101)]
+TABLES = [payoff_table(rows) for rows in (DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2)]
 
 
 def games_at(chi):
     """(A, B1, A, B2) payoff arrays of the two games at angle chi."""
-    return (*payoff_tensor(chi, DEFAULT_PAYOFF_B1), *payoff_tensor(chi, DEFAULT_PAYOFF_B2))
+    return (*payoff_tensor(chi, TABLES[0]), *payoff_tensor(chi, TABLES[1]))
 
 
 def bayes_at(chi, p):

@@ -2,27 +2,31 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.game import (
-    DEFAULT_PAYOFF_B1,
-    DEFAULT_PAYOFF_B2,
-    PayoffTable,
+    DEFAULT_PAYOFF_ROWS_B1,
+    DEFAULT_PAYOFF_ROWS_B2,
     Strategy,
     final_states,
+    payoff_table,
     payoff_tensor,
     profile_from_names,
     profile_names,
     tensor_from_distributions,
 )
 from qgame.noise import ConfusionMatrix
+from qgame.sweep import ExperimentConfig
 
 import oracles
 
 CHI_GRID = [k * np.pi / 40 for k in range(11)]
+TABLE_B1, TABLE_B2 = payoff_table(DEFAULT_PAYOFF_ROWS_B1), payoff_table(DEFAULT_PAYOFF_ROWS_B2)
 
 
 def test_final_state_classical_identity():
@@ -46,71 +50,71 @@ def test_final_state_max_entanglement_z_alone():
 
 def test_expected_payoff_pure_outcomes():
     cd = np.array([0, 1, 0, 0])
-    assert tensor_from_distributions(cd, DEFAULT_PAYOFF_B1) == (1, 10)
+    assert tensor_from_distributions(cd, TABLE_B1) == (1, 10)
     dd = np.array([0, 0, 0, 1])
-    assert tensor_from_distributions(dd, DEFAULT_PAYOFF_B2) == (6, 0)
+    assert tensor_from_distributions(dd, TABLE_B2) == (6, 0)
 
 
 def test_expected_payoff_uniform():
     uniform = np.full(4, 0.25)
-    assert tensor_from_distributions(uniform, DEFAULT_PAYOFF_B1) == (7, 6.5)
+    assert tensor_from_distributions(uniform, TABLE_B1) == (7, 6.5)
 
 
 def test_expected_payoff_validates_distribution():
     with pytest.raises(ValueError):
-        tensor_from_distributions(np.array([0.5, 0.5, 0.5, 0.5]), DEFAULT_PAYOFF_B1)
+        tensor_from_distributions(np.array([0.5, 0.5, 0.5, 0.5]), TABLE_B1)
     with pytest.raises(ValueError):
-        tensor_from_distributions(np.array([1.0, 0.0]), DEFAULT_PAYOFF_B1)
+        tensor_from_distributions(np.array([1.0, 0.0]), TABLE_B1)
 
 
 def test_tensor_stack_rows_match_single_calls():
     rng = np.random.default_rng(13)
     dists = rng.dirichlet(np.ones(4), size=(3, 4, 4))
-    pay_a, pay_b = tensor_from_distributions(dists, DEFAULT_PAYOFF_B2)
+    pay_a, pay_b = tensor_from_distributions(dists, TABLE_B2)
     assert pay_a.shape == pay_b.shape == (3, 4, 4)
     for n in range(3):
-        row_a, row_b = tensor_from_distributions(dists[n], DEFAULT_PAYOFF_B2)
+        row_a, row_b = tensor_from_distributions(dists[n], TABLE_B2)
         np.testing.assert_allclose(pay_a[n], row_a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pay_b[n], row_b, rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):
-                got = tensor_from_distributions(dists[n, i, j], DEFAULT_PAYOFF_B2)
+                got = tensor_from_distributions(dists[n, i, j], TABLE_B2)
                 np.testing.assert_allclose(got, (pay_a[n, i, j], pay_b[n, i, j]), rtol=0, atol=1e-12)
     # a stack fails on its first bad distribution, as that row alone does
     bad = dists.copy()
     bad[1, 2, 3] *= 0.9
     bad[2, 0, 0] *= 1.1
     with pytest.raises(ValueError) as stacked:
-        tensor_from_distributions(bad, DEFAULT_PAYOFF_B2)
+        tensor_from_distributions(bad, TABLE_B2)
     with pytest.raises(ValueError) as single:
-        tensor_from_distributions(bad[1, 2, 3], DEFAULT_PAYOFF_B2)
+        tensor_from_distributions(bad[1, 2, 3], TABLE_B2)
     assert str(stacked.value) == str(single.value)
 
 
 def test_tensor_classical_corner():
-    pay_a, pay_b = payoff_tensor(0.0, DEFAULT_PAYOFF_B1)
+    pay_a, pay_b = payoff_tensor(0.0, TABLE_B1)
     assert (pay_a[Strategy.I, Strategy.I], pay_b[Strategy.I, Strategy.I]) == (11, 9)
 
 
 def test_tensor_classical_degeneracy():
     # at chi=0, Z acts trivially on |0>: {I,Z} x {I,Z} all give (11,9)
-    pay_a, pay_b = payoff_tensor(0.0, DEFAULT_PAYOFF_B1)
+    pay_a, pay_b = payoff_tensor(0.0, TABLE_B1)
     for i in (Strategy.I, Strategy.Z):
         for j in (Strategy.I, Strategy.Z):
             assert (pay_a[i, j], pay_b[i, j]) == (11, 9)
 
 
 def test_tensor_max_entanglement_z_entry():
-    pay_a, pay_b = payoff_tensor(np.pi / 4, DEFAULT_PAYOFF_B1)
+    pay_a, pay_b = payoff_tensor(np.pi / 4, TABLE_B1)
     pay = (pay_a[Strategy.Z, Strategy.I], pay_b[Strategy.Z, Strategy.I])
     np.testing.assert_allclose(pay, (6, 6), atol=1e-12)
 
 
 def test_tensor_matches_dense_oracle_on_grid():
     for chi in CHI_GRID:
-        for table in (DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2):
-            pay_a, pay_b = payoff_tensor(chi, table)
-            want_a, want_b = oracles.game_tensor_dense(chi, table.to_rows())
+        for rows in (DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2):
+            pay_a, pay_b = payoff_tensor(chi, payoff_table(rows))
+            want_a, want_b = oracles.game_tensor_dense(chi, rows)
             np.testing.assert_allclose(pay_a, want_a, atol=1e-10)
             np.testing.assert_allclose(pay_b, want_b, atol=1e-10)
 
@@ -133,7 +137,7 @@ def test_final_states_rows_are_normalized():
 def test_final_states_rejects_the_angle_final_state_rejects():
     # the one angle check, shared by the protocol states and the payoff arrays
     messages = []
-    for evolve in (final_states, lambda chi: payoff_tensor(chi, DEFAULT_PAYOFF_B1)):
+    for evolve in (final_states, lambda chi: payoff_tensor(chi, TABLE_B1)):
         with pytest.raises(ValueError) as info:
             evolve(-0.01)
         messages.append(str(info.value))
@@ -144,9 +148,20 @@ def test_payoff_tensor_bits_match_per_pair_reference():
     # the stacked evolution and per-row dots keep the per-pair loop's bits,
     # which the pinned analytic digest depends on
     for chi in np.linspace(0.0, np.pi / 4, 201):
-        for table in (DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2):
+        for table in (TABLE_B1, TABLE_B2):
             got, want = payoff_tensor(chi, table), oracles.reference_payoff_tensor(chi, table)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_payoff_tensor_of_the_table_stack_matches_single_tables():
+    # one evolution serves both games, with the bits of one call per table
+    tables = ExperimentConfig().tables
+    for chi in np.linspace(0.0, np.pi / 4, 201):
+        got = payoff_tensor(chi, tables)
+        assert got.shape == (2, 2, 4, 4)
+        for table, pays in zip(tables, got):
+            assert np.array_equal(pays, payoff_tensor(chi, table))
+            assert np.array_equal(pays, oracles.reference_payoff_tensor(chi, table))
 
 
 @given(
@@ -155,7 +170,7 @@ def test_payoff_tensor_bits_match_per_pair_reference():
 )
 @settings(max_examples=60, deadline=None)
 def test_payoff_tensor_bits_match_per_pair_reference_on_drawn_tables(chi, entries):
-    table = PayoffTable(np.reshape(entries[:4], (2, 2)), np.reshape(entries[4:], (2, 2)))
+    table = np.reshape(entries, (2, 4))  # A's 2x2 entries, then B's
     got, want = payoff_tensor(chi, table), oracles.reference_payoff_tensor(chi, table)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -180,15 +195,15 @@ def test_classical_limit_is_deterministic():
 @settings(max_examples=80, deadline=None)
 def test_payoffs_within_table_envelope(chi, i, j):
     dist = np.abs(final_states(chi)[4 * i + j]) ** 2
-    pay_a, pay_b = tensor_from_distributions(dist, DEFAULT_PAYOFF_B1)
-    assert DEFAULT_PAYOFF_B1.a.min() - 1e-9 <= pay_a <= DEFAULT_PAYOFF_B1.a.max() + 1e-9
-    assert DEFAULT_PAYOFF_B1.b.min() - 1e-9 <= pay_b <= DEFAULT_PAYOFF_B1.b.max() + 1e-9
+    pay_a, pay_b = tensor_from_distributions(dist, TABLE_B1)
+    assert TABLE_B1[0].min() - 1e-9 <= pay_a <= TABLE_B1[0].max() + 1e-9
+    assert TABLE_B1[1].min() - 1e-9 <= pay_b <= TABLE_B1[1].max() + 1e-9
 
 
 def test_player_swap_symmetry():
     # swapping strategies while transposing the table transposes the payoffs
-    table = DEFAULT_PAYOFF_B2
-    swapped = PayoffTable(table.b.T, table.a.T)
+    table = TABLE_B2
+    swapped = np.stack([table[1].reshape(2, 2).T.ravel(), table[0].reshape(2, 2).T.ravel()])
     for chi in (0.0, 0.2, np.pi / 4):
         direct_a, direct_b = payoff_tensor(chi, table)
         flipped_a, flipped_b = payoff_tensor(chi, swapped)
@@ -198,17 +213,24 @@ def test_player_swap_symmetry():
 
 def test_payoff_table_json_round_trip():
     rows = [[[11, 9], [1, 10]], [[10, 1], [6, 6]]]
-    table = PayoffTable.from_rows(rows)
-    assert table.to_rows() == [[[11.0, 9.0], [1.0, 10.0]], [[10.0, 1.0], [6.0, 6.0]]]
-    np.testing.assert_array_equal(table.a, [[11, 1], [10, 6]])
-    np.testing.assert_array_equal(table.b, [[9, 10], [1, 6]])
+    table = payoff_table(rows)
+    # the default rows are float tuples, so a config echoes them as 11.0
+    assert json.dumps(DEFAULT_PAYOFF_ROWS_B1) == "[[[11.0, 9.0], [1.0, 10.0]], [[10.0, 1.0], [6.0, 6.0]]]"
+    np.testing.assert_array_equal(table, TABLE_B1)
+    np.testing.assert_array_equal(table[0].reshape(2, 2), [[11, 1], [10, 6]])
+    np.testing.assert_array_equal(table[1].reshape(2, 2), [[9, 10], [1, 6]])
+    assert table.dtype == float and not table.flags.writeable
+    with pytest.raises(ValueError, match=r"rows must be 2x2 pairs, got shape \(2, 2\)"):
+        payoff_table([[11, 9], [1, 10]])
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        payoff_table([[[11, 9], [1, 10]], [[10, 1], [6, float("nan")]]])
 
 
 def test_chi_out_of_range_rejected():
     with pytest.raises(ValueError):
         final_states(np.pi / 2)
     with pytest.raises(ValueError):
-        payoff_tensor(-0.1, DEFAULT_PAYOFF_B1)
+        payoff_tensor(-0.1, TABLE_B1)
 
 
 def test_profile_string_round_trip():
@@ -221,7 +243,6 @@ def test_profile_string_round_trip():
 
 # each maker gives equal values for equal arguments and different ones otherwise
 ARRAY_DATACLASSES = {
-    "PayoffTable": lambda v: PayoffTable.from_rows((DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2)[v].to_rows()),
     "ConfusionMatrix": lambda v: ConfusionMatrix(np.roll(np.eye(4), v, axis=0)),
 }
 

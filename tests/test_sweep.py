@@ -23,7 +23,7 @@ import qgame.noise
 import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
-from qgame.game import DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2, PayoffTable, profile_from_names
+from qgame.game import profile_from_names
 from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
@@ -213,12 +213,12 @@ class TestAnalyticSweep:
     @pytest.mark.parametrize("custom", [False, True], ids=["default-tables", "custom-tables"])
     def test_column_solve_matches_per_p_reference(self, chi, delta, custom):
         # at chi = 0, p = 0 eight profiles tie, so the profile order is checked too
-        tables = (DEFAULT_PAYOFF_B1, DEFAULT_PAYOFF_B2)
+        tables = ExperimentConfig().tables
         if custom:
-            tables = (
-                PayoffTable.from_rows([[[3, 3], [0, 5]], [[5, 0], [1, 1]]]),
-                PayoffTable.from_rows([[[2, 1], [0, 0]], [[0, 0], [1, 2]]]),
-            )
+            tables = ExperimentConfig(
+                payoff_rows_b1=[[[3, 3], [0, 5]], [[5, 0], [1, 1]]],
+                payoff_rows_b2=[[[2, 1], [0, 0]], [[0, 0], [1, 2]]],
+            ).tables
         got = _analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
         assert got == reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
         if chi == 0.0 and not custom:
@@ -434,12 +434,12 @@ def load_layertrace():
 
 class TestTracedBenchmark:
     def test_analytic_sweep_goes_through_the_traced_names(self):
-        # two payoff arrays and one Bayesian mix per angle, each looked up
-        # where the tracer wraps it
+        # one payoff evolution for both games and one Bayesian mix per angle,
+        # each looked up where the tracer wraps it
         cfg = analytic_config(chi_grid_pi=(0.05, 0.25))
         with load_layertrace().Tracer() as tracer:
             run_sweep(cfg)
-        assert tracer.counts["game.payoff_tensor.calls"] == 2 * len(cfg.chi_grid_pi)
+        assert tracer.counts["game.payoff_tensor.calls"] == len(cfg.chi_grid_pi)
         assert tracer.counts["bayesian.compose.calls"] == len(cfg.chi_grid_pi)
 
     def test_payoff_tensor_evolves_all_pairs_in_one_stack(self):
@@ -609,6 +609,12 @@ class TestSerialization:
             # cell (chi=0, p=0) holds 8 equilibria
             lambda data: with_first_payoffs(data, lambda payoffs: payoffs[:1]),
             lambda data: with_first_payoffs(data, lambda payoffs: [[1.0]] + payoffs[1:]),
+            lambda data: with_first_cell(data, p="abc"),
+            lambda data: with_first_cell(data, chi_nominal_pi=0.7),
+            lambda data: with_first_cell(data, p=0.5),
+            lambda data: with_first_cell(data, chi_measured_pi=True),
+            lambda data: with_first_cell(data, rmsd="0.0"),
+            lambda data: json.dumps({**data, "cells": data["cells"] * 2}),
         ],
         ids=[
             "no-cells",
@@ -619,6 +625,12 @@ class TestSerialization:
             "truncated",
             "one-payoff-row-for-8-profiles",
             "payoff-row-not-3-entries",
+            "p-not-a-number",
+            "chi-off-grid",
+            "p-off-grid",
+            "chi-measured-bool",
+            "rmsd-string",
+            "more-cells-than-grid-points",
         ],
     )
     def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
@@ -629,11 +641,27 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="bad result file .*bad.json"):
             load_result(bad)
 
+    def test_result_cells_out_of_grid_order_name_the_first_misplaced_cell(self, tmp_path):
+        # run_sweep emits the cells chi-major; these two are swapped
+        cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["cells"][1], data["cells"][2] = data["cells"][2], data["cells"][1]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        message = "cell 1 at (chi_nominal_pi, p) = (0.1, 0.0), expected (0.0, 0.5)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_result(path)
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["nonexistent", "directory"])
     def test_unreadable_result_file_is_config_error(self, tmp_path, name):
         path = tmp_path / name
         with pytest.raises(ConfigError, match=f"cannot read result file {re.escape(str(path))}: "):
             load_result(path)
+
+
+def with_first_cell(data: dict, **fields) -> str:
+    """The result document with fields of its first cell replaced."""
+    return json.dumps({**data, "cells": [{**data["cells"][0], **fields}, *data["cells"][1:]]})
 
 
 def with_first_payoffs(data: dict, change) -> str:
@@ -846,6 +874,8 @@ class TestCli:
             {"shots": True},
             {"calibration_shots": 300.5},
             {"calibration_shots": True},
+            {"shots": 2**63},
+            {"calibration_shots": 2**63},
             {"transition_window": 2.5},
             {"transition_window": True},
         ],
@@ -858,13 +888,16 @@ class TestCli:
             "shots-bool",
             "calibration-shots-float",
             "calibration-shots-bool",
+            "shots-too-big",
+            "calibration-shots-too-big",
             "window-float",
             "window-bool",
         ],
     )
     def test_non_integer_or_out_of_range_count_is_config_error(self, tmp_path, capsys, override):
         # seeds, shot counts and the window are ints; JSON floats and true
-        # once passed validation and then crashed the sweep or ran silently
+        # once passed validation and then crashed the sweep or ran silently,
+        # and a shot count of 2**63 overflowed the sampler's C long
         config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
