@@ -14,7 +14,8 @@ are kept.
 `nash_equilibria_stack` solves a whole column of tensors (one per p) in
 one array pass: the masks take the player's own choice on a negative
 axis, so one rule serves a single tensor and a stack, and B payoffs shared
-by the column are masked once. `nash_equilibria` is its one-row case.
+by the column are masked once. `nash_equilibria` is its one-row case, as
+`rmsd_at_equilibrium` is of `rmsd_at_equilibrium_stack`, one gather per array.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ def detect_transitions(
     member = [r.contains(profile) for r in reports]
     thresholds: list[float] = []
     current = member[0]
-    idx = 1
-    while idx < len(member):
+    for idx in range(1, len(member)):
         if member[idx] != current:
             run = 1
             while idx + run < len(member) and member[idx + run] == member[idx]:
@@ -129,7 +129,6 @@ def detect_transitions(
             if run >= window or idx + run == len(member):
                 thresholds.append(ps[idx])
                 current = member[idx]
-        idx += 1
     return tuple(thresholds)
 
 
@@ -142,11 +141,25 @@ def max_payoff_profile(report: EquilibriumReport) -> Profile:
     return ranked[0][0]
 
 
+def rmsd_at_equilibrium_stack(
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, references: list[EquilibriumReport]
+) -> list[float | None]:
+    """Each row's payoff RMSD from its reference at the reference's best equilibrium
+    (`max_payoff_profile`), None for an empty reference; arrays as in `nash_equilibria_stack`."""
+    a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
+    if len(a) != len(references):
+        raise ValueError(f"{len(a)} payoff rows for {len(references)} references")
+    row = [n for n, reference in enumerate(references) if not reference.empty]
+    best = [max_payoff_profile(references[n]) for n in row]
+    ref = np.reshape([references[n].payoffs[references[n].profiles.index(p)] for n, p in zip(row, best)], (-1, 3))
+    row, (i, j, k) = np.array(row, dtype=int), np.reshape(np.array(best, dtype=int), (-1, 3)).T
+    obs = np.stack((a[row, i, j, k], b1[(row, i, j)[3 - b1.ndim :]], b2[(row, i, k)[3 - b2.ndim :]]), axis=-1)
+    values = iter(np.sqrt(np.mean((obs - ref) ** 2, axis=-1)).tolist())
+    return [None if reference.empty else next(values) for reference in references]
+
+
 def rmsd_at_equilibrium(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, reference: EquilibriumReport) -> float:
-    """Root-mean-square deviation of the observed payoffs `a`, `b1`, `b2`
-    from the reference report at its best equilibrium (`max_payoff_profile`)."""
-    profile = max_payoff_profile(reference)
-    i, j, k = profile
-    obs = np.array((a[i, j, k], b1[i, j], b2[i, k]), dtype=float)
-    ref = np.array(reference.payoffs[reference.profiles.index(profile)])
-    return float(np.sqrt(np.mean((obs - ref) ** 2)))
+    """One Bayesian game's case of `rmsd_at_equilibrium_stack`."""
+    if reference.empty:
+        raise NoEquilibriumError("report has no equilibria")
+    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, [reference])[0]

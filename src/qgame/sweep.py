@@ -20,12 +20,12 @@ millionth, since they would share their streams. The rest of the angle's
 column is one array pass: the stacked pools are SPAM-corrected, split into
 branch distributions (one call on the corrected stack, one on the raw
 stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`, turned
-into payoff arrays and composed into A's Bayesian payoffs per p, and only
-the observed cells' equilibrium solve runs cell by cell (their analytic
-references are one column solve). Those steps are `spam_correct_stack`,
-`branch_distributions`, `tensor_from_distributions` and `compose`;
-`spam_correct` and `parse_branches` are the one-row case of the first two,
-and the last two take one row or a stack, so each check exists once.
+into payoff arrays, composed into A's Bayesian payoffs per p, solved and
+compared with the analytic references (one column solve): `spam_correct_stack`,
+`branch_distributions`, `tensor_from_distributions`, `compose`,
+`nash_equilibria_stack`, `rmsd_at_equilibrium_stack`. The middle two take one
+row or a stack, the others have one-row cases (`spam_correct`, `parse_branches`,
+`nash_equilibria`, `rmsd_at_equilibrium`), so each check exists once.
 `parallel` alone knows the outcome-bit layout; this module and
 `verify_parallelization` read its branch table.
 
@@ -36,9 +36,9 @@ failed cell carries its first failure in per-cell order: I-circuit before
 X-circuit, B1 before B2, SPAM correction before branch parsing. Those
 single-cell steps, replayed on the failed cell's pools, raise it, so each
 failed cell makes exactly one failing `spam_correct` or `parse_branches`
-call, and each solved cell one `nash_equilibria` call. `perfbench/layertrace.py`
-counts those calls and wraps the names it traces where this module looks
-them up, so every name in its TRACE_POINTS stays an attribute here.
+call. `perfbench/layertrace.py` counts those calls and wraps the names it
+traces where this module looks them up, so every name in its TRACE_POINTS
+stays an attribute here, even the ones the sweep no longer calls.
 
 All angles are expressed in units of pi in configs and output files and in
 radians inside the package.
@@ -60,11 +60,11 @@ from qgame.equilibrium import (
     DELTA_ANALYTIC,
     DELTA_SHOTS,
     EquilibriumReport,
-    NoEquilibriumError,
     detect_transitions,
     nash_equilibria,
     nash_equilibria_stack,
     rmsd_at_equilibrium,
+    rmsd_at_equilibrium_stack,
 )
 from qgame.game import (
     DEFAULT_PAYOFF_ROWS_B1,
@@ -106,8 +106,8 @@ from qgame.parallel import (
 )
 from qgame.statevector import CHI_MAX, check_chi
 
-# The sweep never calls this name; perfbench/layertrace.py still traces it. It
-# goes away with that trace point when the benchmark traces the stacked steps.
+# The sweep calls neither this name, `nash_equilibria` nor `rmsd_at_equilibrium`; perfbench/layertrace.py
+# traces them here. They go away with those trace points when the benchmark traces the stacked steps.
 bayesian_split = split_counts
 
 SCHEMA_VERSION = 3
@@ -292,9 +292,6 @@ class SweepResult:
     transitions: tuple[tuple[float, tuple[float, ...] | None], ...]
     chi_measurements: tuple[tuple[float, ChiEstimate], ...]
 
-    def cells_at_chi(self, chi_pi: float) -> list[CellResult]:
-        return [c for c in self.cells if c.chi_nominal_pi == chi_pi]
-
 
 # ---------------------------------------------------------------------------
 # analytic pipeline
@@ -384,21 +381,14 @@ def _shot_column(
     pay_a_b1, pay_b1 = tensor_from_distributions(dists[0], tables[0])
     pay_a_b2, pay_b2 = tensor_from_distributions(dists[1], tables[1])
     pay_a = compose(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
-    solved = iter(zip(pay_a, pay_b1, pay_b2))
-
-    cells = []
-    for n, p in enumerate(config.p_grid):
-        if failed[n]:
-            error = _cell_error(pools[:, :, n], confusion)
-            cells.append(CellResult(chi_pi, chi_measured_pi, p, None, None, error=error))
-            continue
-        observed = next(solved)
-        report = nash_equilibria(*observed, delta)
-        try:
-            rmsd = rmsd_at_equilibrium(*observed, references[n])
-        except NoEquilibriumError:
-            rmsd = None  # no analytic benchmark at this grid point
-        cells.append(CellResult(chi_pi, chi_measured_pi, p, report, rmsd))
+    rmsds = rmsd_at_equilibrium_stack(pay_a, pay_b1, pay_b2, [references[n] for n in np.flatnonzero(~failed)])
+    solved = zip(nash_equilibria_stack(pay_a, pay_b1, pay_b2, delta), rmsds)
+    cells = [
+        CellResult(chi_pi, chi_measured_pi, p, None, None, error=_cell_error(pools[:, :, n], confusion))
+        if failed[n]
+        else CellResult(chi_pi, chi_measured_pi, p, *next(solved))
+        for n, p in enumerate(config.p_grid)
+    ]
     return cells, estimate
 
 
@@ -434,7 +424,7 @@ def rmsd_analysis(result: SweepResult) -> list[dict]:
     """Per-angle aggregate of cell-level payoff deviations."""
     rows = []
     for chi_pi in result.config.chi_grid_pi:
-        cells = result.cells_at_chi(chi_pi)
+        cells = [c for c in result.cells if c.chi_nominal_pi == chi_pi]
         values = [c.rmsd for c in cells if c.rmsd is not None]
         rows.append(
             {
@@ -450,17 +440,15 @@ def rmsd_analysis(result: SweepResult) -> list[dict]:
 
 def threshold_rows(result: SweepResult) -> list[dict]:
     """Per-angle transition thresholds of the tracked profile."""
-    rows = []
-    for chi_pi, thresholds in result.transitions:
-        rows.append(
-            {
-                "chi_pi": chi_pi,
-                "profile": result.config.tracked_profile,
-                "thresholds": None if thresholds is None else list(thresholds),
-                "window": result.config.transition_window,
-            }
-        )
-    return rows
+    return [
+        {
+            "chi_pi": chi_pi,
+            "profile": result.config.tracked_profile,
+            "thresholds": None if thresholds is None else list(thresholds),
+            "window": result.config.transition_window,
+        }
+        for chi_pi, thresholds in result.transitions
+    ]
 
 
 def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
@@ -558,6 +546,14 @@ def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellR
     return CellResult(chi_pi, measured, p, _report_from_dict(data["report"]), rmsd, data["error"])
 
 
+def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:
+    """`values` as config numbers: `grid` itself, or else distinct points of it in ascending order."""
+    values = tuple(config_number(name, value) for value in values)
+    if values != (grid if whole else tuple(sorted(set(values).intersection(grid)))):
+        raise ConfigError(f"{name} {list(values)} are not {'the' if whole else 'ascending points of the'} config grid")
+    return values
+
+
 def result_from_dict(data: dict) -> SweepResult:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
@@ -565,17 +561,22 @@ def result_from_dict(data: dict) -> SweepResult:
     points = list(itertools.product(config.chi_grid_pi, config.p_grid))  # run_sweep's order
     if len(data["cells"]) != len(points):
         raise ConfigError(f"{len(data['cells'])} cells for {len(points)} grid points")
+    transitions, measurements, chi_grid = data["transitions"], data["chi_measurements"], config.chi_grid_pi
+    try:  # one transition and one measurement per angle, in run_sweep's order
+        chis = _grid_points("transitions chi_pi", [t["chi_pi"] for t in transitions], chi_grid, whole=True)
+        nominal = _grid_points("chi_nominal_pi", [m["chi_nominal_pi"] for m in measurements], chi_grid, whole=True)
+        thresholds = [
+            None if t["thresholds"] is None else _grid_points("thresholds", t["thresholds"], config.p_grid)
+            for t in transitions
+        ]
+        value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return SweepResult(
         config=config,
         cells=tuple(_cell_from_dict(n, c, point) for n, (c, point) in enumerate(zip(data["cells"], points))),
-        transitions=tuple(
-            (t["chi_pi"], None if t["thresholds"] is None else tuple(t["thresholds"]))
-            for t in data["transitions"]
-        ),
-        chi_measurements=tuple(
-            (m["chi_nominal_pi"], ChiEstimate(m["value_rad"], m["sigma_rad"]))
-            for m in data["chi_measurements"]
-        ),
+        transitions=tuple(zip(chis, thresholds)),
+        chi_measurements=tuple(zip(nominal, map(ChiEstimate, value, sigma))),
     )
 
 

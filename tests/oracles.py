@@ -355,6 +355,20 @@ def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
     return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
 
 
+def reference_rmsd(a, b1, b2, reference):
+    """RMSD of one game's observed payoffs from the reference report at its
+    best equilibrium, gathered entry by entry; None for an empty report."""
+    from qgame.equilibrium import max_payoff_profile
+
+    if reference.empty:
+        return None
+    profile = max_payoff_profile(reference)
+    i, j, k = profile
+    obs = np.array((a[i, j, k], b1[i, j], b2[i, k]), dtype=float)
+    ref = np.array(reference.payoffs[reference.profiles.index(profile)])
+    return float(np.sqrt(np.mean((obs - ref) ** 2)))
+
+
 def reference_child_rng(seed: int, *key: int) -> np.random.Generator:
     """A keyed child stream built the documented numpy way, one SeedSequence
     per key, not through the package's batched derivation."""
@@ -369,12 +383,12 @@ def reference_shot_sweep(config):
     each pool (I-circuit before X, B1 before B2, correction before parsing,
     so the first failure names the cell's error; a branch is empty when the
     raw pool or the corrected one has nothing in it), builds and composes the
-    tensors, solves them, and reads the RMSD against the analytic report at
-    the measured angle. Returns (cells, transitions, chi_measurements) laid
+    tensors, solves them, and reads the RMSD (`reference_rmsd`) against the
+    analytic report at the measured angle. Returns (cells, transitions, chi_measurements) laid
     out as in `run_sweep`'s result.
     """
     from qgame.bayesian import compose
-    from qgame.equilibrium import NoEquilibriumError, detect_transitions, nash_equilibria, rmsd_at_equilibrium
+    from qgame.equilibrium import detect_transitions, nash_equilibria
     from qgame.game import STRATEGIES, payoff_tensor, profile_from_names, tensor_from_distributions
     from qgame.noise import (
         PURPOSE_CALIBRATION,
@@ -431,11 +445,8 @@ def reference_shot_sweep(config):
                 for d, table in zip(dists, tables)
             )
             observed = (compose(obs_a1, obs_a2, p), obs_b1, obs_b2)
-            try:
-                reference = nash_equilibria(compose(ref_a1, ref_a2, p), ref_b1, ref_b2, delta)
-                rmsd = rmsd_at_equilibrium(*observed, reference)
-            except NoEquilibriumError:
-                rmsd = None
+            reference = nash_equilibria(compose(ref_a1, ref_a2, p), ref_b1, ref_b2, delta)
+            rmsd = reference_rmsd(*observed, reference)
             column.append(CellResult(chi_pi, chi_ref / np.pi, p, nash_equilibria(*observed, delta), rmsd))
         solved = [cell for cell in column if cell.report is not None]
         thresholds = None

@@ -10,12 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from qgame.bayesian import compose
 from qgame.equilibrium import (
+    EquilibriumReport,
     NoEquilibriumError,
     detect_transitions,
     max_payoff_profile,
     nash_equilibria,
     nash_equilibria_stack,
     rmsd_at_equilibrium,
+    rmsd_at_equilibrium_stack,
 )
 from qgame.game import (
     DEFAULT_PAYOFF_ROWS_B1,
@@ -231,10 +233,10 @@ def test_solver_matches_brute_force_with_ties(a, b1, b2, delta):
 
 
 @st.composite
-def integer_columns(draw):
+def integer_columns(draw, rows=None):
     """A column of P tensors with payoffs in {0, ..., 3}, its B arrays
-    either shared (4, 4) or one per row (P, 4, 4)."""
-    rows = draw(st.integers(1, 5))
+    either shared (4, 4) or one per row (P, 4, 4); P is drawn unless given."""
+    rows = draw(st.integers(1, 5)) if rows is None else rows
     payoffs = st.integers(0, 3)
     a = draw(hnp.arrays(np.int64, (rows, 4, 4, 4), elements=payoffs))
     b_shape = draw(st.sampled_from([(4, 4), (rows, 4, 4)]))
@@ -258,6 +260,45 @@ def test_stack_rows_match_single_solves_and_brute_force(column, delta):
         assert report.payoffs == single.payoffs == tuple(payoffs_at(tensor, pr) for pr in report.profiles)
         got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
         assert got == oracles.brute_force_equilibria(*tensor, delta)
+
+
+@st.composite
+def columns_with_references(draw):
+    """An observed integer column and one reference report per row: the
+    solved reports of a second integer column, some replaced by empty ones."""
+    a, b1, b2 = draw(integer_columns())
+    references = nash_equilibria_stack(*draw(integer_columns(rows=len(a))), draw(st.sampled_from([0.0, 0.1])))
+    emptied = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    return (a, b1, b2), [EquilibriumReport((), ()) if e else r for r, e in zip(references, emptied)]
+
+
+@given(column=columns_with_references())
+@settings(max_examples=100, deadline=None)
+def test_rmsd_stack_rows_match_single_rows_bit_for_bit(column):
+    # payoffs from {0, ..., 3} make tied best equilibria common
+    (a, b1, b2), references = column
+    got = rmsd_at_equilibrium_stack(a, b1, b2, references)
+    assert len(got) == len(references)
+    for n, (value, reference) in enumerate(zip(got, references)):
+        tensor = synthetic_tensor(a[n], b1 if b1.ndim == 2 else b1[n], b2 if b2.ndim == 2 else b2[n])
+        assert value == oracles.reference_rmsd(*tensor, reference)
+        if reference.empty:
+            with pytest.raises(NoEquilibriumError):
+                rmsd_at_equilibrium(*tensor, reference)
+        else:
+            assert value == rmsd_at_equilibrium(*tensor, reference)
+
+
+def test_rmsd_stack_reads_the_tie_broken_best_profile_and_skips_empty_rows():
+    tied, empty = bayes_at(0.0, 0.0), bayes_at(0.05 * np.pi, 0.5)
+    references = [nash_equilibria(*tied, 0.0), nash_equilibria(*empty, 0.0)]
+    assert len(references[0].profiles) == 8 and references[1].empty
+    # shift the observed payoffs only at IXI, the tie-broken best profile
+    a, b1, b2 = (np.stack(arrays) for arrays in zip(tied, empty))
+    a[0][profile_from_names("IXI")] += 3.0
+    assert rmsd_at_equilibrium_stack(a, b1, b2, references) == [np.sqrt(3.0), None]
+    with pytest.raises(ValueError, match="2 payoff rows for 1 references"):
+        rmsd_at_equilibrium_stack(a, b1, b2, references[:1])
 
 
 def test_negative_delta_rejected():

@@ -464,7 +464,9 @@ class TestTracedBenchmark:
         counts = tracer.counts
         errors = counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"]
         assert errors == failed
-        assert counts["equilibrium.nash_equilibria.calls"] > 0
+        # the solved cells go through the stacked solve and RMSD, not the traced one-row names
+        assert counts["equilibrium.nash_equilibria.calls"] == 0
+        assert counts["equilibrium.rmsd_at_equilibrium.calls"] == 0
 
     def test_tiny_pool_failures_replay_one_error_each(self):
         # cells that fail on a branch empty only in the raw pool still make
@@ -478,7 +480,8 @@ class TestTracedBenchmark:
         assert failed == 3
         counts = tracer.counts
         assert counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"] == failed
-        assert counts["equilibrium.nash_equilibria.calls"] == len(result.cells) - failed
+        assert counts["equilibrium.nash_equilibria.calls"] == 0
+        assert counts["equilibrium.rmsd_at_equilibrium.calls"] == 0
 
     def test_traced_split_alias_is_never_called(self):
         # the tracer's split counter reads `.total`, which a count array lacks,
@@ -526,6 +529,16 @@ class TestSerialization:
         paths = emit_report(run_sweep(ExperimentConfig(mode="analytic")), tmp_path)
         digest = hashlib.sha256(Path(paths["json"]).read_bytes()).hexdigest()
         assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
+
+    def test_default_noisy_shot_sweep_matches_pinned_digests(self, tmp_path):
+        # the benchmark's shots_noisy workload at seed 0, which fails 61 cells
+        cfg = ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(0), seed=0)
+        paths = emit_report(run_sweep(cfg), tmp_path)
+        digests = [hashlib.sha256(Path(paths[fmt]).read_bytes()).hexdigest() for fmt in ("csv", "json")]
+        assert digests == [
+            "d399eb74a74d5d1f829d6d8cd933654ae8cf4b3b6806888ab0ca9ea96f2ef2c1",
+            "cca194be54405cb672ce0994db6353c2a4f1a48b3bbc3c08ab40f9c6e14320d1",
+        ]
 
     def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
@@ -615,6 +628,8 @@ class TestSerialization:
             lambda data: with_first_cell(data, chi_measured_pi=True),
             lambda data: with_first_cell(data, rmsd="0.0"),
             lambda data: json.dumps({**data, "cells": data["cells"] * 2}),
+            lambda data: json.dumps({**data, "transitions": data["transitions"] * 2}),
+            lambda data: json.dumps({**data, "chi_measurements": []}),
         ],
         ids=[
             "no-cells",
@@ -631,6 +646,8 @@ class TestSerialization:
             "chi-measured-bool",
             "rmsd-string",
             "more-cells-than-grid-points",
+            "more-transitions-than-angles",
+            "no-measurements",
         ],
     )
     def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
@@ -652,11 +669,39 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_result(path)
 
+    @pytest.mark.parametrize(
+        "key, fields, message",
+        [
+            ("transitions", {"chi_pi": "abc"}, "transitions chi_pi: expected a number, got 'abc'"),
+            ("transitions", {"chi_pi": 0.2}, "transitions chi_pi [0.2, 0.1] are not the config grid"),
+            ("transitions", {"thresholds": ["x"]}, "thresholds: expected a number, got 'x'"),
+            ("transitions", {"thresholds": [0.5, 0.0]}, "thresholds [0.5, 0.0] are not ascending points"),
+            ("transitions", {"thresholds": [0.5, 0.5]}, "thresholds [0.5, 0.5] are not ascending points"),
+            ("transitions", {"thresholds": [0.25]}, "thresholds [0.25] are not ascending points"),
+            ("chi_measurements", {"chi_nominal_pi": 0.7}, "chi_nominal_pi [0.7, 0.1] are not the config grid"),
+            ("chi_measurements", {"value_rad": "zz"}, "value_rad: expected a number, got 'zz'"),
+            ("chi_measurements", {"sigma_rad": float("nan")}, "sigma_rad: expected a finite number, got nan"),
+        ],
+    )
+    def test_result_transitions_and_measurements_are_checked(self, tmp_path, key, fields, message):
+        # one entry per angle of the grid, in grid order; thresholds are grid p values
+        cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        path = tmp_path / "head.json"
+        path.write_text(with_first(data, key, **fields))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_result(path)
+
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["nonexistent", "directory"])
     def test_unreadable_result_file_is_config_error(self, tmp_path, name):
         path = tmp_path / name
         with pytest.raises(ConfigError, match=f"cannot read result file {re.escape(str(path))}: "):
             load_result(path)
+
+
+def with_first(data: dict, key: str, **fields) -> str:
+    """The result document with fields of the first entry of list `key` replaced."""
+    return json.dumps({**data, key: [{**data[key][0], **fields}, *data[key][1:]]})
 
 
 def with_first_cell(data: dict, **fields) -> str:
