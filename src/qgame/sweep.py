@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -480,13 +480,17 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
 # ---------------------------------------------------------------------------
 # serialization
 
+# writes any float, numpy's too, as json.dump does; numpy's own repr is np.float64(0.5)
+_float_text = float.__repr__
+
+
 def _csv_field(value) -> str:
-    """One CSV cell: blank for None, repr for floats (round-trip exact),
-    lowercase booleans, and ';'-joined floats for lists."""
+    """One CSV cell: blank for None, float repr for floats (round-trip
+    exact), lowercase booleans, and ';'-joined floats for lists."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return _float_text(value)
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, list):
@@ -508,11 +512,12 @@ def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
     if data is None:
         return None
     profiles, payoffs = data["profiles"], data["payoffs"]
-    if len(payoffs) != len(profiles) or any(len(pay) != 3 for pay in payoffs):
-        raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {[len(pay) for pay in payoffs]}")
+    lengths = [len(pay) for pay in payoffs]
+    if len(payoffs) != len(profiles) or lengths.count(3) != len(lengths):
+        raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {lengths}")
     return EquilibriumReport(
-        profiles=tuple(_PROFILES.get(name) or profile_from_names(name) for name in profiles),
-        payoffs=tuple(tuple(float(v) for v in pay) for pay in payoffs),
+        profiles=tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles]),
+        payoffs=tuple([(float(a), float(b1), float(b2)) for a, b1, b2 in payoffs]),
     )
 
 
@@ -533,17 +538,33 @@ def _result_head(result: SweepResult) -> dict:
 
 
 def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellResult:
-    """Cell `index` of a result file, which must hold numbers and sit at
-    `point`, the (chi_nominal_pi, p) that run_sweep emits at that index."""
-    try:
-        chi_pi, p = config_number("chi_nominal_pi", data["chi_nominal_pi"]), config_number("p", data["p"])
-        measured = config_number("chi_measured_pi", data["chi_measured_pi"])
-        rmsd = None if data["rmsd"] is None else config_number("rmsd", data["rmsd"])
-    except ValueError as exc:
-        raise ConfigError(f"cell {index}: {exc}") from exc
+    """Cell `index` of a result file, which must hold numbers, sit at
+    `point`, the (chi_nominal_pi, p) that run_sweep emits at that index,
+    and have a null report exactly when its error is a string, as a failed
+    cell does; a failed cell also has a null rmsd."""
+    chi_pi, measured, p, rmsd = data["chi_nominal_pi"], data["chi_measured_pi"], data["p"], data["rmsd"]
+    # the all-float cell skips config_number: a sum of floats is finite only when each one is
+    if not (
+        type(chi_pi) is type(measured) is type(p) is float
+        and (rmsd is None or type(rmsd) is float)
+        and math.isfinite(chi_pi + measured + p + (rmsd or 0.0))
+    ):
+        try:
+            chi_pi, p = config_number("chi_nominal_pi", chi_pi), config_number("p", p)
+            measured = config_number("chi_measured_pi", measured)
+            rmsd = None if rmsd is None else config_number("rmsd", rmsd)
+        except ValueError as exc:
+            raise ConfigError(f"cell {index}: {exc}") from exc
     if (chi_pi, p) != point:
         raise ConfigError(f"cell {index} at (chi_nominal_pi, p) = {(chi_pi, p)}, expected {point}")
-    return CellResult(chi_pi, measured, p, _report_from_dict(data["report"]), rmsd, data["error"])
+    report, error = data["report"], data["error"]
+    if not (error is None if report is not None else isinstance(error, str) and rmsd is None):
+        state = "a null report" if report is None else "a report"
+        raise ConfigError(
+            f"cell {index} has {state}, rmsd {rmsd!r} and error {error!r}; "
+            "a cell has a null report and rmsd exactly when its error is a string"
+        )
+    return CellResult(chi_pi, measured, p, _report_from_dict(report), rmsd, error)
 
 
 def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:
@@ -574,7 +595,7 @@ def result_from_dict(data: dict) -> SweepResult:
         raise ConfigError(str(exc)) from exc
     return SweepResult(
         config=config,
-        cells=tuple(_cell_from_dict(n, c, point) for n, (c, point) in enumerate(zip(data["cells"], points))),
+        cells=tuple(map(_cell_from_dict, itertools.count(), data["cells"], points)),
         transitions=tuple(zip(chis, thresholds)),
         chi_measurements=tuple(zip(nominal, map(ChiEstimate, value, sigma))),
     )
@@ -584,91 +605,67 @@ def result_from_dict(data: dict) -> SweepResult:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
 _PROFILES = {name: profile for profile, name in _PROFILE_NAMES.items()}  # a bad name raises in profile_from_names
-
-
-def _json_scalar(value) -> str:
-    """One cell field exactly as json.dump writes it."""
-    if type(value) is float:
-        text = repr(value)
-        return _JSON_NONFINITE.get(text, text)
-    # a string goes through json's encode_basestring_ascii, as in json.dump
-    return "null" if value is None else json.dumps(value)
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """Preformatted items as a list in json.dump's indent-2 layout, the
-    list's own line indented by `indent`."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
-
-
-def _json_report(report: EquilibriumReport | None) -> str:
-    if report is None:
-        return "null"
-    profiles = _json_list([f'"{_PROFILE_NAMES[profile]}"' for profile in report.profiles], " " * 8)
-    payoffs = _json_list([_json_list(list(map(_json_scalar, pay)), " " * 10) for pay in report.payoffs], " " * 8)
-    return '{\n        "profiles": ' + profiles + ',\n        "payoffs": ' + payoffs + "\n      }"
-
-
-def _json_cells(cells: tuple[CellResult, ...]) -> Iterator[str]:
-    """Each cell's block of the JSON "cells" list, after its separator."""
-    separator = "\n"
-    for cell in cells:
-        yield (
-            f"{separator}    {{\n"
-            f'      "chi_nominal_pi": {_json_scalar(cell.chi_nominal_pi)},\n'
-            f'      "chi_measured_pi": {_json_scalar(cell.chi_measured_pi)},\n'
-            f'      "p": {_json_scalar(cell.p)},\n'
-            f'      "report": {_json_report(cell.report)},\n'
-            f'      "rmsd": {_json_scalar(cell.rmsd)},\n'
-            f'      "error": {_json_scalar(cell.error)}\n'
-            "    }"
-        )
-        separator = ",\n"
-
-
-def _csv_lines(result: SweepResult) -> Iterator[str]:
-    """The sweep's CSV lines: one per equilibrium, one for an empty cell,
-    one (with blank equilibrium fields) for a failed cell. No field can hold
-    a comma, a quote or a line break, so csv.writer would quote none."""
-    config = result.config
-    constant = ",".join(map(_csv_field, (config.effective_delta, config.mode, config.seed)))
-    yield ",".join(_CSV_COLUMNS) + "\n"
-    for cell in result.cells:
-        head = f"{_csv_field(cell.chi_nominal_pi)},{_csv_field(cell.chi_measured_pi)},{_csv_field(cell.p)},"
-        tail = f",{_csv_field(cell.rmsd)},{constant}\n"
-        report = cell.report
-        if report is None:
-            yield head + ",,,," + tail
-        elif report.empty:
-            yield head + "0,,,," + tail
-        else:
-            count = len(report.profiles)
-            for profile, (a, b1, b2) in zip(report.profiles, report.payoffs):
-                yield (
-                    f"{head}{count},{_PROFILE_NAMES[profile]},"
-                    f"{_csv_field(a)},{_csv_field(b1)},{_csv_field(b2)}{tail}"
-                )
+_EMPTY_REPORT = '{\n        "profiles": [],\n        "payoffs": []\n      }'
 
 
 def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
     """Write the sweep as CSV and JSON; byte-stable for identical inputs.
 
-    The JSON is byte for byte what `json.dump(..., indent=2)` writes; each
-    cell's block is formatted directly, since that encoder runs in pure
-    Python whenever it indents."""
+    One pass over the cells formats each float once, with `float.__repr__`,
+    and streams the text to both files. The CSV has one line per
+    equilibrium, one for an empty cell and one (with blank equilibrium
+    fields) for a failed cell; no field can hold a comma, a quote or a line
+    break, so csv.writer would quote none. The JSON is byte for byte what
+    `json.dump(..., indent=2)` writes (non-finite floats as NaN/Infinity,
+    strings through json's ASCII escaping); each cell's block is formatted
+    directly, since that encoder runs in pure Python whenever it indents."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
-    with open(paths["csv"], "w", newline="") as handle:
-        handle.writelines(_csv_lines(result))
+    config, nonfinite = result.config, _JSON_NONFINITE.get
+    constant = ",".join(map(_csv_field, (config.effective_delta, config.mode, config.seed)))
     # the head object's closing "\n}" is cut so the cells list can follow
     head = json.dumps(_result_head(result), indent=2)[:-2]
-    with open(paths["json"], "w") as handle:
-        handle.write(head + ',\n  "cells": [')
-        handle.writelines(_json_cells(result.cells))
-        handle.write("\n  ]\n}\n" if result.cells else "]\n}\n")
+    with open(paths["csv"], "w", newline="") as csv_file, open(paths["json"], "w") as json_file:
+        csv_file.write(",".join(_CSV_COLUMNS) + "\n")
+        json_file.write(head + ',\n  "cells": [')
+        separator = "\n"
+        for cell in result.cells:
+            chi, measured, p = _float_text(cell.chi_nominal_pi), _float_text(cell.chi_measured_pi), _float_text(cell.p)
+            rmsd, report = "" if cell.rmsd is None else _float_text(cell.rmsd), cell.report
+            csv_head, csv_tail = f"{chi},{measured},{p},", f",{rmsd},{constant}\n"
+            if report is None:
+                csv_file.write(csv_head + ",,,," + csv_tail)
+                json_report = "null"
+            elif report.empty:
+                csv_file.write(csv_head + "0,,,," + csv_tail)
+                json_report = _EMPTY_REPORT
+            else:
+                names = [_PROFILE_NAMES[profile] for profile in report.profiles]
+                rows = [(_float_text(a), _float_text(b1), _float_text(b2)) for a, b1, b2 in report.payoffs]
+                count = f"{csv_head}{len(names)},"
+                csv_file.write("".join(f"{count}{name},{a},{b1},{b2}{csv_tail}" for name, (a, b1, b2) in zip(names, rows)))
+                json_report = (
+                    '{\n        "profiles": [\n          "'
+                    + '",\n          "'.join(names)
+                    + '"\n        ],\n        "payoffs": [\n          [\n            '
+                    + "\n          ],\n          [\n            ".join(
+                        f"{nonfinite(a, a)},\n            {nonfinite(b1, b1)},\n            {nonfinite(b2, b2)}"
+                        for a, b1, b2 in rows
+                    )
+                    + "\n          ]\n        ]\n      }"
+                )
+            json_file.write(
+                f"{separator}    {{\n"
+                f'      "chi_nominal_pi": {nonfinite(chi, chi)},\n'
+                f'      "chi_measured_pi": {nonfinite(measured, measured)},\n'
+                f'      "p": {nonfinite(p, p)},\n'
+                f'      "report": {json_report},\n'
+                f'      "rmsd": {"null" if cell.rmsd is None else nonfinite(rmsd, rmsd)},\n'
+                f'      "error": {"null" if cell.error is None else json.dumps(cell.error)}\n'
+                "    }"
+            )
+            separator = ",\n"
+        json_file.write("\n  ]\n}\n" if result.cells else "]\n}\n")
     return paths
 
 

@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import qgame.noise
 import qgame.sweep
 from qgame.cli import main
 from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
-from qgame.game import profile_from_names
+from qgame.game import STRATEGIES, profile_from_names
 from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
@@ -630,6 +631,13 @@ class TestSerialization:
             lambda data: json.dumps({**data, "cells": data["cells"] * 2}),
             lambda data: json.dumps({**data, "transitions": data["transitions"] * 2}),
             lambda data: json.dumps({**data, "chi_measurements": []}),
+            # a cell has a null report and rmsd exactly when its error is a string
+            lambda data: with_first_cell(data, report=None, rmsd=None, error=7),
+            lambda data: with_first_cell(data, report=None, rmsd=None, error=["x"]),
+            lambda data: with_first_cell(data, error=7),
+            lambda data: with_first_cell(data, error="failed"),
+            lambda data: with_first_cell(data, report=None, rmsd=None, error=None),
+            lambda data: with_first_cell(data, report=None, error="failed"),
         ],
         ids=[
             "no-cells",
@@ -648,6 +656,12 @@ class TestSerialization:
             "more-cells-than-grid-points",
             "more-transitions-than-angles",
             "no-measurements",
+            "failed-cell-error-number",
+            "failed-cell-error-list",
+            "report-and-error-number",
+            "report-and-error-string",
+            "null-report-null-error",
+            "failed-cell-with-rmsd",
         ],
     )
     def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
@@ -657,6 +671,16 @@ class TestSerialization:
         bad.write_text(corrupt(data))
         with pytest.raises(ConfigError, match="bad result file .*bad.json"):
             load_result(bad)
+
+    def test_inconsistent_cell_names_its_index(self, tmp_path):
+        cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["cells"][2] = {**data["cells"][2], "report": None, "rmsd": None}
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        message = "cell 2 has a null report, rmsd None and error None; "
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_result(path)
 
     def test_result_cells_out_of_grid_order_name_the_first_misplaced_cell(self, tmp_path):
         # run_sweep emits the cells chi-major; these two are swapped
@@ -717,6 +741,22 @@ def with_first_payoffs(data: dict, change) -> str:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOAT = st.floats()  # NaN, both infinities, both zeros and subnormals included
+PROFILE = st.sampled_from(list(itertools.product(STRATEGIES, repeat=3)))
+EQUILIBRIA = st.lists(st.tuples(PROFILE, st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)), min_size=1, max_size=8).map(
+    lambda pairs: EquilibriumReport(*map(tuple, zip(*pairs)))
+)
+# the three kinds of cell a sweep writes: solved, empty (no equilibrium) and failed
+SOLVED_CELL = st.builds(
+    lambda measured, p, report, rmsd: CellResult(0.1, measured, p, report, rmsd),
+    ANY_FLOAT,
+    ANY_FLOAT,
+    st.one_of(EQUILIBRIA, st.just(EquilibriumReport((), ()))),
+    st.none() | ANY_FLOAT,
+)
+FAILED_CELL = st.builds(
+    lambda measured, p, error: CellResult(0.1, measured, p, None, None, error), ANY_FLOAT, ANY_FLOAT, st.text()
+)
 
 
 def hand_built_result(cells, transitions=None) -> SweepResult:
@@ -777,6 +817,33 @@ class TestEmitterMatchesReference:
         with tempfile.TemporaryDirectory() as out_dir:
             self.assert_matches_reference(result, out_dir)
 
+    IXI = profile_from_names("IXI")
+
+    @given(cells=st.lists(st.one_of(SOLVED_CELL, FAILED_CELL), min_size=1, max_size=6))
+    @example(
+        cells=[
+            CellResult(0.1, -0.0, 5e-324, EquilibriumReport((IXI,), ((math.nan, -0.0, 1e300),)), None),
+            CellResult(0.1, math.inf, 0.0, EquilibriumReport((), ()), math.nan),
+            CellResult(0.1, 0.1, -math.inf, None, None, error='"\\\n😀'),
+        ]
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_cells_with_any_floats_and_errors(self, cells):
+        with tempfile.TemporaryDirectory() as out_dir:
+            self.assert_matches_reference(hand_built_result(cells), out_dir)
+
+    def test_numpy_floats_are_written_as_plain_floats(self, tmp_path):
+        # np.float64 is a float, so json.dump writes its float repr; so must the CSV
+        report = EquilibriumReport((profile_from_names("IXI"),), ((np.float64(1.5), 2.0, np.float64(-0.0)),))
+        numpy_cell = CellResult(0.1, np.float64(0.1), np.float64(0.5), report, np.float64(0.25))
+        plain_cell = CellResult(0.1, 0.1, 0.5, EquilibriumReport(report.profiles, ((1.5, 2.0, -0.0),)), 0.25)
+        self.assert_matches_reference(hand_built_result((numpy_cell,)), tmp_path / "numpy")
+        numpy_paths = emit_report(hand_built_result((numpy_cell,)), tmp_path / "numpy")
+        plain_paths = emit_report(hand_built_result((plain_cell,)), tmp_path / "plain")
+        for fmt in ("csv", "json"):
+            assert Path(numpy_paths[fmt]).read_bytes() == Path(plain_paths[fmt]).read_bytes()
+        assert b"np.float64" not in Path(numpy_paths["csv"]).read_bytes()
+
 
 RMSD_COLUMNS = ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells")
 THRESHOLD_COLUMNS = ("chi_pi", "profile", "thresholds", "window")
@@ -826,6 +893,15 @@ class TestTableCsvMatchesReference:
         write_csv(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows)
         self.assert_matches_reference(tmp_path / "out" / "rmsd.csv", RMSD_COLUMNS, rmsd_rows, tmp_path)
         self.assert_matches_reference(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows, tmp_path)
+
+    def test_numpy_float_fields_are_written_as_plain_floats(self, tmp_path):
+        plain = {"chi_nominal_pi": 0.1, "chi_measured_pi": 0.1, "mean_rmsd": 0.5, "max_rmsd": None, "n_cells": 3}
+        numpy_row = {**plain, "chi_measured_pi": np.float64(0.1), "mean_rmsd": np.float64(0.5)}
+        write_csv(tmp_path / "numpy.csv", RMSD_COLUMNS, [numpy_row])
+        write_csv(tmp_path / "plain.csv", RMSD_COLUMNS, [plain])
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert (tmp_path / "numpy.csv").read_text().splitlines()[1] == "0.1,0.1,0.5,,3"
+        self.assert_matches_reference(tmp_path / "numpy.csv", RMSD_COLUMNS, [numpy_row], tmp_path / "ref")
 
 
 class TestAnalyses:
