@@ -491,8 +491,10 @@ def sample_outcomes(
 
 def split_counts(counts: np.ndarray, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Assign each shot to the B1 pool with probability p, else B2, and
-    return the two pools' counts. Per outcome the B1 share is
-    Binomial(count, p), the law of one coin per shot."""
+    return the two pools' counts. `counts` is one 32-entry count array or a
+    (..., 32) stack; per entry the B1 share is Binomial(count, p), the law
+    of one coin per shot, drawn in C order from `rng`, so a stack's rows
+    draw one after another from the same stream."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     counts = np.asarray(counts)

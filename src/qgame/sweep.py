@@ -7,21 +7,25 @@ from one protocol evolution per angle and solves each p column at once with
 `nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant from `outcome_law` (which evolves
 each circuit once per depolarization, not once per angle), measures the angle
-from a separate calibration run, and re-splits the same dataset into the two
-type pools at every p with `split_counts`, each split on its own keyed
-stream and written straight into a (variant, type, p, outcome) stack. The
-column's keyed streams come from two `child_rngs` batches, one for the
-sample and calibration streams and one for the split streams; each is
-bit-identical to its own `SeedSequence(seed, spawn_key=key)` stream, so
-batching changes no random number. Keys are the angle and p in millionths,
-the variant and the purpose tag, all within the [0, 2**32) a key entry
-may take; a shot-mode config rejects two grid points that share a
-millionth, since they would share their streams. The rest of the angle's
-column is one array pass: the stacked pools are SPAM-corrected, split into
-branch distributions (one call on the corrected stack, one on the raw
-stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`, turned
-into payoff arrays, composed into A's Bayesian payoffs per p, solved and
-compared with the analytic references (one column solve): `spam_correct_stack`,
+from a separate calibration run, and re-splits the same datasets into the two
+type pools at every p with `split_counts`: one call per grid point on the
+(variant, outcome) counts, drawing the I-circuit's outcomes and then the
+X-circuit's from that point's own keyed stream, straight into a (variant,
+type, p, outcome) stack. The sweep derives all its keyed streams in two
+`child_rngs` batches, one for every angle's sample and calibration streams
+and one for every grid point's split stream; each is bit-identical to its
+own `SeedSequence(seed, spawn_key=key)` stream, so batching changes no
+random number. Keys are the angle and p in millionths, the variant (0 for
+the calibration and split streams) and the purpose tag, all within the
+[0, 2**32) a key entry may take. A key depends on grid values alone, so a
+sub-grid run reproduces its cells of the full run; a shot-mode config
+rejects two grid points that share a millionth, since they would share their
+streams. The rest of the angle's column is one array pass: the stacked
+pools are SPAM-corrected, split into branch distributions (one call on the
+corrected stack, one on the raw stack), ordered by strategy pair through
+`parallel.BRANCH_PAIRS`, turned into payoff arrays, composed into A's
+Bayesian payoffs per p, solved and compared with the analytic references
+(one column solve): `spam_correct_stack`,
 `branch_distributions`, `tensor_from_distributions`, `compose`,
 `nash_equilibria_stack`, `rmsd_at_equilibrium_stack`. The middle two take one
 row or a stack, the others have one-row cases (`spam_correct`, `parse_branches`,
@@ -33,12 +37,14 @@ Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
 inversion) are recorded on the cell instead of aborting the sweep. A branch
 with no raw shots is empty, whatever the readout inverse spreads into it. A
 failed cell carries its first failure in per-cell order: I-circuit before
-X-circuit, B1 before B2, SPAM correction before branch parsing. Those
-single-cell steps, replayed on the failed cell's pools, raise it, so each
-failed cell makes exactly one failing `spam_correct` or `parse_branches`
-call. `perfbench/layertrace.py` counts those calls and wraps the names it
-traces where this module looks them up, so every name in its TRACE_POINTS
-stays an attribute here, even the ones the sweep no longer calls.
+X-circuit, B1 before B2, SPAM correction before parsing the raw pool before
+parsing the corrected one. That step is read off the stacked failure masks,
+and only its single-cell function, `spam_correct` or `parse_branches`, runs on
+that one pool to word the error, so each failed cell makes exactly one
+single-cell call, and it fails. `perfbench/layertrace.py` counts those calls
+and wraps the names it traces where this module looks them up, so every name
+in its TRACE_POINTS stays an attribute here, even the ones the sweep no
+longer calls.
 
 All angles are expressed in units of pi in configs and output files and in
 radians inside the package.
@@ -317,53 +323,52 @@ def _analytic_column(config: ExperimentConfig, chi_pi: float) -> list[CellResult
 # ---------------------------------------------------------------------------
 # shot-emulation pipeline
 
-def _split_pools(config: ExperimentConfig, chi_pi: float, counts: list[np.ndarray]) -> np.ndarray:
-    """(variant, type, p, outcome) stack of the B1 and B2 pools of every
-    variant's shots at every p, each split on its own keyed stream."""
+def _split_pools(config: ExperimentConfig, counts: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(variant, type, p, outcome) stack of the B1 and B2 pools of both
+    variants' (variant, outcome) `counts` at every p, each p's split drawn
+    from its own stream in `rngs`: the I-circuit's outcomes, then the X-circuit's."""
     pools = np.empty((len(Variant), 2, len(config.p_grid), N_OUTCOMES))
-    chi_key, p_keys = _grid_key(chi_pi), [_grid_key(p) for p in config.p_grid]
-    keys = np.array([(chi_key, v, PURPOSE_SPLIT, p_key) for v in range(len(Variant)) for p_key in p_keys])
-    rngs = iter(child_rngs(config.seed, keys))
-    for v, variant_counts in enumerate(counts):
-        for n, p in enumerate(config.p_grid):
-            pools[v, 0, n], pools[v, 1, n] = split_counts(variant_counts, p, next(rngs))
+    for n, (p, rng) in enumerate(zip(config.p_grid, rngs)):
+        pools[:, 0, n], pools[:, 1, n] = split_counts(counts, p, rng)
     # a pool emptied by the split (p at or near 0 or 1) estimates its game
     # tensor from the full unsplit dataset instead
-    full = np.asarray(counts, dtype=float)[:, None, None, :]
-    return np.where(pools.sum(axis=-1, keepdims=True) > 0, pools, full)
+    return np.where(pools.sum(axis=-1, keepdims=True) > 0, pools, counts[:, None, None, :])
 
 
-def _cell_error(pools: np.ndarray, confusion: ConfusionMatrix) -> str:
-    """A failed cell's message: the first error of the single-cell steps
-    replayed on the cell's (variant, type, outcome) pools, in per-cell order."""
+def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, confusion: ConfusionMatrix) -> str:
+    """A failed cell's message: the error of the single-cell step that fails
+    first in per-cell order, read off the cell's (variant, type, step) mask
+    of failed steps (SPAM correction, raw parse, corrected parse) and run on
+    that one (variant, type, outcome) pool."""
+    v, t, step = np.unravel_index(np.argmax(steps), steps.shape)
     try:
-        for variant, variant_pools in zip(Variant, pools):
-            for pool in variant_pools:
-                corrected = spam_correct(pool, confusion)
-                parse_branches(pool, variant)
-                parse_branches(corrected, variant)
+        if step == 0:
+            spam_correct(pools[v, t], confusion)
+        else:
+            parse_branches((pools if step == 1 else corrected)[v, t], tuple(Variant)[v])
     except (SpamCorrectionError, EmptyBranchError) as exc:
         return str(exc)
     raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
 
 
 def _shot_column(
-    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix
+    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, rngs: list, split_rngs: list
 ) -> tuple[list[CellResult], ChiEstimate]:
+    """One angle's cells, from its I- and X-circuit sample streams and its
+    calibration stream (`rngs`) and one split stream per p (`split_rngs`)."""
     chi, delta, tables = chi_pi * np.pi, config.effective_delta, config.tables
-    keys = [(_grid_key(chi_pi), v, PURPOSE_SAMPLE) for v in range(len(Variant))]
-    *sample_rngs, calibration_rng = child_rngs(config.seed, keys + [(_grid_key(chi_pi), 0, PURPOSE_CALIBRATION)])
-    counts = [
+    *sample_rngs, calibration_rng = rngs
+    counts = np.array([
         sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
         for variant, rng in zip(Variant, sample_rngs)
-    ]
+    ])
     estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
     # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
     chi_measured_pi = chi_ref / np.pi
     references = _analytic_reports(chi_ref, tables, config.p_grid, delta)
 
-    pools = _split_pools(config, chi_pi, counts)
+    pools = _split_pools(config, counts, split_rngs)
     try:
         corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
     except SpamCorrectionError:
@@ -371,8 +376,10 @@ def _shot_column(
         corrected, spam_failed = pools, np.ones(pools.shape[:-1], dtype=bool)
     dists, totals = branch_distributions(corrected)
     # a branch without raw shots is empty, whatever the readout inverse spreads into it
-    empty = (totals <= 0) | (branch_distributions(pools)[1] <= 0)
-    failed = (spam_failed | empty.any(axis=-1)).any(axis=(0, 1))
+    raw_empty = (branch_distributions(pools)[1] <= 0).any(axis=-1)
+    # (variant, type, p, step): which single-cell steps fail, in per-cell order
+    steps = np.stack([spam_failed, raw_empty, (totals <= 0).any(axis=-1)], axis=-1)
+    failed = steps.any(axis=(0, 1, 3))
 
     # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome),
     # each variant's branches taken in the order of the pairs they play
@@ -384,12 +391,27 @@ def _shot_column(
     rmsds = rmsd_at_equilibrium_stack(pay_a, pay_b1, pay_b2, [references[n] for n in np.flatnonzero(~failed)])
     solved = zip(nash_equilibria_stack(pay_a, pay_b1, pay_b2, delta), rmsds)
     cells = [
-        CellResult(chi_pi, chi_measured_pi, p, None, None, error=_cell_error(pools[:, :, n], confusion))
+        CellResult(
+            chi_pi, chi_measured_pi, p, None, None,
+            error=_cell_error(steps[:, :, n], pools[:, :, n], corrected[:, :, n], confusion),
+        )
         if failed[n]
         else CellResult(chi_pi, chi_measured_pi, p, *next(solved))
         for n, p in enumerate(config.p_grid)
     ]
     return cells, estimate
+
+
+def _shot_streams(config: ExperimentConfig) -> list[tuple[list, list]]:
+    """Every keyed stream of a shot sweep, derived in two `child_rngs`
+    batches, as one pair per angle: its I- and X-circuit sample streams and
+    its calibration stream, then one split stream per p."""
+    chi_keys, p_keys = [_grid_key(c) for c in config.chi_grid_pi], [_grid_key(p) for p in config.p_grid]
+    tails = [*((v, PURPOSE_SAMPLE) for v in range(len(Variant))), (0, PURPOSE_CALIBRATION)]
+    rngs = child_rngs(config.seed, np.array([(c, *tail) for c in chi_keys for tail in tails]))
+    split_rngs = child_rngs(config.seed, np.array([(c, 0, PURPOSE_SPLIT, p) for c in chi_keys for p in p_keys]))
+    k, n = len(tails), len(p_keys)
+    return [(rngs[k * i : k * (i + 1)], split_rngs[n * i : n * (i + 1)]) for i in range(len(chi_keys))]
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -400,12 +422,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     all_cells: list[CellResult] = []
     transitions: list[tuple[float, tuple[float, ...] | None]] = []
     measurements: list[tuple[float, ChiEstimate]] = []
-    for chi_pi in config.chi_grid_pi:
+    streams = _shot_streams(config) if config.mode == MODE_SHOTS else None
+    for i, chi_pi in enumerate(config.chi_grid_pi):
         if config.mode == MODE_ANALYTIC:
             cells = _analytic_column(config, chi_pi)
             measurements.append((chi_pi, ChiEstimate(chi_pi * np.pi, 0.0)))
         else:
-            cells, estimate = _shot_column(config, chi_pi, confusion)
+            cells, estimate = _shot_column(config, chi_pi, confusion, *streams[i])
             measurements.append((chi_pi, estimate))
         solved = [c for c in cells if c.report is not None]
         if solved:
@@ -508,16 +531,24 @@ def write_csv(path, columns: tuple, rows: list[dict]) -> None:
         handle.writelines(",".join(_csv_field(row[col]) for col in columns) + "\n" for row in rows)
 
 
-def _report_from_dict(data: dict | None) -> EquilibriumReport | None:
+def _report_from_dict(index: int, data: dict | None) -> EquilibriumReport | None:
+    """Cell `index`'s report: payoffs are numbers, NaN and infinities
+    included (json.load reads what emit_report writes), but not strings or bools."""
     if data is None:
         return None
     profiles, payoffs = data["profiles"], data["payoffs"]
     lengths = [len(pay) for pay in payoffs]
     if len(payoffs) != len(profiles) or lengths.count(3) != len(lengths):
         raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {lengths}")
+    rows = tuple([(a, b1, b2) for a, b1, b2 in payoffs if type(a) is type(b1) is type(b2) is float])
+    if len(rows) != len(payoffs):  # some payoff is not a plain float
+        for value in itertools.chain.from_iterable(payoffs):
+            # bool is an int subclass; a JSON true must not count as 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"cell {index}: payoffs: expected a number, got {value!r}")
+        rows = tuple([(float(a), float(b1), float(b2)) for a, b1, b2 in payoffs])
     return EquilibriumReport(
-        profiles=tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles]),
-        payoffs=tuple([(float(a), float(b1), float(b2)) for a, b1, b2 in payoffs]),
+        profiles=tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles]), payoffs=rows
     )
 
 
@@ -564,7 +595,7 @@ def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellR
             f"cell {index} has {state}, rmsd {rmsd!r} and error {error!r}; "
             "a cell has a null report and rmsd exactly when its error is a string"
         )
-    return CellResult(chi_pi, measured, p, _report_from_dict(report), rmsd, error)
+    return CellResult(chi_pi, measured, p, _report_from_dict(index, report), rmsd, error)
 
 
 def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:

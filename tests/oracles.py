@@ -378,7 +378,8 @@ def reference_child_rng(seed: int, *key: int) -> np.random.Generator:
 def reference_shot_sweep(config):
     """A shot-mode sweep run one grid cell at a time.
 
-    Each cell splits both variants' shots on its own keyed stream, falls
+    Each cell splits both variants' shots on its own keyed stream (the
+    I-circuit's, then the X-circuit's), falls
     back to the full dataset for an empty pool, SPAM-corrects and parses
     each pool (I-circuit before X, B1 before B2, correction before parsing,
     so the first failure names the cell's error; a branch is empty when the
@@ -429,8 +430,9 @@ def reference_shot_sweep(config):
         for p in config.p_grid:
             try:
                 dists = ({}, {})
+                # one stream per grid point: the I-circuit's split, then the X-circuit's
+                split_rng = reference_child_rng(config.seed, chi_key, 0, PURPOSE_SPLIT, round(p * 10**6))
                 for v, variant in enumerate(Variant):
-                    split_rng = reference_child_rng(config.seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
                     for t, pool in enumerate(split_counts(counts[v], p, split_rng)):
                         if pool.sum() == 0:
                             pool = counts[v]

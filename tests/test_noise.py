@@ -420,6 +420,15 @@ class TestBayesianSplit:
         diff = np.abs(pool_b1 / pool_b1.sum() - full)
         assert diff.max() < 5.0 * np.sqrt(0.25 / pool_b1.sum())
 
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.97, 1.0])
+    def test_stack_rows_draw_one_after_another_from_one_stream(self, p):
+        counts = np.random.default_rng(5).multinomial(30_000, np.full(32, 1 / 32), size=2)
+        stacked = split_counts(counts, p, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        rows = [split_counts(row, p, rng) for row in counts]
+        for t in range(2):
+            assert np.array_equal(stacked[t], [row[t] for row in rows])
+
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             split_counts(np.zeros(32, dtype=int), 1.2, np.random.default_rng(0))

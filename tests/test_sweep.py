@@ -309,7 +309,7 @@ class TestShotSweep:
         # the two variants plus the calibration circuit, whatever the number of angles
         assert calls["n"] <= 3
 
-    def test_column_derives_its_streams_in_two_batches(self, monkeypatch):
+    def test_sweep_derives_its_streams_in_two_batches(self, monkeypatch):
         seed_sequences, batches = {"n": 0}, {"n": 0}
         seed_sequence, child_rngs = np.random.SeedSequence, qgame.sweep.child_rngs
 
@@ -323,17 +323,17 @@ class TestShotSweep:
 
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         monkeypatch.setattr(qgame.sweep, "child_rngs", counting_child_rngs)
-        run_sweep(shot_config(chi_grid_pi=(0.15,), p_grid=DEFAULT_P_GRID, shots=2_000))
-        # one SeedSequence per stream would make 2 sample + 1 calibration + 202 split = 205
+        run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=DEFAULT_P_GRID, shots=2_000))
+        # one SeedSequence per stream would make 3 * (2 sample + 1 calibration + 101 split) = 312
         assert seed_sequences["n"] == 0
-        # the sample and calibration streams, then the split streams
-        assert batches["n"] <= 2
+        # every angle's sample and calibration streams, then every grid point's split stream
+        assert batches["n"] == 2
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_pools_match_per_key_split_counts(self, seed):
         cfg = shot_config(p_grid=DEFAULT_P_GRID, shots=30_000, seed=seed, noise=NoiseModel.default_profile(seed))
         chi_pi, chi_key = 0.15, 150_000
-        counts = [
+        counts = np.array([
             sample_outcomes(
                 build_circuit(variant, chi_pi * np.pi),
                 cfg.noise,
@@ -341,15 +341,54 @@ class TestShotSweep:
                 reference_child_rng(seed, chi_key, v, PURPOSE_SAMPLE),
             )
             for v, variant in enumerate(Variant)
-        ]
-        pools = _split_pools(cfg, chi_pi, counts)
-        for v in range(len(Variant)):
-            for n, p in enumerate(cfg.p_grid):
-                rng = reference_child_rng(seed, chi_key, v, PURPOSE_SPLIT, round(p * 10**6))
+        ])
+        split_key = [(chi_key, 0, PURPOSE_SPLIT, round(p * 10**6)) for p in cfg.p_grid]
+        pools = _split_pools(cfg, counts, [reference_child_rng(seed, *key) for key in split_key])
+        for n, p in enumerate(cfg.p_grid):
+            # one stream per grid point: the I-circuit's split, then the X-circuit's
+            rng = reference_child_rng(seed, *split_key[n])
+            for v in range(len(Variant)):
                 for t, pool in enumerate(split_counts(counts[v], p, rng)):
                     # an emptied pool falls back to the full dataset
                     expected = pool if pool.sum() > 0 else counts[v]
                     assert np.array_equal(pools[v, t, n], expected)
+
+    def test_sweep_split_streams_are_keyed_per_grid_point(self, monkeypatch):
+        # each (chi, p) point has one split stream, keyed (chi, 0, PURPOSE_SPLIT, p):
+        # the I-circuit's pools are its first 32 draws, exactly a split of the
+        # I-circuit's counts alone, and the X-circuit's pools are the next 32
+        seed, split_pools, drawn = 3, qgame.sweep._split_pools, []
+
+        def recording_split_pools(cfg, counts, rngs):
+            pools = split_pools(cfg, counts, rngs)
+            drawn.append((counts, pools))
+            return pools
+
+        monkeypatch.setattr(qgame.sweep, "_split_pools", recording_split_pools)
+        cfg = shot_config(chi_grid_pi=(0.05, 0.2), p_grid=DEFAULT_P_GRID, seed=seed,
+                          noise=NoiseModel.default_profile(seed))
+        run_sweep(cfg)
+        assert len(drawn) == len(cfg.chi_grid_pi)
+        for chi_pi, (counts, pools) in zip(cfg.chi_grid_pi, drawn):
+            for n, p in enumerate(cfg.p_grid):
+                rng = reference_child_rng(seed, round(chi_pi * 10**6), 0, PURPOSE_SPLIT, round(p * 10**6))
+                i_b1, i_b2 = split_counts(counts[0], p, rng)
+                x_b1 = rng.binomial(counts[1], p)
+                for v, t, pool, full in ((0, 0, i_b1, counts[0]), (0, 1, i_b2, counts[0]),
+                                         (1, 0, x_b1, counts[1]), (1, 1, counts[1] - x_b1, counts[1])):
+                    assert np.array_equal(pools[v, t, n], pool if pool.sum() > 0 else full)
+
+    def test_sub_grid_reproduces_the_full_grid_cells(self):
+        # every stream is keyed by grid values, not positions, so a sub-grid
+        # run draws the same shots and splits as the full default-grid run
+        noise = NoiseModel.default_profile(0)
+        full = run_sweep(shot_config(noise=noise))
+        # at p = 0.01 both angles' cells fail in the full run
+        sub = run_sweep(shot_config(chi_grid_pi=(0.05, 0.2), p_grid=(0.0, 0.01, 0.13, 0.5, 0.77, 1.0), noise=noise))
+        cells = {(cell.chi_nominal_pi, cell.p): cell for cell in full.cells}
+        assert sub.cells == tuple(cells[cell.chi_nominal_pi, cell.p] for cell in sub.cells)
+        assert 0 < sum(cell.error is not None for cell in sub.cells) < len(sub.cells)
+        assert sub.chi_measurements == tuple(m for m in full.chi_measurements if m[0] in (0.05, 0.2))
 
     def test_crosstalk_is_emulated_and_corrected(self):
         # emulation and SPAM correction share one readout matrix, crosstalk included
@@ -464,14 +503,15 @@ class TestTracedBenchmark:
         assert 0 < failed < len(result.cells)
         counts = tracer.counts
         errors = counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"]
-        assert errors == failed
+        # each failed cell makes exactly one single-cell call, the one that fails
+        assert counts["noise.spam_correct.calls"] + counts["parallel.parse_branches.calls"] == errors == failed
         # the solved cells go through the stacked solve and RMSD, not the traced one-row names
         assert counts["equilibrium.nash_equilibria.calls"] == 0
         assert counts["equilibrium.rmsd_at_equilibrium.calls"] == 0
 
     def test_tiny_pool_failures_replay_one_error_each(self):
         # cells that fail on a branch empty only in the raw pool still make
-        # exactly one failing single-cell call in the replay
+        # exactly one single-cell call, the failing raw parse
         layertrace = load_layertrace()
         noise = NoiseModel(readout_flip_0to1=5e-4, readout_flip_1to0=5e-4)
         cfg = shot_config(chi_grid_pi=(0.2,), p_grid=(0.01, 0.02, 0.03, 0.5), shots=100, seed=0, noise=noise)
@@ -480,9 +520,22 @@ class TestTracedBenchmark:
         failed = sum(cell.error is not None for cell in result.cells)
         assert failed == 3
         counts = tracer.counts
-        assert counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"] == failed
+        errors = counts["noise.spam_correct.errors"] + counts["parallel.parse_branches.errors"]
+        assert counts["noise.spam_correct.calls"] + counts["parallel.parse_branches.calls"] == errors == failed
         assert counts["equilibrium.nash_equilibria.calls"] == 0
         assert counts["equilibrium.rmsd_at_equilibrium.calls"] == 0
+
+    def test_singular_readout_fails_every_cell_with_one_spam_call_each(self):
+        # an unusable readout matrix fails every cell at its first step, the
+        # I-circuit's B1 correction, so each cell makes one failing spam_correct call
+        cfg = shot_config(chi_grid_pi=(0.05, 0.2), p_grid=(0.0, 0.5, 1.0), shots=2_000,
+                          noise=NoiseModel(readout_flip_0to1=0.5, readout_flip_1to0=0.5))
+        with load_layertrace().Tracer() as tracer:
+            result = run_sweep(cfg)
+        assert all(cell.error is not None and "ill-conditioned" in cell.error for cell in result.cells)
+        counts = tracer.counts
+        assert counts["noise.spam_correct.calls"] == counts["noise.spam_correct.errors"] == len(result.cells)
+        assert counts["parallel.parse_branches.calls"] == 0
 
     def test_traced_split_alias_is_never_called(self):
         # the tracer's split counter reads `.total`, which a count array lacks,
@@ -532,13 +585,13 @@ class TestSerialization:
         assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
 
     def test_default_noisy_shot_sweep_matches_pinned_digests(self, tmp_path):
-        # the benchmark's shots_noisy workload at seed 0, which fails 61 cells
+        # the benchmark's shots_noisy workload at seed 0, which fails 55 cells
         cfg = ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(0), seed=0)
         paths = emit_report(run_sweep(cfg), tmp_path)
         digests = [hashlib.sha256(Path(paths[fmt]).read_bytes()).hexdigest() for fmt in ("csv", "json")]
         assert digests == [
-            "d399eb74a74d5d1f829d6d8cd933654ae8cf4b3b6806888ab0ca9ea96f2ef2c1",
-            "cca194be54405cb672ce0994db6353c2a4f1a48b3bbc3c08ab40f9c6e14320d1",
+            "9e9c00ad286bbe6cc5f2962a6d872087a6e8ac889994cd2ababc7753540f5250",
+            "e6822cd08e6468b3b558435a9085a2bfc27e251866be63dfa4819701a6d79129",
         ]
 
     def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
@@ -623,6 +676,8 @@ class TestSerialization:
             # cell (chi=0, p=0) holds 8 equilibria
             lambda data: with_first_payoffs(data, lambda payoffs: payoffs[:1]),
             lambda data: with_first_payoffs(data, lambda payoffs: [[1.0]] + payoffs[1:]),
+            lambda data: with_first_payoffs(data, lambda payoffs: [["1.5", True, 2]] + payoffs[1:]),
+            lambda data: with_first_payoffs(data, lambda payoffs: [[1.5, True, 2]] + payoffs[1:]),
             lambda data: with_first_cell(data, p="abc"),
             lambda data: with_first_cell(data, chi_nominal_pi=0.7),
             lambda data: with_first_cell(data, p=0.5),
@@ -648,6 +703,8 @@ class TestSerialization:
             "truncated",
             "one-payoff-row-for-8-profiles",
             "payoff-row-not-3-entries",
+            "payoff-string",
+            "payoff-bool",
             "p-not-a-number",
             "chi-off-grid",
             "p-off-grid",
@@ -681,6 +738,25 @@ class TestSerialization:
         message = "cell 2 has a null report, rmsd None and error None; "
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_result(path)
+
+    @pytest.mark.parametrize("bad", ["1.5", True, None])
+    def test_payoff_that_is_not_a_number_names_its_cell(self, tmp_path, bad):
+        cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["cells"][3]["report"]["payoffs"][0][1] = bad
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=re.escape(f"cell 3: payoffs: expected a number, got {bad!r}")):
+            load_result(path)
+
+    def test_integer_and_non_finite_payoffs_load_as_floats(self, tmp_path):
+        cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.5,))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["cells"][0]["report"]["payoffs"][0] = [2, float("nan"), -float("inf")]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        a, b1, b2 = load_result(path).cells[0].report.payoffs[0]
+        assert (type(a), a, math.isnan(b1), b2) == (float, 2.0, True, -math.inf)
 
     def test_result_cells_out_of_grid_order_name_the_first_misplaced_cell(self, tmp_path):
         # run_sweep emits the cells chi-major; these two are swapped
