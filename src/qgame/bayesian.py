@@ -15,8 +15,8 @@ def compose(pay_b1: np.ndarray, pay_b2: np.ndarray, p) -> np.ndarray:
     """Player A's payoff(i, j, k) = p * A-vs-B1(i, j) + (1-p) * A-vs-B2(i, k).
 
     `pay_b1` and `pay_b2` are A's (..., 4, 4) payoffs in the two games and
-    `p` has their leading shape, so a column of p values gives a
-    (..., 4, 4, 4) stack.
+    `p` broadcasts against their leading shape: (C, 1, 4, 4) arrays for C
+    angles and P values of p give the (C, P, 4, 4, 4) grid.
     """
     p = np.asarray(p, dtype=float)
     inside = (p >= 0.0) & (p <= 1.0)

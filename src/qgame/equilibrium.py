@@ -11,17 +11,17 @@ delta = 0.1 to absorb statistical noise. A 1e-9 slack always applies on
 top of delta so analytically degenerate profiles (floating-point ties)
 are kept.
 
-`nash_equilibria_stack` solves a whole column of tensors (one per p) in
-one array pass: the masks take the player's own choice on a negative
-axis, so one rule serves a single tensor and a stack, and B payoffs shared
-by the column are masked once. `nash_equilibria` is its one-row case, as
+`nash_equilibria_stack` solves a stack of tensors (one per p, or per grid
+cell) in one array pass: the masks take the player's own choice on a
+negative axis, so one rule serves a single tensor and a stack, and B
+payoffs shared by the stack are masked once. `nash_equilibria` is its one-row case, as
 `rmsd_at_equilibrium` is of `rmsd_at_equilibrium_stack`, one gather per array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
     return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """All Nash profiles of one Bayesian tensor, with their payoffs."""
 
     profiles: tuple[Profile, ...]

@@ -1,10 +1,11 @@
 """Two-player game engine: entangle, apply local strategies, unentangle,
 convert the outcome distributions to 4x4 arrays of expected payoffs. The
-protocol is evolved for all 16 strategy pairs as one stack per angle, and
-that one evolution serves every payoff table: the B1 and B2 games share
-their quantum states and differ only in their tables. Each pair's payoffs
-are a 1-D dot of its own distribution: a stacked product rounds the last
-bit differently, and the analytic digest pins it.
+protocol is evolved for all 16 strategy pairs (and all angles of an array)
+as one stack, and that one evolution serves every payoff table: the B1 and
+B2 games share their quantum states and differ only in their tables. Each
+payoff is a 1x4 by 4x1 product of its pair's own distribution, which numpy
+runs as a 1-D dot: a matrix-vector product rounds the last bit differently,
+and the analytic digest pins it.
 
 Outcome convention is fixed: |0> is cooperate, |1> is defect. A payoff
 table is a read-only (2, 4) float array: row 0 holds A's payoffs and row 1
@@ -74,23 +75,25 @@ _STRATEGY_MATRICES = np.stack([gate_matrix(Gate(s.name, (0,)), 0.0) for s in STR
 _A_STACK, _B_STACK = np.repeat(_STRATEGY_MATRICES, 4, axis=0), np.tile(_STRATEGY_MATRICES, (4, 1, 1))
 
 
-def final_states(chi: float) -> np.ndarray:
-    """(16, 4) protocol amplitudes on qubits (A, B) = (0, 1): J|00> once,
-    each row's strategy pair (a, b) at row 4*a + b, J-dagger once."""
+def final_states(chi) -> np.ndarray:
+    """(..., 16, 4) protocol amplitudes on qubits (A, B) = (0, 1) at each angle
+    chi: J|00>, each row's strategy pair (a, b) at row 4*a + b, J-dagger."""
     check_chi(chi)
-    amps = np.broadcast_to(apply_gate(np.eye(1, 4, dtype=np.complex128)[0], _ENTANGLE, chi), (16, 4))
+    chi = np.asarray(chi, dtype=float)[..., None]  # an angle's 16 pairs share its J and J-dagger
+    amps = np.broadcast_to(np.eye(1, 4, dtype=np.complex128)[0], (*chi.shape[:-1], 16, 4))
+    amps = apply_gate(amps, _ENTANGLE, chi)
     amps = apply_matrix(amps, _A_STACK, (0,), 2)
     amps = apply_matrix(amps, _B_STACK, (1,), 2)
     return apply_gate(amps, _UNENTANGLE, chi)
 
 
-def payoff_tensor(chi: float, tables: np.ndarray) -> np.ndarray:
-    """Expected payoffs at angle chi under one (2, 4) table or a (..., 2, 4)
-    stack of them, from one protocol evolution: (..., 2, 4, 4), the A and B
-    payoffs each indexed (strategy A, strategy B)."""
+def payoff_tensor(chi, tables: np.ndarray) -> np.ndarray:
+    """Expected payoffs at angle chi, or each angle of an array, under one (2, 4)
+    table or a (..., 2, 4) stack, from one protocol evolution: (chi axes, ...,
+    2, 4, 4), the A and B payoffs each indexed (strategy A, strategy B)."""
     dists = _distributions(np.abs(final_states(chi)) ** 2)
-    pays = np.array([[d @ flat for d in dists] for flat in np.reshape(tables, (-1, 4))])
-    return pays.reshape(*np.shape(tables)[:-1], 4, 4)
+    pays = (dists[..., None, :, None, :] @ np.reshape(tables, (-1, 1, 4, 1)))[..., 0, 0]
+    return pays.reshape(*np.shape(chi), *np.shape(tables)[:-1], 4, 4)
 
 
 def _distributions(dists) -> np.ndarray:

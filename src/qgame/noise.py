@@ -31,10 +31,11 @@ cell's random numbers. The stream of key `key` is bit-identical to
 `child_rngs` derives a (K, m) batch of keys at once: numpy's SeedSequence
 hash constants follow the same sequence for every key of one length, so
 the pool mixing and `generate_state` run as array arithmetic over all K
-keys, and each PCG64 is seeded from its precomputed words through the
-`ISeedSequence` interface. Every key entry must lie in [0, 2**32), one
-32-bit word, and the master seed in [0, 2**64). `child_rng` is the one-row
-case.
+keys (`child_seed_words`), and each PCG64 is seeded from its precomputed
+words through the `ISeedSequence` interface (`rngs_from_seed_words`, so a
+caller can build a generator when it needs it). Every key entry must lie in
+[0, 2**32), one 32-bit word, and the master seed in [0, 2**64).
+`child_rng` is the one-row case.
 """
 
 from __future__ import annotations
@@ -92,32 +93,6 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _seed_states(master_seed: int, keys: np.ndarray) -> np.ndarray:
-    """PCG64 seed words, one (4,) uint64 row per key row: numpy's
-    `SeedSequence(master_seed, spawn_key=row).generate_state(4, np.uint64)`.
-
-    The master seed's two 32-bit words, padded with zeros to the pool size,
-    come before every key, so they fill and mix the pool the same way for
-    all keys, in Python ints. The hash constants follow one sequence for
-    every key of the same length, so each key word is mixed in with uint64
-    arithmetic over all rows at once.
-    """
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    pool = [np.full(len(keys), word, dtype=np.uint64) for word in pool]
-    for column in keys.T.astype(np.uint64):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(column))
-    # generate_state(4, uint64): eight 32-bit words, cycling the pool, paired little-endian
-    output = _Hash(_INIT_B, _MULT_B)
-    words = [output(pool[i % _POOL_SIZE]) for i in range(8)]
-    return np.stack([words[2 * j] | words[2 * j + 1] << 32 for j in range(4)], axis=1)
-
-
 @lru_cache(maxsize=1)
 def _state_words() -> type:
     """The seed sequence class that hands PCG64 its precomputed state words,
@@ -137,12 +112,15 @@ def _state_words() -> type:
     return StateWords
 
 
-def child_rngs(master_seed: int, keys) -> list[np.random.Generator]:
-    """One child stream per row of a (K, m) array of integer keys, each
-    bit-identical to `np.random.default_rng(np.random.SeedSequence(
-    master_seed, spawn_key=row))`. The seed must lie in [0, 2**64) and every
-    key entry in [0, 2**32), one 32-bit word each. The bit generators hold
-    their seed words, not a SeedSequence, so they cannot `spawn`."""
+def child_seed_words(master_seed: int, keys) -> np.ndarray:
+    """PCG64 seed words, one (4,) uint64 row per row of a (K, m) array of
+    integer keys: numpy's `SeedSequence(master_seed, spawn_key=row)
+    .generate_state(4, np.uint64)`, for a seed in [0, 2**64) and key entries
+    in [0, 2**32), one 32-bit word each. The seed's two words, padded with
+    zeros to the pool size, come before every key, so they mix the pool the
+    same way for all keys, in Python ints; the hash constants follow one
+    sequence for every key of one length, so each key word is mixed in with
+    uint64 arithmetic over all rows at once."""
     if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
         raise ValueError(f"master seed must be an int, got {master_seed!r}")
     if not 0 <= master_seed < 2**64:
@@ -160,8 +138,32 @@ def child_rngs(master_seed: int, keys) -> list[np.random.Generator]:
             raise ValueError(f"key entries must be ints in [0, 2**32), got dtype {array.dtype}")
         if array.min() < 0 or array.max() >= 2**32:
             raise ValueError("key entries outside [0, 2**32)")
-    states, state_words = _seed_states(int(master_seed), array), _state_words()
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (int(master_seed) & _MASK32, int(master_seed) >> 32, 0, 0)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = [np.full(len(array), word, dtype=np.uint64) for word in pool]
+    for column in array.T.astype(np.uint64):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(column))
+    # generate_state(4, uint64): eight 32-bit words, cycling the pool, paired little-endian
+    output = _Hash(_INIT_B, _MULT_B)
+    words = [output(pool[i % _POOL_SIZE]) for i in range(8)]
+    return np.stack([words[2 * j] | words[2 * j + 1] << 32 for j in range(4)], axis=1)
+
+
+def rngs_from_seed_words(states: np.ndarray) -> list[np.random.Generator]:
+    """One PCG64 stream per row of `child_seed_words`; it holds its words, not a SeedSequence, so cannot `spawn`."""
+    state_words = _state_words()
     return [np.random.Generator(np.random.PCG64(state_words(words))) for words in states]
+
+
+def child_rngs(master_seed: int, keys) -> list[np.random.Generator]:
+    """One child stream per key row of `child_seed_words`, each bit-identical
+    to `np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=row))`."""
+    return rngs_from_seed_words(child_seed_words(master_seed, keys))
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:

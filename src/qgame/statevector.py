@@ -78,10 +78,11 @@ def gate_matrix(gate: Gate, chi) -> np.ndarray:
     return _MATRICES[gate.name](chi)
 
 
-def check_chi(chi: float) -> None:
-    """The one range check on a protocol angle, in radians: [0, pi/4]."""
-    if not 0.0 <= chi <= CHI_MAX + _CHI_TOL:
-        raise ValueError(f"chi={chi} outside [0, pi/4]")
+def check_chi(chi) -> None:
+    """The one range check on protocol angles, in radians: [0, pi/4], one angle at a time."""
+    for value in np.ravel(chi).tolist():
+        if not 0.0 <= value <= CHI_MAX + _CHI_TOL:
+            raise ValueError(f"chi={value} outside [0, pi/4]")
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:

@@ -2,35 +2,37 @@
 
 Two modes share one result schema. A config's payoff tables are one
 read-only (2, 2, 4) array, `ExperimentConfig.tables`: the B1 game's (2, 4)
-table, then B2's. Analytic mode evaluates both games' exact payoff tensors
-from one protocol evolution per angle and solves each p column at once with
-`nash_equilibria_stack`. Shot mode emulates the experiment: for each angle it
+table, then B2's. Analytic mode solves the whole grid in one pass: one
+`payoff_tensor` call evolves every angle for both games, one `compose`
+mixes A's payoffs over the (chi, p) grid, and one `nash_equilibria_stack`
+call solves its rows, chi-major, with each angle's B payoffs repeated over
+its p values. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant from `outcome_law` (which evolves
 each circuit once per depolarization, not once per angle), measures the angle
 from a separate calibration run, and re-splits the same datasets into the two
 type pools at every p with `split_counts`: one call per grid point on the
 (variant, outcome) counts, drawing the I-circuit's outcomes and then the
 X-circuit's from that point's own keyed stream, straight into a (variant,
-type, p, outcome) stack. The sweep derives all its keyed streams in two
-`child_rngs` batches, one for every angle's sample and calibration streams
-and one for every grid point's split stream; each is bit-identical to its
-own `SeedSequence(seed, spawn_key=key)` stream, so batching changes no
-random number. Keys are the angle and p in millionths, the variant (0 for
-the calibration and split streams) and the purpose tag, all within the
-[0, 2**32) a key entry may take. A key depends on grid values alone, so a
-sub-grid run reproduces its cells of the full run; a shot-mode config
-rejects two grid points that share a millionth, since they would share their
-streams. The rest of the angle's column is one array pass: the stacked
-pools are SPAM-corrected, split into branch distributions (one call on the
-corrected stack, one on the raw stack), ordered by strategy pair through
-`parallel.BRANCH_PAIRS`, turned into payoff arrays, composed into A's
-Bayesian payoffs per p, solved and compared with the analytic references
-(one column solve): `spam_correct_stack`,
-`branch_distributions`, `tensor_from_distributions`, `compose`,
-`nash_equilibria_stack`, `rmsd_at_equilibrium_stack`. The middle two take one
-row or a stack, the others have one-row cases (`spam_correct`, `parse_branches`,
-`nash_equilibria`, `rmsd_at_equilibrium`), so each check exists once.
-`parallel` alone knows the outcome-bit layout; this module and
+type, p, outcome) stack. The sweep hashes the seed words of all its keyed
+streams in two `child_seed_words` batches, one for every angle's sample and
+calibration streams and one for every grid point's split stream; each
+column builds its generators from its words when it runs, each one
+bit-identical to its own `SeedSequence(seed, spawn_key=key)` stream. Keys
+are the angle and p in millionths, the variant (0 for the calibration and
+split streams) and the purpose tag, all within the [0, 2**32) a key entry
+may take. A key depends on grid values alone, so a sub-grid run reproduces
+its cells of the full run; a shot-mode config rejects two grid points that
+share a millionth, since they would share their streams. The rest of the
+angle's column is one array pass: the stacked pools are SPAM-corrected,
+split into branch distributions (one call on the corrected stack, one on
+the raw stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`,
+turned into payoff arrays, composed into A's Bayesian payoffs per p, solved
+and compared with the analytic references at the measured angle:
+`spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`,
+`compose`, `nash_equilibria_stack`, `rmsd_at_equilibrium_stack`. The middle
+two take one row or a stack, the others have one-row cases (`spam_correct`,
+`parse_branches`, `nash_equilibria`, `rmsd_at_equilibrium`), so each check
+exists once. `parallel` alone knows the outcome-bit layout; this module and
 `verify_parallelization` read its branch table.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
@@ -46,8 +48,9 @@ and wraps the names it traces where this module looks them up, so every name
 in its TRACE_POINTS stays an attribute here, even the ones the sweep no
 longer calls.
 
-All angles are expressed in units of pi in configs and output files and in
-radians inside the package.
+Cells and equilibrium reports are immutable named tuples. All angles are
+expressed in units of pi in configs and output files and in radians inside
+the package.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,10 +95,11 @@ from qgame.noise import (
     ConfusionMatrix,
     NoiseModel,
     SpamCorrectionError,
-    child_rngs,
+    child_seed_words,
     config_number,
     measure_chi,
     outcome_law,
+    rngs_from_seed_words,
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
@@ -199,9 +204,7 @@ class ExperimentConfig:
                 if self.mode == MODE_SHOTS and _grid_key(a) == _grid_key(b):
                     raise ConfigError(f"{name} points {a!r} and {b!r} share one keyed stream (same millionth)")
         try:
-            # the angles exactly as run_sweep computes them
-            for chi_pi in self.chi_grid_pi:
-                check_chi(chi_pi * np.pi)
+            check_chi(np.multiply(self.chi_grid_pi, np.pi))  # the angles exactly as run_sweep computes them
         except ValueError as exc:
             raise ConfigError(f"chi_grid_pi: {exc}") from exc
         if self.p_grid[0] < 0.0 or self.p_grid[-1] > 1.0:  # as strict as compose
@@ -277,8 +280,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """One (chi, p) grid point. `error` set means the cell failed and
     carries no report; an empty report is a legitimate no-equilibrium cell."""
 
@@ -302,22 +304,15 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # analytic pipeline
 
-def _analytic_reports(chi: float, tables: np.ndarray, p_grid: tuple, delta: float) -> list[EquilibriumReport]:
-    """Exact equilibrium reports at angle chi (radians), one per p, from one
-    protocol evolution for both games of the (2, 2, 4) `tables`; the B
-    payoffs do not depend on p, so one pair serves the column."""
-    (pay_a_b1, pay_b1), (pay_a_b2, pay_b2) = payoff_tensor(chi, tables)
-    return nash_equilibria_stack(compose(pay_a_b1, pay_a_b2, p_grid), pay_b1, pay_b2, delta)
-
-
-def _analytic_column(config: ExperimentConfig, chi_pi: float) -> list[CellResult]:
-    reports = _analytic_reports(chi_pi * np.pi, config.tables, config.p_grid, config.effective_delta)
-    # the analytic run is its own benchmark; no reference point exists
-    # where the equilibrium set is empty
-    return [
-        CellResult(chi_pi, chi_pi, p, report, None if report.empty else 0.0)
-        for p, report in zip(config.p_grid, reports)
-    ]
+def _analytic_reports(chis, tables: np.ndarray, p_grid: tuple, delta: float) -> list[EquilibriumReport]:
+    """Exact equilibrium reports at the angles `chis` (radians), one per
+    (chi, p) in chi-major order, from one protocol evolution of every angle
+    for both games of the (2, 2, 4) `tables`, one compose and one solve. The
+    B payoffs do not depend on p, so each angle's pair is repeated over its p values."""
+    pays = payoff_tensor(np.asarray(chis, dtype=float), tables)  # (chi, game, player, 4, 4)
+    pay_a = compose(pays[:, 0, 0, None], pays[:, 1, 0, None], p_grid).reshape(-1, 4, 4, 4)
+    pay_b1, pay_b2 = np.repeat(pays[:, :, 1], len(p_grid), axis=0).swapaxes(0, 1)
+    return nash_equilibria_stack(pay_a, pay_b1, pay_b2, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +347,13 @@ def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, con
 
 
 def _shot_column(
-    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, rngs: list, split_rngs: list
+    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, words: np.ndarray, split_words: np.ndarray
 ) -> tuple[list[CellResult], ChiEstimate]:
-    """One angle's cells, from its I- and X-circuit sample streams and its
-    calibration stream (`rngs`) and one split stream per p (`split_rngs`)."""
+    """One angle's cells, from the seed words of its I- and X-circuit sample
+    streams and its calibration stream (`words`) and of one split stream per
+    p (`split_words`); the column's generators live only while it runs."""
     chi, delta, tables = chi_pi * np.pi, config.effective_delta, config.tables
-    *sample_rngs, calibration_rng = rngs
+    *sample_rngs, calibration_rng = rngs_from_seed_words(words)
     counts = np.array([
         sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
         for variant, rng in zip(Variant, sample_rngs)
@@ -366,9 +362,9 @@ def _shot_column(
     # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
     chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
     chi_measured_pi = chi_ref / np.pi
-    references = _analytic_reports(chi_ref, tables, config.p_grid, delta)
+    references = _analytic_reports([chi_ref], tables, config.p_grid, delta)
 
-    pools = _split_pools(config, counts, split_rngs)
+    pools = _split_pools(config, counts, rngs_from_seed_words(split_words))
     try:
         corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
     except SpamCorrectionError:
@@ -402,42 +398,42 @@ def _shot_column(
     return cells, estimate
 
 
-def _shot_streams(config: ExperimentConfig) -> list[tuple[list, list]]:
-    """Every keyed stream of a shot sweep, derived in two `child_rngs`
-    batches, as one pair per angle: its I- and X-circuit sample streams and
-    its calibration stream, then one split stream per p."""
+def _shot_seed_words(config: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The seed words of every keyed stream of a shot sweep, hashed in two
+    `child_seed_words` batches, as one pair per angle: its I- and X-circuit
+    sample streams and its calibration stream, then one split stream per p."""
     chi_keys, p_keys = [_grid_key(c) for c in config.chi_grid_pi], [_grid_key(p) for p in config.p_grid]
     tails = [*((v, PURPOSE_SAMPLE) for v in range(len(Variant))), (0, PURPOSE_CALIBRATION)]
-    rngs = child_rngs(config.seed, np.array([(c, *tail) for c in chi_keys for tail in tails]))
-    split_rngs = child_rngs(config.seed, np.array([(c, 0, PURPOSE_SPLIT, p) for c in chi_keys for p in p_keys]))
-    k, n = len(tails), len(p_keys)
-    return [(rngs[k * i : k * (i + 1)], split_rngs[n * i : n * (i + 1)]) for i in range(len(chi_keys))]
+    words = child_seed_words(config.seed, np.array([(c, *tail) for c in chi_keys for tail in tails]))
+    split_words = child_seed_words(config.seed, np.array([(c, 0, PURPOSE_SPLIT, p) for c in chi_keys for p in p_keys]))
+    return list(zip(words.reshape(len(chi_keys), len(tails), 4), split_words.reshape(len(chi_keys), len(p_keys), 4)))
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
-    tracked = profile_from_names(config.tracked_profile)
-    # one readout matrix per sweep: its factorization serves every cell
-    confusion = ConfusionMatrix.from_noise(config.noise) if config.mode == MODE_SHOTS else None
-    all_cells: list[CellResult] = []
+    tracked, n_p = profile_from_names(config.tracked_profile), len(config.p_grid)
+    if config.mode == MODE_ANALYTIC:
+        chis = np.multiply(config.chi_grid_pi, np.pi)
+        reports = _analytic_reports(chis, config.tables, config.p_grid, config.effective_delta)
+        # the analytic run is its own benchmark; no reference point exists
+        # where the equilibrium set is empty
+        cells = [
+            CellResult(chi_pi, chi_pi, p, report, None if report.empty else 0.0)
+            for (chi_pi, p), report in zip(itertools.product(config.chi_grid_pi, config.p_grid), reports)
+        ]
+        estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
+    else:
+        # one readout matrix per sweep: its factorization serves every cell
+        confusion = ConfusionMatrix.from_noise(config.noise)
+        streams = zip(config.chi_grid_pi, _shot_seed_words(config))
+        columns = [_shot_column(config, chi_pi, confusion, *words) for chi_pi, words in streams]
+        cells, estimates = [cell for column, _ in columns for cell in column], [estimate for _, estimate in columns]
     transitions: list[tuple[float, tuple[float, ...] | None]] = []
-    measurements: list[tuple[float, ChiEstimate]] = []
-    streams = _shot_streams(config) if config.mode == MODE_SHOTS else None
     for i, chi_pi in enumerate(config.chi_grid_pi):
-        if config.mode == MODE_ANALYTIC:
-            cells = _analytic_column(config, chi_pi)
-            measurements.append((chi_pi, ChiEstimate(chi_pi * np.pi, 0.0)))
-        else:
-            cells, estimate = _shot_column(config, chi_pi, confusion, *streams[i])
-            measurements.append((chi_pi, estimate))
-        solved = [c for c in cells if c.report is not None]
-        if solved:
-            ps, reports = [c.p for c in solved], [c.report for c in solved]
-            transitions.append((chi_pi, detect_transitions(ps, reports, tracked, config.transition_window)))
-        else:
-            transitions.append((chi_pi, None))
-        all_cells.extend(cells)
-    return SweepResult(config, tuple(all_cells), tuple(transitions), tuple(measurements))
+        solved = [c for c in cells[n_p * i : n_p * (i + 1)] if c.report is not None]
+        ps, reports, window = [c.p for c in solved], [c.report for c in solved], config.transition_window
+        transitions.append((chi_pi, detect_transitions(ps, reports, tracked, window) if solved else None))
+    return SweepResult(config, tuple(cells), tuple(transitions), tuple(zip(config.chi_grid_pi, estimates)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +441,15 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 def rmsd_analysis(result: SweepResult) -> list[dict]:
     """Per-angle aggregate of cell-level payoff deviations."""
+    columns: dict[float, list[CellResult]] = {chi_pi: [] for chi_pi in result.config.chi_grid_pi}
+    for cell in result.cells:  # one pass, each angle's cells in result order; off-grid cells are dropped
+        columns.get(cell.chi_nominal_pi, []).append(cell)
     rows = []
-    for chi_pi in result.config.chi_grid_pi:
-        cells = [c for c in result.cells if c.chi_nominal_pi == chi_pi]
+    for chi_pi, cells in columns.items():
         values = [c.rmsd for c in cells if c.rmsd is not None]
-        rows.append(
-            {
-                "chi_nominal_pi": chi_pi,
-                "chi_measured_pi": cells[0].chi_measured_pi if cells else None,
-                "mean_rmsd": float(np.mean(values)) if values else None,
-                "max_rmsd": float(np.max(values)) if values else None,
-                "n_cells": len(values),
-            }
-        )
+        rows.append({"chi_nominal_pi": chi_pi, "chi_measured_pi": cells[0].chi_measured_pi if cells else None,
+                     "mean_rmsd": float(np.mean(values)) if values else None,
+                     "max_rmsd": float(np.max(values)) if values else None, "n_cells": len(values)})
     return rows
 
 
@@ -660,9 +652,10 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
         csv_file.write(",".join(_CSV_COLUMNS) + "\n")
         json_file.write(head + ',\n  "cells": [')
         separator = "\n"
-        for cell in result.cells:
-            chi, measured, p = _float_text(cell.chi_nominal_pi), _float_text(cell.chi_measured_pi), _float_text(cell.p)
-            rmsd, report = "" if cell.rmsd is None else _float_text(cell.rmsd), cell.report
+        # unpacked, since a named tuple's fields read slower by name
+        for chi_pi, measured_pi, p, report, rmsd_value, error in result.cells:
+            chi, measured, p = _float_text(chi_pi), _float_text(measured_pi), _float_text(p)
+            rmsd = "" if rmsd_value is None else _float_text(rmsd_value)
             csv_head, csv_tail = f"{chi},{measured},{p},", f",{rmsd},{constant}\n"
             if report is None:
                 csv_file.write(csv_head + ",,,," + csv_tail)
@@ -691,8 +684,8 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
                 f'      "chi_measured_pi": {nonfinite(measured, measured)},\n'
                 f'      "p": {nonfinite(p, p)},\n'
                 f'      "report": {json_report},\n'
-                f'      "rmsd": {"null" if cell.rmsd is None else nonfinite(rmsd, rmsd)},\n'
-                f'      "error": {"null" if cell.error is None else json.dumps(cell.error)}\n'
+                f'      "rmsd": {"null" if rmsd_value is None else nonfinite(rmsd, rmsd)},\n'
+                f'      "error": {"null" if error is None else json.dumps(error)}\n'
                 "    }"
             )
             separator = ",\n"

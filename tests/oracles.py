@@ -355,6 +355,22 @@ def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
     return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
 
 
+def reference_rmsd_rows(result) -> list[dict]:
+    """`rmsd_analysis` rows by a scan of every cell for each grid angle."""
+    rows = []
+    for chi_pi in result.config.chi_grid_pi:
+        cells = [c for c in result.cells if c.chi_nominal_pi == chi_pi]
+        values = [c.rmsd for c in cells if c.rmsd is not None]
+        rows.append({
+            "chi_nominal_pi": chi_pi,
+            "chi_measured_pi": cells[0].chi_measured_pi if cells else None,
+            "mean_rmsd": float(np.mean(values)) if values else None,
+            "max_rmsd": float(np.max(values)) if values else None,
+            "n_cells": len(values),
+        })
+    return rows
+
+
 def reference_rmsd(a, b1, b2, reference):
     """RMSD of one game's observed payoffs from the reference report at its
     best equilibrium, gathered entry by entry; None for an empty report."""

@@ -175,6 +175,46 @@ def test_payoff_tensor_bits_match_per_pair_reference_on_drawn_tables(chi, entrie
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def assert_angle_stack_matches_single_angles(chis, tables) -> None:
+    got = payoff_tensor(np.asarray(chis), tables)
+    assert got.shape == (len(chis), *tables.shape[:-1], 4, 4)
+    for chi, pays in zip(chis, got):
+        assert np.array_equal(pays, payoff_tensor(chi, tables))
+        for table, table_pays in zip(tables, pays):
+            assert np.array_equal(table_pays, oracles.reference_payoff_tensor(chi, table))
+
+
+@pytest.mark.parametrize(
+    "chis", [[0.0], [np.pi / 4], [0.0, np.pi / 4], CHI_GRID], ids=["zero", "quarter-pi", "both-ends", "default-grid"]
+)
+def test_payoff_tensor_of_an_angle_array_matches_single_angles(chis):
+    # one evolution of every angle keeps the bits of one call per angle and of the per-pair loop
+    assert_angle_stack_matches_single_angles(chis, ExperimentConfig().tables)
+
+
+@given(chis=st.lists(st.floats(min_value=0.0, max_value=float(np.pi / 4)), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_payoff_tensor_of_drawn_angle_arrays_matches_single_angles(chis):
+    assert_angle_stack_matches_single_angles(chis, ExperimentConfig().tables)
+
+
+def test_final_states_of_an_angle_array_match_single_angles():
+    got = final_states(np.array(CHI_GRID))
+    assert got.shape == (len(CHI_GRID), 16, 4)
+    for chi, states in zip(CHI_GRID, got):
+        assert np.array_equal(states, final_states(chi))
+
+
+def test_an_angle_array_with_one_bad_angle_raises_the_scalar_message():
+    for evolve in (final_states, lambda chi: payoff_tensor(chi, TABLE_B1)):
+        for bad in (-0.01, np.pi / 2):
+            with pytest.raises(ValueError) as scalar:
+                evolve(bad)
+            with pytest.raises(ValueError) as array:
+                evolve(np.array([0.0, np.pi / 8, bad, np.pi / 4]))
+            assert str(array.value) == str(scalar.value) == f"chi={bad} outside [0, pi/4]"
+
+
 def test_classical_limit_is_deterministic():
     # chi=0: every distribution is a basis outcome; {I,Z} play C, {X,Y} play D
     dists = np.abs(final_states(0.0)) ** 2

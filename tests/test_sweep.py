@@ -51,6 +51,7 @@ from oracles import (
     reference_analytic_reports,
     reference_child_rng,
     reference_emit,
+    reference_rmsd_rows,
     reference_shot_sweep,
     reference_verify_rows,
     reference_write_csv,
@@ -220,10 +221,19 @@ class TestAnalyticSweep:
                 payoff_rows_b1=[[[3, 3], [0, 5]], [[5, 0], [1, 1]]],
                 payoff_rows_b2=[[[2, 1], [0, 0]], [[0, 0], [1, 2]]],
             ).tables
-        got = _analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
+        got = _analytic_reports([chi], tables, DEFAULT_P_GRID, delta)
         assert got == reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
         if chi == 0.0 and not custom:
             assert len(got[0].profiles) == 8
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_grid_solve_matches_per_angle_references_in_chi_major_order(self, delta):
+        # one evolution, one compose and one solve for three angles give each
+        # angle's per-p reference reports, one angle after another
+        chis, tables = [0.0, 0.1 * np.pi, np.pi / 4], ExperimentConfig().tables
+        got = _analytic_reports(chis, tables, DEFAULT_P_GRID, delta)
+        want = [report for chi in chis for report in reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)]
+        assert got == want
 
 
 class TestShotSweep:
@@ -311,23 +321,37 @@ class TestShotSweep:
 
     def test_sweep_derives_its_streams_in_two_batches(self, monkeypatch):
         seed_sequences, batches = {"n": 0}, {"n": 0}
-        seed_sequence, child_rngs = np.random.SeedSequence, qgame.sweep.child_rngs
+        seed_sequence, child_seed_words = np.random.SeedSequence, qgame.sweep.child_seed_words
 
         def counting_seed_sequence(*args, **kwargs):
             seed_sequences["n"] += 1
             return seed_sequence(*args, **kwargs)
 
-        def counting_child_rngs(*args):
+        def counting_child_seed_words(*args):
             batches["n"] += 1
-            return child_rngs(*args)
+            return child_seed_words(*args)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        monkeypatch.setattr(qgame.sweep, "child_rngs", counting_child_rngs)
+        monkeypatch.setattr(qgame.sweep, "child_seed_words", counting_child_seed_words)
         run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=DEFAULT_P_GRID, shots=2_000))
         # one SeedSequence per stream would make 3 * (2 sample + 1 calibration + 101 split) = 312
         assert seed_sequences["n"] == 0
-        # every angle's sample and calibration streams, then every grid point's split stream
+        # two hash batches: every angle's sample and calibration streams, then every grid point's split stream
         assert batches["n"] == 2
+
+    def test_each_column_builds_only_its_own_generators(self, monkeypatch):
+        # the hashed words serve the whole sweep, but a column's 3 + P
+        # generators are built when it runs, not all 3 * (3 + P) up front
+        built, rngs_from_seed_words = [], qgame.sweep.rngs_from_seed_words
+
+        def counting_rngs_from_seed_words(words):
+            built.append(len(words))
+            return rngs_from_seed_words(words)
+
+        monkeypatch.setattr(qgame.sweep, "rngs_from_seed_words", counting_rngs_from_seed_words)
+        run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=(0.2, 0.5, 0.8, 1.0), shots=2_000))
+        # per column: 2 sample streams and 1 calibration stream, then one split stream per p
+        assert built == [3, 4] * 3
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_pools_match_per_key_split_counts(self, seed):
@@ -474,13 +498,13 @@ def load_layertrace():
 
 class TestTracedBenchmark:
     def test_analytic_sweep_goes_through_the_traced_names(self):
-        # one payoff evolution for both games and one Bayesian mix per angle,
-        # each looked up where the tracer wraps it
+        # one payoff evolution of every angle for both games and one Bayesian
+        # mix of the whole grid, each looked up where the tracer wraps it
         cfg = analytic_config(chi_grid_pi=(0.05, 0.25))
         with load_layertrace().Tracer() as tracer:
             run_sweep(cfg)
-        assert tracer.counts["game.payoff_tensor.calls"] == len(cfg.chi_grid_pi)
-        assert tracer.counts["bayesian.compose.calls"] == len(cfg.chi_grid_pi)
+        assert tracer.counts["game.payoff_tensor.calls"] == 1
+        assert tracer.counts["bayesian.compose.calls"] == 1
 
     def test_payoff_tensor_evolves_all_pairs_in_one_stack(self):
         # at most four gate applications per payoff array; evolving the
@@ -644,6 +668,27 @@ class TestSerialization:
         assert reports and all(set(report) == {"profiles", "payoffs"} for report in reports)
         assert len(data["transitions"]) == 2
         assert all(set(entry) == {"chi_pi", "thresholds"} for entry in data["transitions"])
+
+    def test_loaded_records_are_cells_and_reports(self, tmp_path):
+        # a named tuple equals a plain tuple of its fields, so equality alone
+        # would not catch a loader that builds plain tuples
+        cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.0, 0.5, 1.0), shots=40, seed=0)
+        loaded = load_result(emit_report(run_sweep(cfg), tmp_path)["json"])
+        assert all(type(cell) is CellResult for cell in loaded.cells)
+        reports = [cell.report for cell in loaded.cells if cell.report is not None]
+        assert 0 < len(reports) < len(loaded.cells)
+        assert all(type(report) is EquilibriumReport for report in reports)
+
+    @pytest.mark.parametrize("mode", ["analytic", "shots"])
+    def test_records_are_immutable_and_hashable(self, mode):
+        cfg = ExperimentConfig(mode=mode, chi_grid_pi=(0.05,), p_grid=(0.3, 0.7), shots=2_000)
+        cells = run_sweep(cfg).cells
+        cell, report = cells[0], cells[0].report
+        for record, name, value in ((cell, "rmsd", 1.0), (cell, "report", None), (report, "profiles", ())):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        assert hash(cells) == hash(run_sweep(cfg).cells)
+        assert len({cell, *cells}) == len(cells)
 
     def test_round_trip_preserves_error_cells(self, tmp_path):
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), shots=40, seed=0)
@@ -987,6 +1032,25 @@ class TestAnalyses:
         assert [r["chi_nominal_pi"] for r in rows] == [0.0, 0.05]
         assert all(r["mean_rmsd"] == 0.0 for r in rows)
         assert all(r["n_cells"] == 2 for r in rows)
+
+    @given(order=st.permutations(range(12)), drop=st.sets(st.integers(0, 11), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rmsd_rows_match_per_angle_scan_for_any_cell_order(self, order, drop):
+        # hand-built cells in any order, some angles short of cells or without
+        # any, failed and empty cells and an off-grid angle included
+        base = run_sweep(analytic_config(chi_grid_pi=(0.0, 0.05, 0.1), p_grid=(0.2, 0.5)))
+        report = base.cells[0].report
+        cells = [
+            CellResult(0.0, 0.01, 0.2, report, 0.3), CellResult(0.0, 0.02, 0.5, report, 0.1),
+            CellResult(0.05, 0.06, 0.2, None, None, "boom"), CellResult(0.05, 0.04, 0.5, report, 0.7),
+            CellResult(0.05, 0.05, 0.2, EquilibriumReport((), ()), None), CellResult(0.1, 0.11, 0.5, report, 1e-3),
+            CellResult(0.1, 0.09, 0.2, report, 2.5), CellResult(0.2, 0.2, 0.5, report, 9.0),
+            CellResult(0.0, 0.03, 0.5, report, 0.2), CellResult(0.1, 0.1, 0.5, report, math.inf),
+            CellResult(0.05, 0.05, 0.5, None, None, "bust"), CellResult(0.0, 0.0, 0.2, report, 0.0),
+        ]
+        result = SweepResult(base.config, tuple(cells[n] for n in order if n not in drop), base.transitions,
+                             base.chi_measurements)
+        assert rmsd_analysis(result) == reference_rmsd_rows(result)
 
     def test_threshold_rows_shape(self):
         cfg = analytic_config(chi_grid_pi=(0.05,))
