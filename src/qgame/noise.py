@@ -24,9 +24,9 @@ population is a plain 32-entry count array, and each single-row function
 is the one-row case of its stacked form.
 
 Reproducibility contract: one master seed; every consumer derives an
-independent child stream keyed by integers (grid point, circuit variant,
-purpose) so that evaluation order and grid subsetting cannot change any
-cell's random numbers. The stream of key `key` is bit-identical to
+independent child stream keyed by integers (angle, circuit variant,
+purpose) so that evaluation order and a subset of the angles cannot change
+any cell's random numbers. The stream of key `key` is bit-identical to
 `np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))`.
 `child_rngs` derives a (K, m) batch of keys at once: numpy's SeedSequence
 hash constants follow the same sequence for every key of one length, so
@@ -491,14 +491,16 @@ def sample_outcomes(
     return sample_gate_outcomes(circuit.gate_sequence, N_QUBITS, circuit.chi, noise, shots, rng)
 
 
-def split_counts(counts: np.ndarray, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def split_counts(counts: np.ndarray, p, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Assign each shot to the B1 pool with probability p, else B2, and
     return the two pools' counts. `counts` is one 32-entry count array or a
-    (..., 32) stack; per entry the B1 share is Binomial(count, p), the law
-    of one coin per shot, drawn in C order from `rng`, so a stack's rows
-    draw one after another from the same stream."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    (..., 32) stack, p one probability or an array that broadcasts against
+    it; per entry the B1 share is Binomial(count, p), the law of one coin
+    per shot, drawn in C order of the broadcast shape from `rng`, so its
+    rows draw one after another from the same stream."""
+    bad = ~((np.ravel(p) >= 0.0) & (np.ravel(p) <= 1.0))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"p={np.ravel(p)[np.argmax(bad)]} outside [0, 1]")
     counts = np.asarray(counts)
     to_b1 = rng.binomial(counts, p)
     return to_b1, counts - to_b1

@@ -10,19 +10,17 @@ its p values. Shot mode emulates the experiment: for each angle it
 draws one shot dataset per circuit variant from `outcome_law` (which evolves
 each circuit once per depolarization, not once per angle), measures the angle
 from a separate calibration run, and re-splits the same datasets into the two
-type pools at every p with `split_counts`: one call per grid point on the
-(variant, outcome) counts, drawing the I-circuit's outcomes and then the
-X-circuit's from that point's own keyed stream, straight into a (variant,
-type, p, outcome) stack. The sweep hashes the seed words of all its keyed
-streams in two `child_seed_words` batches, one for every angle's sample and
-calibration streams and one for every grid point's split stream; each
-column builds its generators from its words when it runs, each one
-bit-identical to its own `SeedSequence(seed, spawn_key=key)` stream. Keys
-are the angle and p in millionths, the variant (0 for the calibration and
-split streams) and the purpose tag, all within the [0, 2**32) a key entry
-may take. A key depends on grid values alone, so a sub-grid run reproduces
-its cells of the full run; a shot-mode config rejects two grid points that
-share a millionth, since they would share their streams. The rest of the
+type pools at every p with one `split_counts` call, which draws every p of
+the I-circuit, then every p of the X-circuit, from the angle's split stream
+into a (variant, type, p, outcome) stack. One `child_seed_words` batch
+hashes the seed words of every angle's 4 streams (two sample, calibration,
+split); each column builds its generators when it runs, each bit-identical
+to its own `SeedSequence(seed, spawn_key=key)` stream. Keys are the angle
+in millionths, the variant (0 for the calibration and split streams) and
+the purpose tag, each within the [0, 2**32) a key entry may take. So a
+run on a subset of the angles with the same p grid reproduces its cells of
+the full run (a subset of the p values moves later draws), and a shot-mode
+config rejects two angles that share a millionth, and with it their streams. The rest of the
 angle's column is one array pass: the stacked pools are SPAM-corrected,
 split into branch distributions (one call on the corrected stack, one on
 the raw stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`,
@@ -58,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -107,7 +106,6 @@ from qgame.noise import (
 )
 from qgame.parallel import (
     BRANCH_PAIRS,
-    N_OUTCOMES,
     N_QUBITS,
     EmptyBranchError,
     Variant,
@@ -148,17 +146,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration or result file."""
 
 
-def _grid_key(value: float) -> int:
-    """A grid point's entry in its shot-mode stream keys: the point in millionths."""
-    return round(value * 10**6)
+def _grid_key(chi_pi: float) -> int:
+    """An angle's entry in its shot-mode stream keys, in millionths; p is in no key."""
+    return round(chi_pi * 10**6)
 
 
-def _number_rows(name: str, rows) -> tuple:
-    """Nested lists of config numbers as nested tuples, the numbers as given."""
+def _plain_numbers(name: str, rows):
+    """A config number, or nested lists of them as nested tuples, as plain
+    numbers JSON can write: integers (numpy's too) as int, other reals as float."""
     if isinstance(rows, (list, tuple)):
-        return tuple(_number_rows(name, r) for r in rows)
+        return tuple(_plain_numbers(name, r) for r in rows)
     config_number(name, rows)
-    return rows
+    return int(rows) if isinstance(rows, numbers.Integral) else float(rows)
 
 
 @dataclass(frozen=True)
@@ -183,9 +182,9 @@ class ExperimentConfig:
             for name in ("chi_grid_pi", "p_grid"):
                 object.__setattr__(self, name, tuple(config_number(name, value) for value in getattr(self, name)))
             if self.delta is not None:
-                config_number("delta", self.delta)
+                object.__setattr__(self, "delta", _plain_numbers("delta", self.delta))
             for name in ("payoff_rows_b1", "payoff_rows_b2"):
-                object.__setattr__(self, name, _number_rows(name, getattr(self, name)))
+                object.__setattr__(self, name, _plain_numbers(name, getattr(self, name)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # bool is an int subclass; a JSON true must not count as 1
@@ -201,7 +200,7 @@ class ExperimentConfig:
             for a, b in zip(grid, grid[1:]):
                 if b <= a:
                     raise ConfigError(f"{name} must be strictly ascending")
-                if self.mode == MODE_SHOTS and _grid_key(a) == _grid_key(b):
+                if self.mode == MODE_SHOTS and name == "chi_grid_pi" and _grid_key(a) == _grid_key(b):
                     raise ConfigError(f"{name} points {a!r} and {b!r} share one keyed stream (same millionth)")
         try:
             check_chi(np.multiply(self.chi_grid_pi, np.pi))  # the angles exactly as run_sweep computes them
@@ -318,13 +317,11 @@ def _analytic_reports(chis, tables: np.ndarray, p_grid: tuple, delta: float) -> 
 # ---------------------------------------------------------------------------
 # shot-emulation pipeline
 
-def _split_pools(config: ExperimentConfig, counts: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+def _split_pools(config: ExperimentConfig, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """(variant, type, p, outcome) stack of the B1 and B2 pools of both
-    variants' (variant, outcome) `counts` at every p, each p's split drawn
-    from its own stream in `rngs`: the I-circuit's outcomes, then the X-circuit's."""
-    pools = np.empty((len(Variant), 2, len(config.p_grid), N_OUTCOMES))
-    for n, (p, rng) in enumerate(zip(config.p_grid, rngs)):
-        pools[:, 0, n], pools[:, 1, n] = split_counts(counts, p, rng)
+    variants' (variant, outcome) `counts` at every p, from one `split_counts`
+    call on the angle's split stream `rng`: every p of the I-circuit, then every p of the X-circuit."""
+    pools = np.stack(split_counts(counts[:, None], np.array(config.p_grid)[:, None], rng), axis=1)
     # a pool emptied by the split (p at or near 0 or 1) estimates its game
     # tensor from the full unsplit dataset instead
     return np.where(pools.sum(axis=-1, keepdims=True) > 0, pools, counts[:, None, None, :])
@@ -347,13 +344,13 @@ def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, con
 
 
 def _shot_column(
-    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, words: np.ndarray, split_words: np.ndarray
+    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, words: np.ndarray
 ) -> tuple[list[CellResult], ChiEstimate]:
     """One angle's cells, from the seed words of its I- and X-circuit sample
-    streams and its calibration stream (`words`) and of one split stream per
-    p (`split_words`); the column's generators live only while it runs."""
+    streams, its calibration stream and its split stream; the column's
+    generators live only while it runs."""
     chi, delta, tables = chi_pi * np.pi, config.effective_delta, config.tables
-    *sample_rngs, calibration_rng = rngs_from_seed_words(words)
+    *sample_rngs, calibration_rng, split_rng = rngs_from_seed_words(words)
     counts = np.array([
         sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
         for variant, rng in zip(Variant, sample_rngs)
@@ -364,7 +361,7 @@ def _shot_column(
     chi_measured_pi = chi_ref / np.pi
     references = _analytic_reports([chi_ref], tables, config.p_grid, delta)
 
-    pools = _split_pools(config, counts, rngs_from_seed_words(split_words))
+    pools = _split_pools(config, counts, split_rng)
     try:
         corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
     except SpamCorrectionError:
@@ -398,15 +395,13 @@ def _shot_column(
     return cells, estimate
 
 
-def _shot_seed_words(config: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The seed words of every keyed stream of a shot sweep, hashed in two
-    `child_seed_words` batches, as one pair per angle: its I- and X-circuit
-    sample streams and its calibration stream, then one split stream per p."""
-    chi_keys, p_keys = [_grid_key(c) for c in config.chi_grid_pi], [_grid_key(p) for p in config.p_grid]
-    tails = [*((v, PURPOSE_SAMPLE) for v in range(len(Variant))), (0, PURPOSE_CALIBRATION)]
-    words = child_seed_words(config.seed, np.array([(c, *tail) for c in chi_keys for tail in tails]))
-    split_words = child_seed_words(config.seed, np.array([(c, 0, PURPOSE_SPLIT, p) for c in chi_keys for p in p_keys]))
-    return list(zip(words.reshape(len(chi_keys), len(tails), 4), split_words.reshape(len(chi_keys), len(p_keys), 4)))
+def _shot_seed_words(config: ExperimentConfig) -> np.ndarray:
+    """The (angle, stream, 4) seed words of every keyed stream of a shot
+    sweep, hashed in one `child_seed_words` batch: per angle, its I- and
+    X-circuit sample streams, its calibration stream and its split stream."""
+    tails = [*((v, PURPOSE_SAMPLE) for v in range(len(Variant))), (0, PURPOSE_CALIBRATION), (0, PURPOSE_SPLIT)]
+    keys = np.array([(_grid_key(c), *tail) for c in config.chi_grid_pi for tail in tails])
+    return child_seed_words(config.seed, keys).reshape(len(config.chi_grid_pi), len(tails), 4)
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -426,7 +421,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         # one readout matrix per sweep: its factorization serves every cell
         confusion = ConfusionMatrix.from_noise(config.noise)
         streams = zip(config.chi_grid_pi, _shot_seed_words(config))
-        columns = [_shot_column(config, chi_pi, confusion, *words) for chi_pi, words in streams]
+        columns = [_shot_column(config, chi_pi, confusion, words) for chi_pi, words in streams]
         cells, estimates = [cell for column, _ in columns for cell in column], [estimate for _, estimate in columns]
     transitions: list[tuple[float, tuple[float, ...] | None]] = []
     for i, chi_pi in enumerate(config.chi_grid_pi):

@@ -394,9 +394,10 @@ def reference_child_rng(seed: int, *key: int) -> np.random.Generator:
 def reference_shot_sweep(config):
     """A shot-mode sweep run one grid cell at a time.
 
-    Each cell splits both variants' shots on its own keyed stream (the
-    I-circuit's, then the X-circuit's), falls
-    back to the full dataset for an empty pool, SPAM-corrects and parses
+    Each angle draws its pools from its one keyed split stream, one
+    binomial call per (variant, p) row: every p of the I-circuit, then every
+    p of the X-circuit. Each cell then falls back to the full dataset for an
+    empty pool, SPAM-corrects and parses
     each pool (I-circuit before X, B1 before B2, correction before parsing,
     so the first failure names the cell's error; a branch is empty when the
     raw pool or the corrected one has nothing in it), builds and composes the
@@ -416,7 +417,6 @@ def reference_shot_sweep(config):
         measure_chi,
         sample_outcomes,
         spam_correct,
-        split_counts,
     )
     from qgame.parallel import EmptyBranchError, Variant, build_circuit, parse_branches
     from qgame.statevector import CHI_MAX
@@ -442,14 +442,14 @@ def reference_shot_sweep(config):
         measurements.append((chi_pi, estimate))
         chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
         (ref_a1, ref_b1), (ref_a2, ref_b2) = payoff_tensor(chi_ref, tables[0]), payoff_tensor(chi_ref, tables[1])
+        split_rng = reference_child_rng(config.seed, chi_key, 0, PURPOSE_SPLIT)
+        to_b1 = [[split_rng.binomial(counts[v], p) for p in config.p_grid] for v in range(len(Variant))]
         column = []
-        for p in config.p_grid:
+        for n, p in enumerate(config.p_grid):
             try:
                 dists = ({}, {})
-                # one stream per grid point: the I-circuit's split, then the X-circuit's
-                split_rng = reference_child_rng(config.seed, chi_key, 0, PURPOSE_SPLIT, round(p * 10**6))
                 for v, variant in enumerate(Variant):
-                    for t, pool in enumerate(split_counts(counts[v], p, split_rng)):
+                    for t, pool in enumerate((to_b1[v][n], counts[v] - to_b1[v][n])):
                         if pool.sum() == 0:
                             pool = counts[v]
                         corrected = spam_correct(pool, confusion)

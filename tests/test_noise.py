@@ -1,6 +1,7 @@
 """Shot sampling, noise channels, SPAM correction, and the type split."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -429,11 +430,28 @@ class TestBayesianSplit:
         for t in range(2):
             assert np.array_equal(stacked[t], [row[t] for row in rows])
 
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            split_counts(np.zeros(32, dtype=int), 1.2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            split_counts(np.zeros(32, dtype=int), -0.1, np.random.default_rng(0))
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_p_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"p={bad} outside [0, 1]")):
+            split_counts(np.zeros(32, dtype=int), bad, np.random.default_rng(0))
+
+    def test_p_column_draws_each_row_in_turn_from_one_stream(self):
+        # (variant, p, outcome): every p of the first row, then every p of the second
+        counts = np.random.default_rng(5).multinomial(30_000, np.full(32, 1 / 32), size=2)
+        p_grid = np.array([0.0, 0.01, 0.3, 0.5, 0.99, 1.0])
+        stacked = split_counts(np.broadcast_to(counts[:, None], (2, 6, 32)), p_grid[:, None], np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for v in range(2):
+            for n, p in enumerate(p_grid):
+                b1 = rng.binomial(counts[v], p)
+                assert np.array_equal(stacked[0][v, n], b1)
+                assert np.array_equal(stacked[1][v, n], counts[v] - b1)
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_p_array_out_of_range_names_the_first_bad_value(self, bad):
+        p = np.array([[0.5], [bad], [2.0], [0.1]])
+        with pytest.raises(ValueError, match=re.escape(f"p={bad} outside [0, 1]")):
+            split_counts(np.zeros((4, 32), dtype=int), p, np.random.default_rng(0))
 
 
 class TestChiMeasurement:

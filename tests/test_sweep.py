@@ -125,16 +125,22 @@ class TestConfig:
         result = run_sweep(cfg)
         assert all(cell.error is None for cell in result.cells)
 
-    @pytest.mark.parametrize(
-        "name, grid",
-        [("p_grid", (0.25, 0.2500004)), ("p_grid", (0.5, 0.5000004)), ("chi_grid_pi", (0.1, 0.1000004))],
-    )
-    def test_shot_grid_points_sharing_a_stream_key_are_rejected(self, name, grid):
-        # both points would draw on one keyed stream: identical or mirrored pools
-        with pytest.raises(ConfigError, match=re.escape(f"{name} points {grid[0]!r} and {grid[1]!r}")):
-            shot_config(**{name: grid})
-        analytic_config(**{name: grid})  # analytic mode draws no streams
-        shot_config(**{name: (grid[0], grid[0] + 1e-6)})
+    def test_shot_angles_sharing_a_stream_key_are_rejected(self):
+        # both angles would draw on the same keyed streams: identical shots and pools
+        grid = (0.1, 0.1000004)
+        with pytest.raises(ConfigError, match=re.escape(f"chi_grid_pi points {grid[0]!r} and {grid[1]!r}")):
+            shot_config(chi_grid_pi=grid)
+        analytic_config(chi_grid_pi=grid)  # analytic mode draws no streams
+        shot_config(chi_grid_pi=(grid[0], grid[0] + 1e-6))
+
+    @pytest.mark.parametrize("grid", [(0.25, 0.2500004), (0.5, 0.5000004)])
+    def test_p_values_in_one_millionth_draw_their_own_pools(self, grid):
+        # p is in no stream key: the angle's one split stream draws each p's pools in turn
+        cfg = shot_config(chi_grid_pi=(0.1,), p_grid=grid, shots=2_000)
+        assert all(cell.error is None for cell in run_sweep(cfg).cells)
+        counts = np.full((2, 32), 100)
+        pools = _split_pools(cfg, counts, reference_child_rng(0, 100_000, 0, PURPOSE_SPLIT))
+        assert not np.array_equal(pools[:, :, 0], pools[:, :, 1])
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -319,7 +325,7 @@ class TestShotSweep:
         # the two variants plus the calibration circuit, whatever the number of angles
         assert calls["n"] <= 3
 
-    def test_sweep_derives_its_streams_in_two_batches(self, monkeypatch):
+    def test_sweep_derives_its_streams_in_one_batch(self, monkeypatch):
         seed_sequences, batches = {"n": 0}, {"n": 0}
         seed_sequence, child_seed_words = np.random.SeedSequence, qgame.sweep.child_seed_words
 
@@ -334,14 +340,14 @@ class TestShotSweep:
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         monkeypatch.setattr(qgame.sweep, "child_seed_words", counting_child_seed_words)
         run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=DEFAULT_P_GRID, shots=2_000))
-        # one SeedSequence per stream would make 3 * (2 sample + 1 calibration + 101 split) = 312
+        # one SeedSequence per stream would make 3 * (2 sample + 1 calibration + 1 split) = 12
         assert seed_sequences["n"] == 0
-        # two hash batches: every angle's sample and calibration streams, then every grid point's split stream
-        assert batches["n"] == 2
+        # one hash batch: every angle's sample, calibration and split streams
+        assert batches["n"] == 1
 
     def test_each_column_builds_only_its_own_generators(self, monkeypatch):
-        # the hashed words serve the whole sweep, but a column's 3 + P
-        # generators are built when it runs, not all 3 * (3 + P) up front
+        # the hashed words serve the whole sweep, but a column's 4
+        # generators are built when it runs, not all 3 * 4 up front
         built, rngs_from_seed_words = [], qgame.sweep.rngs_from_seed_words
 
         def counting_rngs_from_seed_words(words):
@@ -350,11 +356,11 @@ class TestShotSweep:
 
         monkeypatch.setattr(qgame.sweep, "rngs_from_seed_words", counting_rngs_from_seed_words)
         run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=(0.2, 0.5, 0.8, 1.0), shots=2_000))
-        # per column: 2 sample streams and 1 calibration stream, then one split stream per p
-        assert built == [3, 4] * 3
+        # per column: 2 sample streams, 1 calibration stream and 1 split stream, whatever the number of p
+        assert built == [4] * 3
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_split_pools_match_per_key_split_counts(self, seed):
+    def test_split_pools_match_per_row_split_counts(self, seed):
         cfg = shot_config(p_grid=DEFAULT_P_GRID, shots=30_000, seed=seed, noise=NoiseModel.default_profile(seed))
         chi_pi, chi_key = 0.15, 150_000
         counts = np.array([
@@ -366,25 +372,25 @@ class TestShotSweep:
             )
             for v, variant in enumerate(Variant)
         ])
-        split_key = [(chi_key, 0, PURPOSE_SPLIT, round(p * 10**6)) for p in cfg.p_grid]
-        pools = _split_pools(cfg, counts, [reference_child_rng(seed, *key) for key in split_key])
-        for n, p in enumerate(cfg.p_grid):
-            # one stream per grid point: the I-circuit's split, then the X-circuit's
-            rng = reference_child_rng(seed, *split_key[n])
-            for v in range(len(Variant)):
+        split_key = (chi_key, 0, PURPOSE_SPLIT)
+        pools = _split_pools(cfg, counts, reference_child_rng(seed, *split_key))
+        # one stream per angle: every p of the I-circuit's split, then every p of the X-circuit's
+        rng = reference_child_rng(seed, *split_key)
+        for v in range(len(Variant)):
+            for n, p in enumerate(cfg.p_grid):
                 for t, pool in enumerate(split_counts(counts[v], p, rng)):
                     # an emptied pool falls back to the full dataset
                     expected = pool if pool.sum() > 0 else counts[v]
                     assert np.array_equal(pools[v, t, n], expected)
 
-    def test_sweep_split_streams_are_keyed_per_grid_point(self, monkeypatch):
-        # each (chi, p) point has one split stream, keyed (chi, 0, PURPOSE_SPLIT, p):
-        # the I-circuit's pools are its first 32 draws, exactly a split of the
-        # I-circuit's counts alone, and the X-circuit's pools are the next 32
+    def test_sweep_split_streams_are_keyed_per_angle(self, monkeypatch):
+        # each angle has one split stream, keyed (chi, 0, PURPOSE_SPLIT): its
+        # first 32 * P draws split the I-circuit's counts at every p in grid
+        # order, and the next 32 * P the X-circuit's
         seed, split_pools, drawn = 3, qgame.sweep._split_pools, []
 
-        def recording_split_pools(cfg, counts, rngs):
-            pools = split_pools(cfg, counts, rngs)
+        def recording_split_pools(cfg, counts, rng):
+            pools = split_pools(cfg, counts, rng)
             drawn.append((counts, pools))
             return pools
 
@@ -394,23 +400,23 @@ class TestShotSweep:
         run_sweep(cfg)
         assert len(drawn) == len(cfg.chi_grid_pi)
         for chi_pi, (counts, pools) in zip(cfg.chi_grid_pi, drawn):
-            for n, p in enumerate(cfg.p_grid):
-                rng = reference_child_rng(seed, round(chi_pi * 10**6), 0, PURPOSE_SPLIT, round(p * 10**6))
-                i_b1, i_b2 = split_counts(counts[0], p, rng)
-                x_b1 = rng.binomial(counts[1], p)
-                for v, t, pool, full in ((0, 0, i_b1, counts[0]), (0, 1, i_b2, counts[0]),
-                                         (1, 0, x_b1, counts[1]), (1, 1, counts[1] - x_b1, counts[1])):
-                    assert np.array_equal(pools[v, t, n], pool if pool.sum() > 0 else full)
+            rng = reference_child_rng(seed, round(chi_pi * 10**6), 0, PURPOSE_SPLIT)
+            for v in range(len(Variant)):
+                for n, p in enumerate(cfg.p_grid):
+                    b1 = rng.binomial(counts[v], p)
+                    for t, pool in enumerate((b1, counts[v] - b1)):
+                        assert np.array_equal(pools[v, t, n], pool if pool.sum() > 0 else counts[v])
 
-    def test_sub_grid_reproduces_the_full_grid_cells(self):
-        # every stream is keyed by grid values, not positions, so a sub-grid
-        # run draws the same shots and splits as the full default-grid run
+    def test_angle_subset_reproduces_the_full_grid_cells(self):
+        # every stream is keyed by the angle's value, not its position, so a
+        # run on a subset of the angles with the same p grid draws the same
+        # shots and splits as the full default-grid run
         noise = NoiseModel.default_profile(0)
         full = run_sweep(shot_config(noise=noise))
-        # at p = 0.01 both angles' cells fail in the full run
-        sub = run_sweep(shot_config(chi_grid_pi=(0.05, 0.2), p_grid=(0.0, 0.01, 0.13, 0.5, 0.77, 1.0), noise=noise))
+        sub = run_sweep(shot_config(chi_grid_pi=(0.05, 0.2), noise=noise))
         cells = {(cell.chi_nominal_pi, cell.p): cell for cell in full.cells}
         assert sub.cells == tuple(cells[cell.chi_nominal_pi, cell.p] for cell in sub.cells)
+        assert len(sub.cells) == 2 * len(DEFAULT_P_GRID)
         assert 0 < sum(cell.error is not None for cell in sub.cells) < len(sub.cells)
         assert sub.chi_measurements == tuple(m for m in full.chi_measurements if m[0] in (0.05, 0.2))
 
@@ -609,13 +615,13 @@ class TestSerialization:
         assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
 
     def test_default_noisy_shot_sweep_matches_pinned_digests(self, tmp_path):
-        # the benchmark's shots_noisy workload at seed 0, which fails 55 cells
+        # the benchmark's shots_noisy workload at seed 0, which fails 57 cells
         cfg = ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(0), seed=0)
         paths = emit_report(run_sweep(cfg), tmp_path)
         digests = [hashlib.sha256(Path(paths[fmt]).read_bytes()).hexdigest() for fmt in ("csv", "json")]
         assert digests == [
-            "9e9c00ad286bbe6cc5f2962a6d872087a6e8ac889994cd2ababc7753540f5250",
-            "e6822cd08e6468b3b558435a9085a2bfc27e251866be63dfa4819701a6d79129",
+            "b2d5b3dfdaf50756cb0b67fae84c672d5f0c2fc8d71d7cee6e73c586b991d343",
+            "cce6d9bba38e98869f30587cc457132096a8f46a80dda469e731c61c1ae47f07",
         ]
 
     def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
@@ -645,6 +651,17 @@ class TestSerialization:
         row = emitted_rows(failed, tmp_path)[0]
         assert row["n_equilibria"] == ""
         assert row["profile"] == ""
+
+    def test_numpy_config_numbers_emit_as_plain_numbers(self, tmp_path):
+        # numpy integers once passed validation, then crashed the JSON writer after the whole sweep
+        rows, grids = (((11, 9), (1, 10)), ((10, 1), (6, 6))), {"chi_grid_pi": (0.0, 0.1), "p_grid": (0.2, 0.7)}
+        plain = analytic_config(payoff_rows_b1=rows, delta=0, **grids)
+        numpy_rows = [[list(pair) for pair in row] for row in np.array(rows, dtype=np.int64)]
+        numpy_cfg = analytic_config(payoff_rows_b1=numpy_rows, delta=np.int64(0), **grids)
+        assert type(numpy_cfg.delta) is int and type(numpy_cfg.payoff_rows_b1[1][0][1]) is int
+        paths = [emit_report(run_sweep(cfg), tmp_path / name) for name, cfg in (("plain", plain), ("numpy", numpy_cfg))]
+        for fmt in ("csv", "json"):
+            assert Path(paths[0][fmt]).read_bytes() == Path(paths[1][fmt]).read_bytes()
 
     def test_json_round_trip_exact(self, tmp_path):
         cfg = shot_config(
