@@ -7,8 +7,12 @@ Subcommands map one-to-one onto the library's analyses:
   thresholds  per-angle transition points of the tracked profile
   verify      branch-parsing equivalence check for the 5-qubit circuits
 
-Exit codes: 0 success, 2 bad configuration or unwritable output,
-3 completed with per-cell hard failures (or failed verification rows).
+`rmsd` and `thresholds` take `--from sweep.json` to analyse a saved sweep
+instead of running one.
+
+Exit codes: 0 success, 2 bad configuration, bad result file or
+unwritable output, 3 completed with per-cell hard failures (or failed
+verification rows).
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from qgame.sweep import (
     MODE_SHOTS,
     ConfigError,
     ExperimentConfig,
+    SweepResult,
     emit_report,
+    load_result,
     rmsd_analysis,
     run_sweep,
     threshold_rows,
@@ -54,11 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(sweep)
     sweep.add_argument("--basename", default="sweep", help="output file stem")
 
-    rmsd = sub.add_parser("rmsd", help="aggregate payoff deviation per angle")
-    _add_config_options(rmsd)
-
-    thresholds = sub.add_parser("thresholds", help="transition points per angle")
-    _add_config_options(thresholds)
+    for name, text in (("rmsd", "aggregate payoff deviation per angle"), ("thresholds", "transition points per angle")):
+        analysis = sub.add_parser(name, help=text)
+        _add_config_options(analysis)
+        analysis.add_argument(
+            "--from",
+            dest="from_path",
+            metavar="SWEEP_JSON",
+            help="analyse a sweep.json written by `qgame sweep` instead of running the sweep; "
+            "excludes --config, --mode and --seed",
+        )
 
     verify = sub.add_parser("verify", help="check branch-parsed vs direct distributions")
     verify.add_argument(
@@ -79,6 +90,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(config, **overrides)
 
 
+def _analysed_result(args: argparse.Namespace) -> SweepResult:
+    """The sweep an analysis reads: the saved one named by --from, else a fresh run."""
+    if args.from_path is None:
+        return run_sweep(_load_config(args))
+    clashes = [f"--{name}" for name in ("config", "mode", "seed") if getattr(args, name) is not None]
+    if clashes:
+        raise ConfigError(f"--from reads a finished sweep, so it cannot be combined with {', '.join(clashes)}")
+    return load_result(args.from_path)
+
+
 def _cell_failures(result) -> int:
     return sum(1 for cell in result.cells if cell.error is not None)
 
@@ -97,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rmsd(args: argparse.Namespace) -> int:
-    result = run_sweep(_load_config(args))
+    result = _analysed_result(args)
     rows = rmsd_analysis(result)
     path = os.path.join(args.out, "rmsd.csv")
     write_csv(path, ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells"), rows)
@@ -109,7 +130,7 @@ def _cmd_rmsd(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    result = run_sweep(_load_config(args))
+    result = _analysed_result(args)
     rows = threshold_rows(result)
     path = os.path.join(args.out, "thresholds.csv")
     write_csv(path, ("chi_pi", "profile", "thresholds", "window"), rows)

@@ -970,6 +970,61 @@ class TestEmitterMatchesReference:
         with tempfile.TemporaryDirectory() as out_dir:
             self.assert_matches_reference(hand_built_result(cells), out_dir)
 
+    def test_repeated_zeros_nans_and_infinities(self, tmp_path):
+        # 0.0 and -0.0 are one dict key but print differently; NaN objects never compare equal
+        nan, other_nan = math.nan, float("nan")
+        names = ("IXI", "ZYX", "XXX", "IZY", "YYZ")
+        report = EquilibriumReport(
+            tuple(map(profile_from_names, names)),
+            (
+                (0.0, -0.0, 0.0),
+                (-0.0, 0.0, -0.0),
+                (nan, other_nan, nan),
+                (math.inf, -math.inf, math.inf),
+                (-math.inf, -0.0, other_nan),
+            ),
+        )
+        cells = (
+            CellResult(0.1, -0.0, 0.0, report, -0.0),
+            CellResult(0.1, 0.0, -0.0, report, 0.0),
+            CellResult(0.1, nan, math.inf, EquilibriumReport((), ()), other_nan),
+            CellResult(0.1, -math.inf, nan, None, None, error="failed"),
+            CellResult(0.1, -0.0, -0.0, report, nan),
+        )
+        self.assert_matches_reference(hand_built_result((cells[0],)), tmp_path / "one")
+        self.assert_matches_reference(hand_built_result(cells), tmp_path / "several")
+        self.assert_matches_reference(hand_built_result(cells[::-1]), tmp_path / "reversed")
+
+    def test_one_value_as_chi_p_rmsd_and_payoff(self, tmp_path):
+        value = 0.3
+        report = EquilibriumReport((profile_from_names("IXI"),), ((value, np.float64(value), -value),))
+        cells = (CellResult(value, value, value, report, value), CellResult(value, -value, value, report, None))
+        self.assert_matches_reference(hand_built_result(cells), tmp_path)
+        csv_lines = (tmp_path / "emitted" / "sweep.csv").read_text().splitlines()
+        assert csv_lines[1].startswith("0.3,0.3,0.3,1,IXI,0.3,0.3,-0.3,0.3,")
+
+    def test_no_state_carries_over_between_calls(self, tmp_path, monkeypatch):
+        first = run_sweep(analytic_config(chi_grid_pi=(0.0, 0.1, 0.25)))
+        second = hand_built_result(
+            (CellResult(0.1, -0.0, 0.5, EquilibriumReport((profile_from_names("IXI"),), ((0.0, 0.5, 0.1),)), 0.0),)
+        )
+        calls = []
+        for name, result in (("a", first), ("b", second), ("c", first)):
+            formatted = []
+            with monkeypatch.context() as patch:  # count the emitter's own float formatting
+                patch.setattr(qgame.sweep, "_float_text", lambda value: formatted.append(value) or repr(float(value)))
+                emit_report(result, tmp_path / name / "emitted")
+            calls.append(formatted)
+            self.assert_matches_reference(result, tmp_path / name)
+        for result, formatted in zip((first, second, first), calls):
+            values = [value for cell in result.cells for value in (cell.chi_nominal_pi, cell.chi_measured_pi, cell.p)]
+            values += [cell.rmsd for cell in result.cells if cell.rmsd is not None]
+            values += [value for cell in result.cells for row in cell.report.payoffs for value in row]
+            values.append(result.config.effective_delta)  # the delta column, 0.0 here, formatted once per call
+            # each distinct nonzero value once per call; zeros every time
+            assert sorted(value for value in formatted if value) == sorted(set(value for value in values if value))
+            assert sum(not value for value in formatted) == sum(not value for value in values)
+
     def test_numpy_floats_are_written_as_plain_floats(self, tmp_path):
         # np.float64 is a float, so json.dump writes its float repr; so must the CSV
         report = EquilibriumReport((profile_from_names("IXI"),), ((np.float64(1.5), 2.0, np.float64(-0.0)),))
@@ -1265,3 +1320,70 @@ class TestCli:
         assert main(["rmsd", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "rmsd.csv").exists()
         assert "mean_rmsd" in (tmp_path / "rmsd.csv").read_text()
+
+
+class TestCliFromSavedSweep:
+    """`rmsd` and `thresholds` with --from read a saved sweep.json and print
+    what a fresh run of the same config prints."""
+
+    @staticmethod
+    def run_cli(capsys, argv) -> tuple[int, str, str]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            (analytic_config(chi_grid_pi=(0.0, 0.05, 0.25)), 0),
+            (shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0), 3),
+        ],
+        ids=["analytic", "starved-shots"],
+    )
+    @pytest.mark.parametrize("command, table", [("rmsd", "rmsd.csv"), ("thresholds", "thresholds.csv")])
+    def test_matches_fresh_run(self, tmp_path, capsys, config, code, command, table):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config.to_dict()))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "saved")]) == code
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        fresh = self.run_cli(capsys, [command, "--config", str(cfg), "--out", out])
+        fresh_table = (tmp_path / "out" / table).read_bytes()
+        (tmp_path / "out" / table).unlink()
+        loaded = self.run_cli(capsys, [command, "--from", str(tmp_path / "saved" / "sweep.json"), "--out", out])
+        assert loaded == fresh
+        assert fresh[0] == code
+        assert (tmp_path / "out" / table).read_bytes() == fresh_table
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--config", "cfg.json"], "--config"),
+            (["--mode", "analytic"], "--mode"),
+            (["--seed", "1"], "--seed"),
+            (["--mode", "shots", "--seed", "0"], "--mode, --seed"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["rmsd", "thresholds"])
+    def test_from_with_config_options_is_config_error(self, tmp_path, capsys, command, extra, named):
+        saved = emit_report(run_sweep(analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,))), tmp_path)["json"]
+        code, out, err = self.run_cli(capsys, [command, "--from", saved, *extra, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: --from reads a finished sweep, so it cannot be combined with {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["rmsd", "thresholds"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", '{"schema_version": 3}', "[]", None],
+        ids=["syntax", "missing-keys", "not-an-object", "missing-file"],
+    )
+    def test_malformed_or_missing_file_is_config_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "sweep.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as raised:
+            load_result(path)
+        code, out, err = self.run_cli(capsys, [command, "--from", str(path), "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (2, "", f"config error: {raised.value}\n")
