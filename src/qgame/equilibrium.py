@@ -13,9 +13,11 @@ are kept.
 
 `nash_equilibria_stack` solves a stack of tensors (one per p, or per grid
 cell) in one array pass: the masks take the player's own choice on a
-negative axis, so one rule serves a single tensor and a stack, and B
-payoffs shared by the stack are masked once. `nash_equilibria` is its one-row case, as
-`rmsd_at_equilibrium` is of `rmsd_at_equilibrium_stack`, one gather per array.
+negative axis, so one rule, in one private helper, serves a single tensor
+and a stack, and B payoffs shared by the stack are masked once. Without
+building reports, `best_equilibria_stack` reads that mask down to each row's
+`max_payoff_profile` pick, a masked argmax, and `rmsd_at_equilibrium_stack`
+gathers payoffs there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -61,15 +63,8 @@ class EquilibriumReport(NamedTuple):
         return not self.profiles
 
 
-def nash_equilibria_stack(
-    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float
-) -> list[EquilibriumReport]:
-    """One report per row of a column of Bayesian tensors.
-
-    `a` is a (P, 4, 4, 4) stack of A's payoffs; `b1` and `b2` are either
-    (4, 4), shared by every row, or (P, 4, 4). Each row's report lists the
-    intersection of its three best-response masks in profile order.
-    """
+def _nash_mask(a, b1, b2, delta: float) -> tuple[np.ndarray, ...]:
+    """The float arrays and the (P, 64) mask of each row's equilibria, in profile order."""
     a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
     rows = len(a)
     if a.shape != (rows, 4, 4, 4) or {b1.shape, b2.shape} - {(4, 4), (rows, 4, 4)}:
@@ -80,18 +75,44 @@ def nash_equilibria_stack(
         & _near_max_mask(b1, -1, delta)[..., :, :, None]
         & _near_max_mask(b2, -1, delta)[..., :, None, :]
     )
-    row, i, j, k = nash.nonzero()
-    # a shared B array drops the row index
-    pay_b1 = b1[(row, i, j)[3 - b1.ndim :]]
-    pay_b2 = b2[(row, i, k)[3 - b2.ndim :]]
-    profiles = [_PROFILES[f] for f in (16 * i + 4 * j + k).tolist()]
-    payoffs = list(zip(a[row, i, j, k].tolist(), pay_b1.tolist(), pay_b2.tolist()))
+    return a, b1, b2, nash.reshape(rows, 64)
+
+
+def _payoffs_at(a, b1, b2, row, flat) -> tuple[np.ndarray, ...]:
+    """The A, B1 and B2 payoffs of profiles `flat` in rows `row`; a shared B array drops the row index."""
+    i, j, k = np.unravel_index(flat, (4, 4, 4))
+    return a[row, i, j, k], b1[(row, i, j)[3 - b1.ndim :]], b2[(row, i, k)[3 - b2.ndim :]]
+
+
+def nash_equilibria_stack(
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float
+) -> list[EquilibriumReport]:
+    """One report per row of a column of Bayesian tensors.
+
+    `a` is a (P, 4, 4, 4) stack of A's payoffs; `b1` and `b2` are either
+    (4, 4), shared by every row, or (P, 4, 4). Each row's report lists the
+    intersection of its three best-response masks in profile order.
+    """
+    a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
+    row, flat = nash.nonzero()
+    profiles = [_PROFILES[f] for f in flat.tolist()]
+    payoffs = list(zip(*(values.tolist() for values in _payoffs_at(a, b1, b2, row, flat))))
     # the rows are in order, so each report is one slice
-    stops = np.bincount(row, minlength=rows).cumsum().tolist()
+    stops = np.bincount(row, minlength=len(a)).cumsum().tolist()
     return [
         EquilibriumReport(tuple(profiles[start:stop]), tuple(payoffs[start:stop]))
         for start, stop in zip([0, *stops], stops)
     ]
+
+
+def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> tuple[np.ndarray, ...]:
+    """`max_payoff_profile` of each row's report, without building the reports:
+    the (P,) profile indices 16 i + 4 j + k (-1 for a row with no equilibrium)
+    and the (P, 3) payoffs there. Arrays as in `nash_equilibria_stack`; payoffs finite."""
+    a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
+    # the highest A payoff among the equilibria; argmax takes the first profile on a tie
+    best = np.where(nash, a.reshape(nash.shape), -np.inf).argmax(axis=-1)
+    return np.where(nash.any(axis=-1), best, -1), np.stack(_payoffs_at(a, b1, b2, np.arange(len(a)), best), axis=-1)
 
 
 def nash_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> EquilibriumReport:
@@ -141,24 +162,21 @@ def max_payoff_profile(report: EquilibriumReport) -> Profile:
 
 
 def rmsd_at_equilibrium_stack(
-    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, references: list[EquilibriumReport]
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, best: np.ndarray, payoffs: np.ndarray
 ) -> list[float | None]:
-    """Each row's payoff RMSD from its reference at the reference's best equilibrium
-    (`max_payoff_profile`), None for an empty reference; arrays as in `nash_equilibria_stack`."""
-    a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
-    if len(a) != len(references):
-        raise ValueError(f"{len(a)} payoff rows for {len(references)} references")
-    row = [n for n, reference in enumerate(references) if not reference.empty]
-    best = [max_payoff_profile(references[n]) for n in row]
-    ref = np.reshape([references[n].payoffs[references[n].profiles.index(p)] for n, p in zip(row, best)], (-1, 3))
-    row, (i, j, k) = np.array(row, dtype=int), np.reshape(np.array(best, dtype=int), (-1, 3)).T
-    obs = np.stack((a[row, i, j, k], b1[(row, i, j)[3 - b1.ndim :]], b2[(row, i, k)[3 - b2.ndim :]]), axis=-1)
-    values = iter(np.sqrt(np.mean((obs - ref) ** 2, axis=-1)).tolist())
-    return [None if reference.empty else next(values) for reference in references]
+    """Each row's payoff RMSD from its reference at the reference's best equilibrium, None where it
+    has none: `best` and `payoffs` as `best_equilibria_stack` gives them, arrays as in `nash_equilibria_stack`."""
+    a, b1, b2, payoffs = (np.asarray(values, dtype=float) for values in (a, b1, b2, payoffs))
+    if len(a) != len(best):
+        raise ValueError(f"{len(a)} payoff rows for {len(best)} references")
+    row = np.flatnonzero(best >= 0)
+    obs = np.stack(_payoffs_at(a, b1, b2, row, best[row]), axis=-1)
+    values = iter(np.sqrt(np.mean((obs - payoffs[row]) ** 2, axis=-1)).tolist())
+    return [None if n < 0 else next(values) for n in best.tolist()]
 
 
 def rmsd_at_equilibrium(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, reference: EquilibriumReport) -> float:
-    """One Bayesian game's case of `rmsd_at_equilibrium_stack`."""
-    if reference.empty:
-        raise NoEquilibriumError("report has no equilibria")
-    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, [reference])[0]
+    """One Bayesian game's case of `rmsd_at_equilibrium_stack`, at the report's `max_payoff_profile`."""
+    i, j, k = best = max_payoff_profile(reference)
+    payoffs = [reference.payoffs[reference.profiles.index(best)]]
+    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, np.array([16 * i + 4 * j + k]), payoffs)[0]

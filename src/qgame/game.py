@@ -39,8 +39,8 @@ Profile = tuple[Strategy, Strategy, Strategy]
 
 
 def profile_from_names(names: str) -> Profile:
-    """Parse e.g. "IXI" into a strategy triple."""
-    if len(names) != 3 or any(c not in "IXYZ" for c in names):
+    """Parse e.g. "IXI" into a strategy triple; anything else is a ValueError."""
+    if not isinstance(names, str) or len(names) != 3 or any(c not in "IXYZ" for c in names):
         raise ValueError(f"bad profile string {names!r}")
     return tuple(Strategy[c] for c in names)  # type: ignore[return-value]
 

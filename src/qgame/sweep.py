@@ -6,31 +6,30 @@ table, then B2's. Analytic mode solves the whole grid in one pass: one
 `payoff_tensor` call evolves every angle for both games, one `compose`
 mixes A's payoffs over the (chi, p) grid, and one `nash_equilibria_stack`
 call solves its rows, chi-major, with each angle's B payoffs repeated over
-its p values. Shot mode emulates the experiment: for each angle it
-draws one shot dataset per circuit variant from `outcome_law` (which evolves
-each circuit once per depolarization, not once per angle), measures the angle
-from a separate calibration run, and re-splits the same datasets into the two
-type pools at every p with one `split_counts` call, which draws every p of
-the I-circuit, then every p of the X-circuit, from the angle's split stream
-into a (variant, type, p, outcome) stack. One `child_seed_words` batch
-hashes the seed words of every angle's 4 streams (two sample, calibration,
-split); each column builds its generators when it runs, each bit-identical
-to its own `SeedSequence(seed, spawn_key=key)` stream. Keys are the angle
-in millionths, the variant (0 for the calibration and split streams) and
-the purpose tag, each within the [0, 2**32) a key entry may take. So a
-run on a subset of the angles with the same p grid reproduces its cells of
-the full run (a subset of the p values moves later draws), and a shot-mode
-config rejects two angles that share a millionth, and with it their streams. The rest of the
-angle's column is one array pass: the stacked pools are SPAM-corrected,
-split into branch distributions (one call on the corrected stack, one on
-the raw stack), ordered by strategy pair through `parallel.BRANCH_PAIRS`,
-turned into payoff arrays, composed into A's Bayesian payoffs per p, solved
-and compared with the analytic references at the measured angle:
-`spam_correct_stack`, `branch_distributions`, `tensor_from_distributions`,
-`compose`, `nash_equilibria_stack`, `rmsd_at_equilibrium_stack`. The middle
-two take one row or a stack, the others have one-row cases (`spam_correct`,
-`parse_branches`, `nash_equilibria`, `rmsd_at_equilibrium`), so each check
-exists once. `parallel` alone knows the outcome-bit layout; this module and
+its p values. Shot mode emulates the experiment in four stages. Sample:
+per angle, one shot dataset per circuit variant from `outcome_law` (which
+evolves each circuit once per depolarization) and a calibration run that
+measures the angle. References: that analytic pass at every measured
+angle, cut by `best_equilibria_stack` to each cell's best equilibrium and
+its payoffs, with no reports built. Reduce, one angle at a time, so only
+one angle's pools are ever held: one `split_counts` call draws the type
+pools of every p, the I-circuit's first, from the angle's split stream
+into a (variant, type, p, outcome) stack, which is SPAM-corrected, split
+into branch distributions and turned into payoffs per branch, then put
+in strategy-pair order (`parallel.BRANCH_PAIRS`). Analyse, once over all
+solved cells: one `compose`, one `rmsd_at_equilibrium_stack` gather and
+one `nash_equilibria_stack` solve. One `child_seed_words` batch hashes the
+seed words of every angle's 4 streams (two sample, calibration, split);
+each is bit-identical to its own `SeedSequence(seed, spawn_key=key)`
+stream and apart from the others, so the stage order moves no draw. Keys
+are the angle in millionths, the variant (0 for the calibration and split
+streams) and the purpose tag, each within the [0, 2**32) a key entry may
+take. So a run on a subset of the angles with the same p grid reproduces
+its cells of the full run (a subset of the p values moves later draws),
+and a shot-mode config rejects two angles that share a millionth, and with
+it their streams. The one-row cases (`spam_correct`, `parse_branches`,
+`nash_equilibria`, `rmsd_at_equilibrium`) share their stacked forms'
+checks. `parallel` alone knows the outcome-bit layout; this module and
 `verify_parallelization` read its branch table.
 
 Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
@@ -59,7 +58,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +68,7 @@ from qgame.equilibrium import (
     DELTA_ANALYTIC,
     DELTA_SHOTS,
     EquilibriumReport,
+    best_equilibria_stack,
     detect_transitions,
     nash_equilibria,
     nash_equilibria_stack,
@@ -187,11 +187,12 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _plain_numbers(name, getattr(self, name)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # bool is an int subclass; a JSON true must not count as 1
+        # bool is an int subclass; a JSON true must not count as 1. Stored as int, which JSON can write
         for name in ("shots", "calibration_shots", "transition_window", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 2**64:  # the range NoiseModel.seed takes
             raise ConfigError(f"seed={self.seed} outside [0, 2**64)")
         for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
@@ -218,6 +219,9 @@ class ExperimentConfig:
             raise ConfigError("noise must be a NoiseModel")
         try:
             profile_from_names(self.tracked_profile)
+        except ValueError as exc:
+            raise ConfigError(f"tracked_profile: {exc}") from exc
+        try:
             self.tables
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -303,15 +307,14 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # analytic pipeline
 
-def _analytic_reports(chis, tables: np.ndarray, p_grid: tuple, delta: float) -> list[EquilibriumReport]:
-    """Exact equilibrium reports at the angles `chis` (radians), one per
-    (chi, p) in chi-major order, from one protocol evolution of every angle
-    for both games of the (2, 2, 4) `tables`, one compose and one solve. The
-    B payoffs do not depend on p, so each angle's pair is repeated over its p values."""
+def _analytic_payoffs(chis, tables: np.ndarray, p_grid: tuple) -> tuple[np.ndarray, ...]:
+    """Exact (A, B1, B2) payoff stacks at the angles `chis` (radians), one row
+    per (chi, p) in chi-major order, from one protocol evolution of every angle
+    for both games of the (2, 2, 4) `tables` and one compose. The B payoffs
+    do not depend on p, so each angle's pair is repeated over its p values."""
     pays = payoff_tensor(np.asarray(chis, dtype=float), tables)  # (chi, game, player, 4, 4)
     pay_a = compose(pays[:, 0, 0, None], pays[:, 1, 0, None], p_grid).reshape(-1, 4, 4, 4)
-    pay_b1, pay_b2 = np.repeat(pays[:, :, 1], len(p_grid), axis=0).swapaxes(0, 1)
-    return nash_equilibria_stack(pay_a, pay_b1, pay_b2, delta)
+    return pay_a, *np.repeat(pays[:, :, 1], len(p_grid), axis=0).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +346,24 @@ def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, con
     raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
 
 
-def _shot_column(
-    config: ExperimentConfig, chi_pi: float, confusion: ConfusionMatrix, words: np.ndarray
-) -> tuple[list[CellResult], ChiEstimate]:
-    """One angle's cells, from the seed words of its I- and X-circuit sample
-    streams, its calibration stream and its split stream; the column's
-    generators live only while it runs."""
-    chi, delta, tables = chi_pi * np.pi, config.effective_delta, config.tables
+def _sample(config: ExperimentConfig, chi_pi: float, words: np.ndarray) -> tuple:
+    """One angle's (variant, outcome) counts, angle estimate and split stream (the one generator
+    kept), from the seed words of its I- and X-circuit sample, calibration and split streams."""
+    chi = chi_pi * np.pi
     *sample_rngs, calibration_rng, split_rng = rngs_from_seed_words(words)
     counts = np.array([
         sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
         for variant, rng in zip(Variant, sample_rngs)
     ])
-    estimate = measure_chi(config.noise, chi, config.calibration_shots, calibration_rng)
-    # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
-    chi_ref = min(max(estimate.value, 0.0), CHI_MAX)
-    chi_measured_pi = chi_ref / np.pi
-    references = _analytic_reports([chi_ref], tables, config.p_grid, delta)
+    return counts, measure_chi(config.noise, chi, config.calibration_shots, calibration_rng), split_rng
 
-    pools = _split_pools(config, counts, split_rng)
+
+def _reduce(
+    config: ExperimentConfig, confusion: ConfusionMatrix, counts: np.ndarray, rng: np.random.Generator
+) -> tuple[list[str | None], np.ndarray]:
+    """One angle's failure message per p (None where the cell solves) and the
+    (game, player, solved p, strategy A, strategy B) payoffs, from the split of `counts` on `rng`."""
+    pools = _split_pools(config, counts, rng)
     try:
         corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
     except SpamCorrectionError:
@@ -373,26 +375,12 @@ def _shot_column(
     # (variant, type, p, step): which single-cell steps fail, in per-cell order
     steps = np.stack([spam_failed, raw_empty, (totals <= 0).any(axis=-1)], axis=-1)
     failed = steps.any(axis=(0, 1, 3))
-
-    # (variant, type, p, branch, outcome) -> (type, p, strategy A, strategy B, outcome),
-    # each variant's branches taken in the order of the pairs they play
-    dists = np.moveaxis(dists, 0, 2).reshape(2, len(config.p_grid), -1, 4)
-    dists = dists[:, ~failed][:, :, np.argsort(BRANCH_PAIRS, axis=None)].reshape(2, -1, 4, 4, 4)
-    pay_a_b1, pay_b1 = tensor_from_distributions(dists[0], tables[0])
-    pay_a_b2, pay_b2 = tensor_from_distributions(dists[1], tables[1])
-    pay_a = compose(pay_a_b1, pay_a_b2, np.asarray(config.p_grid)[~failed])
-    rmsds = rmsd_at_equilibrium_stack(pay_a, pay_b1, pay_b2, [references[n] for n in np.flatnonzero(~failed)])
-    solved = zip(nash_equilibria_stack(pay_a, pay_b1, pay_b2, delta), rmsds)
-    cells = [
-        CellResult(
-            chi_pi, chi_measured_pi, p, None, None,
-            error=_cell_error(steps[:, :, n], pools[:, :, n], corrected[:, :, n], confusion),
-        )
-        if failed[n]
-        else CellResult(chi_pi, chi_measured_pi, p, *next(solved))
-        for n, p in enumerate(config.p_grid)
-    ]
-    return cells, estimate
+    errors = [_cell_error(steps[:, :, n], pools[:, :, n], corrected[:, :, n], confusion) if fails else None
+              for n, fails in enumerate(failed.tolist())]
+    # (game, player, variant, p, branch) payoffs, then (game, player, p, pair) in strategy-pair order
+    pays = [tensor_from_distributions(dists[:, t, ~failed], table) for t, table in enumerate(config.tables)]
+    pays = np.moveaxis(pays, 2, 3).reshape(2, 2, -1, 16)[..., np.argsort(BRANCH_PAIRS, axis=None)]
+    return errors, pays.reshape(2, 2, -1, 4, 4)
 
 
 def _shot_seed_words(config: ExperimentConfig) -> np.ndarray:
@@ -409,7 +397,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     tracked, n_p = profile_from_names(config.tracked_profile), len(config.p_grid)
     if config.mode == MODE_ANALYTIC:
         chis = np.multiply(config.chi_grid_pi, np.pi)
-        reports = _analytic_reports(chis, config.tables, config.p_grid, config.effective_delta)
+        reports = nash_equilibria_stack(*_analytic_payoffs(chis, config.tables, config.p_grid), config.effective_delta)
         # the analytic run is its own benchmark; no reference point exists
         # where the equilibrium set is empty
         cells = [
@@ -418,11 +406,24 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         ]
         estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
     else:
+        delta, n_chi = config.effective_delta, len(config.chi_grid_pi)
+        counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi, _shot_seed_words(config)))
+        # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
+        chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
+        # every cell's theory reference, at its angle's measured value, in one pass
+        best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
         # one readout matrix per sweep: its factorization serves every cell
-        confusion = ConfusionMatrix.from_noise(config.noise)
-        streams = zip(config.chi_grid_pi, _shot_seed_words(config))
-        columns = [_shot_column(config, chi_pi, confusion, words) for chi_pi, words in streams]
-        cells, estimates = [cell for column, _ in columns for cell in column], [estimate for _, estimate in columns]
+        errors, pays = zip(*map(partial(_reduce, config, ConfusionMatrix.from_noise(config.noise)), counts, rngs))
+        errors, pays = list(itertools.chain(*errors)), np.concatenate(pays, axis=2)
+        ok = np.array([error is None for error in errors])
+        pay_a = compose(pays[0, 0], pays[1, 0], np.tile(config.p_grid, n_chi)[ok])
+        rmsds = rmsd_at_equilibrium_stack(pay_a, pays[0, 1], pays[1, 1], best[ok], ref_payoffs[ok])
+        observed = zip(nash_equilibria_stack(pay_a, pays[0, 1], pays[1, 1], delta), rmsds)
+        points = zip(itertools.product(config.chi_grid_pi, config.p_grid), (np.repeat(chi_refs, n_p) / np.pi).tolist())
+        cells = [
+            CellResult(chi_pi, chi_measured_pi, p, *(next(observed) if error is None else (None, None)), error)
+            for ((chi_pi, p), chi_measured_pi), error in zip(points, errors)
+        ]
     transitions: list[tuple[float, tuple[float, ...] | None]] = []
     for i, chi_pi in enumerate(config.chi_grid_pi):
         solved = [c for c in cells[n_p * i : n_p * (i + 1)] if c.report is not None]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,7 @@ from qgame.bayesian import compose
 from qgame.equilibrium import (
     EquilibriumReport,
     NoEquilibriumError,
+    best_equilibria_stack,
     detect_transitions,
     max_payoff_profile,
     nash_equilibria,
@@ -262,22 +263,62 @@ def test_stack_rows_match_single_solves_and_brute_force(column, delta):
         assert got == oracles.brute_force_equilibria(*tensor, delta)
 
 
+def flat_index(profile) -> int:
+    i, j, k = profile
+    return 16 * i + 4 * j + k
+
+
+# no pure equilibrium: A wants to match B1's choice, B1 to play A's choice plus one
+PENNIES = (
+    np.stack([np.zeros((4, 4, 4), dtype=np.int64), np.broadcast_to(np.eye(4, dtype=np.int64)[:, :, None], (4, 4, 4))]),
+    np.roll(np.eye(4, dtype=np.int64), 1, axis=1),
+    np.zeros((4, 4), dtype=np.int64),
+)
+
+
+@given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
+@example(column=PENNIES, delta=0.0)
+@settings(max_examples=150, deadline=None)
+def test_best_stack_rows_match_max_payoff_profile_of_the_reports(column, delta):
+    # payoffs from {0, ..., 3} make tied best equilibria common
+    reports = nash_equilibria_stack(*column, delta)
+    best, payoffs = best_equilibria_stack(*column, delta)
+    assert best.shape == (len(reports),) and payoffs.shape == (len(reports), 3)
+    for n, report in enumerate(reports):
+        if report.empty:
+            assert best[n] == -1
+            continue
+        profile = max_payoff_profile(report)
+        assert best[n] == flat_index(profile)
+        assert tuple(payoffs[n].tolist()) == report.payoffs[report.profiles.index(profile)]
+
+
+def test_best_stack_marks_rows_without_an_equilibrium():
+    reports = nash_equilibria_stack(*PENNIES, 0.0)
+    assert not reports[0].empty and reports[1].empty
+    assert best_equilibria_stack(*PENNIES, 0.0)[0].tolist() == [flat_index(max_payoff_profile(reports[0])), -1]
+
+
 @st.composite
 def columns_with_references(draw):
-    """An observed integer column and one reference report per row: the
-    solved reports of a second integer column, some replaced by empty ones."""
+    """An observed integer column and the stacked references of a second
+    integer column, some rows emptied: (best, payoffs) as `best_equilibria_stack`
+    gives them, and the matching reports, an emptied row's report empty."""
     a, b1, b2 = draw(integer_columns())
-    references = nash_equilibria_stack(*draw(integer_columns(rows=len(a))), draw(st.sampled_from([0.0, 0.1])))
-    emptied = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
-    return (a, b1, b2), [EquilibriumReport((), ()) if e else r for r, e in zip(references, emptied)]
+    reference_column, delta = draw(integer_columns(rows=len(a))), draw(st.sampled_from([0.0, 0.1]))
+    emptied = np.array(draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))))
+    best, payoffs = best_equilibria_stack(*reference_column, delta)
+    reports = nash_equilibria_stack(*reference_column, delta)
+    reports = [EquilibriumReport((), ()) if e else r for r, e in zip(reports, emptied)]
+    return (a, b1, b2), (np.where(emptied, -1, best), payoffs), reports
 
 
 @given(column=columns_with_references())
 @settings(max_examples=100, deadline=None)
 def test_rmsd_stack_rows_match_single_rows_bit_for_bit(column):
     # payoffs from {0, ..., 3} make tied best equilibria common
-    (a, b1, b2), references = column
-    got = rmsd_at_equilibrium_stack(a, b1, b2, references)
+    (a, b1, b2), (best, payoffs), references = column
+    got = rmsd_at_equilibrium_stack(a, b1, b2, best, payoffs)
     assert len(got) == len(references)
     for n, (value, reference) in enumerate(zip(got, references)):
         tensor = synthetic_tensor(a[n], b1 if b1.ndim == 2 else b1[n], b2 if b2.ndim == 2 else b2[n])
@@ -291,14 +332,15 @@ def test_rmsd_stack_rows_match_single_rows_bit_for_bit(column):
 
 def test_rmsd_stack_reads_the_tie_broken_best_profile_and_skips_empty_rows():
     tied, empty = bayes_at(0.0, 0.0), bayes_at(0.05 * np.pi, 0.5)
-    references = [nash_equilibria(*tied, 0.0), nash_equilibria(*empty, 0.0)]
-    assert len(references[0].profiles) == 8 and references[1].empty
-    # shift the observed payoffs only at IXI, the tie-broken best profile
     a, b1, b2 = (np.stack(arrays) for arrays in zip(tied, empty))
+    best, payoffs = best_equilibria_stack(a, b1, b2, 0.0)
+    assert len(nash_equilibria(*tied, 0.0).profiles) == 8 and nash_equilibria(*empty, 0.0).empty
+    assert best.tolist() == [flat_index(profile_from_names("IXI")), -1]
+    # shift the observed payoffs only at IXI, the tie-broken best profile
     a[0][profile_from_names("IXI")] += 3.0
-    assert rmsd_at_equilibrium_stack(a, b1, b2, references) == [np.sqrt(3.0), None]
+    assert rmsd_at_equilibrium_stack(a, b1, b2, best, payoffs) == [np.sqrt(3.0), None]
     with pytest.raises(ValueError, match="2 payoff rows for 1 references"):
-        rmsd_at_equilibrium_stack(a, b1, b2, references[:1])
+        rmsd_at_equilibrium_stack(a, b1, b2, best[:1], payoffs[:1])
 
 
 def test_negative_delta_rejected():
@@ -308,6 +350,8 @@ def test_negative_delta_rejected():
         nash_equilibria(*tensor, -0.1)
     with pytest.raises(ValueError, match=message):
         nash_equilibria_stack(tensor[0][None], *tensor[1:], -0.1)
+    with pytest.raises(ValueError, match=message):
+        best_equilibria_stack(tensor[0][None], *tensor[1:], -0.1)
 
 
 def test_stack_shape_validation():
@@ -316,6 +360,8 @@ def test_stack_shape_validation():
         nash_equilibria_stack(a[0], np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
     with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
         nash_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
+    with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
+        best_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
 
 
 @given(

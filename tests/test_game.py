@@ -279,6 +279,9 @@ def test_profile_string_round_trip():
     assert profile_names(profile) == "ZYX"
     with pytest.raises(ValueError):
         profile_from_names("AB")
+    for names in (5, None, ["Z", "Y", "X"]):  # not a string: a ValueError, not a TypeError
+        with pytest.raises(ValueError, match="bad profile string"):
+            profile_from_names(names)
 
 
 # each maker gives equal values for equal arguments and different ones otherwise

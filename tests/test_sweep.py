@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from hypothesis import strategies as st
 import qgame.noise
 import qgame.sweep
 from qgame.cli import main
-from qgame.equilibrium import DELTA_SHOTS, EquilibriumReport
+from qgame.equilibrium import (
+    DELTA_SHOTS,
+    EquilibriumReport,
+    best_equilibria_stack,
+    max_payoff_profile,
+    nash_equilibria_stack,
+)
 from qgame.game import STRATEGIES, profile_from_names
 from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
@@ -34,7 +41,7 @@ from qgame.sweep import (
     ConfigError,
     ExperimentConfig,
     SweepResult,
-    _analytic_reports,
+    _analytic_payoffs,
     _split_pools,
     emit_report,
     load_result,
@@ -59,6 +66,10 @@ from oracles import (
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
+
+
+# profile -> its flat index 16 i + 4 j + k
+_PROFILE_INDEX = {profile: n for n, profile in enumerate(itertools.product(STRATEGIES, repeat=3))}
 
 
 def analytic_config(**kw) -> ExperimentConfig:
@@ -141,6 +152,19 @@ class TestConfig:
         counts = np.full((2, 32), 100)
         pools = _split_pools(cfg, counts, reference_child_rng(0, 100_000, 0, PURPOSE_SPLIT))
         assert not np.array_equal(pools[:, :, 0], pools[:, :, 1])
+
+    @pytest.mark.parametrize("value", [5, None, ["I", "X", "I"]])
+    def test_tracked_profile_that_is_not_a_string_names_the_field(self, tmp_path, capsys, value):
+        # a non-string once raised a bare TypeError ("object of type 'int' has no len()"),
+        # which was the whole message of a --config error
+        for build in (lambda: ExperimentConfig(tracked_profile=value),
+                      lambda: ExperimentConfig.from_dict({"tracked_profile": value})):
+            with pytest.raises(ConfigError, match="^tracked_profile: bad profile string"):
+                build()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tracked_profile": value}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "tracked_profile" in capsys.readouterr().err
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -227,7 +251,7 @@ class TestAnalyticSweep:
                 payoff_rows_b1=[[[3, 3], [0, 5]], [[5, 0], [1, 1]]],
                 payoff_rows_b2=[[[2, 1], [0, 0]], [[0, 0], [1, 2]]],
             ).tables
-        got = _analytic_reports([chi], tables, DEFAULT_P_GRID, delta)
+        got = nash_equilibria_stack(*_analytic_payoffs([chi], tables, DEFAULT_P_GRID), delta)
         assert got == reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
         if chi == 0.0 and not custom:
             assert len(got[0].profiles) == 8
@@ -235,11 +259,14 @@ class TestAnalyticSweep:
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     def test_grid_solve_matches_per_angle_references_in_chi_major_order(self, delta):
         # one evolution, one compose and one solve for three angles give each
-        # angle's per-p reference reports, one angle after another
+        # angle's per-p reference reports, one angle after another; the shot
+        # sweep reads its references off the same payoffs as best equilibria
         chis, tables = [0.0, 0.1 * np.pi, np.pi / 4], ExperimentConfig().tables
-        got = _analytic_reports(chis, tables, DEFAULT_P_GRID, delta)
+        payoffs = _analytic_payoffs(chis, tables, DEFAULT_P_GRID)
         want = [report for chi in chis for report in reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)]
-        assert got == want
+        assert nash_equilibria_stack(*payoffs, delta) == want
+        best = best_equilibria_stack(*payoffs, delta)[0].tolist()
+        assert best == [-1 if r.empty else _PROFILE_INDEX[max_payoff_profile(r)] for r in want]
 
 
 class TestShotSweep:
@@ -489,6 +516,19 @@ class TestShotSweep:
         cell = run_sweep(cfg).cells[0]
         assert cell.error is not None and cell.error.startswith("corrected population")
 
+    def test_default_profile_sweep_peak_memory_stays_bounded(self):
+        # the reduce stage runs one angle at a time: about 1.2-1.7 MB traced at
+        # peak, where reducing the whole grid in one stack took 5.7-7.6 MB
+        cfg = shot_config(noise=NoiseModel.default_profile(0))
+        run_sweep(cfg)  # fills the outcome law's node cache
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
     def test_same_seed_same_result(self):
         cfg = shot_config(chi_grid_pi=(0.075,), p_grid=(0.3, 0.7), shots=5_000, seed=13,
                           noise=NoiseModel.default_profile(seed=13))
@@ -659,6 +699,18 @@ class TestSerialization:
         numpy_rows = [[list(pair) for pair in row] for row in np.array(rows, dtype=np.int64)]
         numpy_cfg = analytic_config(payoff_rows_b1=numpy_rows, delta=np.int64(0), **grids)
         assert type(numpy_cfg.delta) is int and type(numpy_cfg.payoff_rows_b1[1][0][1]) is int
+        paths = [emit_report(run_sweep(cfg), tmp_path / name) for name, cfg in (("plain", plain), ("numpy", numpy_cfg))]
+        for fmt in ("csv", "json"):
+            assert Path(paths[0][fmt]).read_bytes() == Path(paths[1][fmt]).read_bytes()
+
+    def test_numpy_integer_counts_and_seed_run_and_emit_as_plain_ints(self, tmp_path):
+        # numpy integers were rejected for these fields, though payoff rows and delta take them
+        counts = {"shots": 4_000, "calibration_shots": 3_000, "transition_window": 2, "seed": 7}
+        numpy_counts = {"shots": np.int64(4_000), "calibration_shots": np.int32(3_000),
+                        "transition_window": np.uint8(2), "seed": np.uint64(7)}
+        grids, noise = {"chi_grid_pi": (0.05, 0.2), "p_grid": (0.1, 0.5, 0.9)}, NoiseModel.default_profile(7)
+        plain, numpy_cfg = (shot_config(noise=noise, **grids, **kw) for kw in (counts, numpy_counts))
+        assert numpy_cfg == plain and all(type(getattr(numpy_cfg, name)) is int for name in counts)
         paths = [emit_report(run_sweep(cfg), tmp_path / name) for name, cfg in (("plain", plain), ("numpy", numpy_cfg))]
         for fmt in ("csv", "json"):
             assert Path(paths[0][fmt]).read_bytes() == Path(paths[1][fmt]).read_bytes()
