@@ -26,21 +26,15 @@ is the one-row case of its stacked form.
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (angle, circuit variant,
 purpose) so that evaluation order and a subset of the angles cannot change
-any cell's random numbers. The stream of key `key` is bit-identical to
-`np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))`.
-`child_rngs` derives a (K, m) batch of keys at once: numpy's SeedSequence
-hash constants follow the same sequence for every key of one length, so
-the pool mixing and `generate_state` run as array arithmetic over all K
-keys (`child_seed_words`), and each PCG64 is seeded from its precomputed
-words through the `ISeedSequence` interface (`rngs_from_seed_words`, so a
-caller can build a generator when it needs it). Every key entry must lie in
-[0, 2**32), one 32-bit word, and the master seed in [0, 2**64).
-`child_rng` is the one-row case.
+any cell's random numbers. `child_rng` builds the stream of key `key` the
+documented numpy way, `np.random.default_rng(np.random.SeedSequence(
+master_seed, spawn_key=key))`, so it needs a master seed in [0, 2**64) and
+non-negative key entries. numpy imports numpy.random lazily, and only a
+run that draws calls `child_rng`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -65,111 +59,9 @@ class SpamCorrectionError(ValueError):
     """Confusion matrix unusable or corrected populations meaningfully negative."""
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-
-
-class _Hash:
-    """SeedSequence's multiplicative hash, its constant advancing per call.
-    The words are Python ints or uint64 arrays holding 32-bit values; every
-    product of two such values fits in 64 bits, and the mask keeps its low 32."""
-
-    def __init__(self, init: int, mult: int) -> None:
-        self.const, self.mult = init, mult
-
-    def __call__(self, value):
-        value = value ^ self.const
-        self.const = self.const * self.mult & _MASK32
-        value = value * self.const & _MASK32
-        return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-@lru_cache(maxsize=1)
-def _state_words() -> type:
-    """The seed sequence class that hands PCG64 its precomputed state words,
-    built on first use: numpy imports numpy.random lazily, and a run that
-    draws nothing (analytic mode) should not load it."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateWords(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("precomputed words serve PCG64's generate_state(4, np.uint64) only")
-            return self.words
-
-    return StateWords
-
-
-def child_seed_words(master_seed: int, keys) -> np.ndarray:
-    """PCG64 seed words, one (4,) uint64 row per row of a (K, m) array of
-    integer keys: numpy's `SeedSequence(master_seed, spawn_key=row)
-    .generate_state(4, np.uint64)`, for a seed in [0, 2**64) and key entries
-    in [0, 2**32), one 32-bit word each. The seed's two words, padded with
-    zeros to the pool size, come before every key, so they mix the pool the
-    same way for all keys, in Python ints; the hash constants follow one
-    sequence for every key of one length, so each key word is mixed in with
-    uint64 arithmetic over all rows at once."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
-        raise ValueError(f"master seed must be an int, got {master_seed!r}")
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
-    array = np.asarray(keys)
-    if array.ndim != 2:
-        raise ValueError(f"keys must be a (K, m) array, got shape {array.shape}")
-    if not isinstance(keys, np.ndarray):
-        # numpy reads a bool among a list's ints as 0 or 1
-        for value in itertools.chain.from_iterable(keys):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"key entries must be ints, got {value!r}")
-    if array.size:
-        if array.dtype.kind not in "iu":
-            raise ValueError(f"key entries must be ints in [0, 2**32), got dtype {array.dtype}")
-        if array.min() < 0 or array.max() >= 2**32:
-            raise ValueError("key entries outside [0, 2**32)")
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in (int(master_seed) & _MASK32, int(master_seed) >> 32, 0, 0)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    pool = [np.full(len(array), word, dtype=np.uint64) for word in pool]
-    for column in array.T.astype(np.uint64):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(column))
-    # generate_state(4, uint64): eight 32-bit words, cycling the pool, paired little-endian
-    output = _Hash(_INIT_B, _MULT_B)
-    words = [output(pool[i % _POOL_SIZE]) for i in range(8)]
-    return np.stack([words[2 * j] | words[2 * j + 1] << 32 for j in range(4)], axis=1)
-
-
-def rngs_from_seed_words(states: np.ndarray) -> list[np.random.Generator]:
-    """One PCG64 stream per row of `child_seed_words`; it holds its words, not a SeedSequence, so cannot `spawn`."""
-    state_words = _state_words()
-    return [np.random.Generator(np.random.PCG64(state_words(words))) for words in states]
-
-
-def child_rngs(master_seed: int, keys) -> list[np.random.Generator]:
-    """One child stream per key row of `child_seed_words`, each bit-identical
-    to `np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=row))`."""
-    return rngs_from_seed_words(child_seed_words(master_seed, keys))
-
-
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child stream for (master seed, integer key path): the
-    one-row case of `child_rngs`."""
-    return child_rngs(master_seed, [key])[0]
+    """Deterministic child stream for (master seed, integer key path)."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
 def config_number(name: str, value) -> float:
@@ -204,8 +96,10 @@ class NoiseModel:
                 raise ValueError(f"{name}={value} outside [0, 0.5]")
         if self.chi_jitter_sigma < 0:
             raise ValueError("chi_jitter_sigma must be >= 0")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        # numpy integers too, stored as int, which JSON can write; bool is an int subclass
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -230,6 +124,8 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
+        if not isinstance(data, dict):
+            raise ValueError("noise must be a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         extra = set(data) - known
         if extra:

@@ -18,16 +18,14 @@ into a (variant, type, p, outcome) stack, which is SPAM-corrected, split
 into branch distributions and turned into payoffs per branch, then put
 in strategy-pair order (`parallel.BRANCH_PAIRS`). Analyse, once over all
 solved cells: one `compose`, one `rmsd_at_equilibrium_stack` gather and
-one `nash_equilibria_stack` solve. One `child_seed_words` batch hashes the
-seed words of every angle's 4 streams (two sample, calibration, split);
-each is bit-identical to its own `SeedSequence(seed, spawn_key=key)`
-stream and apart from the others, so the stage order moves no draw. Keys
-are the angle in millionths, the variant (0 for the calibration and split
-streams) and the purpose tag, each within the [0, 2**32) a key entry may
-take. So a run on a subset of the angles with the same p grid reproduces
-its cells of the full run (a subset of the p values moves later draws),
-and a shot-mode config rejects two angles that share a millionth, and with
-it their streams. The one-row cases (`spam_correct`, `parse_branches`,
+one `nash_equilibria_stack` solve. Each angle draws on 4 keyed streams
+(two sample, calibration, split), each its own `noise.child_rng` and apart
+from the others, so the stage order moves no draw. Keys are the angle in
+millionths, the variant (0 for the calibration and split streams) and the
+purpose tag. So a run on a subset of the angles with the same p grid
+reproduces its cells of the full run (a subset of the p values moves later
+draws), and a shot-mode config rejects two angles that share a millionth,
+and with it their streams. The one-row cases (`spam_correct`, `parse_branches`,
 `nash_equilibria`, `rmsd_at_equilibrium`) share their stacked forms'
 checks. `parallel` alone knows the outcome-bit layout; this module and
 `verify_parallelization` read its branch table.
@@ -94,11 +92,10 @@ from qgame.noise import (
     ConfusionMatrix,
     NoiseModel,
     SpamCorrectionError,
-    child_seed_words,
+    child_rng,
     config_number,
     measure_chi,
     outcome_law,
-    rngs_from_seed_words,
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
@@ -221,10 +218,7 @@ class ExperimentConfig:
             profile_from_names(self.tracked_profile)
         except ValueError as exc:
             raise ConfigError(f"tracked_profile: {exc}") from exc
-        try:
-            self.tables
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.tables  # builds and checks both payoff tables
 
     @property
     def effective_delta(self) -> float:
@@ -235,7 +229,13 @@ class ExperimentConfig:
     @cached_property
     def tables(self) -> np.ndarray:
         """The read-only (game, player, outcome) payoff stack: B1's table, then B2's."""
-        tables = np.stack([payoff_table(self.payoff_rows_b1), payoff_table(self.payoff_rows_b2)])
+        tables = []
+        for name in ("payoff_rows_b1", "payoff_rows_b2"):
+            try:
+                tables.append(payoff_table(getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        tables = np.stack(tables)
         tables.flags.writeable = False
         return tables
 
@@ -346,16 +346,18 @@ def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, con
     raise RuntimeError("the stacked checks failed a cell that the single-cell steps pass")
 
 
-def _sample(config: ExperimentConfig, chi_pi: float, words: np.ndarray) -> tuple:
+def _sample(config: ExperimentConfig, chi_pi: float) -> tuple:
     """One angle's (variant, outcome) counts, angle estimate and split stream (the one generator
-    kept), from the seed words of its I- and X-circuit sample, calibration and split streams."""
-    chi = chi_pi * np.pi
-    *sample_rngs, calibration_rng, split_rng = rngs_from_seed_words(words)
+    kept), drawn on its I- and X-circuit sample streams and its calibration stream."""
+    chi, key = chi_pi * np.pi, _grid_key(chi_pi)
     counts = np.array([
-        sample_outcomes(build_circuit(variant, chi), config.noise, config.shots, rng)
-        for variant, rng in zip(Variant, sample_rngs)
+        sample_outcomes(build_circuit(variant, chi), config.noise, config.shots,
+                        child_rng(config.seed, key, v, PURPOSE_SAMPLE))
+        for v, variant in enumerate(Variant)
     ])
-    return counts, measure_chi(config.noise, chi, config.calibration_shots, calibration_rng), split_rng
+    estimate = measure_chi(config.noise, chi, config.calibration_shots,
+                           child_rng(config.seed, key, 0, PURPOSE_CALIBRATION))
+    return counts, estimate, child_rng(config.seed, key, 0, PURPOSE_SPLIT)
 
 
 def _reduce(
@@ -383,15 +385,6 @@ def _reduce(
     return errors, pays.reshape(2, 2, -1, 4, 4)
 
 
-def _shot_seed_words(config: ExperimentConfig) -> np.ndarray:
-    """The (angle, stream, 4) seed words of every keyed stream of a shot
-    sweep, hashed in one `child_seed_words` batch: per angle, its I- and
-    X-circuit sample streams, its calibration stream and its split stream."""
-    tails = [*((v, PURPOSE_SAMPLE) for v in range(len(Variant))), (0, PURPOSE_CALIBRATION), (0, PURPOSE_SPLIT)]
-    keys = np.array([(_grid_key(c), *tail) for c in config.chi_grid_pi for tail in tails])
-    return child_seed_words(config.seed, keys).reshape(len(config.chi_grid_pi), len(tails), 4)
-
-
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
     tracked, n_p = profile_from_names(config.tracked_profile), len(config.p_grid)
@@ -407,7 +400,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
     else:
         delta, n_chi = config.effective_delta, len(config.chi_grid_pi)
-        counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi, _shot_seed_words(config)))
+        counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
         # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
         chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
         # every cell's theory reference, at its angle's measured value, in one pass

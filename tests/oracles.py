@@ -387,7 +387,8 @@ def reference_rmsd(a, b1, b2, reference):
 
 def reference_child_rng(seed: int, *key: int) -> np.random.Generator:
     """A keyed child stream built the documented numpy way, one SeedSequence
-    per key, not through the package's batched derivation."""
+    per key. `noise.child_rng` makes the same call; the tests draw from this
+    copy so that a change to the package's derivation shows as moved draws."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

@@ -32,7 +32,7 @@ from qgame.equilibrium import (
     nash_equilibria_stack,
 )
 from qgame.game import STRATEGIES, profile_from_names
-from qgame.noise import PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
+from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
@@ -352,39 +352,20 @@ class TestShotSweep:
         # the two variants plus the calibration circuit, whatever the number of angles
         assert calls["n"] <= 3
 
-    def test_sweep_derives_its_streams_in_one_batch(self, monkeypatch):
-        seed_sequences, batches = {"n": 0}, {"n": 0}
-        seed_sequence, child_seed_words = np.random.SeedSequence, qgame.sweep.child_seed_words
-
-        def counting_seed_sequence(*args, **kwargs):
-            seed_sequences["n"] += 1
-            return seed_sequence(*args, **kwargs)
-
-        def counting_child_seed_words(*args):
-            batches["n"] += 1
-            return child_seed_words(*args)
-
-        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-        monkeypatch.setattr(qgame.sweep, "child_seed_words", counting_child_seed_words)
-        run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=DEFAULT_P_GRID, shots=2_000))
-        # one SeedSequence per stream would make 3 * (2 sample + 1 calibration + 1 split) = 12
-        assert seed_sequences["n"] == 0
-        # one hash batch: every angle's sample, calibration and split streams
-        assert batches["n"] == 1
-
     def test_each_column_builds_only_its_own_generators(self, monkeypatch):
-        # the hashed words serve the whole sweep, but a column's 4
-        # generators are built when it runs, not all 3 * 4 up front
-        built, rngs_from_seed_words = [], qgame.sweep.rngs_from_seed_words
+        # per angle: 2 sample streams, 1 calibration stream and 1 split stream,
+        # whatever the number of p, each keyed by the angle in millionths
+        built, child_rng = [], qgame.sweep.child_rng
 
-        def counting_rngs_from_seed_words(words):
-            built.append(len(words))
-            return rngs_from_seed_words(words)
+        def recording_child_rng(seed, *key):
+            built.append(key)
+            return child_rng(seed, *key)
 
-        monkeypatch.setattr(qgame.sweep, "rngs_from_seed_words", counting_rngs_from_seed_words)
-        run_sweep(shot_config(chi_grid_pi=(0.05, 0.15, 0.25), p_grid=(0.2, 0.5, 0.8, 1.0), shots=2_000))
-        # per column: 2 sample streams, 1 calibration stream and 1 split stream, whatever the number of p
-        assert built == [4] * 3
+        monkeypatch.setattr(qgame.sweep, "child_rng", recording_child_rng)
+        chi_grid_pi = (0.05, 0.15, 0.25)
+        run_sweep(shot_config(chi_grid_pi=chi_grid_pi, p_grid=(0.2, 0.5, 0.8, 1.0), shots=2_000))
+        tails = [(0, PURPOSE_SAMPLE), (1, PURPOSE_SAMPLE), (0, PURPOSE_CALIBRATION), (0, PURPOSE_SPLIT)]
+        assert built == [(round(chi_pi * 10**6), *tail) for chi_pi in chi_grid_pi for tail in tails]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_pools_match_per_row_split_counts(self, seed):
@@ -704,13 +685,16 @@ class TestSerialization:
             assert Path(paths[0][fmt]).read_bytes() == Path(paths[1][fmt]).read_bytes()
 
     def test_numpy_integer_counts_and_seed_run_and_emit_as_plain_ints(self, tmp_path):
-        # numpy integers were rejected for these fields, though payoff rows and delta take them
-        counts = {"shots": 4_000, "calibration_shots": 3_000, "transition_window": 2, "seed": 7}
+        # numpy integers were rejected for these fields and the noise seed, though payoff rows and delta take them
+        counts = {"shots": 4_000, "calibration_shots": 3_000, "transition_window": 2, "seed": 7,
+                  "noise": NoiseModel.default_profile(7)}
         numpy_counts = {"shots": np.int64(4_000), "calibration_shots": np.int32(3_000),
-                        "transition_window": np.uint8(2), "seed": np.uint64(7)}
-        grids, noise = {"chi_grid_pi": (0.05, 0.2), "p_grid": (0.1, 0.5, 0.9)}, NoiseModel.default_profile(7)
-        plain, numpy_cfg = (shot_config(noise=noise, **grids, **kw) for kw in (counts, numpy_counts))
-        assert numpy_cfg == plain and all(type(getattr(numpy_cfg, name)) is int for name in counts)
+                        "transition_window": np.uint8(2), "seed": np.uint64(7),
+                        "noise": NoiseModel.default_profile(np.int64(7))}
+        grids = {"chi_grid_pi": (0.05, 0.2), "p_grid": (0.1, 0.5, 0.9)}
+        plain, numpy_cfg = (shot_config(**grids, **kw) for kw in (counts, numpy_counts))
+        assert numpy_cfg == plain and type(numpy_cfg.noise.seed) is int
+        assert all(type(getattr(numpy_cfg, name)) is int for name in counts if name != "noise")
         paths = [emit_report(run_sweep(cfg), tmp_path / name) for name, cfg in (("plain", plain), ("numpy", numpy_cfg))]
         for fmt in ("csv", "json"):
             assert Path(paths[0][fmt]).read_bytes() == Path(paths[1][fmt]).read_bytes()
@@ -1348,6 +1332,30 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"payoff_rows_b1": 5}, "payoff_rows_b1: rows must be 2x2 pairs, got shape ()"),
+            ({"payoff_rows_b2": [[1, 2]]}, "payoff_rows_b2: rows must be 2x2 pairs, got shape (1, 2)"),
+            ({"noise": "abc"}, "bad noise model: noise must be a JSON object"),
+            ({"noise": 5}, "bad noise model: noise must be a JSON object"),
+            ({"noise": None}, "bad noise model: noise must be a JSON object"),
+            ({"noise": [1]}, "bad noise model: noise must be a JSON object"),
+        ],
+        ids=["payoff-rows-b1-scalar", "payoff-rows-b2-one-row", "noise-string", "noise-int", "noise-null",
+             "noise-list"],
+    )
+    def test_malformed_config_block_is_config_error_naming_its_field(self, tmp_path, capsys, override, message):
+        # both payoff fields once raised the same unnamed shape error; a noise
+        # string was read as a list of unknown fields, a number as "not iterable"
+        config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_cell_failures_exit_code(self, tmp_path, capsys):
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), shots=40, seed=0)
