@@ -18,11 +18,18 @@ and a stack, and B payoffs shared by the stack are masked once. Without
 building reports, `best_equilibria_stack` reads that mask down to each row's
 `max_payoff_profile` pick, a masked argmax, and `rmsd_at_equilibrium_stack`
 gathers payoffs there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases.
+
+A stack's reports are built in bulk: its equilibria, read off the mask in
+row-major order, become one tuple of profiles and one of payoff rows, and
+each row's report is a slice of both, made by `new_record` (`tuple.__new__`)
+without a Python frame per report. The sweep builds its cells the same way.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +53,10 @@ _PROFILES = tuple(product(STRATEGIES, repeat=3))
 def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta={delta} must be >= 0")
-    return values >= values.max(axis=axis, keepdims=True) - delta - TIE_EPS
+    # the max as an elementwise maximum of the axis's four slices, which numpy runs far
+    # faster than a reduce whose inner loop is one length-4 axis; a maximum is exact
+    best = reduce(np.maximum, np.moveaxis(values, axis, 0))
+    return values >= np.expand_dims(best, axis) - delta - TIE_EPS
 
 
 class EquilibriumReport(NamedTuple):
@@ -55,12 +65,14 @@ class EquilibriumReport(NamedTuple):
     profiles: tuple[Profile, ...]
     payoffs: tuple[tuple[float, float, float], ...]
 
-    def contains(self, profile: Profile) -> bool:
-        return profile in self.profiles
-
     @property
     def empty(self) -> bool:
         return not self.profiles
+
+
+# builds a named tuple from a tuple of every field, as its generated `_make` does, without that
+# method's Python frame per object; it fills no defaults
+new_record = tuple.__new__
 
 
 def _nash_mask(a, b1, b2, delta: float) -> tuple[np.ndarray, ...]:
@@ -94,13 +106,13 @@ def nash_equilibria_stack(
     intersection of its three best-response masks in profile order.
     """
     a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
-    row, flat = nash.nonzero()
-    profiles = [_PROFILES[f] for f in flat.tolist()]
-    payoffs = list(zip(*(values.tolist() for values in _payoffs_at(a, b1, b2, row, flat))))
-    # the rows are in order, so each report is one slice
+    # every equilibrium row by row, each row's in profile order, so each report is one slice of both tuples
+    row, flat = np.divmod(np.flatnonzero(nash), 64)
+    profiles = tuple(map(_PROFILES.__getitem__, flat.tolist()))
+    payoffs = tuple(zip(*(values.tolist() for values in _payoffs_at(a, b1, b2, row, flat))))
     stops = np.bincount(row, minlength=len(a)).cumsum().tolist()
     return [
-        EquilibriumReport(tuple(profiles[start:stop]), tuple(payoffs[start:stop]))
+        new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
         for start, stop in zip([0, *stops], stops)
     ]
 
@@ -136,9 +148,9 @@ def detect_transitions(
         raise ValueError(f"{len(ps)} p values for {len(reports)} reports")
     if window < 1:
         raise ValueError(f"window={window} must be >= 1")
-    if any(b <= a for a, b in zip(ps, ps[1:])):
+    if any(map(le, ps[1:], ps)):
         raise ValueError("p values must be strictly ascending")
-    member = [r.contains(profile) for r in reports]
+    member = [profile in report.profiles for report in reports]
     thresholds: list[float] = []
     current = member[0]
     for idx in range(1, len(member)):

@@ -43,9 +43,11 @@ and wraps the names it traces where this module looks them up, so every name
 in its TRACE_POINTS stays an attribute here, even the ones the sweep no
 longer calls.
 
-Cells and equilibrium reports are immutable named tuples. All angles are
-expressed in units of pi in configs and output files and in radians inside
-the package.
+Cells and equilibrium reports are immutable named tuples. The sweep and
+`load_result` build them with `new_record` (`tuple.__new__`), every field
+given, with no Python frame per object; `tuple.__new__` fills no default. All
+angles are expressed in units of pi in configs and output files and in
+radians inside the package.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from qgame.equilibrium import (
     detect_transitions,
     nash_equilibria,
     nash_equilibria_stack,
+    new_record,
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
 )
@@ -149,8 +152,10 @@ def _grid_key(chi_pi: float) -> int:
 
 
 def _plain_numbers(name: str, rows):
-    """A config number, or nested lists of them as nested tuples, as plain
-    numbers JSON can write: integers (numpy's too) as int, other reals as float."""
+    """A config number, or nested lists or an array of them as nested tuples,
+    as plain numbers JSON can write: integers (numpy's too) as int, other reals as float."""
+    if isinstance(rows, np.ndarray) and rows.ndim:
+        rows = rows.tolist()  # plain Python numbers, nested as lists
     if isinstance(rows, (list, tuple)):
         return tuple(_plain_numbers(name, r) for r in rows)
     config_number(name, rows)
@@ -177,7 +182,11 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be '{MODE_ANALYTIC}' or '{MODE_SHOTS}', got {self.mode!r}")
         try:
             for name in ("chi_grid_pi", "p_grid"):
-                object.__setattr__(self, name, tuple(config_number(name, value) for value in getattr(self, name)))
+                grid = getattr(self, name)
+                # a number or a 0-d array does not iterate; a string or a dict iterates item by item
+                if not isinstance(grid, (list, tuple)) and not (isinstance(grid, np.ndarray) and grid.ndim == 1):
+                    raise ValueError(f"{name}: expected a list of numbers, got {grid!r}")
+                object.__setattr__(self, name, tuple(config_number(name, value) for value in grid))
             if self.delta is not None:
                 object.__setattr__(self, "delta", _plain_numbers("delta", self.delta))
             for name in ("payoff_rows_b1", "payoff_rows_b2"):
@@ -314,7 +323,7 @@ def _analytic_payoffs(chis, tables: np.ndarray, p_grid: tuple) -> tuple[np.ndarr
     do not depend on p, so each angle's pair is repeated over its p values."""
     pays = payoff_tensor(np.asarray(chis, dtype=float), tables)  # (chi, game, player, 4, 4)
     pay_a = compose(pays[:, 0, 0, None], pays[:, 1, 0, None], p_grid).reshape(-1, 4, 4, 4)
-    return pay_a, *np.repeat(pays[:, :, 1], len(p_grid), axis=0).swapaxes(0, 1)
+    return pay_a, *np.repeat(pays[:, :, 1].swapaxes(0, 1), len(p_grid), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +403,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         # the analytic run is its own benchmark; no reference point exists
         # where the equilibrium set is empty
         cells = [
-            CellResult(chi_pi, chi_pi, p, report, None if report.empty else 0.0)
+            new_record(CellResult, (chi_pi, chi_pi, p, report, 0.0 if report.profiles else None, None))
             for (chi_pi, p), report in zip(itertools.product(config.chi_grid_pi, config.p_grid), reports)
         ]
         estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
@@ -414,8 +423,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         observed = zip(nash_equilibria_stack(pay_a, pays[0, 1], pays[1, 1], delta), rmsds)
         points = zip(itertools.product(config.chi_grid_pi, config.p_grid), (np.repeat(chi_refs, n_p) / np.pi).tolist())
         cells = [
-            CellResult(chi_pi, chi_measured_pi, p, *(next(observed) if error is None else (None, None)), error)
-            for ((chi_pi, p), chi_measured_pi), error in zip(points, errors)
+            new_record(CellResult, (chi_pi, measured, p, *(next(observed) if error is None else (None, None)), error))
+            for ((chi_pi, p), measured), error in zip(points, errors)
         ]
     transitions: list[tuple[float, tuple[float, ...] | None]] = []
     for i, chi_pi in enumerate(config.chi_grid_pi):
@@ -528,9 +537,8 @@ def _report_from_dict(index: int, data: dict | None) -> EquilibriumReport | None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"cell {index}: payoffs: expected a number, got {value!r}")
         rows = tuple([(float(a), float(b1), float(b2)) for a, b1, b2 in payoffs])
-    return EquilibriumReport(
-        profiles=tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles]), payoffs=rows
-    )
+    profiles = tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles])
+    return new_record(EquilibriumReport, (profiles, rows))
 
 
 def _result_head(result: SweepResult) -> dict:
@@ -576,7 +584,7 @@ def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellR
             f"cell {index} has {state}, rmsd {rmsd!r} and error {error!r}; "
             "a cell has a null report and rmsd exactly when its error is a string"
         )
-    return CellResult(chi_pi, measured, p, _report_from_dict(index, report), rmsd, error)
+    return new_record(CellResult, (chi_pi, measured, p, _report_from_dict(index, report), rmsd, error))
 
 
 def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:

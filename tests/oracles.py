@@ -16,7 +16,9 @@ each call's own shifted angles instead of reusing cached node values,
 its two-qubit game branch by branch through a per-variant dict of pairs
 instead of the shared branch table, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
-through the stdlib's csv and json encoders.
+through the stdlib's csv and json encoders, and `assert_whole_report` and
+`assert_whole_cell`, which check a record's class and every field by type,
+since a named tuple equals a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -353,6 +355,31 @@ def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
 
     (a1, b1), (a2, b2) = payoff_tensor(chi, tables[0]), payoff_tensor(chi, tables[1])
     return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
+
+
+def assert_whole_report(report) -> None:
+    """An `EquilibriumReport` with both fields: a tuple of (Strategy, Strategy,
+    Strategy) profiles and a tuple of (float, float, float) payoff rows, one per profile."""
+    from qgame.equilibrium import EquilibriumReport
+    from qgame.game import Strategy
+
+    assert type(report) is EquilibriumReport and len(report) == len(EquilibriumReport._fields)
+    assert type(report.profiles) is tuple and type(report.payoffs) is tuple
+    assert len(report.profiles) == len(report.payoffs)
+    for profile, payoffs in zip(report.profiles, report.payoffs):
+        assert type(profile) is tuple and len(profile) == 3 and all(type(s) is Strategy for s in profile)
+        assert type(payoffs) is tuple and len(payoffs) == 3 and all(type(x) is float for x in payoffs)
+
+
+def assert_whole_cell(cell) -> None:
+    """A `CellResult` with all six fields, equal to the one its class builds
+    from them, and a whole report unless it failed."""
+    from qgame.sweep import CellResult
+
+    assert type(cell) is CellResult and len(cell) == len(CellResult._fields)
+    assert cell == CellResult(*cell)
+    if cell.report is not None:
+        assert_whole_report(cell.report)
 
 
 def reference_rmsd_rows(result) -> list[dict]:

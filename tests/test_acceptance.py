@@ -32,8 +32,8 @@ def test_criterion_1_classical_limit():
     report = run_sweep(cfg).cells[0].report
     elapsed = time.perf_counter() - start
     ok = (
-        report.contains(profile_from_names("IXI"))
-        and report.contains(profile_from_names("ZYZ"))
+        profile_from_names("IXI") in report.profiles
+        and profile_from_names("ZYZ") in report.profiles
         and all(pay == (11.0, 10.0, 9.0) for pay in report.payoffs)
         and elapsed < 1.0
     )

@@ -98,8 +98,8 @@ def test_delta_tolerance_widens_set():
 
 def test_classical_low_p_equilibria():
     report = nash_equilibria(*bayes_at(0.0, 0.0), 0.0)
-    assert report.contains(profile_from_names("IXI"))
-    assert report.contains(profile_from_names("ZYZ"))
+    assert profile_from_names("IXI") in report.profiles
+    assert profile_from_names("ZYZ") in report.profiles
     for payoff in report.payoffs:
         np.testing.assert_allclose(payoff, (11, 10, 9), atol=1e-12)
 
@@ -297,6 +297,17 @@ def test_best_stack_marks_rows_without_an_equilibrium():
     reports = nash_equilibria_stack(*PENNIES, 0.0)
     assert not reports[0].empty and reports[1].empty
     assert best_equilibria_stack(*PENNIES, 0.0)[0].tolist() == [flat_index(max_payoff_profile(reports[0])), -1]
+
+
+@given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
+@example(column=PENNIES, delta=0.0)
+@settings(max_examples=60, deadline=None)
+def test_stack_reports_are_whole_records(column, delta):
+    # reports are built by tuple.__new__, which checks no field; the slices rest on the row order of the mask
+    reports = nash_equilibria_stack(*column, delta)
+    assert type(reports) is list and len(reports) == len(column[0])
+    for report in reports:
+        oracles.assert_whole_report(report)
 
 
 @st.composite

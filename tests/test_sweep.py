@@ -31,7 +31,7 @@ from qgame.equilibrium import (
     max_payoff_profile,
     nash_equilibria_stack,
 )
-from qgame.game import STRATEGIES, profile_from_names
+from qgame.game import DEFAULT_PAYOFF_ROWS_B1, STRATEGIES, profile_from_names
 from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
@@ -53,6 +53,7 @@ from qgame.sweep import (
 )
 
 from oracles import (
+    assert_whole_cell,
     bayes_tensor_dense,
     brute_force_equilibria,
     reference_analytic_reports,
@@ -166,6 +167,24 @@ class TestConfig:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "tracked_profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, value", [("chi_grid_pi", 0.1), ("p_grid", np.array(0.5)), ("p_grid", np.full((2, 1), 0.5))]
+    )
+    def test_grid_that_is_not_a_list_names_its_field(self, name, value):
+        # a number or a 0-d array once raised a bare TypeError ("not iterable"), and
+        # a 2-d array was read row by row
+        with pytest.raises(ConfigError, match=f"^{name}: expected a list of numbers, got "):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("rows", [DEFAULT_PAYOFF_ROWS_B1, (((11, 9), (1, 10)), ((10, 1), (6, 6)))])
+    def test_payoff_rows_array_is_stored_as_plain_numbers(self, rows):
+        # an array of rows was rejected ("expected a number, got array(...)"), though the grids take arrays
+        plain = ExperimentConfig(payoff_rows_b1=rows, payoff_rows_b2=rows)
+        numpy_cfg = ExperimentConfig(payoff_rows_b1=np.array(rows), payoff_rows_b2=np.array(rows))
+        assert numpy_cfg == plain and json.dumps(numpy_cfg.to_dict()) == json.dumps(plain.to_dict())
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(numpy_cfg.payoff_rows_b1))
+        assert {type(entry) for entry in entries} == {type(rows[0][0][0])}
+
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
             replace(ExperimentConfig(), mode="nope")
@@ -177,8 +196,8 @@ class TestAnalyticSweep:
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         cell = run_sweep(cfg).cells[0]
         report = cell.report
-        assert report.contains(profile_from_names("IXI"))
-        assert report.contains(profile_from_names("ZYZ"))
+        assert profile_from_names("IXI") in report.profiles
+        assert profile_from_names("ZYZ") in report.profiles
         for payoffs in report.payoffs:
             assert payoffs == (11.0, 10.0, 9.0)
         assert cell.rmsd == 0.0
@@ -731,6 +750,17 @@ class TestSerialization:
         reports = [cell.report for cell in loaded.cells if cell.report is not None]
         assert 0 < len(reports) < len(loaded.cells)
         assert all(type(report) is EquilibriumReport for report in reports)
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel.default_profile(0)], ids=["analytic", "shots_noisy"])
+    def test_built_and_loaded_records_are_whole(self, tmp_path, noise):
+        # cells and reports are built by tuple.__new__, which checks no field count and fills no default
+        cfg = ExperimentConfig() if noise is None else ExperimentConfig(mode="shots", noise=noise, seed=0)
+        result = run_sweep(cfg)
+        loaded = load_result(emit_report(result, tmp_path)["json"])
+        if noise is not None:
+            assert any(cell.error is not None for cell in result.cells)
+        for cell in (*result.cells, *loaded.cells):
+            assert_whole_cell(cell)
 
     @pytest.mark.parametrize("mode", ["analytic", "shots"])
     def test_records_are_immutable_and_hashable(self, mode):
@@ -1342,13 +1372,19 @@ class TestCli:
             ({"noise": 5}, "bad noise model: noise must be a JSON object"),
             ({"noise": None}, "bad noise model: noise must be a JSON object"),
             ({"noise": [1]}, "bad noise model: noise must be a JSON object"),
+            ({"p_grid": 0.5}, "p_grid: expected a list of numbers, got 0.5"),
+            ({"chi_grid_pi": None}, "chi_grid_pi: expected a list of numbers, got None"),
+            ({"chi_grid_pi": "0.1"}, "chi_grid_pi: expected a list of numbers, got '0.1'"),
+            ({"p_grid": {"a": 1}}, "p_grid: expected a list of numbers, got {'a': 1}"),
         ],
         ids=["payoff-rows-b1-scalar", "payoff-rows-b2-one-row", "noise-string", "noise-int", "noise-null",
-             "noise-list"],
+             "noise-list", "p-grid-number", "chi-grid-null", "chi-grid-string", "p-grid-object"],
     )
     def test_malformed_config_block_is_config_error_naming_its_field(self, tmp_path, capsys, override, message):
         # both payoff fields once raised the same unnamed shape error; a noise
-        # string was read as a list of unknown fields, a number as "not iterable"
+        # string was read as a list of unknown fields, a number as "not iterable";
+        # a grid number was "not iterable" too, and a grid string or object was
+        # read item by item ("expected a number, got '0'")
         config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(config)
