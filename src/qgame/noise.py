@@ -19,9 +19,11 @@ the readout confusion matrix, the same matrix that SPAM correction inverts.
 A confusion matrix computes its condition number and inverse once, so
 correcting a pool is one matrix-vector product, and a stack of pools is
 corrected in one call. Sampling then draws counts, never per-shot
-outcomes, and the type split draws a binomial per outcome count. A
-population is a plain 32-entry count array, and each single-row function
-is the one-row case of its stacked form.
+outcomes: `sample_outcomes` is one multinomial draw of `outcome_law`,
+with the same (gates, n, chi, noise) arguments, for every circuit. The
+type split draws a binomial per outcome count. A population is a plain
+32-entry count array, and each single-row function is the one-row case
+of its stacked form.
 
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (angle, circuit variant,
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from qgame.parallel import N_OUTCOMES, N_QUBITS, ParallelCircuit
+from qgame.parallel import N_OUTCOMES, N_QUBITS
 from qgame.statevector import Gate, apply_matrix, gate_matrix
 
 # purpose tags for child stream derivation
@@ -120,7 +122,7 @@ class NoiseModel:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
@@ -362,7 +364,7 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     return probs / probs.sum()
 
 
-def sample_gate_outcomes(
+def sample_outcomes(
     gates: tuple[Gate, ...],
     n: int,
     nominal_chi: float,
@@ -378,13 +380,6 @@ def sample_gate_outcomes(
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     return rng.multinomial(shots, outcome_law(gates, n, nominal_chi, noise))
-
-
-def sample_outcomes(
-    circuit: ParallelCircuit, noise: NoiseModel, shots: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """32-entry outcome counts of one parallelized circuit."""
-    return sample_gate_outcomes(circuit.gate_sequence, N_QUBITS, circuit.chi, noise, shots, rng)
 
 
 def split_counts(counts: np.ndarray, p, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -410,5 +405,5 @@ def measure_chi(
 ) -> ChiEstimate:
     """Emulate a calibration run: prepare |00>, entangle, measure, and read
     the angle back from the |11> population."""
-    counts = sample_gate_outcomes(_CALIBRATION_GATES, 2, nominal_chi, noise, shots, rng)
+    counts = sample_outcomes(_CALIBRATION_GATES, 2, nominal_chi, noise, shots, rng)
     return estimate_chi_from_counts(int(counts[3]), shots)

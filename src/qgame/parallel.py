@@ -10,9 +10,9 @@ shifting coverage to U_B in {X, Y}. Composite operators only match the
 bare strategy gates up to phase (ZX = iY, XZ = -iY), which is invisible
 in the measured probabilities.
 
-Each variant's gate list is a constant; only the entangling angle varies
-between runs. The circuits' outcome law, noise-free or not, is
-`noise.outcome_law`.
+A circuit is its gate tuple: `build_circuit` checks the angle and returns
+the variant's constant tuple; only the angle varies between runs. The
+circuits' outcome law, noise-free or not, is `noise.outcome_law`.
 
 This module alone knows the outcome-bit layout. Both variants share one
 branch table: `branch_distributions` splits any stack of 32-outcome
@@ -23,7 +23,6 @@ pair that each branch of each variant plays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,13 +44,6 @@ class EmptyBranchError(ValueError):
     """A parsed branch holds zero population; downstream math would divide by it."""
 
 
-@dataclass(frozen=True)
-class ParallelCircuit:
-    variant: Variant
-    chi: float
-    gate_sequence: tuple[Gate, ...]
-
-
 _PREPARE = (
     Gate("H", (AUX1,)),
     Gate("H", (AUX2,)),
@@ -68,9 +60,10 @@ _GATE_SEQUENCES = {
 }
 
 
-def build_circuit(variant: Variant, chi: float) -> ParallelCircuit:
+def build_circuit(variant: Variant, chi: float) -> tuple[Gate, ...]:
+    """Check the entangling angle `chi` and return the variant's gate tuple."""
     check_chi(chi)
-    return ParallelCircuit(variant, chi, _GATE_SEQUENCES[variant])
+    return _GATE_SEQUENCES[variant]
 
 
 # both variants share one branch table: branch 4x + 2y + z holds aux outcome (x, y, z)

@@ -57,7 +57,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -249,17 +249,8 @@ class ExperimentConfig:
         return tables
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "noise":
-                value = value.to_dict()
-            elif f.name in ("chi_grid_pi", "p_grid"):
-                value = list(value)
-            elif f.name.startswith("payoff_rows"):
-                value = json.loads(json.dumps(value))  # nested tuples to lists
-            out[f.name] = value
-        return out
+        """The fields as plain data, the noise model a nested dict; JSON writes the tuples as lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -360,7 +351,7 @@ def _sample(config: ExperimentConfig, chi_pi: float) -> tuple:
     kept), drawn on its I- and X-circuit sample streams and its calibration stream."""
     chi, key = chi_pi * np.pi, _grid_key(chi_pi)
     counts = np.array([
-        sample_outcomes(build_circuit(variant, chi), config.noise, config.shots,
+        sample_outcomes(build_circuit(variant, chi), N_QUBITS, chi, config.noise, config.shots,
                         child_rng(config.seed, key, v, PURPOSE_SAMPLE))
         for v, variant in enumerate(Variant)
     ])
@@ -477,8 +468,7 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
         chi = float(chi_pi) * np.pi
         direct_dists = np.abs(final_states(chi)) ** 2  # row 4*a + b per strategy pair (a, b)
         for pairs, variant in zip(BRANCH_PAIRS, Variant):
-            circuit = build_circuit(variant, chi)
-            law = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+            law = outcome_law(build_circuit(variant, chi), N_QUBITS, chi, NoiseModel())
             dists, totals = branch_distributions(law)
             linf = np.abs(dists - direct_dists[pairs]).max(axis=-1)
             max_linf, aux_dev = float(linf.max()), float(np.abs(totals - 0.125).max())
@@ -561,18 +551,24 @@ def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellR
     """Cell `index` of a result file, which must hold numbers, sit at
     `point`, the (chi_nominal_pi, p) that run_sweep emits at that index,
     and have a null report exactly when its error is a string, as a failed
-    cell does; a failed cell also has a null rmsd."""
+    cell does; a failed cell also has a null rmsd. Its measured angle is
+    one `check_chi` admits and its rmsd is not negative."""
     chi_pi, measured, p, rmsd = data["chi_nominal_pi"], data["chi_measured_pi"], data["p"], data["rmsd"]
-    # the all-float cell skips config_number: a sum of floats is finite only when each one is
+    # the all-float cell skips config_number: a sum of floats is finite only when each one is;
+    # a measured angle past pi/4 (within check_chi's tolerance) takes the slow path too
     if not (
         type(chi_pi) is type(measured) is type(p) is float
-        and (rmsd is None or type(rmsd) is float)
+        and (rmsd is None or type(rmsd) is float and rmsd >= 0.0)
         and math.isfinite(chi_pi + measured + p + (rmsd or 0.0))
+        and 0.0 <= measured <= 0.25
     ):
         try:
             chi_pi, p = config_number("chi_nominal_pi", chi_pi), config_number("p", p)
             measured = config_number("chi_measured_pi", measured)
             rmsd = None if rmsd is None else config_number("rmsd", rmsd)
+            if rmsd is not None and rmsd < 0.0:
+                raise ValueError(f"rmsd={rmsd} is negative")
+            check_chi(measured * np.pi)  # the measured angle, in radians
         except ValueError as exc:
             raise ConfigError(f"cell {index}: {exc}") from exc
     if (chi_pi, p) != point:
@@ -613,6 +609,11 @@ def result_from_dict(data: dict) -> SweepResult:
         value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for chi_pi, angle, spread in zip(nominal, value, sigma):  # the ranges estimate_chi_from_counts returns
+        if not 0.0 <= angle <= math.pi / 2:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={angle} outside [0, pi/2]")
+        if spread < 0.0:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: sigma_rad={spread} is negative")
     return SweepResult(
         config=config,
         cells=tuple(map(_cell_from_dict, itertools.count(), data["cells"], points)),

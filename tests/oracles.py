@@ -306,8 +306,7 @@ def reference_verify_rows(chi_grid_pi, branch_maps=None) -> list[dict]:
         chi = float(chi_pi) * np.pi
         direct_dists = np.abs(final_states(chi)) ** 2  # row 4*a + b per strategy pair (a, b)
         for variant in Variant:
-            circuit = build_circuit(variant, chi)
-            dist = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+            dist = outcome_law(build_circuit(variant, chi), N_QUBITS, chi, NoiseModel())
             branches = itertools.product(range(2), repeat=3)
             aux_dev = max(float(abs(dist[branch_indices(*xyz)].sum() - 0.125)) for xyz in branches)
             mapping = (branch_maps or {}).get(variant, branch_map(variant))
@@ -446,7 +445,7 @@ def reference_shot_sweep(config):
         sample_outcomes,
         spam_correct,
     )
-    from qgame.parallel import EmptyBranchError, Variant, build_circuit, parse_branches
+    from qgame.parallel import N_QUBITS, EmptyBranchError, Variant, build_circuit, parse_branches
     from qgame.statevector import CHI_MAX
     from qgame.sweep import CellResult
 
@@ -459,6 +458,8 @@ def reference_shot_sweep(config):
         counts = [
             sample_outcomes(
                 build_circuit(variant, chi),
+                N_QUBITS,
+                chi,
                 config.noise,
                 config.shots,
                 reference_child_rng(config.seed, chi_key, v, PURPOSE_SAMPLE),

@@ -134,8 +134,7 @@ def test_criterion_6_shot_convergence():
         for got, want in zip(shot_report.payoffs, ref_report.payoffs)
     )
 
-    circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
-    truth = outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel()) * 30_000
+    truth = outcome_law(build_circuit(Variant.I_CIRCUIT, np.pi / 8), N_QUBITS, np.pi / 8, NoiseModel()) * 30_000
     conf = ConfusionMatrix.from_flips(0.006, 0.006)
     recovered = spam_correct(conf.apply(truth), conf)
     spam_err = float(np.abs(recovered - truth).max())

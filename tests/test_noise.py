@@ -19,7 +19,6 @@ from qgame.noise import (
     estimate_chi_from_counts,
     measure_chi,
     outcome_law,
-    sample_gate_outcomes,
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
@@ -50,8 +49,8 @@ NOISE_IDS = ["zero", "default", "crosstalk-heavy"]
 CALIBRATION = (Gate("J", (0, 1)),)  # the angle-calibration circuit
 
 
-def zero_noise_law(circuit):
-    return outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, ZERO)
+def zero_noise_law(variant, chi):
+    return outcome_law(build_circuit(variant, chi), N_QUBITS, chi, ZERO)
 
 
 def binomial_bound(prob: float, shots: int, n_sigma: float = 5.0) -> float:
@@ -60,10 +59,10 @@ def binomial_bound(prob: float, shots: int, n_sigma: float = 5.0) -> float:
 
 class TestSampling:
     def test_zero_noise_frequencies_match_exact_distribution(self):
-        circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
-        exact = zero_noise_law(circuit)
+        gates, chi = build_circuit(Variant.I_CIRCUIT, np.pi / 8), np.pi / 8
+        exact = zero_noise_law(Variant.I_CIRCUIT, chi)
         shots = 50_000
-        counts = sample_outcomes(circuit, ZERO, shots, np.random.default_rng(11))
+        counts = sample_outcomes(gates, N_QUBITS, chi, ZERO, shots, np.random.default_rng(11))
         assert counts.sum() == shots
         for idx in range(32):
             assert abs(counts[idx] / shots - exact[idx]) < binomial_bound(exact[idx], shots)
@@ -74,7 +73,7 @@ class TestSampling:
         gates = (Gate("X", (0,)),)
         noise = NoiseModel(single_qubit_depol=0.3)
         shots = 60_000
-        counts = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(3))
+        counts = sample_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(3))
         assert counts.sum() == shots
         assert abs(counts[0] / shots - 0.2) < binomial_bound(0.2, shots)
 
@@ -82,14 +81,14 @@ class TestSampling:
         gates: tuple = ()
         noise = NoiseModel(readout_flip_0to1=0.25)
         shots = 40_000
-        counts = sample_gate_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(5))
+        counts = sample_outcomes(gates, 1, 0.0, noise, shots, np.random.default_rng(5))
         assert abs(counts[1] / shots - 0.25) < binomial_bound(0.25, shots)
 
     def test_same_seed_reproduces_outcomes(self):
-        circuit = build_circuit(Variant.I_CIRCUIT, 0.2)
+        gates = build_circuit(Variant.I_CIRCUIT, 0.2)
         noise = NoiseModel.default_profile(seed=99)
-        first = sample_outcomes(circuit, noise, 4_000)
-        second = sample_outcomes(circuit, noise, 4_000)
+        first = sample_outcomes(gates, N_QUBITS, 0.2, noise, 4_000)
+        second = sample_outcomes(gates, N_QUBITS, 0.2, noise, 4_000)
         assert np.array_equal(first, second)
 
     def test_child_streams_are_keyed_not_ordered(self):
@@ -99,10 +98,22 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("circuit", ["I", "X", "calibration"])
+    def test_counts_are_one_multinomial_draw_of_the_outcome_law(self, circuit):
+        # the sweep's sample streams rest on this draw order
+        noise, chi, shots = NoiseModel.default_profile(seed=5), 0.15 * np.pi, 30_000
+        gates, n = (CALIBRATION, 2) if circuit == "calibration" else (build_circuit(Variant(circuit), chi), N_QUBITS)
+        law = outcome_law(gates, n, chi, noise)
+        counts = sample_outcomes(gates, n, chi, noise, shots, np.random.default_rng(41))
+        assert np.array_equal(counts, np.random.default_rng(41).multinomial(shots, law))
+        # without a generator, the noise model's seed seeds a fresh one
+        unseeded = sample_outcomes(gates, n, chi, noise, shots)
+        assert np.array_equal(unseeded, np.random.default_rng(5).multinomial(shots, law))
+
     def test_shots_must_be_positive(self):
-        circuit = build_circuit(Variant.I_CIRCUIT, 0.1)
+        gates = build_circuit(Variant.I_CIRCUIT, 0.1)
         with pytest.raises(ValueError):
-            sample_outcomes(circuit, ZERO, 0)
+            sample_outcomes(gates, N_QUBITS, 0.1, ZERO, 0)
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -130,7 +141,7 @@ class TestOutcomeLaw:
         if circuit == "calibration":
             gates, reference_gates, n = CALIBRATION, CALIBRATION_GATES, 2
         else:
-            gates, reference_gates, n = build_circuit(Variant(circuit), chi).gate_sequence, parallel_gates(circuit), 5
+            gates, reference_gates, n = build_circuit(Variant(circuit), chi), parallel_gates(circuit), 5
         observed = trajectory_counts(
             reference_gates,
             n,
@@ -157,7 +168,7 @@ class TestOutcomeLaw:
         # dense Gauss-Hermite quadrature over the angle spread, each node a
         # jitter-free law at the shifted angle
         chi = 0.15 * np.pi
-        gates = build_circuit(Variant.X_CIRCUIT, chi).gate_sequence if n == 5 else CALIBRATION
+        gates = build_circuit(Variant.X_CIRCUIT, chi) if n == 5 else CALIBRATION
         nodes, weights = np.polynomial.hermite_e.hermegauss(40)
         weights /= weights.sum()
         fixed = replace(HEAVY, chi_jitter_sigma=0.0)
@@ -172,8 +183,8 @@ class TestOutcomeLaw:
     @given(chi=st.floats(0.0, np.pi / 4))
     def test_node_law_matches_per_angle_evolution(self, noise, circuit, chi):
         gates, n = {
-            "I": (build_circuit(Variant.I_CIRCUIT, 0.0).gate_sequence, N_QUBITS),
-            "X": (build_circuit(Variant.X_CIRCUIT, 0.0).gate_sequence, N_QUBITS),
+            "I": (build_circuit(Variant.I_CIRCUIT, 0.0), N_QUBITS),
+            "X": (build_circuit(Variant.X_CIRCUIT, 0.0), N_QUBITS),
             "calibration": (CALIBRATION, 2),
             "empty": ((), 2),
         }[circuit]
@@ -271,8 +282,7 @@ class TestConfusion:
 
 class TestSpamCorrection:
     def test_round_trip_recovers_true_populations(self):
-        circuit = build_circuit(Variant.X_CIRCUIT, np.pi / 8)
-        truth = zero_noise_law(circuit) * 30_000
+        truth = zero_noise_law(Variant.X_CIRCUIT, np.pi / 8) * 30_000
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
         corrected = spam_correct(conf.apply(truth), conf)
         assert np.abs(corrected - truth).max() < 1e-9
@@ -284,11 +294,11 @@ class TestSpamCorrection:
         assert np.allclose(corrected, pops)
 
     def test_correction_improves_sampled_estimate(self):
-        circuit = build_circuit(Variant.I_CIRCUIT, np.pi / 8)
-        exact = zero_noise_law(circuit)
+        gates, chi = build_circuit(Variant.I_CIRCUIT, np.pi / 8), np.pi / 8
+        exact = zero_noise_law(Variant.I_CIRCUIT, chi)
         noise = NoiseModel(readout_flip_0to1=0.01, readout_flip_1to0=0.012)
         shots = 200_000
-        raw = sample_outcomes(circuit, noise, shots, np.random.default_rng(21))
+        raw = sample_outcomes(gates, N_QUBITS, chi, noise, shots, np.random.default_rng(21))
         conf = ConfusionMatrix.from_noise(noise)
         corrected = spam_correct(raw, conf)
         err_raw = np.abs(raw / raw.sum() - exact).sum()
@@ -366,6 +376,32 @@ class TestSpamCorrection:
                 want = "correction wiped out all population"
             assert str(caught.value) == want
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_readout_model_mismatch_fails_every_row(self, seed):
+        # 300k-shot rows of both circuits at four angles, corrected by a readout
+        # model that disagrees with the data about crosstalk 0.03. Data without
+        # crosstalk under an inverse with it goes 2300-3700 counts negative,
+        # 4-7 sqrt(total): a floor that passes it hides a real mismatch. The
+        # other way round, the plain inverse leaves a valid distribution, which
+        # no negativity check can tell from a matched one.
+        chis = (0.0, 0.1 * np.pi, 0.2 * np.pi, np.pi / 4)
+        flips = dict(readout_flip_0to1=0.006, readout_flip_1to0=0.006)
+
+        def counts(noise):
+            return np.array([
+                [sample_outcomes(build_circuit(variant, chi), N_QUBITS, chi, noise, 300_000, child_rng(seed, i, v))
+                 for i, chi in enumerate(chis)]
+                for v, variant in enumerate(Variant)
+            ])
+
+        plain = ConfusionMatrix.from_flips(0.006, 0.006)
+        crosstalk = ConfusionMatrix.from_flips(0.006, 0.006, crosstalk=0.03)
+        data, data_crosstalk = counts(NoiseModel(**flips)), counts(NoiseModel(**flips, crosstalk=0.03))
+        _, failed, worst = spam_correct_stack(data, crosstalk)
+        assert failed.all() and (worst < -4 * np.sqrt(300_000)).all()
+        for rows, conf in ((data, plain), (data_crosstalk, crosstalk), (data_crosstalk, plain)):
+            assert not spam_correct_stack(rows, conf)[1].any()
+
     def test_shape_and_sign_validation(self):
         conf = ConfusionMatrix.from_flips(0.006, 0.006)
         with pytest.raises(ValueError, match="expected 32 entries"):
@@ -401,8 +437,8 @@ class TestBayesianSplit:
 
     def test_split_is_independent_of_outcome_value(self):
         # each pool's frequencies estimate the same underlying distribution
-        circuit = build_circuit(Variant.I_CIRCUIT, 0.1 * np.pi)
-        counts = sample_outcomes(circuit, ZERO, 120_000, np.random.default_rng(31))
+        gates = build_circuit(Variant.I_CIRCUIT, 0.1 * np.pi)
+        counts = sample_outcomes(gates, N_QUBITS, 0.1 * np.pi, ZERO, 120_000, np.random.default_rng(31))
         pool_b1, _ = split_counts(counts, 0.5, np.random.default_rng(9))
         full = counts / counts.sum()
         diff = np.abs(pool_b1 / pool_b1.sum() - full)

@@ -29,8 +29,7 @@ CHI_GRID = [k * np.pi / 40 for k in range(11)]
 
 def exact_law(variant, chi):
     """Noise-free 32-outcome distribution of one parallelized circuit."""
-    circuit = build_circuit(variant, chi)
-    return outcome_law(circuit.gate_sequence, N_QUBITS, circuit.chi, NoiseModel())
+    return outcome_law(build_circuit(variant, chi), N_QUBITS, chi, NoiseModel())
 
 
 def direct_law(chi, u_a, u_b):
@@ -38,10 +37,9 @@ def direct_law(chi, u_a, u_b):
 
 
 def test_gate_sequence_layout():
-    circuit = build_circuit(Variant.I_CIRCUIT, 0.2)
-    names = [g.name for g in circuit.gate_sequence]
+    names = [g.name for g in build_circuit(Variant.I_CIRCUIT, 0.2)]
     assert names == ["H", "H", "H", "J", "CNOT", "CZ", "CZ", "JDAG"]
-    x_names = [g.name for g in build_circuit(Variant.X_CIRCUIT, 0.2).gate_sequence]
+    x_names = [g.name for g in build_circuit(Variant.X_CIRCUIT, 0.2)]
     assert x_names[-2:] == ["X", "JDAG"]
 
 

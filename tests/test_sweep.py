@@ -33,7 +33,7 @@ from qgame.equilibrium import (
 )
 from qgame.game import DEFAULT_PAYOFF_ROWS_B1, STRATEGIES, profile_from_names
 from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
-from qgame.parallel import Variant, branch_indices, branch_map, build_circuit
+from qgame.parallel import N_QUBITS, Variant, branch_indices, branch_map, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
     DEFAULT_P_GRID,
@@ -393,6 +393,8 @@ class TestShotSweep:
         counts = np.array([
             sample_outcomes(
                 build_circuit(variant, chi_pi * np.pi),
+                N_QUBITS,
+                chi_pi * np.pi,
                 cfg.noise,
                 cfg.shots,
                 reference_child_rng(seed, chi_key, v, PURPOSE_SAMPLE),
@@ -508,7 +510,8 @@ class TestShotSweep:
         counts = {Variant.I_CIRCUIT: np.full(32, 100), Variant.X_CIRCUIT: np.zeros(32, dtype=int)}
         counts[Variant.I_CIRCUIT][branch_indices(1, 1, 1)] = 0
         counts[Variant.X_CIRCUIT][0] = 3_200
-        monkeypatch.setattr(qgame.sweep, "sample_outcomes", lambda circuit, *args: counts[circuit.variant])
+        variants = {build_circuit(variant, 0.0): variant for variant in Variant}  # a circuit is its gate tuple
+        monkeypatch.setattr(qgame.sweep, "sample_outcomes", lambda gates, *args: counts[variants[gates]])
         cfg = shot_config(chi_grid_pi=(0.1,), p_grid=(0.5,), noise=NoiseModel(readout_flip_0to1=0.005))
         cell = run_sweep(cfg).cells[0]
         assert cell.error == "branch (x,y,z)=(1,1,1) of I-circuit has zero population"
@@ -811,6 +814,13 @@ class TestSerialization:
             lambda data: with_first_cell(data, p=0.5),
             lambda data: with_first_cell(data, chi_measured_pi=True),
             lambda data: with_first_cell(data, rmsd="0.0"),
+            # values no sweep writes: a negative rmsd or spread, an angle out of range
+            lambda data: with_first_cell(data, rmsd=-0.5),
+            lambda data: with_first_cell(data, chi_measured_pi=0.3),
+            lambda data: with_first_cell(data, chi_measured_pi=-0.01),
+            lambda data: with_first(data, "chi_measurements", sigma_rad=-0.1),
+            lambda data: with_first(data, "chi_measurements", value_rad=1.6),
+            lambda data: with_first(data, "chi_measurements", value_rad=-0.1),
             lambda data: json.dumps({**data, "cells": data["cells"] * 2}),
             lambda data: json.dumps({**data, "transitions": data["transitions"] * 2}),
             lambda data: json.dumps({**data, "chi_measurements": []}),
@@ -838,6 +848,12 @@ class TestSerialization:
             "p-off-grid",
             "chi-measured-bool",
             "rmsd-string",
+            "rmsd-negative",
+            "chi-measured-above-range",
+            "chi-measured-negative",
+            "sigma-negative",
+            "chi-value-above-range",
+            "chi-value-negative",
             "more-cells-than-grid-points",
             "more-transitions-than-angles",
             "no-measurements",
@@ -866,6 +882,15 @@ class TestSerialization:
         message = "cell 2 has a null report, rmsd None and error None; "
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_result(path)
+
+    def test_measured_angle_within_check_chi_tolerance_loads(self, tmp_path):
+        # past pi/4 by less than check_chi's tolerance, as a config grid angle may be
+        cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.5,))
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["cells"][0]["chi_measured_pi"] = 0.25 + 1e-14
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        assert load_result(path).cells[0].chi_measured_pi == 0.25 + 1e-14
 
     @pytest.mark.parametrize("bad", ["1.5", True, None])
     def test_payoff_that_is_not_a_number_names_its_cell(self, tmp_path, bad):
@@ -909,6 +934,10 @@ class TestSerialization:
             ("chi_measurements", {"chi_nominal_pi": 0.7}, "chi_nominal_pi [0.7, 0.1] are not the config grid"),
             ("chi_measurements", {"value_rad": "zz"}, "value_rad: expected a number, got 'zz'"),
             ("chi_measurements", {"sigma_rad": float("nan")}, "sigma_rad: expected a finite number, got nan"),
+            ("chi_measurements", {"sigma_rad": -0.1}, "chi_nominal_pi 0.0: sigma_rad=-0.1 is negative"),
+            ("cells", {"rmsd": -0.5}, "cell 0: rmsd=-0.5 is negative"),
+            ("cells", {"chi_measured_pi": 0.3}, f"cell 0: chi={0.3 * np.pi} outside [0, pi/4]"),
+            ("chi_measurements", {"value_rad": 1.6}, "chi_nominal_pi 0.0: value_rad=1.6 outside [0, pi/2]"),
         ],
     )
     def test_result_transitions_and_measurements_are_checked(self, tmp_path, key, fields, message):
