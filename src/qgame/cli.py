@@ -111,7 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {kind}: {path}")
     failures = _cell_failures(result)
     if failures:
-        print(f"{failures} grid cell(s) failed; see the JSON error fields", file=sys.stderr)
+        print(f"{failures} grid cell(s) failed; see the cells.error column of {paths['json']}", file=sys.stderr)
         return EXIT_CELL_FAILURE
     print(f"{len(result.cells)} cells evaluated")
     return EXIT_OK

@@ -43,15 +43,17 @@ and wraps the names it traces where this module looks them up, so every name
 in its TRACE_POINTS stays an attribute here, even the ones the sweep no
 longer calls.
 
-Cells and equilibrium reports are immutable named tuples. The sweep and
-`load_result` build them with `new_record` (`tuple.__new__`), every field
-given, with no Python frame per object; `tuple.__new__` fills no default. All
-angles are expressed in units of pi in configs and output files and in
-radians inside the package.
+Cells and equilibrium reports are immutable named tuples, built with
+`new_record` (`tuple.__new__`: every field given, no default filled) and no
+Python frame per object, by the sweep and by `load_result` from the columns
+of a schema-4 `sweep.json`: one list per cell field, and flat equilibrium
+lists that the `n_equilibria` column cuts. All angles are in units of pi in
+configs and output files and in radians inside the package.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -119,7 +121,7 @@ from qgame.statevector import CHI_MAX, check_chi
 # traces them here. They go away with those trace points when the benchmark traces the stacked steps.
 bayesian_split = split_counts
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MODE_ANALYTIC = "analytic"
 MODE_SHOTS = "shots"
 
@@ -278,7 +280,7 @@ class ExperimentConfig:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # json.load recurses once per nested list or object
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -485,6 +487,12 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
 
 # writes any float, numpy's too, as json.dump does; numpy's own repr is np.float64(0.5)
 _float_text = float.__repr__
+_COMPACT = (",", ":")  # json.dumps separators without whitespace
+# sweep.json's two column blocks: one entry per cell, and one per equilibrium, cut by n_equilibria
+_CELL_COLUMNS = ("chi_nominal_pi", "chi_measured_pi", "p", "n_equilibria", "rmsd", "error")
+_EQUILIBRIUM_COLUMNS = ("profile", "payoff_A", "payoff_B1", "payoff_B2")
+_PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
+_PROFILES = {name: profile for profile, name in _PROFILE_NAMES.items()}
 
 
 def _csv_field(value) -> str:
@@ -511,124 +519,6 @@ def write_csv(path, columns: tuple, rows: list[dict]) -> None:
         handle.writelines(",".join(_csv_field(row[col]) for col in columns) + "\n" for row in rows)
 
 
-def _report_from_dict(index: int, data: dict | None) -> EquilibriumReport | None:
-    """Cell `index`'s report: payoffs are numbers, NaN and infinities
-    included (json.load reads what emit_report writes), but not strings or bools."""
-    if data is None:
-        return None
-    profiles, payoffs = data["profiles"], data["payoffs"]
-    lengths = [len(pay) for pay in payoffs]
-    if len(payoffs) != len(profiles) or lengths.count(3) != len(lengths):
-        raise ConfigError(f"{len(profiles)} profiles with payoff rows of lengths {lengths}")
-    rows = tuple([(a, b1, b2) for a, b1, b2 in payoffs if type(a) is type(b1) is type(b2) is float])
-    if len(rows) != len(payoffs):  # some payoff is not a plain float
-        for value in itertools.chain.from_iterable(payoffs):
-            # bool is an int subclass; a JSON true must not count as 1
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"cell {index}: payoffs: expected a number, got {value!r}")
-        rows = tuple([(float(a), float(b1), float(b2)) for a, b1, b2 in payoffs])
-    profiles = tuple([_PROFILES.get(name) or profile_from_names(name) for name in profiles])
-    return new_record(EquilibriumReport, (profiles, rows))
-
-
-def _result_head(result: SweepResult) -> dict:
-    """Everything of the JSON document but its cells."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": result.config.to_dict(),
-        "chi_measurements": [
-            {"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
-            for chi_pi, est in result.chi_measurements
-        ],
-        "transitions": [
-            {"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
-            for chi_pi, thresholds in result.transitions
-        ],
-    }
-
-
-def _cell_from_dict(index: int, data: dict, point: tuple[float, float]) -> CellResult:
-    """Cell `index` of a result file, which must hold numbers, sit at
-    `point`, the (chi_nominal_pi, p) that run_sweep emits at that index,
-    and have a null report exactly when its error is a string, as a failed
-    cell does; a failed cell also has a null rmsd. Its measured angle is
-    one `check_chi` admits and its rmsd is not negative."""
-    chi_pi, measured, p, rmsd = data["chi_nominal_pi"], data["chi_measured_pi"], data["p"], data["rmsd"]
-    # the all-float cell skips config_number: a sum of floats is finite only when each one is;
-    # a measured angle past pi/4 (within check_chi's tolerance) takes the slow path too
-    if not (
-        type(chi_pi) is type(measured) is type(p) is float
-        and (rmsd is None or type(rmsd) is float and rmsd >= 0.0)
-        and math.isfinite(chi_pi + measured + p + (rmsd or 0.0))
-        and 0.0 <= measured <= 0.25
-    ):
-        try:
-            chi_pi, p = config_number("chi_nominal_pi", chi_pi), config_number("p", p)
-            measured = config_number("chi_measured_pi", measured)
-            rmsd = None if rmsd is None else config_number("rmsd", rmsd)
-            if rmsd is not None and rmsd < 0.0:
-                raise ValueError(f"rmsd={rmsd} is negative")
-            check_chi(measured * np.pi)  # the measured angle, in radians
-        except ValueError as exc:
-            raise ConfigError(f"cell {index}: {exc}") from exc
-    if (chi_pi, p) != point:
-        raise ConfigError(f"cell {index} at (chi_nominal_pi, p) = {(chi_pi, p)}, expected {point}")
-    report, error = data["report"], data["error"]
-    if not (error is None if report is not None else isinstance(error, str) and rmsd is None):
-        state = "a null report" if report is None else "a report"
-        raise ConfigError(
-            f"cell {index} has {state}, rmsd {rmsd!r} and error {error!r}; "
-            "a cell has a null report and rmsd exactly when its error is a string"
-        )
-    return new_record(CellResult, (chi_pi, measured, p, _report_from_dict(index, report), rmsd, error))
-
-
-def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:
-    """`values` as config numbers: `grid` itself, or else distinct points of it in ascending order."""
-    values = tuple(config_number(name, value) for value in values)
-    if values != (grid if whole else tuple(sorted(set(values).intersection(grid)))):
-        raise ConfigError(f"{name} {list(values)} are not {'the' if whole else 'ascending points of the'} config grid")
-    return values
-
-
-def result_from_dict(data: dict) -> SweepResult:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
-    config = ExperimentConfig.from_dict(data["config"])
-    points = list(itertools.product(config.chi_grid_pi, config.p_grid))  # run_sweep's order
-    if len(data["cells"]) != len(points):
-        raise ConfigError(f"{len(data['cells'])} cells for {len(points)} grid points")
-    transitions, measurements, chi_grid = data["transitions"], data["chi_measurements"], config.chi_grid_pi
-    try:  # one transition and one measurement per angle, in run_sweep's order
-        chis = _grid_points("transitions chi_pi", [t["chi_pi"] for t in transitions], chi_grid, whole=True)
-        nominal = _grid_points("chi_nominal_pi", [m["chi_nominal_pi"] for m in measurements], chi_grid, whole=True)
-        thresholds = [
-            None if t["thresholds"] is None else _grid_points("thresholds", t["thresholds"], config.p_grid)
-            for t in transitions
-        ]
-        value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for chi_pi, angle, spread in zip(nominal, value, sigma):  # the ranges estimate_chi_from_counts returns
-        if not 0.0 <= angle <= math.pi / 2:
-            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={angle} outside [0, pi/2]")
-        if spread < 0.0:
-            raise ConfigError(f"chi_nominal_pi {chi_pi}: sigma_rad={spread} is negative")
-    return SweepResult(
-        config=config,
-        cells=tuple(map(_cell_from_dict, itertools.count(), data["cells"], points)),
-        transitions=tuple(zip(chis, thresholds)),
-        chi_measurements=tuple(zip(nominal, map(ChiEstimate, value, sigma))),
-    )
-
-
-# json.dump writes non-finite floats as these JavaScript literals
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
-_PROFILES = {name: profile for profile, name in _PROFILE_NAMES.items()}  # a bad name raises in profile_from_names
-_EMPTY_REPORT = '{\n        "profiles": [],\n        "payoffs": []\n      }'
-
-
 class _FloatTexts(dict):
     """Float value -> its `float.__repr__` text, filled on first lookup.
     Zeros are not stored: 0.0 and -0.0 are one key but print differently.
@@ -641,78 +531,176 @@ class _FloatTexts(dict):
         return text
 
 
+def _json_floats(texts: list[str]) -> str:
+    """A JSON list of float texts ("null" entries pass through) as json.dumps writes it, non-finite
+    floats as NaN and Infinity; no finite float's text holds "nan" or "inf"."""
+    return ("[" + ",".join(texts) + "]").replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _json_object(names: tuple, texts) -> str:
+    """A compact JSON object of encoded values, in `names` order."""
+    return "{" + ",".join(f'"{name}":{text}' for name, text in zip(names, texts)) + "}"
+
+
 def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
     """Write the sweep as CSV and JSON; byte-stable for identical inputs.
 
-    One pass over the cells streams the text to both files. Each distinct
-    float value is formatted once per call, with `float.__repr__`, and its
-    text reused for both files and every later occurrence (the default
-    analytic sweep writes 10 933 floats but only 400 distinct values); the
-    cache dies with the call. The CSV has one line per
-    equilibrium, one for an empty cell and one (with blank equilibrium
+    Each distinct float value is formatted once per call, with
+    `float.__repr__`, and its text reused for both files and every later
+    occurrence (the default analytic sweep writes 10 933 floats but only
+    400 distinct values); the cache dies with the call. The CSV has one line
+    per equilibrium, one for an empty cell and one (with blank equilibrium
     fields) for a failed cell; no field can hold a comma, a quote or a line
-    break, so csv.writer would quote none. The JSON is byte for byte what
-    `json.dump(..., indent=2)` writes (non-finite floats as NaN/Infinity,
-    strings through json's ASCII escaping); each cell's block is formatted
-    directly, since that encoder runs in pure Python whenever it indents."""
+    break, so csv.writer would quote none. The columnar JSON is byte for byte
+    `json.dumps(document, separators=(",", ":")) + "\\n"`. That C encoder
+    writes all but the float columns; each of those is one join of the
+    cached texts, since the encoder would format every float again."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
-    config, nonfinite, texts = result.config, _JSON_NONFINITE.get, _FloatTexts()
+    config, text = result.config, _FloatTexts().__getitem__
+    chis, measureds, ps, reports, rmsds, errors = tuple(zip(*result.cells)) or ((),) * 6
+    chi, measured, p = (list(map(text, column)) for column in (chis, measureds, ps))
+    rmsd = ["" if value is None else text(value) for value in rmsds]
+    counts = [None if report is None else len(report.profiles) for report in reports]
+    solved = [report for report in reports if report is not None]
+    names = [_PROFILE_NAMES[profile] for report in solved for profile in report.profiles]
+    payoffs = [list(map(text, column)) for column in zip(*(row for r in solved for row in r.payoffs))] or [[]] * 3
+
     constant = ",".join(map(_csv_field, (config.effective_delta, config.mode, config.seed)))
-    # the head object's closing "\n}" is cut so the cells list can follow
-    head = json.dumps(_result_head(result), indent=2)[:-2]
-    with open(paths["csv"], "w", newline="") as csv_file, open(paths["json"], "w") as json_file:
-        csv_file.write(",".join(_CSV_COLUMNS) + "\n")
-        json_file.write(head + ',\n  "cells": [')
-        separator = "\n"
-        # unpacked, since a named tuple's fields read slower by name
-        for chi_pi, measured_pi, p, report, rmsd_value, error in result.cells:
-            chi, measured, p = texts[chi_pi], texts[measured_pi], texts[p]
-            rmsd = "" if rmsd_value is None else texts[rmsd_value]
-            csv_head, csv_tail = f"{chi},{measured},{p},", f",{rmsd},{constant}\n"
-            if report is None:
-                csv_file.write(csv_head + ",,,," + csv_tail)
-                json_report = "null"
-            elif report.empty:
-                csv_file.write(csv_head + "0,,,," + csv_tail)
-                json_report = _EMPTY_REPORT
-            else:
-                names = [_PROFILE_NAMES[profile] for profile in report.profiles]
-                rows = [(texts[a], texts[b1], texts[b2]) for a, b1, b2 in report.payoffs]
-                count = f"{csv_head}{len(names)},"
-                csv_file.write("".join(f"{count}{name},{a},{b1},{b2}{csv_tail}" for name, (a, b1, b2) in zip(names, rows)))
-                json_report = (
-                    '{\n        "profiles": [\n          "'
-                    + '",\n          "'.join(names)
-                    + '"\n        ],\n        "payoffs": [\n          [\n            '
-                    + "\n          ],\n          [\n            ".join(
-                        f"{nonfinite(a, a)},\n            {nonfinite(b1, b1)},\n            {nonfinite(b2, b2)}"
-                        for a, b1, b2 in rows
-                    )
-                    + "\n          ]\n        ]\n      }"
-                )
-            json_file.write(
-                f"{separator}    {{\n"
-                f'      "chi_nominal_pi": {nonfinite(chi, chi)},\n'
-                f'      "chi_measured_pi": {nonfinite(measured, measured)},\n'
-                f'      "p": {nonfinite(p, p)},\n'
-                f'      "report": {json_report},\n'
-                f'      "rmsd": {"null" if rmsd_value is None else nonfinite(rmsd, rmsd)},\n'
-                f'      "error": {"null" if error is None else json.dumps(error)}\n'
-                "    }"
-            )
-            separator = ",\n"
-        json_file.write("\n  ]\n}\n" if result.cells else "]\n}\n")
+    lines, rows = [",".join(_CSV_COLUMNS) + "\n"], zip(names, *payoffs)
+    for c, m, pp, count, r in zip(chi, measured, p, counts, rmsd):
+        head, tail = f"{c},{m},{pp},", f",{r},{constant}\n"
+        if count:
+            head = f"{head}{count},"
+            lines.extend(f"{head}{name},{a},{b1},{b2}{tail}" for name, a, b1, b2 in itertools.islice(rows, count))
+        else:  # a failed cell, its count blank, or an empty one
+            lines.append(f"{head}{'' if count is None else 0},,,,{tail}")
+    with open(paths["csv"], "w", newline="") as csv_file:
+        csv_file.writelines(lines)
+
+    head = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
+            "chi_measurements": [{"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
+                                 for chi_pi, est in result.chi_measurements],
+            "transitions": [{"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
+                            for chi_pi, thresholds in result.transitions]}
+    cells = (*map(_json_floats, (chi, measured, p)), json.dumps(counts, separators=_COMPACT),
+             _json_floats([r or "null" for r in rmsd]), json.dumps(errors, separators=_COMPACT))
+    equilibria = (json.dumps(names, separators=_COMPACT), *map(_json_floats, payoffs))
+    with open(paths["json"], "w") as json_file:
+        json_file.write(f'{json.dumps(head, separators=_COMPACT)[:-1]},"cells":{_json_object(_CELL_COLUMNS, cells)},'
+                        f'"equilibria":{_json_object(_EQUILIBRIUM_COLUMNS, equilibria)}}}\n')
     return paths
 
 
+def _columns(data: dict, key: str, names: tuple, length: int) -> dict:
+    """Block `key` of a result file: an object of the columns `names`, each a list of `length` entries."""
+    block = data[key]
+    if type(block) is not dict or block.keys() != set(names):
+        raise ConfigError(f"{key}: expected an object of the columns {list(names)}")
+    for name in names:
+        if type(block[name]) is not list or len(block[name]) != length:
+            raise ConfigError(f"{key}.{name}: expected a list of length {length}")
+    return block
+
+
+def _floats(name: str, values: list, cell=lambda index: index, nullable: bool = False, finite: bool = True) -> list:
+    """Column `name` as floats, nulls kept where `nullable`: numbers (NaN and
+    infinities only where not `finite`), not strings or bools. A bad entry
+    raises ConfigError naming its cell, `cell(index)`."""
+    if not set(map(type, values)) <= ({float, type(None)} if nullable else {float}):
+        for index, value in enumerate(values):
+            # bool is an int subclass; a JSON true must not count as 1
+            if type(value) not in (int, float) and not (nullable and value is None):
+                raise ConfigError(f"cell {cell(index)}: {name}: expected a number, got {value!r}")
+        values = [value if value is None else float(value) for value in values]
+    # a sum of floats is finite only when each one is; an overflowing sum takes the scan and passes it
+    if finite and not math.isfinite(sum(filter(None, values))):
+        for index, value in enumerate(values):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"cell {cell(index)}: {name}: expected a finite number, got {value!r}")
+    return values
+
+
+def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:
+    """`values` as config numbers: `grid` itself, or else distinct points of it in ascending order."""
+    values = tuple(config_number(name, value) for value in values)
+    if values != (grid if whole else tuple(sorted(set(values).intersection(grid)))):
+        raise ConfigError(f"{name} {list(values)} are not {'the' if whole else 'ascending points of the'} config grid")
+    return values
+
+
+def result_from_dict(data: dict) -> SweepResult:
+    """The sweep of a schema-4 document, every column checked whole before any cell is built."""
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}; "
+                          "re-run `qgame sweep` to write it again")
+    config = ExperimentConfig.from_dict(data["config"])
+    transitions, measurements = data["transitions"], data["chi_measurements"]
+    chi_grid, p_grid = config.chi_grid_pi, config.p_grid
+    try:  # one transition and one measurement per angle, in run_sweep's order
+        chis = _grid_points("transitions chi_pi", [t["chi_pi"] for t in transitions], chi_grid, whole=True)
+        nominal = _grid_points("chi_nominal_pi", [m["chi_nominal_pi"] for m in measurements], chi_grid, whole=True)
+        thresholds = [None if t["thresholds"] is None else _grid_points("thresholds", t["thresholds"], p_grid)
+                      for t in transitions]
+        value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for chi_pi, angle, spread in zip(nominal, value, sigma):  # the ranges estimate_chi_from_counts returns
+        if not 0.0 <= angle <= math.pi / 2:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={angle} outside [0, pi/2]")
+        if spread < 0.0:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: sigma_rad={spread} is negative")
+
+    cells = _columns(data, "cells", _CELL_COLUMNS, len(chi_grid) * len(p_grid))
+    nominal_pi, measured, ps = (_floats(name, cells[name]) for name in _CELL_COLUMNS[:3])
+    rmsds, counts, errors = _floats("rmsd", cells["rmsd"], nullable=True), cells["n_equilibria"], cells["error"]
+    if nominal_pi != [chi for chi in chi_grid for _ in p_grid] or ps != list(p_grid) * len(chi_grid):
+        at, points = list(zip(nominal_pi, ps)), list(itertools.product(chi_grid, p_grid))  # run_sweep's order
+        index = next(n for n, point in enumerate(at) if point != points[n])
+        raise ConfigError(f"cell {index} at (chi_nominal_pi, p) = {at[index]}, expected {points[index]}")
+    # a measured angle past pi/4 within check_chi's tolerance loads, as a config grid angle may
+    if min(measured) < 0.0 or max(measured) > 0.25:
+        for index, angle in enumerate(measured):
+            try:
+                check_chi(angle * np.pi)
+            except ValueError as exc:
+                raise ConfigError(f"cell {index}: {exc}") from exc
+    if min(filter(None, rmsds), default=0.0) < 0.0:  # filter(None) drops the nulls and zeros
+        index = next(n for n, rmsd in enumerate(rmsds) if rmsd is not None and rmsd < 0.0)
+        raise ConfigError(f"cell {index}: rmsd={rmsds[index]} is negative")
+    for index, count, rmsd, error in zip(itertools.count(), counts, rmsds, errors):
+        if count is not None and (type(count) is not int or count < 0):  # a bool is no count
+            raise ConfigError(f"cell {index}: n_equilibria: expected a count or null, got {count!r}")
+        if not (error is None if count is not None else type(error) is str and rmsd is None):
+            raise ConfigError(f"cell {index} has n_equilibria {count!r}, rmsd {rmsd!r} and error {error!r}; "
+                              "a cell has a null n_equilibria and rmsd exactly when its error is a string")
+
+    stops = list(itertools.accumulate([0 if count is None else count for count in counts]))
+    equilibria = _columns(data, "equilibria", _EQUILIBRIUM_COLUMNS, stops[-1])  # a grid has a cell
+    cell, names = partial(bisect.bisect_right, stops), equilibria["profile"]  # the cell of an equilibrium index
+    try:
+        profiles = tuple(map(_PROFILES.__getitem__, names))
+    except (KeyError, TypeError):  # an unknown name, or a list or an object
+        index = next(n for n, name in enumerate(names) if type(name) is not str or name not in _PROFILES)
+        raise ConfigError(f"cell {cell(index)}: profile: expected a name like 'IXI', got {names[index]!r}") from None
+    # payoffs are numbers, NaN and infinities included, as emit_report writes them
+    payoffs = tuple(zip(*(_floats(name, equilibria[name], cell, finite=False) for name in _EQUILIBRIUM_COLUMNS[1:])))
+    # each report one slice of both tuples, as nash_equilibria_stack builds them; a failed cell has none
+    reports = [None if count is None else new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
+               for count, start, stop in zip(counts, [0, *stops], stops)]
+    cells = tuple(map(new_record, itertools.repeat(CellResult), zip(nominal_pi, measured, ps, reports, rmsds, errors)))
+    return SweepResult(config, cells, tuple(zip(chis, thresholds)), tuple(zip(nominal, map(ChiEstimate, value, sigma))))
+
+
 def load_result(json_path) -> SweepResult:
-    """Read a sweep written by `emit_report`; a missing, unreadable or
-    malformed file raises ConfigError, as a config file does."""
+    """Read a sweep that `emit_report` wrote: each column checked whole,
+    then the cells built once from the columns. A missing, unreadable,
+    malformed or too deeply nested file, or one of another schema (re-run
+    `qgame sweep` to rewrite it), raises ConfigError, as a config file does."""
     try:
         with open(json_path) as handle:
             return result_from_dict(json.load(handle))
     except OSError as exc:
         raise ConfigError(f"cannot read result file {json_path}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"bad result file {json_path}: {type(exc).__name__}: {exc}") from exc

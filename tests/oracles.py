@@ -545,15 +545,26 @@ def _reference_rows(result) -> list[dict]:
 
 
 def _reference_dict(result) -> dict:
-    """The whole sweep as one JSON document (schema 3)."""
+    """The whole sweep as one JSON document (schema 4): its cell columns and
+    its equilibrium columns filled cell by cell, equilibrium by equilibrium."""
     from qgame.game import profile_names
     from qgame.sweep import SCHEMA_VERSION
 
-    def report(rep):
-        if rep is None:
-            return None
-        return {"profiles": [profile_names(pr) for pr in rep.profiles], "payoffs": [list(pay) for pay in rep.payoffs]}
-
+    cells = {name: [] for name in ("chi_nominal_pi", "chi_measured_pi", "p", "n_equilibria", "rmsd", "error")}
+    equilibria = {name: [] for name in ("profile", "payoff_A", "payoff_B1", "payoff_B2")}
+    for cell in result.cells:
+        cells["chi_nominal_pi"].append(cell.chi_nominal_pi)
+        cells["chi_measured_pi"].append(cell.chi_measured_pi)
+        cells["p"].append(cell.p)
+        cells["n_equilibria"].append(None if cell.report is None else len(cell.report.profiles))
+        cells["rmsd"].append(cell.rmsd)
+        cells["error"].append(cell.error)
+        if cell.report is not None:
+            for profile, (a, b1, b2) in zip(cell.report.profiles, cell.report.payoffs):
+                equilibria["profile"].append(profile_names(profile))
+                equilibria["payoff_A"].append(a)
+                equilibria["payoff_B1"].append(b1)
+                equilibria["payoff_B2"].append(b2)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": result.config.to_dict(),
@@ -565,17 +576,8 @@ def _reference_dict(result) -> dict:
             {"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
             for chi_pi, thresholds in result.transitions
         ],
-        "cells": [
-            {
-                "chi_nominal_pi": cell.chi_nominal_pi,
-                "chi_measured_pi": cell.chi_measured_pi,
-                "p": cell.p,
-                "report": report(cell.report),
-                "rmsd": cell.rmsd,
-                "error": cell.error,
-            }
-            for cell in result.cells
-        ],
+        "cells": cells,
+        "equilibria": equilibria,
     }
 
 
@@ -595,13 +597,13 @@ def reference_write_csv(path, columns: tuple, rows: list[dict]) -> None:
 def reference_emit(result, out_dir) -> tuple[bytes, bytes]:
     """The bytes of sweep.csv and sweep.json written the slow way:
     `csv.writer` (through `reference_write_csv`) over one dict per row, and
-    `json.dump(..., indent=2)` of the whole result."""
+    one compact `json.dump(..., separators=(",", ":"))` of the whole result."""
     from qgame.sweep import _CSV_COLUMNS
 
     csv_path, json_path = os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.json")
     reference_write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))  # makes out_dir
     with open(json_path, "w") as handle:
-        json.dump(_reference_dict(result), handle, indent=2)
+        json.dump(_reference_dict(result), handle, separators=(",", ":"))
         handle.write("\n")
     with open(csv_path, "rb") as csv_file, open(json_path, "rb") as json_file:
         return csv_file.read(), json_file.read()

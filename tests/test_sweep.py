@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -655,7 +656,7 @@ class TestSerialization:
     def test_default_analytic_json_matches_pinned_digest(self, tmp_path):
         paths = emit_report(run_sweep(ExperimentConfig(mode="analytic")), tmp_path)
         digest = hashlib.sha256(Path(paths["json"]).read_bytes()).hexdigest()
-        assert digest == "ceee114b03a6bb589ea4c50cd02546f8186526e9f460c1a5bb26c52ca6069066"
+        assert digest == "469bf75cf09215f95e4e70c40a8ac9f0a465928013d85710bcc9dcad9b0c49b3"
 
     def test_default_noisy_shot_sweep_matches_pinned_digests(self, tmp_path):
         # the benchmark's shots_noisy workload at seed 0, which fails 57 cells
@@ -664,7 +665,7 @@ class TestSerialization:
         digests = [hashlib.sha256(Path(paths[fmt]).read_bytes()).hexdigest() for fmt in ("csv", "json")]
         assert digests == [
             "b2d5b3dfdaf50756cb0b67fae84c672d5f0c2fc8d71d7cee6e73c586b991d343",
-            "cce6d9bba38e98869f30587cc457132096a8f46a80dda469e731c61c1ae47f07",
+            "0579ecc976d0be3b2ffedf0605ce3fd44f9ec45c5a7a76e8b44814c7ad5ba83a",
         ]
 
     def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
@@ -732,15 +733,19 @@ class TestSerialization:
         result = run_sweep(cfg)
         paths = emit_report(result, tmp_path)
         assert load_result(paths["json"]) == result
-        # schema 3: the cell holds chi and p, the config holds delta, the
-        # tracked profile and the window; reports and transitions hold only
-        # what the solver computed
+        # schema 4: one column per cell field, one per equilibrium field cut
+        # by n_equilibria; the config holds delta, the tracked profile and the
+        # window; transitions hold only what the solver computed
         data = json.loads(Path(paths["json"]).read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert {"delta", "tracked_profile", "transition_window"} <= set(data["config"])
-        assert {"chi_nominal_pi", "p"} <= set(data["cells"][0])
-        reports = [cell["report"] for cell in data["cells"] if cell["report"] is not None]
-        assert reports and all(set(report) == {"profiles", "payoffs"} for report in reports)
+        cells, equilibria = data["cells"], data["equilibria"]
+        assert list(cells) == ["chi_nominal_pi", "chi_measured_pi", "p", "n_equilibria", "rmsd", "error"]
+        assert list(equilibria) == ["profile", "payoff_A", "payoff_B1", "payoff_B2"]
+        assert all(len(column) == 6 for column in cells.values())
+        counts = [len(cell.report.profiles) for cell in result.cells if cell.report is not None]
+        assert counts == [count for count in cells["n_equilibria"] if count is not None]
+        assert all(len(column) == sum(counts) for column in equilibria.values())
         assert len(data["transitions"]) == 2
         assert all(set(entry) == {"chi_pi", "thresholds"} for entry in data["transitions"])
 
@@ -787,50 +792,133 @@ class TestSerialization:
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         paths = emit_report(run_sweep(cfg), tmp_path)
         data = json.loads(open(paths["json"]).read())
-        # 2 is the layout before reports and transitions lost their copied keys
-        for version in (99, 2):
+        # 3 is the row-wise layout of one object per cell, 2 the one before
+        # reports and transitions lost their copied keys; neither is read
+        for version in (3, 2, 99):
             data["schema_version"] = version
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(data))
-            with pytest.raises(ConfigError, match="schema_version"):
+            message = f"unsupported schema_version {version}, expected 4; re-run `qgame sweep`"
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 load_result(bad)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            lambda data: json.dumps({key: value for key, value in data.items() if key != "cells"}),
-            lambda data: json.dumps({**data, "cells": [{**data["cells"][0], "report": 5}]}),
-            lambda data: json.dumps({**data, "transitions": None}),
-            lambda data: json.dumps(data).replace('"profiles": ["', '"profiles": ["QQQ", "', 1),
-            lambda data: json.dumps([data]),
-            lambda data: json.dumps(data)[:-40],
+            (
+                lambda data: json.dumps({key: value for key, value in data.items() if key != "cells"}),
+                "KeyError: 'cells'",
+            ),
+            (lambda data: json.dumps({**data, "equilibria": 5}), "equilibria: expected an object of the columns"),
+            (lambda data: json.dumps({**data, "transitions": None}), "TypeError"),
+            (
+                lambda data: with_first(data, "equilibria", profile="QQQ"),
+                "cell 0: profile: expected a name like 'IXI', got 'QQQ'",
+            ),
+            (lambda data: json.dumps([data]), "AttributeError"),
+            (lambda data: json.dumps(data)[:-40], "JSONDecodeError"),
             # cell (chi=0, p=0) holds 8 equilibria
-            lambda data: with_first_payoffs(data, lambda payoffs: payoffs[:1]),
-            lambda data: with_first_payoffs(data, lambda payoffs: [[1.0]] + payoffs[1:]),
-            lambda data: with_first_payoffs(data, lambda payoffs: [["1.5", True, 2]] + payoffs[1:]),
-            lambda data: with_first_payoffs(data, lambda payoffs: [[1.5, True, 2]] + payoffs[1:]),
-            lambda data: with_first_cell(data, p="abc"),
-            lambda data: with_first_cell(data, chi_nominal_pi=0.7),
-            lambda data: with_first_cell(data, p=0.5),
-            lambda data: with_first_cell(data, chi_measured_pi=True),
-            lambda data: with_first_cell(data, rmsd="0.0"),
+            (
+                lambda data: with_column(data, "equilibria", "payoff_A", lambda column: column[:1]),
+                "equilibria.payoff_A: expected a list of length 8",
+            ),
+            (
+                lambda data: with_column(data, "equilibria", "payoff_B2", None),
+                "equilibria: expected an object of the columns",
+            ),
+            (
+                lambda data: with_first(data, "equilibria", payoff_A="1.5"),
+                "cell 0: payoff_A: expected a number, got '1.5'",
+            ),
+            (
+                lambda data: with_first(data, "equilibria", payoff_B1=True),
+                "cell 0: payoff_B1: expected a number, got True",
+            ),
+            (
+                lambda data: with_first(data, "equilibria", payoff_A=10**400),
+                "OverflowError: int too large to convert to float",
+            ),
+            (lambda data: with_first_cell(data, p="abc"), "cell 0: p: expected a number, got 'abc'"),
+            (
+                lambda data: with_first_cell(data, chi_nominal_pi=0.7),
+                "cell 0 at (chi_nominal_pi, p) = (0.7, 0.0), expected (0.0, 0.0)",
+            ),
+            (
+                lambda data: with_first_cell(data, p=0.5),
+                "cell 0 at (chi_nominal_pi, p) = (0.0, 0.5), expected (0.0, 0.0)",
+            ),
+            (
+                lambda data: with_first_cell(data, chi_measured_pi=True),
+                "cell 0: chi_measured_pi: expected a number, got True",
+            ),
+            (lambda data: with_first_cell(data, rmsd="0.0"), "cell 0: rmsd: expected a number, got '0.0'"),
             # values no sweep writes: a negative rmsd or spread, an angle out of range
-            lambda data: with_first_cell(data, rmsd=-0.5),
-            lambda data: with_first_cell(data, chi_measured_pi=0.3),
-            lambda data: with_first_cell(data, chi_measured_pi=-0.01),
-            lambda data: with_first(data, "chi_measurements", sigma_rad=-0.1),
-            lambda data: with_first(data, "chi_measurements", value_rad=1.6),
-            lambda data: with_first(data, "chi_measurements", value_rad=-0.1),
-            lambda data: json.dumps({**data, "cells": data["cells"] * 2}),
-            lambda data: json.dumps({**data, "transitions": data["transitions"] * 2}),
-            lambda data: json.dumps({**data, "chi_measurements": []}),
-            # a cell has a null report and rmsd exactly when its error is a string
-            lambda data: with_first_cell(data, report=None, rmsd=None, error=7),
-            lambda data: with_first_cell(data, report=None, rmsd=None, error=["x"]),
-            lambda data: with_first_cell(data, error=7),
-            lambda data: with_first_cell(data, error="failed"),
-            lambda data: with_first_cell(data, report=None, rmsd=None, error=None),
-            lambda data: with_first_cell(data, report=None, error="failed"),
+            (lambda data: with_first_cell(data, rmsd=-0.5), "cell 0: rmsd=-0.5 is negative"),
+            (lambda data: with_first_cell(data, chi_measured_pi=0.3), f"cell 0: chi={0.3 * np.pi} outside [0, pi/4]"),
+            (lambda data: with_first_cell(data, chi_measured_pi=-0.01), f"cell 0: chi={-0.01 * np.pi} outside"),
+            (
+                lambda data: with_first(data, "chi_measurements", sigma_rad=-0.1),
+                "chi_nominal_pi 0.0: sigma_rad=-0.1 is negative",
+            ),
+            (
+                lambda data: with_first(data, "chi_measurements", value_rad=1.6),
+                "chi_nominal_pi 0.0: value_rad=1.6 outside",
+            ),
+            (
+                lambda data: with_first(data, "chi_measurements", value_rad=-0.1),
+                "chi_nominal_pi 0.0: value_rad=-0.1 outside",
+            ),
+            (
+                lambda data: json.dumps({**data, "cells": {name: column * 2 for name, column in data["cells"].items()}}),
+                "cells.chi_nominal_pi: expected a list of length 1",
+            ),
+            (
+                lambda data: json.dumps({**data, "transitions": data["transitions"] * 2}),
+                "transitions chi_pi [0.0, 0.0] are not the config grid",
+            ),
+            (lambda data: json.dumps({**data, "chi_measurements": []}), "chi_nominal_pi [] are not the config grid"),
+            # a cell has a null n_equilibria and rmsd exactly when its error is a string
+            (
+                lambda data: with_first_cell(data, n_equilibria=None, rmsd=None, error=7),
+                "cell 0 has n_equilibria None, rmsd None and error 7;",
+            ),
+            (
+                lambda data: with_first_cell(data, n_equilibria=None, rmsd=None, error=["x"]),
+                "cell 0 has n_equilibria None, rmsd None and error ['x'];",
+            ),
+            (lambda data: with_first_cell(data, error=7), "cell 0 has n_equilibria 8, rmsd 0.0 and error 7;"),
+            (
+                lambda data: with_first_cell(data, error="failed"),
+                "cell 0 has n_equilibria 8, rmsd 0.0 and error 'failed';",
+            ),
+            (
+                lambda data: with_first_cell(data, n_equilibria=None, rmsd=None, error=None),
+                "cell 0 has n_equilibria None, rmsd None and error None;",
+            ),
+            (
+                lambda data: with_first_cell(data, n_equilibria=None, error="failed"),
+                "cell 0 has n_equilibria None, rmsd 0.0 and error 'failed';",
+            ),
+            # the count that cuts the equilibrium columns, and the column blocks themselves
+            (lambda data: with_first_cell(data, n_equilibria=9), "equilibria.profile: expected a list of length 9"),
+            (
+                lambda data: with_first_cell(data, n_equilibria=-1),
+                "cell 0: n_equilibria: expected a count or null, got -1",
+            ),
+            (
+                lambda data: with_first_cell(data, n_equilibria="8"),
+                "cell 0: n_equilibria: expected a count or null, got '8'",
+            ),
+            (
+                lambda data: with_first_cell(data, n_equilibria=True),
+                "cell 0: n_equilibria: expected a count or null, got True",
+            ),
+            (lambda data: with_column(data, "cells", "rmsd", None), "cells: expected an object of the columns"),
+            (
+                lambda data: with_column(data, "cells", "extra", lambda column: [None]),
+                "cells: expected an object of the columns",
+            ),
+            (lambda data: json.dumps({**data, "cells": [data["cells"]]}), "cells: expected an object of the columns"),
         ],
         ids=[
             "no-cells",
@@ -843,6 +931,7 @@ class TestSerialization:
             "payoff-row-not-3-entries",
             "payoff-string",
             "payoff-bool",
+            "payoff-int-too-large",
             "p-not-a-number",
             "chi-off-grid",
             "p-off-grid",
@@ -863,23 +952,31 @@ class TestSerialization:
             "report-and-error-string",
             "null-report-null-error",
             "failed-cell-with-rmsd",
+            "n-equilibria-past-the-columns",
+            "n-equilibria-negative",
+            "n-equilibria-string",
+            "n-equilibria-bool",
+            "missing-cell-column",
+            "extra-cell-column",
+            "cells-not-columns",
         ],
     )
-    def test_malformed_result_file_is_config_error(self, tmp_path, corrupt):
+    def test_malformed_result_file_is_config_error(self, tmp_path, corrupt, message):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.0,))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
         bad = tmp_path / "bad.json"
         bad.write_text(corrupt(data))
-        with pytest.raises(ConfigError, match="bad result file .*bad.json"):
+        with pytest.raises(ConfigError, match="bad result file .*bad.json: ") as raised:
             load_result(bad)
+        assert message in str(raised.value)
 
     def test_inconsistent_cell_names_its_index(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"][2] = {**data["cells"][2], "report": None, "rmsd": None}
+        data["cells"]["n_equilibria"][2] = data["cells"]["rmsd"][2] = None
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
-        message = "cell 2 has a null report, rmsd None and error None; "
+        message = "cell 2 has n_equilibria None, rmsd None and error None; "
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_result(path)
 
@@ -887,7 +984,7 @@ class TestSerialization:
         # past pi/4 by less than check_chi's tolerance, as a config grid angle may be
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.5,))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"][0]["chi_measured_pi"] = 0.25 + 1e-14
+        data["cells"]["chi_measured_pi"][0] = 0.25 + 1e-14
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
         assert load_result(path).cells[0].chi_measured_pi == 0.25 + 1e-14
@@ -896,16 +993,18 @@ class TestSerialization:
     def test_payoff_that_is_not_a_number_names_its_cell(self, tmp_path, bad):
         cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"][3]["report"]["payoffs"][0][1] = bad
+        # the first equilibrium of cell 3 follows those of cells 0 to 2
+        data["equilibria"]["payoff_B1"][sum(data["cells"]["n_equilibria"][:3])] = bad
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=re.escape(f"cell 3: payoffs: expected a number, got {bad!r}")):
+        with pytest.raises(ConfigError, match=re.escape(f"cell 3: payoff_B1: expected a number, got {bad!r}")):
             load_result(path)
 
     def test_integer_and_non_finite_payoffs_load_as_floats(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.5,))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"][0]["report"]["payoffs"][0] = [2, float("nan"), -float("inf")]
+        equilibria = data["equilibria"]
+        equilibria["payoff_A"][0], equilibria["payoff_B1"][0], equilibria["payoff_B2"][0] = 2, float("nan"), -float("inf")
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
         a, b1, b2 = load_result(path).cells[0].report.payoffs[0]
@@ -915,7 +1014,8 @@ class TestSerialization:
         # run_sweep emits the cells chi-major; these two are swapped
         cfg = analytic_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.0, 0.5))
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"][1], data["cells"][2] = data["cells"][2], data["cells"][1]
+        for column in data["cells"].values():
+            column[1], column[2] = column[2], column[1]
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
         message = "cell 1 at (chi_nominal_pi, p) = (0.1, 0.0), expected (0.0, 0.5)"
@@ -955,22 +1055,76 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"cannot read result file {re.escape(str(path))}: "):
             load_result(path)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_mutation_loads_back_or_is_config_error(self, data):
+        # one change to a valid file: a column dropped, lengthened or shortened, an entry
+        # replaced by a string, a bool, NaN, null or a list, or a count that no longer cuts
+        # the equilibrium columns or is negative; never IndexError or any other exception
+        result, text = mutation_sweep()
+        document = json.loads(text)
+        kind = data.draw(st.sampled_from(["drop", "lengthen", "shorten", "replace", "count"]), label="kind")
+        block = document["cells"] if kind == "count" else document[data.draw(st.sampled_from(["cells", "equilibria"]))]
+        name = "n_equilibria" if kind == "count" else data.draw(st.sampled_from(sorted(block)), label="column")
+        column = block[name]
+        index = data.draw(st.integers(0, len(column) - 1), label="index")
+        if kind == "drop":
+            del block[name]
+        elif kind == "lengthen":
+            column.insert(index, column[index])
+        elif kind == "shorten":
+            del column[index]
+        elif kind == "replace":
+            column[index] = data.draw(st.sampled_from(["1.5", "x", True, False, math.nan, None, [], [1.0]]))
+        else:
+            count = column[index] or 0
+            column[index] = data.draw(st.sampled_from([count + 1, count - 1, -1]))
+        mutated = json.dumps(document, separators=(",", ":")) + "\n"
+        with tempfile.TemporaryDirectory() as out_dir:
+            path = Path(out_dir) / "sweep.json"
+            path.write_text(mutated)
+            try:
+                loaded = load_result(path)
+            except ConfigError:
+                return
+            # what loads is a sweep in its own right: it writes the same bytes back
+            assert Path(emit_report(loaded, Path(out_dir) / "again")["json"]).read_text() == mutated
+            if mutated == text:
+                assert loaded == result
+
+
+@functools.lru_cache(maxsize=None)
+def mutation_sweep() -> tuple[SweepResult, str]:
+    """A starved shot sweep with solved, empty and failed cells, and its sweep.json text."""
+    result = run_sweep(shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0))
+    kinds = {"failed" if c.report is None else "empty" if c.report.empty else "solved" for c in result.cells}
+    assert kinds == {"failed", "empty", "solved"}
+    with tempfile.TemporaryDirectory() as out_dir:
+        return result, Path(emit_report(result, out_dir)["json"]).read_text()
+
 
 def with_first(data: dict, key: str, **fields) -> str:
-    """The result document with fields of the first entry of list `key` replaced."""
-    return json.dumps({**data, key: [{**data[key][0], **fields}, *data[key][1:]]})
+    """The result document with fields of the first entry of `key` replaced:
+    of a list of objects, or the first entry of each named column of a column block."""
+    block = data[key]
+    if isinstance(block, dict):
+        first = {name: [fields[name], *column[1:]] if name in fields else column for name, column in block.items()}
+    else:
+        first = [{**block[0], **fields}, *block[1:]]
+    return json.dumps({**data, key: first})
 
 
 def with_first_cell(data: dict, **fields) -> str:
     """The result document with fields of its first cell replaced."""
-    return json.dumps({**data, "cells": [{**data["cells"][0], **fields}, *data["cells"][1:]]})
+    return with_first(data, "cells", **fields)
 
 
-def with_first_payoffs(data: dict, change) -> str:
-    """The result document with its first cell's payoff rows changed."""
-    cell = data["cells"][0]
-    report = {**cell["report"], "payoffs": change(cell["report"]["payoffs"])}
-    return json.dumps({**data, "cells": [{**cell, "report": report}, *data["cells"][1:]]})
+def with_column(data: dict, key: str, name: str, change) -> str:
+    """The result document with column `name` of block `key` changed, or dropped when `change` is None."""
+    block = {column: values for column, values in data[key].items() if column != name}
+    if change is not None:
+        block[name] = change(data[key].get(name, []))
+    return json.dumps({**data, key: block})
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -998,7 +1152,7 @@ def hand_built_result(cells, transitions=None) -> SweepResult:
 
 
 class TestEmitterMatchesReference:
-    """emit_report writes the bytes of csv.writer and json.dump(indent=2)."""
+    """emit_report writes the bytes of csv.writer and json.dump(separators=(",", ":"))."""
 
     @staticmethod
     def assert_matches_reference(result: SweepResult, out_dir) -> None:
@@ -1291,6 +1445,14 @@ class TestCli:
         assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # json.load recurses once per nested list and raises RecursionError past the interpreter's limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config {path} is not valid JSON: maximum recursion")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -1428,7 +1590,8 @@ class TestCli:
         path.write_text(json.dumps(cfg.to_dict()))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
         assert code == 3
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"1 grid cell(s) failed; see the cells.error column of {tmp_path / 'sweep.json'}\n"
 
     def test_thresholds_command(self, tmp_path, capsys):
         cfg = analytic_config(chi_grid_pi=(0.05,))
@@ -1501,8 +1664,8 @@ class TestCliFromSavedSweep:
     @pytest.mark.parametrize("command", ["rmsd", "thresholds"])
     @pytest.mark.parametrize(
         "text",
-        ["{not json", '{"schema_version": 3}', "[]", None],
-        ids=["syntax", "missing-keys", "not-an-object", "missing-file"],
+        ["{not json", '{"schema_version": 4}', '{"schema_version": 3}', "[]", None],
+        ids=["syntax", "missing-keys", "old-schema", "not-an-object", "missing-file"],
     )
     def test_malformed_or_missing_file_is_config_error(self, tmp_path, capsys, command, text):
         path = tmp_path / "sweep.json"
@@ -1512,3 +1675,11 @@ class TestCliFromSavedSweep:
             load_result(path)
         code, out, err = self.run_cli(capsys, [command, "--from", str(path), "--out", str(tmp_path / "out")])
         assert (code, out, err) == (2, "", f"config error: {raised.value}\n")
+
+    def test_deeply_nested_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = self.run_cli(capsys, ["thresholds", "--from", str(path), "--out", str(tmp_path / "out")])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: bad result file {path}: RecursionError: maximum recursion")
+        assert not (tmp_path / "out").exists()
