@@ -100,8 +100,9 @@ def _analysed_result(args: argparse.Namespace) -> SweepResult:
     return load_result(args.from_path)
 
 
-def _cell_failures(result) -> int:
-    return sum(1 for cell in result.cells if cell.error is not None)
+def _cell_failures(result: SweepResult) -> int:
+    errors = result.cell_columns.error
+    return len(errors) - errors.count(None)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -113,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if failures:
         print(f"{failures} grid cell(s) failed; see the cells.error column of {paths['json']}", file=sys.stderr)
         return EXIT_CELL_FAILURE
-    print(f"{len(result.cells)} cells evaluated")
+    print(f"{len(result.cell_columns.error)} cells evaluated")
     return EXIT_OK
 
 

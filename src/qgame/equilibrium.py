@@ -19,16 +19,20 @@ building reports, `best_equilibria_stack` reads that mask down to each row's
 `max_payoff_profile` pick, a masked argmax, and `rmsd_at_equilibrium_stack`
 gathers payoffs there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases.
 
-A stack's reports are built in bulk: its equilibria, read off the mask in
-row-major order, become one tuple of profiles and one of payoff rows, and
-each row's report is a slice of both, made by `new_record` (`tuple.__new__`)
-without a Python frame per report. The sweep builds its cells the same way.
+`nash_columns` is the columnar core: it reads a stack's equilibria off the
+mask in row-major order, with one `flatnonzero` and one gather, as per-row
+counts and flat profile and payoff columns, and hands back the mask too, so
+the sweep reads the tracked profile's membership off its column without
+building reports. `nash_equilibria_stack` turns those columns into reports
+with `reports_from_columns`: each row's report is a slice of one tuple of
+profiles and one of payoff rows, made by `new_record` (`tuple.__new__`)
+without a Python frame per report.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 from operator import le
 from typing import NamedTuple
 
@@ -96,6 +100,24 @@ def _payoffs_at(a, b1, b2, row, flat) -> tuple[np.ndarray, ...]:
     return a[row, i, j, k], b1[(row, i, j)[3 - b1.ndim :]], b2[(row, i, k)[3 - b2.ndim :]]
 
 
+def nash_columns(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> tuple:
+    """Every row's equilibria as columns: the (P, 64) Nash mask in profile
+    order, each row's equilibrium count, and every equilibrium, row by row and
+    each row's in profile order, as its profile index 16 i + 4 j + k and a list
+    of its A, B1 and B2 payoffs each. Arrays as in `nash_equilibria_stack`."""
+    a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
+    row, flat = np.divmod(np.flatnonzero(nash), 64)
+    payoffs = [values.tolist() for values in _payoffs_at(a, b1, b2, row, flat)]
+    return nash, np.bincount(row, minlength=len(a)).tolist(), flat.tolist(), payoffs
+
+
+def reports_from_columns(counts, profiles: tuple, payoffs: tuple) -> list[EquilibriumReport | None]:
+    """One report per count, a slice of the flat `profiles` and `payoffs` (rows) tuples; None for a None count."""
+    stops = list(accumulate(0 if count is None else count for count in counts))
+    return [None if count is None else new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
+            for count, start, stop in zip(counts, [0, *stops], stops)]
+
+
 def nash_equilibria_stack(
     a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float
 ) -> list[EquilibriumReport]:
@@ -105,16 +127,8 @@ def nash_equilibria_stack(
     (4, 4), shared by every row, or (P, 4, 4). Each row's report lists the
     intersection of its three best-response masks in profile order.
     """
-    a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
-    # every equilibrium row by row, each row's in profile order, so each report is one slice of both tuples
-    row, flat = np.divmod(np.flatnonzero(nash), 64)
-    profiles = tuple(map(_PROFILES.__getitem__, flat.tolist()))
-    payoffs = tuple(zip(*(values.tolist() for values in _payoffs_at(a, b1, b2, row, flat))))
-    stops = np.bincount(row, minlength=len(a)).cumsum().tolist()
-    return [
-        new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
-        for start, stop in zip([0, *stops], stops)
-    ]
+    _, counts, flat, payoffs = nash_columns(a, b1, b2, delta)
+    return reports_from_columns(counts, tuple(map(_PROFILES.__getitem__, flat)), tuple(zip(*payoffs)))
 
 
 def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> tuple[np.ndarray, ...]:
@@ -132,25 +146,22 @@ def nash_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float)
     return nash_equilibria_stack(np.asarray(a)[None], b1, b2, delta)[0]
 
 
-def detect_transitions(
-    ps: list[float], reports: list[EquilibriumReport], profile: Profile, window: int
-) -> tuple[float, ...]:
-    """p values where the profile's equilibrium membership flips and stays
-    flipped for `window` consecutive grid points; `reports[n]` is the
-    report at `ps[n]`.
+def detect_transitions(ps: list[float], member: list[bool], window: int) -> tuple[float, ...]:
+    """p values where a profile's equilibrium membership flips and stays
+    flipped for `window` consecutive grid points; `member[n]` says whether
+    the profile is an equilibrium at `ps[n]`.
 
     Shorter excursions are treated as blur and ignored. A flip that runs
     to the end of the grid counts as sustained regardless of length.
     """
-    if not reports:
-        raise ValueError("no reports to scan")
-    if len(ps) != len(reports):
-        raise ValueError(f"{len(ps)} p values for {len(reports)} reports")
+    if not member:
+        raise ValueError("no membership flags to scan")
+    if len(ps) != len(member):
+        raise ValueError(f"{len(ps)} p values for {len(member)} membership flags")
     if window < 1:
         raise ValueError(f"window={window} must be >= 1")
     if any(map(le, ps[1:], ps)):
         raise ValueError("p values must be strictly ascending")
-    member = [profile in report.profiles for report in reports]
     thresholds: list[float] = []
     current = member[0]
     for idx in range(1, len(member)):

@@ -71,8 +71,12 @@ def config_number(name: str, value) -> float:
     # bool is an int subclass (a JSON true must not count as 1); a float or int skips the slow ABC check
     if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float; its repr may run to thousands of digits
+        raise ValueError(f"{name}: expected a finite number, got an integer too large for a float") from None
     # json.load reads NaN and Infinity, which slip past every order check
-    if not math.isfinite(value):
+    if not finite:
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
 

@@ -4,8 +4,8 @@ Two modes share one result schema. A config's payoff tables are one
 read-only (2, 2, 4) array, `ExperimentConfig.tables`: the B1 game's (2, 4)
 table, then B2's. Analytic mode solves the whole grid in one pass: one
 `payoff_tensor` call evolves every angle for both games, one `compose`
-mixes A's payoffs over the (chi, p) grid, and one `nash_equilibria_stack`
-call solves its rows, chi-major, with each angle's B payoffs repeated over
+mixes A's payoffs over the (chi, p) grid, and one `nash_columns` call
+solves its rows, chi-major, with each angle's B payoffs repeated over
 its p values. Shot mode emulates the experiment in four stages. Sample:
 per angle, one shot dataset per circuit variant from `outcome_law` (which
 evolves each circuit once per depolarization) and a calibration run that
@@ -18,7 +18,7 @@ into a (variant, type, p, outcome) stack, which is SPAM-corrected, split
 into branch distributions and turned into payoffs per branch, then put
 in strategy-pair order (`parallel.BRANCH_PAIRS`). Analyse, once over all
 solved cells: one `compose`, one `rmsd_at_equilibrium_stack` gather and
-one `nash_equilibria_stack` solve. Each angle draws on 4 keyed streams
+one `nash_columns` solve. Each angle draws on 4 keyed streams
 (two sample, calibration, split), each its own `noise.child_rng` and apart
 from the others, so the stage order moves no draw. Keys are the angle in
 millionths, the variant (0 for the calibration and split streams) and the
@@ -43,12 +43,19 @@ and wraps the names it traces where this module looks them up, so every name
 in its TRACE_POINTS stays an attribute here, even the ones the sweep no
 longer calls.
 
-Cells and equilibrium reports are immutable named tuples, built with
-`new_record` (`tuple.__new__`: every field given, no default filled) and no
-Python frame per object, by the sweep and by `load_result` from the columns
-of a schema-4 `sweep.json`: one list per cell field, and flat equilibrium
-lists that the `n_equilibria` column cuts. All angles are in units of pi in
-configs and output files and in radians inside the package.
+A `SweepResult` holds the two column blocks of a schema-4 `sweep.json`, each
+column a tuple: `cell_columns`, one entry per cell, and
+`equilibrium_columns`, flat over every solved cell's equilibria and cut by
+the `n_equilibria` column. The sweep fills them straight from
+`nash_columns`, and reads each angle's transitions off the tracked
+profile's column of the Nash mask; `emit_report`, `load_result`,
+`rmsd_analysis` and the CLI read and write the columns, and build no
+per-cell record. `SweepResult.cells` is a view of the same data as
+immutable `CellResult` and `EquilibriumReport` named tuples, built on
+first access with `new_record` (`tuple.__new__`: every field given, no
+default filled), and `SweepResult.from_cells` builds the columns of
+hand-built records. All angles are in units of pi in configs and output
+files and in radians inside the package.
 """
 
 from __future__ import annotations
@@ -72,9 +79,10 @@ from qgame.equilibrium import (
     EquilibriumReport,
     best_equilibria_stack,
     detect_transitions,
+    nash_columns,
     nash_equilibria,
-    nash_equilibria_stack,
     new_record,
+    reports_from_columns,
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
 )
@@ -153,13 +161,23 @@ def _grid_key(chi_pi: float) -> int:
     return round(chi_pi * 10**6)
 
 
+def _plain_finite(values) -> bool:
+    """Whether `values` are all plain floats or ints (not bools) with a finite sum, so each is a valid
+    config number; a sum of floats is finite only when each one is, and an overflowing sum or an int
+    too large for a float takes the per-value checks."""
+    try:
+        return set(map(type, values)) <= {float, int} and math.isfinite(sum(values, 0.0))
+    except OverflowError:
+        return False
+
+
 def _plain_numbers(name: str, rows):
     """A config number, or nested lists or an array of them as nested tuples,
     as plain numbers JSON can write: integers (numpy's too) as int, other reals as float."""
     if isinstance(rows, np.ndarray) and rows.ndim:
         rows = rows.tolist()  # plain Python numbers, nested as lists
     if isinstance(rows, (list, tuple)):
-        return tuple(_plain_numbers(name, r) for r in rows)
+        return tuple(rows) if _plain_finite(rows) else tuple(_plain_numbers(name, r) for r in rows)
     config_number(name, rows)
     return int(rows) if isinstance(rows, numbers.Integral) else float(rows)
 
@@ -188,7 +206,8 @@ class ExperimentConfig:
                 # a number or a 0-d array does not iterate; a string or a dict iterates item by item
                 if not isinstance(grid, (list, tuple)) and not (isinstance(grid, np.ndarray) and grid.ndim == 1):
                     raise ValueError(f"{name}: expected a list of numbers, got {grid!r}")
-                object.__setattr__(self, name, tuple(config_number(name, value) for value in grid))
+                grid = map(float, grid) if _plain_finite(grid) else (config_number(name, value) for value in grid)
+                object.__setattr__(self, name, tuple(grid))
             if self.delta is not None:
                 object.__setattr__(self, "delta", _plain_numbers("delta", self.delta))
             for name in ("payoff_rows_b1", "payoff_rows_b2"):
@@ -297,13 +316,55 @@ class CellResult(NamedTuple):
     error: str | None = None
 
 
+class CellColumns(NamedTuple):
+    """sweep.json's `cells` block: one tuple per field, one entry per cell."""
+
+    chi_nominal_pi: tuple
+    chi_measured_pi: tuple
+    p: tuple
+    n_equilibria: tuple  # None for a failed cell
+    rmsd: tuple
+    error: tuple
+
+
+class EquilibriumColumns(NamedTuple):
+    """sweep.json's `equilibria` block: one entry per equilibrium, cell by cell, cut by `n_equilibria`."""
+
+    profile: tuple  # names like 'IXI'
+    payoff_A: tuple
+    payoff_B1: tuple
+    payoff_B2: tuple
+
+
 @dataclass(frozen=True)
 class SweepResult:
     config: ExperimentConfig
-    cells: tuple[CellResult, ...]
+    cell_columns: CellColumns
+    equilibrium_columns: EquilibriumColumns
     # (chi_pi, thresholds of config.tracked_profile); None where every cell failed
     transitions: tuple[tuple[float, tuple[float, ...] | None], ...]
     chi_measurements: tuple[tuple[float, ChiEstimate], ...]
+
+    @cached_property
+    def cells(self) -> tuple[CellResult, ...]:
+        """The cells as records, in column order, built on first access: each report is a slice of
+        one profile tuple and one payoff-row tuple."""
+        cells, equilibria = self.cell_columns, self.equilibrium_columns
+        profiles = tuple(map(_PROFILES.__getitem__, equilibria.profile))
+        reports = reports_from_columns(cells.n_equilibria, profiles, tuple(zip(*equilibria[1:])))
+        records = zip(cells.chi_nominal_pi, cells.chi_measured_pi, cells.p, reports, cells.rmsd, cells.error)
+        return tuple(map(new_record, itertools.repeat(CellResult), records))
+
+    @classmethod
+    def from_cells(cls, config: ExperimentConfig, cells, transitions, chi_measurements) -> "SweepResult":
+        """The sweep of hand-built cell records, in their order."""
+        chis, measured, ps, reports, rmsds, errors = tuple(zip(*cells)) or ((),) * 6
+        solved = [report for report in reports if report is not None]
+        counts = tuple(None if report is None else len(report.profiles) for report in reports)
+        names = tuple(profile_names(profile) for report in solved for profile in report.profiles)
+        payoffs = tuple(zip(*(row for report in solved for row in report.payoffs))) or ((),) * 3
+        return cls(config, CellColumns(chis, measured, ps, counts, rmsds, errors), EquilibriumColumns(names, *payoffs),
+                   tuple(transitions), tuple(chi_measurements))
 
 
 # ---------------------------------------------------------------------------
@@ -389,58 +450,58 @@ def _reduce(
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
-    tracked, n_p = profile_from_names(config.tracked_profile), len(config.p_grid)
+    n_chi, n_p, delta = len(config.chi_grid_pi), len(config.p_grid), config.effective_delta
+    nominal = tuple(itertools.chain.from_iterable(itertools.repeat(chi_pi, n_p) for chi_pi in config.chi_grid_pi))
     if config.mode == MODE_ANALYTIC:
         chis = np.multiply(config.chi_grid_pi, np.pi)
-        reports = nash_equilibria_stack(*_analytic_payoffs(chis, config.tables, config.p_grid), config.effective_delta)
+        nash, counts, flat, payoffs = nash_columns(*_analytic_payoffs(chis, config.tables, config.p_grid), delta)
         # the analytic run is its own benchmark; no reference point exists
         # where the equilibrium set is empty
-        cells = [
-            new_record(CellResult, (chi_pi, chi_pi, p, report, 0.0 if report.profiles else None, None))
-            for (chi_pi, p), report in zip(itertools.product(config.chi_grid_pi, config.p_grid), reports)
-        ]
+        counts, measured, errors = tuple(counts), nominal, (None,) * len(counts)
+        rmsds = tuple(0.0 if count else None for count in counts)
+        ok = np.ones(len(counts), dtype=bool)
         estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
     else:
-        delta, n_chi = config.effective_delta, len(config.chi_grid_pi)
-        counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
+        shot_counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
         # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
         chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
         # every cell's theory reference, at its angle's measured value, in one pass
         best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
         # one readout matrix per sweep: its factorization serves every cell
-        errors, pays = zip(*map(partial(_reduce, config, ConfusionMatrix.from_noise(config.noise)), counts, rngs))
-        errors, pays = list(itertools.chain(*errors)), np.concatenate(pays, axis=2)
+        errors, pays = zip(*map(partial(_reduce, config, ConfusionMatrix.from_noise(config.noise)), shot_counts, rngs))
+        errors, pays = tuple(itertools.chain(*errors)), np.concatenate(pays, axis=2)
         ok = np.array([error is None for error in errors])
         pay_a = compose(pays[0, 0], pays[1, 0], np.tile(config.p_grid, n_chi)[ok])
         rmsds = rmsd_at_equilibrium_stack(pay_a, pays[0, 1], pays[1, 1], best[ok], ref_payoffs[ok])
-        observed = zip(nash_equilibria_stack(pay_a, pays[0, 1], pays[1, 1], delta), rmsds)
-        points = zip(itertools.product(config.chi_grid_pi, config.p_grid), (np.repeat(chi_refs, n_p) / np.pi).tolist())
-        cells = [
-            new_record(CellResult, (chi_pi, measured, p, *(next(observed) if error is None else (None, None)), error))
-            for ((chi_pi, p), measured), error in zip(points, errors)
-        ]
-    transitions: list[tuple[float, tuple[float, ...] | None]] = []
-    for i, chi_pi in enumerate(config.chi_grid_pi):
-        solved = [c for c in cells[n_p * i : n_p * (i + 1)] if c.report is not None]
-        ps, reports, window = [c.p for c in solved], [c.report for c in solved], config.transition_window
-        transitions.append((chi_pi, detect_transitions(ps, reports, tracked, window) if solved else None))
-    return SweepResult(config, tuple(cells), tuple(transitions), tuple(zip(config.chi_grid_pi, estimates)))
+        nash, counts, flat, payoffs = nash_columns(pay_a, pays[0, 1], pays[1, 1], delta)
+        observed = zip(counts, rmsds)  # a failed cell has neither
+        counts, rmsds = zip(*(next(observed) if error is None else (None, None) for error in errors))
+        measured = tuple((np.repeat(chi_refs, n_p) / np.pi).tolist())
+    # each angle's solved p values and the tracked profile's membership there, off its column of the Nash mask
+    member, transitions = iter(nash[:, _PROFILE_NAMES.index(config.tracked_profile)].tolist()), []
+    for chi_pi, solved in zip(config.chi_grid_pi, ok.reshape(n_chi, n_p).tolist()):
+        ps = list(itertools.compress(config.p_grid, solved))
+        flags = list(itertools.islice(member, len(ps)))
+        transitions.append((chi_pi, detect_transitions(ps, flags, config.transition_window) if ps else None))
+    cells = CellColumns(nominal, measured, config.p_grid * n_chi, counts, rmsds, errors)
+    equilibria = EquilibriumColumns(tuple(map(_PROFILE_NAMES.__getitem__, flat)), *map(tuple, payoffs))
+    return SweepResult(config, cells, equilibria, tuple(transitions), tuple(zip(config.chi_grid_pi, estimates)))
 
 
 # ---------------------------------------------------------------------------
 # analyses over a finished sweep
 
 def rmsd_analysis(result: SweepResult) -> list[dict]:
-    """Per-angle aggregate of cell-level payoff deviations."""
-    columns: dict[float, list[CellResult]] = {chi_pi: [] for chi_pi in result.config.chi_grid_pi}
-    for cell in result.cells:  # one pass, each angle's cells in result order; off-grid cells are dropped
-        columns.get(cell.chi_nominal_pi, []).append(cell)
-    rows = []
-    for chi_pi, cells in columns.items():
-        values = [c.rmsd for c in cells if c.rmsd is not None]
-        rows.append({"chi_nominal_pi": chi_pi, "chi_measured_pi": cells[0].chi_measured_pi if cells else None,
-                     "mean_rmsd": float(np.mean(values)) if values else None,
-                     "max_rmsd": float(np.max(values)) if values else None, "n_cells": len(values)})
+    """Per-angle aggregate of cell-level payoff deviations, over cells in any order; off-grid cells are dropped."""
+    cells, rows = result.cell_columns, []
+    nominal, rmsds = np.array(cells.chi_nominal_pi, dtype=float), np.array(cells.rmsd, dtype=float)
+    scored = np.not_equal(np.array(cells.rmsd, dtype=object), None)  # a None rmsd reads NaN in `rmsds`
+    for chi_pi in result.config.chi_grid_pi:
+        at = np.flatnonzero(nominal == chi_pi)  # the angle's cells in result order
+        values = rmsds[at[scored[at]]]
+        rows.append({"chi_nominal_pi": chi_pi, "chi_measured_pi": cells.chi_measured_pi[at[0]] if at.size else None,
+                     "mean_rmsd": float(values.mean()) if values.size else None,
+                     "max_rmsd": float(values.max()) if values.size else None, "n_cells": values.size})
     return rows
 
 
@@ -489,10 +550,10 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
 _float_text = float.__repr__
 _COMPACT = (",", ":")  # json.dumps separators without whitespace
 # sweep.json's two column blocks: one entry per cell, and one per equilibrium, cut by n_equilibria
-_CELL_COLUMNS = ("chi_nominal_pi", "chi_measured_pi", "p", "n_equilibria", "rmsd", "error")
-_EQUILIBRIUM_COLUMNS = ("profile", "payoff_A", "payoff_B1", "payoff_B2")
-_PROFILE_NAMES = {profile: profile_names(profile) for profile in itertools.product(STRATEGIES, repeat=3)}
-_PROFILES = {name: profile for profile, name in _PROFILE_NAMES.items()}
+_CELL_COLUMNS, _EQUILIBRIUM_COLUMNS = CellColumns._fields, EquilibriumColumns._fields
+# each profile's name at its index 16 i + 4 j + k, and each name's profile
+_PROFILE_NAMES = tuple(map(profile_names, itertools.product(STRATEGIES, repeat=3)))
+_PROFILES = dict(zip(_PROFILE_NAMES, itertools.product(STRATEGIES, repeat=3)))
 
 
 def _csv_field(value) -> str:
@@ -558,13 +619,10 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
     config, text = result.config, _FloatTexts().__getitem__
-    chis, measureds, ps, reports, rmsds, errors = tuple(zip(*result.cells)) or ((),) * 6
-    chi, measured, p = (list(map(text, column)) for column in (chis, measureds, ps))
-    rmsd = ["" if value is None else text(value) for value in rmsds]
-    counts = [None if report is None else len(report.profiles) for report in reports]
-    solved = [report for report in reports if report is not None]
-    names = [_PROFILE_NAMES[profile] for report in solved for profile in report.profiles]
-    payoffs = [list(map(text, column)) for column in zip(*(row for r in solved for row in r.payoffs))] or [[]] * 3
+    cells, (names, *payoffs) = result.cell_columns, result.equilibrium_columns
+    chi, measured, p = (list(map(text, column)) for column in cells[:3])
+    rmsd = ["" if value is None else text(value) for value in cells.rmsd]
+    counts, payoffs = cells.n_equilibria, [list(map(text, column)) for column in payoffs]
 
     constant = ",".join(map(_csv_field, (config.effective_delta, config.mode, config.seed)))
     lines, rows = [",".join(_CSV_COLUMNS) + "\n"], zip(names, *payoffs)
@@ -583,12 +641,12 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
                                  for chi_pi, est in result.chi_measurements],
             "transitions": [{"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
                             for chi_pi, thresholds in result.transitions]}
-    cells = (*map(_json_floats, (chi, measured, p)), json.dumps(counts, separators=_COMPACT),
-             _json_floats([r or "null" for r in rmsd]), json.dumps(errors, separators=_COMPACT))
-    equilibria = (json.dumps(names, separators=_COMPACT), *map(_json_floats, payoffs))
+    cell_json = (*map(_json_floats, (chi, measured, p)), json.dumps(counts, separators=_COMPACT),
+                 _json_floats([r or "null" for r in rmsd]), json.dumps(cells.error, separators=_COMPACT))
+    equilibrium_json = (json.dumps(names, separators=_COMPACT), *map(_json_floats, payoffs))
     with open(paths["json"], "w") as json_file:
-        json_file.write(f'{json.dumps(head, separators=_COMPACT)[:-1]},"cells":{_json_object(_CELL_COLUMNS, cells)},'
-                        f'"equilibria":{_json_object(_EQUILIBRIUM_COLUMNS, equilibria)}}}\n')
+        json_file.write(f'{json.dumps(head, separators=_COMPACT)[:-1]},"cells":{_json_object(_CELL_COLUMNS, cell_json)},'
+                        f'"equilibria":{_json_object(_EQUILIBRIUM_COLUMNS, equilibrium_json)}}}\n')
     return paths
 
 
@@ -630,7 +688,7 @@ def _grid_points(name: str, values, grid: tuple, whole: bool = False) -> tuple:
 
 
 def result_from_dict(data: dict) -> SweepResult:
-    """The sweep of a schema-4 document, every column checked whole before any cell is built."""
+    """The sweep of a schema-4 document, every column checked whole; no per-cell record is built."""
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}; "
                           "re-run `qgame sweep` to write it again")
@@ -679,22 +737,22 @@ def result_from_dict(data: dict) -> SweepResult:
     equilibria = _columns(data, "equilibria", _EQUILIBRIUM_COLUMNS, stops[-1])  # a grid has a cell
     cell, names = partial(bisect.bisect_right, stops), equilibria["profile"]  # the cell of an equilibrium index
     try:
-        profiles = tuple(map(_PROFILES.__getitem__, names))
-    except (KeyError, TypeError):  # an unknown name, or a list or an object
+        known = set(names) <= _PROFILES.keys()
+    except TypeError:  # a list or an object
+        known = False
+    if not known:
         index = next(n for n, name in enumerate(names) if type(name) is not str or name not in _PROFILES)
-        raise ConfigError(f"cell {cell(index)}: profile: expected a name like 'IXI', got {names[index]!r}") from None
+        raise ConfigError(f"cell {cell(index)}: profile: expected a name like 'IXI', got {names[index]!r}")
     # payoffs are numbers, NaN and infinities included, as emit_report writes them
-    payoffs = tuple(zip(*(_floats(name, equilibria[name], cell, finite=False) for name in _EQUILIBRIUM_COLUMNS[1:])))
-    # each report one slice of both tuples, as nash_equilibria_stack builds them; a failed cell has none
-    reports = [None if count is None else new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
-               for count, start, stop in zip(counts, [0, *stops], stops)]
-    cells = tuple(map(new_record, itertools.repeat(CellResult), zip(nominal_pi, measured, ps, reports, rmsds, errors)))
-    return SweepResult(config, cells, tuple(zip(chis, thresholds)), tuple(zip(nominal, map(ChiEstimate, value, sigma))))
+    payoffs = (_floats(name, equilibria[name], cell, finite=False) for name in _EQUILIBRIUM_COLUMNS[1:])
+    cells = CellColumns(*map(tuple, (nominal_pi, measured, ps, counts, rmsds, errors)))
+    return SweepResult(config, cells, EquilibriumColumns(*map(tuple, (names, *payoffs))), tuple(zip(chis, thresholds)),
+                       tuple(zip(nominal, map(ChiEstimate, value, sigma))))
 
 
 def load_result(json_path) -> SweepResult:
-    """Read a sweep that `emit_report` wrote: each column checked whole,
-    then the cells built once from the columns. A missing, unreadable,
+    """Read a sweep that `emit_report` wrote: each column checked whole and
+    kept as a column. A missing, unreadable,
     malformed or too deeply nested file, or one of another schema (re-run
     `qgame sweep` to rewrite it), raises ConfigError, as a config file does."""
     try:

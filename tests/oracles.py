@@ -9,7 +9,8 @@ apply so its bits pin the stacked `payoff_tensor`,
 `reference_analytic_reports` and `reference_shot_sweep`, which check the
 sweep's batched columns against the package's own single-cell functions
 run cell by cell, on streams from `reference_child_rng`, one numpy
-SeedSequence per key,
+SeedSequence per key, `reference_sweep_records`, which runs the sweep's own
+stages and builds its records one cell at a time,
 `reference_outcome_law`, which evolves the package's density matrices at
 each call's own shifted angles instead of reusing cached node values,
 `reference_verify_rows`, which checks the package's circuit laws against
@@ -498,15 +499,77 @@ def reference_shot_sweep(config):
         solved = [cell for cell in column if cell.report is not None]
         thresholds = None
         if solved:
+            tracked = profile_from_names(config.tracked_profile)
             thresholds = detect_transitions(
                 [cell.p for cell in solved],
-                [cell.report for cell in solved],
-                profile_from_names(config.tracked_profile),
+                [tracked in cell.report.profiles for cell in solved],
                 config.transition_window,
             )
         transitions.append((chi_pi, thresholds))
         cells.extend(column)
     return cells, transitions, measurements
+
+
+def reference_sweep_records(config):
+    """`run_sweep`'s cells and transitions built the old per-cell way: the
+    sweep's own stages (`_analytic_payoffs`, and in shot mode `_sample`,
+    `best_equilibria_stack`, `_reduce`, `compose` and
+    `rmsd_at_equilibrium_stack`), then one `nash_equilibria` solve, one
+    `EquilibriumReport` and one `CellResult` per cell, each made by its class,
+    and each angle's transitions from the tracked profile's membership in
+    every solved cell's report. Returns (cells, transitions)."""
+    from qgame.bayesian import compose
+    from qgame.equilibrium import (
+        EquilibriumReport,
+        best_equilibria_stack,
+        detect_transitions,
+        nash_equilibria,
+        rmsd_at_equilibrium_stack,
+    )
+    from qgame.game import profile_from_names
+    from qgame.noise import ConfusionMatrix
+    from qgame.statevector import CHI_MAX
+    from qgame.sweep import CellResult, _analytic_payoffs, _reduce, _sample
+
+    delta, n_chi, n_p = config.effective_delta, len(config.chi_grid_pi), len(config.p_grid)
+    points = list(itertools.product(config.chi_grid_pi, config.p_grid))
+    if config.mode == "analytic":
+        chis = np.multiply(config.chi_grid_pi, np.pi)
+        a, b1, b2 = _analytic_payoffs(chis, config.tables, config.p_grid)
+        cells = []
+        for n, (chi_pi, p) in enumerate(points):
+            report = EquilibriumReport(*nash_equilibria(a[n], b1[n], b2[n], delta))
+            cells.append(CellResult(chi_pi, chi_pi, p, report, 0.0 if report.profiles else None))
+    else:
+        counts, estimates, rngs = zip(*(_sample(config, chi_pi) for chi_pi in config.chi_grid_pi))
+        chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
+        best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
+        confusion, errors, pays = ConfusionMatrix.from_noise(config.noise), [], []
+        for angle_counts, rng in zip(counts, rngs):
+            angle_errors, angle_pays = _reduce(config, confusion, angle_counts, rng)
+            errors.extend(angle_errors)
+            pays.append(angle_pays)
+        pays = np.concatenate(pays, axis=2)
+        ok = np.array([error is None for error in errors])
+        a = compose(pays[0, 0], pays[1, 0], np.tile(config.p_grid, n_chi)[ok])
+        b1, b2 = pays[0, 1], pays[1, 1]
+        rmsds = rmsd_at_equilibrium_stack(a, b1, b2, best[ok], ref_payoffs[ok])
+        measured = (np.repeat(chi_refs, n_p) / np.pi).tolist()
+        cells, row = [], 0
+        for (chi_pi, p), chi_measured, error in zip(points, measured, errors):
+            if error is not None:
+                cells.append(CellResult(chi_pi, chi_measured, p, None, None, error))
+                continue
+            report = EquilibriumReport(*nash_equilibria(a[row], b1[row], b2[row], delta))
+            cells.append(CellResult(chi_pi, chi_measured, p, report, rmsds[row]))
+            row += 1
+    tracked, transitions = profile_from_names(config.tracked_profile), []
+    for i, chi_pi in enumerate(config.chi_grid_pi):
+        solved = [cell for cell in cells[n_p * i : n_p * (i + 1)] if cell.report is not None]
+        member = [tracked in cell.report.profiles for cell in solved]
+        ps = [cell.p for cell in solved]
+        transitions.append((chi_pi, detect_transitions(ps, member, config.transition_window) if solved else None))
+    return cells, transitions
 
 
 def _reference_rows(result) -> list[dict]:

@@ -121,11 +121,16 @@ def test_low_entanglement_midpoint_empty():
     assert report.empty
 
 
+def membership(reports, names: str) -> list[bool]:
+    """Whether the named profile is among each report's equilibria."""
+    return [profile_from_names(names) in report.profiles for report in reports]
+
+
 def test_transition_low_p_profile():
     # tracked low-p equilibrium leaves the set one grid step past p = 1/6
     a1, b1, a2, b2 = games_at(np.pi / 20)
     reports = [nash_equilibria(compose(a1, a2, p), b1, b2, 0.0) for p in P_GRID]
-    thresholds = detect_transitions(P_GRID, reports, profile_from_names("IXI"), window=3)
+    thresholds = detect_transitions(P_GRID, membership(reports, "IXI"), window=3)
     assert thresholds == (0.17,)
     assert abs(thresholds[0] - 0.16) <= 0.010001
     # and the equilibrium set is empty in a band containing p = 0.5
@@ -133,46 +138,38 @@ def test_transition_low_p_profile():
     assert by_p[0.5].empty
 
     # the high-p equilibrium appears at 9/14 rounded up to the grid
-    appear = detect_transitions(P_GRID, reports, profile_from_names("XYZ"), window=3)
+    appear = detect_transitions(P_GRID, membership(reports, "XYZ"), window=3)
     assert appear == (0.65,)
     # with the shot-analysis tolerance the appearance moves near p ~ 0.55
     loose = [nash_equilibria(compose(a1, a2, p), b1, b2, 0.1) for p in P_GRID]
-    appear_loose = detect_transitions(P_GRID, loose, profile_from_names("XYZ"), window=3)
+    appear_loose = detect_transitions(P_GRID, membership(loose, "XYZ"), window=3)
     assert appear_loose == (0.57,)
 
 
 def test_transition_constant_membership():
     ps = [0.0, 0.01, 0.02, 0.03]
     reports = [nash_equilibria(*bayes_at(0.0, p), 0.0) for p in ps]
-    assert detect_transitions(ps, reports, profile_from_names("IXI"), window=3) == ()
+    assert detect_transitions(ps, membership(reports, "IXI"), window=3) == ()
 
 
 def test_transition_ignores_short_blips():
-    from qgame.equilibrium import EquilibriumReport
-
-    def stub(member):
-        profiles = (profile_from_names("IXI"),) if member else ()
-        payoffs = ((11.0, 10.0, 9.0),) if member else ()
-        return EquilibriumReport(profiles, payoffs)
-
-    membership = [1, 1, 0, 1, 1, 1, 0, 0, 0, 0]
-    ps = [i / 10 for i in range(len(membership))]
-    thresholds = detect_transitions(ps, [stub(m) for m in membership], profile_from_names("IXI"), window=3)
+    member = [True, True, False, True, True, True, False, False, False, False]
+    ps = [i / 10 for i in range(len(member))]
+    thresholds = detect_transitions(ps, member, window=3)
     # the lone dip at p=0.2 is blur; the sustained flip lands at p=0.6
     assert thresholds == (0.6,)
 
 
 def test_transition_validates_input():
-    ixi = profile_from_names("IXI")
     with pytest.raises(ValueError):
-        detect_transitions([], [], ixi, window=3)
-    reports = [nash_equilibria(*bayes_at(0.0, p), 0.0) for p in (0.5, 0.4)]
+        detect_transitions([], [], window=3)
+    member = [True, False]
     with pytest.raises(ValueError, match="ascending"):
-        detect_transitions([0.5, 0.4], reports, ixi, window=3)
-    with pytest.raises(ValueError, match="2 reports"):
-        detect_transitions([0.5], reports, ixi, window=3)
+        detect_transitions([0.5, 0.4], member, window=3)
+    with pytest.raises(ValueError, match="2 membership flags"):
+        detect_transitions([0.5], member, window=3)
     with pytest.raises(ValueError, match="window"):
-        detect_transitions([0.4, 0.5], reports, ixi, window=0)
+        detect_transitions([0.4, 0.5], member, window=0)
 
 
 def test_rmsd_identical_tensors():

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qgame.cli
 import qgame.noise
 import qgame.sweep
 from qgame.cli import main
@@ -62,6 +63,7 @@ from oracles import (
     reference_emit,
     reference_rmsd_rows,
     reference_shot_sweep,
+    reference_sweep_records,
     reference_verify_rows,
     reference_write_csv,
 )
@@ -185,6 +187,45 @@ class TestConfig:
         assert numpy_cfg == plain and json.dumps(numpy_cfg.to_dict()) == json.dumps(plain.to_dict())
         entries = itertools.chain.from_iterable(itertools.chain.from_iterable(numpy_cfg.payoff_rows_b1))
         assert {type(entry) for entry in entries} == {type(rows[0][0][0])}
+
+    @pytest.mark.parametrize(
+        "config, field", [({"p_grid": [10**400]}, "p_grid"), ({"noise": {"single_qubit_depol": 10**400}}, "single_qubit_depol")],
+        ids=["grid", "noise"],
+    )
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys, config, field):
+        # math.isfinite raised OverflowError on the int, which escaped the CLI as a traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{field}: expected a finite number, got an integer too large for a float" in err
+
+    def test_plain_number_grids_and_rows_skip_the_per_value_checks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qgame.sweep, "config_number", lambda *args: calls.append(args) or qgame.noise.config_number(*args))
+        rows = [[[3, 3.5], [0, 5]], [[5, 0], [1, 1]]]
+        cfg = ExperimentConfig(chi_grid_pi=[0, 0.1], p_grid=[0.0, 1], payoff_rows_b1=rows, payoff_rows_b2=rows)
+        assert calls == []
+        assert cfg.chi_grid_pi == (0.0, 0.1) and cfg.p_grid == (0.0, 1.0)
+        assert all(type(value) is float for value in cfg.chi_grid_pi + cfg.p_grid)
+        assert cfg.payoff_rows_b1 == (((3, 3.5), (0, 5)), ((5, 0), (1, 1)))
+        assert [type(value) for value in cfg.payoff_rows_b1[0][0]] == [int, float]
+        # anything else takes config_number per value, with its messages
+        assert ExperimentConfig(p_grid=[np.float64(0.5)]).p_grid == (0.5,) and calls == [("p_grid", 0.5)]
+        for grid, message in (
+            ([0.1, True], "p_grid: expected a number, got True"),
+            ([0.1, math.nan], "p_grid: expected a finite number, got nan"),
+            ([0.1, math.inf], "p_grid: expected a finite number, got inf"),
+            ([0.1, "0.5"], "p_grid: expected a number, got '0.5'"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(p_grid=grid)
+        with pytest.raises(ConfigError, match=re.escape("payoff_rows_b2: expected a number, got True")):
+            ExperimentConfig(payoff_rows_b2=[[[True, 3], [0, 5]], [[5, 0], [1, 1]]])
+        # a sum that overflows takes the per-value checks, which pass, and the range check fails
+        with pytest.raises(ConfigError, match=re.escape("p_grid outside [0.0, 1.0]")):
+            ExperimentConfig(p_grid=[1e308, 1.5e308])
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -686,7 +727,7 @@ class TestSerialization:
     def test_failed_cell_row_blanks_equilibrium_fields(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,))
         base = run_sweep(cfg)
-        failed = SweepResult(
+        failed = SweepResult.from_cells(
             config=base.config,
             cells=(CellResult(0.1, 0.1, 0.5, None, None, error="boom"),),
             transitions=((0.1, None),),
@@ -1093,6 +1134,59 @@ class TestSerialization:
                 assert loaded == result
 
 
+# the benchmark's pinned workloads, on the default grid: (config, id)
+PINNED_SWEEPS = [
+    (ExperimentConfig(), "analytic-seed0"),
+    *((ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(seed), seed=seed), f"shots_noisy-seed{seed}")
+      for seed in range(3)),
+    (ExperimentConfig(mode="shots"), "shots_ideal-seed0"),
+]
+
+
+class TestColumnarResult:
+    """A sweep is its columns; `cells` is a view of them built on first access."""
+
+    @pytest.mark.parametrize("config", [config for config, _ in PINNED_SWEEPS], ids=[name for _, name in PINNED_SWEEPS])
+    def test_columns_match_records_built_per_cell(self, tmp_path, config):
+        result = run_sweep(config)
+        cells, transitions = reference_sweep_records(config)
+        assert result.cells == tuple(cells)
+        assert result.transitions == tuple(transitions)
+        assert SweepResult.from_cells(config, cells, transitions, result.chi_measurements) == result
+        assert load_result(emit_report(result, tmp_path)["json"]) == result
+
+    def test_from_cells_keeps_the_records(self):
+        result = run_sweep(shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0))
+        cells = result.cells[::-1]
+        rebuilt = SweepResult.from_cells(result.config, cells, result.transitions, result.chi_measurements)
+        assert rebuilt.cells == cells
+        assert rebuilt.cell_columns.n_equilibria == tuple(None if c.report is None else len(c.report.profiles)
+                                                          for c in cells)
+        empty = SweepResult.from_cells(result.config, (), result.transitions, result.chi_measurements)
+        assert empty.cells == () and empty.cell_columns == ((),) * 6 and empty.equilibrium_columns == ((),) * 4
+
+    def test_pipeline_and_cli_build_no_cell_records(self, tmp_path, monkeypatch):
+        config = shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0)
+        for cfg in (analytic_config(), config):
+            result = run_sweep(cfg)
+            loaded = load_result(emit_report(result, tmp_path / cfg.mode)["json"])
+            rmsd_analysis(loaded)
+            threshold_rows(loaded)
+            assert "cells" not in vars(result) and "cells" not in vars(loaded)
+        seen = []
+        monkeypatch.setattr(qgame.cli, "run_sweep", lambda cfg: seen.append(run_sweep(cfg)) or seen[-1])
+        monkeypatch.setattr(qgame.cli, "load_result", lambda path: seen.append(load_result(path)) or seen[-1])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "cli"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3  # a starved sweep fails cells
+        for command in ("rmsd", "thresholds"):
+            assert main([command, "--from", str(out / "sweep.json"), "--out", str(out)]) == 3
+        assert len(seen) == 3 and not any("cells" in vars(result) for result in seen)
+        # built once on first access, then kept
+        assert seen[0].cells is seen[0].cells and "cells" in vars(seen[0])
+
+
 @functools.lru_cache(maxsize=None)
 def mutation_sweep() -> tuple[SweepResult, str]:
     """A starved shot sweep with solved, empty and failed cells, and its sweep.json text."""
@@ -1148,7 +1242,7 @@ FAILED_CELL = st.builds(
 
 def hand_built_result(cells, transitions=None) -> SweepResult:
     base = run_sweep(analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,)))
-    return SweepResult(base.config, tuple(cells), transitions or ((0.1, None),), base.chi_measurements)
+    return SweepResult.from_cells(base.config, cells, transitions or ((0.1, None),), base.chi_measurements)
 
 
 class TestEmitterMatchesReference:
@@ -1369,8 +1463,8 @@ class TestAnalyses:
             CellResult(0.0, 0.03, 0.5, report, 0.2), CellResult(0.1, 0.1, 0.5, report, math.inf),
             CellResult(0.05, 0.05, 0.5, None, None, "bust"), CellResult(0.0, 0.0, 0.2, report, 0.0),
         ]
-        result = SweepResult(base.config, tuple(cells[n] for n in order if n not in drop), base.transitions,
-                             base.chi_measurements)
+        result = SweepResult.from_cells(base.config, [cells[n] for n in order if n not in drop], base.transitions,
+                                        base.chi_measurements)
         assert rmsd_analysis(result) == reference_rmsd_rows(result)
 
     def test_threshold_rows_shape(self):
