@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the full grid and emit CSV/JSON")
     _add_config_options(sweep)
-    sweep.add_argument("--basename", default="sweep", help="output file stem")
 
     for name, text in (("rmsd", "aggregate payoff deviation per angle"), ("thresholds", "transition points per angle")):
         analysis = sub.add_parser(name, help=text)
@@ -107,7 +106,7 @@ def _cell_failures(result: SweepResult) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(_load_config(args))
-    paths = emit_report(result, args.out, basename=args.basename)
+    paths = emit_report(result, args.out)
     for kind, path in sorted(paths.items()):
         print(f"wrote {kind}: {path}")
     failures = _cell_failures(result)

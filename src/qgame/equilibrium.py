@@ -25,8 +25,7 @@ counts and flat profile and payoff columns, and hands back the mask too, so
 the sweep reads the tracked profile's membership off its column without
 building reports. `nash_equilibria_stack` turns those columns into reports
 with `reports_from_columns`: each row's report is a slice of one tuple of
-profiles and one of payoff rows, made by `new_record` (`tuple.__new__`)
-without a Python frame per report.
+profiles and one of payoff rows.
 """
 
 from __future__ import annotations
@@ -74,11 +73,6 @@ class EquilibriumReport(NamedTuple):
         return not self.profiles
 
 
-# builds a named tuple from a tuple of every field, as its generated `_make` does, without that
-# method's Python frame per object; it fills no defaults
-new_record = tuple.__new__
-
-
 def _nash_mask(a, b1, b2, delta: float) -> tuple[np.ndarray, ...]:
     """The float arrays and the (P, 64) mask of each row's equilibria, in profile order."""
     a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
@@ -114,7 +108,7 @@ def nash_columns(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) ->
 def reports_from_columns(counts, profiles: tuple, payoffs: tuple) -> list[EquilibriumReport | None]:
     """One report per count, a slice of the flat `profiles` and `payoffs` (rows) tuples; None for a None count."""
     stops = list(accumulate(0 if count is None else count for count in counts))
-    return [None if count is None else new_record(EquilibriumReport, (profiles[start:stop], payoffs[start:stop]))
+    return [None if count is None else EquilibriumReport(profiles[start:stop], payoffs[start:stop])
             for count, start, stop in zip(counts, [0, *stops], stops)]
 
 

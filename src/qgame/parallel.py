@@ -15,14 +15,15 @@ the variant's constant tuple; only the angle varies between runs. The
 circuits' outcome law, noise-free or not, is `noise.outcome_law`.
 
 This module alone knows the outcome-bit layout. Both variants share one
-branch table: `branch_distributions` splits any stack of 32-outcome
-populations into the 8 aux branches, and `BRANCH_PAIRS` names the strategy
-pair that each branch of each variant plays.
+branch table, two constant arrays: branch 4x + 2y + z holds aux outcome
+(x, y, z), and `BRANCH_PAIRS` names the strategy pair that each branch of
+each variant plays. `branch_distributions` splits any stack of 32-outcome
+populations into the 8 branches; `parse_branches` is its one-row case,
+keyed by strategy pair.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -66,40 +67,14 @@ def build_circuit(variant: Variant, chi: float) -> tuple[Gate, ...]:
     return _GATE_SEQUENCES[variant]
 
 
-# both variants share one branch table: branch 4x + 2y + z holds aux outcome (x, y, z)
-_AUX_KEYS = tuple(itertools.product((0, 1), repeat=3))
-# (x, y) -> U_A, shared by both variants
-_UA_BY_XY = {
-    (0, 0): Strategy.I,
-    (1, 0): Strategy.X,
-    (0, 1): Strategy.Z,
-    (1, 1): Strategy.Y,
-}
-
-
-def branch_strategies(variant: Variant, x: int, y: int, z: int) -> tuple[Strategy, Strategy]:
-    """Strategy pair evaluated by the branch with aux outcome (x, y, z)."""
-    u_a = _UA_BY_XY[(x, y)]
-    if variant is Variant.I_CIRCUIT:
-        u_b = Strategy.Z if z else Strategy.I
-    else:
-        u_b = Strategy.Y if z else Strategy.X
-    return u_a, u_b
-
-
-def branch_map(variant: Variant) -> dict[tuple[int, int, int], tuple[Strategy, Strategy]]:
-    return {key: branch_strategies(variant, *key) for key in _AUX_KEYS}
-
-
-def branch_indices(x: int, y: int, z: int) -> list[int]:
-    """Flat outcome indices of (A, B, x, y, z) for the four (A, B) values."""
-    tail = 4 * x + 2 * y + z
-    return [16 * a + 8 * b + tail for a in (0, 1) for b in (0, 1)]
-
-
-_BRANCH_INDEX = np.array([branch_indices(*key) for key in _AUX_KEYS])  # [branch, 2A + B]: outcome
-# BRANCH_PAIRS[v, branch]: the strategy pair 4*a + b that the branch plays in variant v
-BRANCH_PAIRS = np.array([[4 * a + b for a, b in branch_map(variant).values()] for variant in Variant])
+# both variants share one branch table: branch 4x + 2y + z holds aux outcome (x, y, z), and
+# _BRANCH_INDEX[branch, 2A + B] is its outcome 16A + 8B + branch
+_BRANCH_INDEX = np.arange(8)[:, None] + [0, 8, 16, 24]
+# BRANCH_PAIRS[v, branch]: the strategy pair 4a + b that the branch plays in variant v. By branch, A
+# plays Z^y X^x: I, I, Z, Z, X, X, Y, Y; B plays Z^z in the I-circuit and X Z^z in the X-circuit
+BRANCH_PAIRS = 4 * np.repeat([Strategy.I, Strategy.Z, Strategy.X, Strategy.Y], 2) + np.tile(
+    [[Strategy.I, Strategy.Z], [Strategy.X, Strategy.Y]], 4
+)
 
 
 def branch_distributions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +106,9 @@ def parse_branches(counts: np.ndarray, variant: Variant) -> dict[tuple[Strategy,
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {np.shape(counts)}")
     dists, totals = branch_distributions(counts)
     if (totals <= 0).any():
-        x, y, z = _AUX_KEYS[np.argmax(totals <= 0)]
+        x, y, z = np.unravel_index(np.argmax(totals <= 0), (2, 2, 2))
         raise EmptyBranchError(
             f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
         )
-    return dict(zip(branch_map(variant).values(), dists))
+    pairs = BRANCH_PAIRS[list(Variant).index(variant)].tolist()
+    return {(Strategy(pair // 4), Strategy(pair % 4)): dist for pair, dist in zip(pairs, dists)}

@@ -50,12 +50,11 @@ the `n_equilibria` column. The sweep fills them straight from
 `nash_columns`, and reads each angle's transitions off the tracked
 profile's column of the Nash mask; `emit_report`, `load_result`,
 `rmsd_analysis` and the CLI read and write the columns, and build no
-per-cell record. `SweepResult.cells` is a view of the same data as
-immutable `CellResult` and `EquilibriumReport` named tuples, built on
-first access with `new_record` (`tuple.__new__`: every field given, no
-default filled), and `SweepResult.from_cells` builds the columns of
-hand-built records. All angles are in units of pi in configs and output
-files and in radians inside the package.
+per-cell record. `run_sweep` and `load_result` are the only builders of a
+`SweepResult`. `SweepResult.cells` is a view of the same data as immutable
+`CellResult` and `EquilibriumReport` named tuples, built on first access.
+All angles are in units of pi in configs and output files and in radians
+inside the package.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ from qgame.equilibrium import (
     detect_transitions,
     nash_columns,
     nash_equilibria,
-    new_record,
     reports_from_columns,
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
@@ -161,25 +159,19 @@ def _grid_key(chi_pi: float) -> int:
     return round(chi_pi * 10**6)
 
 
-def _plain_finite(values) -> bool:
-    """Whether `values` are all plain floats or ints (not bools) with a finite sum, so each is a valid
-    config number; a sum of floats is finite only when each one is, and an overflowing sum or an int
-    too large for a float takes the per-value checks."""
-    try:
-        return set(map(type, values)) <= {float, int} and math.isfinite(sum(values, 0.0))
-    except OverflowError:
-        return False
+def _plain_number(name: str, value):
+    """A config number as a plain number JSON can write: an integer (numpy's too) as int, another real as float."""
+    config_number(name, value)
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _plain_numbers(name: str, rows):
-    """A config number, or nested lists or an array of them as nested tuples,
-    as plain numbers JSON can write: integers (numpy's too) as int, other reals as float."""
+    """Nested lists or an array of config numbers as nested tuples of `_plain_number`s."""
     if isinstance(rows, np.ndarray) and rows.ndim:
         rows = rows.tolist()  # plain Python numbers, nested as lists
     if isinstance(rows, (list, tuple)):
-        return tuple(rows) if _plain_finite(rows) else tuple(_plain_numbers(name, r) for r in rows)
-    config_number(name, rows)
-    return int(rows) if isinstance(rows, numbers.Integral) else float(rows)
+        return tuple(_plain_numbers(name, r) for r in rows)
+    return _plain_number(name, rows)
 
 
 @dataclass(frozen=True)
@@ -206,10 +198,9 @@ class ExperimentConfig:
                 # a number or a 0-d array does not iterate; a string or a dict iterates item by item
                 if not isinstance(grid, (list, tuple)) and not (isinstance(grid, np.ndarray) and grid.ndim == 1):
                     raise ValueError(f"{name}: expected a list of numbers, got {grid!r}")
-                grid = map(float, grid) if _plain_finite(grid) else (config_number(name, value) for value in grid)
-                object.__setattr__(self, name, tuple(grid))
+                object.__setattr__(self, name, tuple(config_number(name, value) for value in grid))
             if self.delta is not None:
-                object.__setattr__(self, "delta", _plain_numbers("delta", self.delta))
+                object.__setattr__(self, "delta", _plain_number("delta", self.delta))
             for name in ("payoff_rows_b1", "payoff_rows_b2"):
                 object.__setattr__(self, name, _plain_numbers(name, getattr(self, name)))
         except ValueError as exc:
@@ -295,11 +286,12 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:  # json.load recurses once per nested list or object
+        # JSON text is UTF-8; json.load recurses once per nested list or object
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -353,18 +345,7 @@ class SweepResult:
         profiles = tuple(map(_PROFILES.__getitem__, equilibria.profile))
         reports = reports_from_columns(cells.n_equilibria, profiles, tuple(zip(*equilibria[1:])))
         records = zip(cells.chi_nominal_pi, cells.chi_measured_pi, cells.p, reports, cells.rmsd, cells.error)
-        return tuple(map(new_record, itertools.repeat(CellResult), records))
-
-    @classmethod
-    def from_cells(cls, config: ExperimentConfig, cells, transitions, chi_measurements) -> "SweepResult":
-        """The sweep of hand-built cell records, in their order."""
-        chis, measured, ps, reports, rmsds, errors = tuple(zip(*cells)) or ((),) * 6
-        solved = [report for report in reports if report is not None]
-        counts = tuple(None if report is None else len(report.profiles) for report in reports)
-        names = tuple(profile_names(profile) for report in solved for profile in report.profiles)
-        payoffs = tuple(zip(*(row for report in solved for row in report.payoffs))) or ((),) * 3
-        return cls(config, CellColumns(chis, measured, ps, counts, rmsds, errors), EquilibriumColumns(names, *payoffs),
-                   tuple(transitions), tuple(chi_measurements))
+        return tuple(itertools.starmap(CellResult, records))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +584,8 @@ def _json_object(names: tuple, texts) -> str:
     return "{" + ",".join(f'"{name}":{text}' for name, text in zip(names, texts)) + "}"
 
 
-def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
-    """Write the sweep as CSV and JSON; byte-stable for identical inputs.
+def emit_report(result: SweepResult, out_dir) -> dict:
+    """Write the sweep as sweep.csv and sweep.json in `out_dir`; byte-stable for identical inputs.
 
     Each distinct float value is formatted once per call, with
     `float.__repr__`, and its text reused for both files and every later
@@ -617,7 +598,7 @@ def emit_report(result: SweepResult, out_dir, basename: str = "sweep") -> dict:
     writes all but the float columns; each of those is one join of the
     cached texts, since the encoder would format every float again."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {fmt: os.path.join(out_dir, f"{basename}.{fmt}") for fmt in ("csv", "json")}
+    paths = {fmt: os.path.join(out_dir, f"sweep.{fmt}") for fmt in ("csv", "json")}
     config, text = result.config, _FloatTexts().__getitem__
     cells, (names, *payoffs) = result.cell_columns, result.equilibrium_columns
     chi, measured, p = (list(map(text, column)) for column in cells[:3])
@@ -756,7 +737,7 @@ def load_result(json_path) -> SweepResult:
     malformed or too deeply nested file, or one of another schema (re-run
     `qgame sweep` to rewrite it), raises ConfigError, as a config file does."""
     try:
-        with open(json_path) as handle:
+        with open(json_path, encoding="utf-8") as handle:
             return result_from_dict(json.load(handle))
     except OSError as exc:
         raise ConfigError(f"cannot read result file {json_path}: {exc}") from exc

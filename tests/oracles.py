@@ -14,8 +14,9 @@ stages and builds its records one cell at a time,
 `reference_outcome_law`, which evolves the package's density matrices at
 each call's own shifted angles instead of reusing cached node values,
 `reference_verify_rows`, which checks the package's circuit laws against
-its two-qubit game branch by branch through a per-variant dict of pairs
-instead of the shared branch table, and
+its two-qubit game branch by branch through `branch_map`'s per-variant dict
+of pairs instead of the shared branch table, `result_from_records`, which
+builds a sweep's columns from hand-built records, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
 through the stdlib's csv and json encoders, and `assert_whole_report` and
 `assert_whole_cell`, which check a record's class and every field by type,
@@ -292,6 +293,19 @@ def branch_pair_dense(variant: str, x: int, y: int, z: int) -> tuple[str, str]:
     return u_a, u_b
 
 
+def branch_indices(x: int, y: int, z: int) -> list[int]:
+    """Flat outcome indices of (A, B, x, y, z) for the four (A, B) values, qubit 0 most significant."""
+    return [16 * a + 8 * b + 4 * x + 2 * y + z for a in (0, 1) for b in (0, 1)]
+
+
+def branch_map(variant) -> dict:
+    """A circuit variant's {(x, y, z): (U_A, U_B)} table of `branch_pair_dense`, in aux-outcome order."""
+    from qgame.game import Strategy
+
+    return {xyz: tuple(Strategy[name] for name in branch_pair_dense(variant.value, *xyz))
+            for xyz in itertools.product((0, 1), repeat=3)}
+
+
 def reference_verify_rows(chi_grid_pi, branch_maps=None) -> list[dict]:
     """`verify_parallelization`'s rows from a dict-based loop: each branch
     parsed on its own by `branch_indices` into a {pair: distribution} dict
@@ -300,7 +314,7 @@ def reference_verify_rows(chi_grid_pi, branch_maps=None) -> list[dict]:
     (x, y, z) -> pair mapping, as a negative control."""
     from qgame.game import final_states
     from qgame.noise import NoiseModel, outcome_law
-    from qgame.parallel import N_QUBITS, Variant, branch_indices, branch_map, build_circuit
+    from qgame.parallel import N_QUBITS, Variant, build_circuit
 
     rows = []
     for chi_pi in chi_grid_pi:
@@ -355,6 +369,20 @@ def reference_analytic_reports(chi: float, tables, p_grid, delta: float):
 
     (a1, b1), (a2, b2) = payoff_tensor(chi, tables[0]), payoff_tensor(chi, tables[1])
     return [nash_equilibria(compose(a1, a2, p), b1, b2, delta) for p in p_grid]
+
+
+def result_from_records(config, cells, transitions, chi_measurements):
+    """The `SweepResult` of hand-built `CellResult` records, in their order: its columns, cell by cell."""
+    from qgame.game import profile_names
+    from qgame.sweep import CellColumns, EquilibriumColumns, SweepResult
+
+    chis, measured, ps, reports, rmsds, errors = tuple(zip(*cells)) or ((),) * 6
+    solved = [report for report in reports if report is not None]
+    counts = tuple(None if report is None else len(report.profiles) for report in reports)
+    names = tuple(profile_names(profile) for report in solved for profile in report.profiles)
+    payoffs = tuple(zip(*(row for report in solved for row in report.payoffs))) or ((),) * 3
+    return SweepResult(config, CellColumns(chis, measured, ps, counts, rmsds, errors),
+                       EquilibriumColumns(names, *payoffs), tuple(transitions), tuple(chi_measurements))
 
 
 def assert_whole_report(report) -> None:

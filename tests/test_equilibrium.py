@@ -300,7 +300,7 @@ def test_best_stack_marks_rows_without_an_equilibrium():
 @example(column=PENNIES, delta=0.0)
 @settings(max_examples=60, deadline=None)
 def test_stack_reports_are_whole_records(column, delta):
-    # reports are built by tuple.__new__, which checks no field; the slices rest on the row order of the mask
+    # each report is a slice of the flat columns, which rests on the row order of the mask
     reports = nash_equilibria_stack(*column, delta)
     assert type(reports) is list and len(reports) == len(column[0])
     for report in reports:

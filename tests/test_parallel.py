@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,19 +11,18 @@ import pytest
 from qgame.game import Strategy, final_states
 from qgame.noise import NoiseModel, outcome_law
 from qgame.parallel import (
+    _BRANCH_INDEX,
     BRANCH_PAIRS,
     N_QUBITS,
     EmptyBranchError,
     Variant,
     branch_distributions,
-    branch_indices,
-    branch_map,
-    branch_strategies,
     build_circuit,
     parse_branches,
 )
 
 import oracles
+from oracles import branch_indices, branch_map
 
 CHI_GRID = [k * np.pi / 40 for k in range(11)]
 
@@ -97,22 +97,19 @@ def test_matches_independent_dense_circuit():
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_branch_maps_cover_all_pairs_once():
-    seen = []
-    for variant in Variant:
-        for pair in branch_map(variant).values():
-            seen.append(pair)
-    assert len(seen) == 16
-    assert len(set(seen)) == 16
-    # and the oracle's independent mapping table agrees
-    for variant, tag in ((Variant.I_CIRCUIT, "I"), (Variant.X_CIRCUIT, "X")):
-        for (x, y, z), (ua, ub) in branch_map(variant).items():
-            assert (ua.name, ub.name) == oracles.branch_pair_dense(tag, x, y, z)
-    # as does the branch table: branch 4x + 2y + z plays pair 4*a + b
+def test_branch_pairs_cover_all_pairs_once():
+    assert sorted(BRANCH_PAIRS.ravel().tolist()) == list(range(16))
+    # and the oracle's independent mapping table agrees: branch 4x + 2y + z plays pair 4*a + b
     for v, tag in enumerate("IX"):
         for x, y, z in itertools.product((0, 1), repeat=3):
             ua, ub = (oracles.STRATEGY_ORDER.index(name) for name in oracles.branch_pair_dense(tag, x, y, z))
             assert BRANCH_PAIRS[v, 4 * x + 2 * y + z] == 4 * ua + ub
+
+
+def test_branch_index_holds_each_branch_outcomes():
+    # branch 4x + 2y + z reads outcome (A, B, x, y, z) in column 2A + B
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        assert _BRANCH_INDEX[4 * x + 2 * y + z].tolist() == branch_indices(x, y, z)
 
 
 def test_phase_equivalent_composite_strategies():
@@ -122,7 +119,7 @@ def test_phase_equivalent_composite_strategies():
         dist = exact_law(Variant.I_CIRCUIT, chi)
         branches = parse_branches(dist, Variant.I_CIRCUIT)
         for z, ub in ((0, Strategy.I), (1, Strategy.Z)):
-            assert branch_strategies(Variant.I_CIRCUIT, 1, 1, z) == (Strategy.Y, ub)
+            assert BRANCH_PAIRS[0, 6 + z] == 4 * Strategy.Y + ub  # branch (x, y, z) = (1, 1, z)
             want = direct_law(chi, Strategy.Y, ub)
             np.testing.assert_allclose(branches[(Strategy.Y, ub)], want, atol=1e-10)
 
@@ -134,11 +131,16 @@ def test_uniform_population_parses_flat():
         np.testing.assert_allclose(sub, [0.25, 0.25, 0.25, 0.25])
 
 
-def test_empty_branch_rejected():
+@pytest.mark.parametrize("variant, tag", [(Variant.I_CIRCUIT, "I"), (Variant.X_CIRCUIT, "X")], ids=["I", "X"])
+@pytest.mark.parametrize("xyz", list(itertools.product((0, 1), repeat=3)), ids=lambda xyz: "".join(map(str, xyz)))
+def test_empty_branch_rejected(variant, tag, xyz):
+    # the message lands in sweep.json's cells.error column
     counts = np.full(32, 5.0)
-    counts[branch_indices(1, 0, 1)] = 0.0
-    with pytest.raises(EmptyBranchError, match=r"\(1,0,1\)"):
-        parse_branches(counts, Variant.I_CIRCUIT)
+    counts[branch_indices(*xyz)] = 0.0
+    x, y, z = xyz
+    message = f"branch (x,y,z)=({x},{y},{z}) of {tag}-circuit has zero population"
+    with pytest.raises(EmptyBranchError, match=f"^{re.escape(message)}$"):
+        parse_branches(counts, variant)
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -35,7 +35,7 @@ from qgame.equilibrium import (
 )
 from qgame.game import DEFAULT_PAYOFF_ROWS_B1, STRATEGIES, profile_from_names
 from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
-from qgame.parallel import N_QUBITS, Variant, branch_indices, branch_map, build_circuit
+from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.sweep import (
     DEFAULT_CHI_GRID_PI,
     DEFAULT_P_GRID,
@@ -57,6 +57,8 @@ from qgame.sweep import (
 from oracles import (
     assert_whole_cell,
     bayes_tensor_dense,
+    branch_indices,
+    branch_map,
     brute_force_equilibria,
     reference_analytic_reports,
     reference_child_rng,
@@ -66,6 +68,7 @@ from oracles import (
     reference_sweep_records,
     reference_verify_rows,
     reference_write_csv,
+    result_from_records,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -201,18 +204,15 @@ class TestConfig:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"{field}: expected a finite number, got an integer too large for a float" in err
 
-    def test_plain_number_grids_and_rows_skip_the_per_value_checks(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(qgame.sweep, "config_number", lambda *args: calls.append(args) or qgame.noise.config_number(*args))
+    def test_grid_and_row_numbers_keep_their_type_or_name_the_bad_value(self):
         rows = [[[3, 3.5], [0, 5]], [[5, 0], [1, 1]]]
         cfg = ExperimentConfig(chi_grid_pi=[0, 0.1], p_grid=[0.0, 1], payoff_rows_b1=rows, payoff_rows_b2=rows)
-        assert calls == []
         assert cfg.chi_grid_pi == (0.0, 0.1) and cfg.p_grid == (0.0, 1.0)
         assert all(type(value) is float for value in cfg.chi_grid_pi + cfg.p_grid)
         assert cfg.payoff_rows_b1 == (((3, 3.5), (0, 5)), ((5, 0), (1, 1)))
         assert [type(value) for value in cfg.payoff_rows_b1[0][0]] == [int, float]
-        # anything else takes config_number per value, with its messages
-        assert ExperimentConfig(p_grid=[np.float64(0.5)]).p_grid == (0.5,) and calls == [("p_grid", 0.5)]
+        grid = ExperimentConfig(p_grid=[np.float64(0.5)]).p_grid
+        assert grid == (0.5,) and type(grid[0]) is float
         for grid, message in (
             ([0.1, True], "p_grid: expected a number, got True"),
             ([0.1, math.nan], "p_grid: expected a finite number, got nan"),
@@ -223,9 +223,15 @@ class TestConfig:
                 ExperimentConfig(p_grid=grid)
         with pytest.raises(ConfigError, match=re.escape("payoff_rows_b2: expected a number, got True")):
             ExperimentConfig(payoff_rows_b2=[[[True, 3], [0, 5]], [[5, 0], [1, 1]]])
-        # a sum that overflows takes the per-value checks, which pass, and the range check fails
+        # finite values whose sum overflows pass the per-value checks, and the range check fails
         with pytest.raises(ConfigError, match=re.escape("p_grid outside [0.0, 1.0]")):
             ExperimentConfig(p_grid=[1e308, 1.5e308])
+
+    def test_delta_that_is_not_one_number_is_config_error(self):
+        # an array delta once went row by row into a tuple, and the order check raised a bare TypeError
+        with pytest.raises(ConfigError, match=re.escape("delta: expected a number, got array([0.1])")):
+            ExperimentConfig(delta=np.array([0.1]))
+        assert type(ExperimentConfig(delta=np.int64(1)).delta) is int
 
     def test_overrides_revalidate(self):
         with pytest.raises(ConfigError):
@@ -727,7 +733,7 @@ class TestSerialization:
     def test_failed_cell_row_blanks_equilibrium_fields(self, tmp_path):
         cfg = analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,))
         base = run_sweep(cfg)
-        failed = SweepResult.from_cells(
+        failed = result_from_records(
             config=base.config,
             cells=(CellResult(0.1, 0.1, 0.5, None, None, error="boom"),),
             transitions=((0.1, None),),
@@ -802,7 +808,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("noise", [None, NoiseModel.default_profile(0)], ids=["analytic", "shots_noisy"])
     def test_built_and_loaded_records_are_whole(self, tmp_path, noise):
-        # cells and reports are built by tuple.__new__, which checks no field count and fills no default
+        # every cell and report of a built, a noisy and a loaded sweep is a whole record
         cfg = ExperimentConfig() if noise is None else ExperimentConfig(mode="shots", noise=noise, seed=0)
         result = run_sweep(cfg)
         loaded = load_result(emit_report(result, tmp_path)["json"])
@@ -1152,17 +1158,17 @@ class TestColumnarResult:
         cells, transitions = reference_sweep_records(config)
         assert result.cells == tuple(cells)
         assert result.transitions == tuple(transitions)
-        assert SweepResult.from_cells(config, cells, transitions, result.chi_measurements) == result
+        assert result_from_records(config, cells, transitions, result.chi_measurements) == result
         assert load_result(emit_report(result, tmp_path)["json"]) == result
 
-    def test_from_cells_keeps_the_records(self):
+    def test_cells_view_gives_back_hand_built_records(self):
         result = run_sweep(shot_config(chi_grid_pi=(0.0, 0.25), p_grid=(0.0, 0.02, 0.5, 1.0), shots=40, seed=0))
         cells = result.cells[::-1]
-        rebuilt = SweepResult.from_cells(result.config, cells, result.transitions, result.chi_measurements)
+        rebuilt = result_from_records(result.config, cells, result.transitions, result.chi_measurements)
         assert rebuilt.cells == cells
         assert rebuilt.cell_columns.n_equilibria == tuple(None if c.report is None else len(c.report.profiles)
                                                           for c in cells)
-        empty = SweepResult.from_cells(result.config, (), result.transitions, result.chi_measurements)
+        empty = result_from_records(result.config, (), result.transitions, result.chi_measurements)
         assert empty.cells == () and empty.cell_columns == ((),) * 6 and empty.equilibrium_columns == ((),) * 4
 
     def test_pipeline_and_cli_build_no_cell_records(self, tmp_path, monkeypatch):
@@ -1242,7 +1248,7 @@ FAILED_CELL = st.builds(
 
 def hand_built_result(cells, transitions=None) -> SweepResult:
     base = run_sweep(analytic_config(chi_grid_pi=(0.1,), p_grid=(0.5,)))
-    return SweepResult.from_cells(base.config, cells, transitions or ((0.1, None),), base.chi_measurements)
+    return result_from_records(base.config, cells, transitions or ((0.1, None),), base.chi_measurements)
 
 
 class TestEmitterMatchesReference:
@@ -1463,8 +1469,8 @@ class TestAnalyses:
             CellResult(0.0, 0.03, 0.5, report, 0.2), CellResult(0.1, 0.1, 0.5, report, math.inf),
             CellResult(0.05, 0.05, 0.5, None, None, "bust"), CellResult(0.0, 0.0, 0.2, report, 0.0),
         ]
-        result = SweepResult.from_cells(base.config, [cells[n] for n in order if n not in drop], base.transitions,
-                                        base.chi_measurements)
+        result = result_from_records(base.config, [cells[n] for n in order if n not in drop], base.transitions,
+                                     base.chi_measurements)
         assert rmsd_analysis(result) == reference_rmsd_rows(result)
 
     def test_threshold_rows_shape(self):
@@ -1513,6 +1519,22 @@ class TestCli:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.json").exists()
         assert "cells evaluated" in capsys.readouterr().out
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        # the UnicodeDecodeError once escaped the CLI as a traceback and exit code 1
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid JSON: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_basename_is_not_an_option(self, capsys):
+        # the file stem is always "sweep"
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--basename", "x"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --basename x" in capsys.readouterr().err
 
     def test_seed_override_lands_in_output(self, tmp_path):
         main(["sweep", "--mode", "analytic", "--out", str(tmp_path), "--seed", "77"])
@@ -1661,15 +1683,19 @@ class TestCli:
             ({"chi_grid_pi": None}, "chi_grid_pi: expected a list of numbers, got None"),
             ({"chi_grid_pi": "0.1"}, "chi_grid_pi: expected a list of numbers, got '0.1'"),
             ({"p_grid": {"a": 1}}, "p_grid: expected a list of numbers, got {'a': 1}"),
+            ({"delta": [0.1]}, "delta: expected a number, got [0.1]"),
+            ({"delta": []}, "delta: expected a number, got []"),
         ],
         ids=["payoff-rows-b1-scalar", "payoff-rows-b2-one-row", "noise-string", "noise-int", "noise-null",
-             "noise-list", "p-grid-number", "chi-grid-null", "chi-grid-string", "p-grid-object"],
+             "noise-list", "p-grid-number", "chi-grid-null", "chi-grid-string", "p-grid-object", "delta-list",
+             "delta-empty-list"],
     )
     def test_malformed_config_block_is_config_error_naming_its_field(self, tmp_path, capsys, override, message):
         # both payoff fields once raised the same unnamed shape error; a noise
         # string was read as a list of unknown fields, a number as "not iterable";
         # a grid number was "not iterable" too, and a grid string or object was
-        # read item by item ("expected a number, got '0'")
+        # read item by item ("expected a number, got '0'"); a delta list was kept
+        # as a tuple, and its order check raised "'<' not supported"
         config = {"mode": "shots", "chi_grid_pi": [0.1], "p_grid": [0.5], "shots": 500, **override}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(config)
@@ -1758,12 +1784,14 @@ class TestCliFromSavedSweep:
     @pytest.mark.parametrize("command", ["rmsd", "thresholds"])
     @pytest.mark.parametrize(
         "text",
-        ["{not json", '{"schema_version": 4}', '{"schema_version": 3}', "[]", None],
-        ids=["syntax", "missing-keys", "old-schema", "not-an-object", "missing-file"],
+        ["{not json", '{"schema_version": 4}', '{"schema_version": 3}', "[]", b"\xff\xfe{}", None],
+        ids=["syntax", "missing-keys", "old-schema", "not-an-object", "not-utf8", "missing-file"],
     )
     def test_malformed_or_missing_file_is_config_error(self, tmp_path, capsys, command, text):
         path = tmp_path / "sweep.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         with pytest.raises(ConfigError) as raised:
             load_result(path)
