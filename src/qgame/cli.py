@@ -136,7 +136,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     write_csv(path, ("chi_pi", "profile", "thresholds", "window"), rows)
     print(f"wrote csv: {path}")
     for row in rows:
-        marks = "none" if not row["thresholds"] else ", ".join(f"{t:g}" for t in row["thresholds"])
+        # None: every cell of the angle failed, so its transitions are unknown
+        marks = "n/a" if row["thresholds"] is None else ", ".join(f"{t:g}" for t in row["thresholds"]) or "none"
         print(f"chi={row['chi_pi']}pi profile={row['profile']} transitions at p: {marks}")
     return EXIT_CELL_FAILURE if _cell_failures(result) else EXIT_OK
 

@@ -11,33 +11,29 @@ delta = 0.1 to absorb statistical noise. A 1e-9 slack always applies on
 top of delta so analytically degenerate profiles (floating-point ties)
 are kept.
 
-`nash_equilibria_stack` solves a stack of tensors (one per p, or per grid
-cell) in one array pass: the masks take the player's own choice on a
-negative axis, so one rule, in one private helper, serves a single tensor
-and a stack, and B payoffs shared by the stack are masked once. Without
-building reports, `best_equilibria_stack` reads that mask down to each row's
-`max_payoff_profile` pick, a masked argmax, and `rmsd_at_equilibrium_stack`
-gathers payoffs there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases.
-
-`nash_columns` is the columnar core: it reads a stack's equilibria off the
-mask in row-major order, with one `flatnonzero` and one gather, as per-row
+`nash_columns` solves a stack of tensors (one per p, or per grid cell) in
+one array pass: the masks take the player's own choice on a negative axis,
+so one rule, in one private helper, serves every stack, and B payoffs
+shared by the stack are masked once. It reads the equilibria off the mask
+in row-major order, with one `flatnonzero` and one gather, as per-row
 counts and flat profile and payoff columns, and hands back the mask too, so
 the sweep reads the tracked profile's membership off its column without
-building reports. `nash_equilibria_stack` turns those columns into reports
-with `reports_from_columns`: each row's report is a slice of one tuple of
-profiles and one of payoff rows.
+building reports. `best_equilibria_stack` reads the same mask down to each
+row's best equilibrium, the highest A payoff and the first profile on a
+tie, with a masked argmax, and `rmsd_at_equilibrium_stack` gathers payoffs
+there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases,
+on an `EquilibriumReport`.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, product
 from operator import le
 from typing import NamedTuple
 
 import numpy as np
 
-from qgame.game import STRATEGIES, Profile
+from qgame.game import PROFILES, Profile
 
 TIE_EPS = 1e-9
 
@@ -47,10 +43,6 @@ DELTA_SHOTS = 0.1
 
 class NoEquilibriumError(ValueError):
     """Raised when an operation needs at least one reference equilibrium."""
-
-
-# the 64 profiles in profile order: (i, j, k) is entry 16 i + 4 j + k
-_PROFILES = tuple(product(STRATEGIES, repeat=3))
 
 
 def _near_max_mask(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
@@ -98,37 +90,19 @@ def nash_columns(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) ->
     """Every row's equilibria as columns: the (P, 64) Nash mask in profile
     order, each row's equilibrium count, and every equilibrium, row by row and
     each row's in profile order, as its profile index 16 i + 4 j + k and a list
-    of its A, B1 and B2 payoffs each. Arrays as in `nash_equilibria_stack`."""
+    of its A, B1 and B2 payoffs each. `a` is a (P, 4, 4, 4) stack of A's
+    payoffs; `b1` and `b2` are either (4, 4), shared by every row, or (P, 4, 4)."""
     a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
     row, flat = np.divmod(np.flatnonzero(nash), 64)
     payoffs = [values.tolist() for values in _payoffs_at(a, b1, b2, row, flat)]
     return nash, np.bincount(row, minlength=len(a)).tolist(), flat.tolist(), payoffs
 
 
-def reports_from_columns(counts, profiles: tuple, payoffs: tuple) -> list[EquilibriumReport | None]:
-    """One report per count, a slice of the flat `profiles` and `payoffs` (rows) tuples; None for a None count."""
-    stops = list(accumulate(0 if count is None else count for count in counts))
-    return [None if count is None else EquilibriumReport(profiles[start:stop], payoffs[start:stop])
-            for count, start, stop in zip(counts, [0, *stops], stops)]
-
-
-def nash_equilibria_stack(
-    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float
-) -> list[EquilibriumReport]:
-    """One report per row of a column of Bayesian tensors.
-
-    `a` is a (P, 4, 4, 4) stack of A's payoffs; `b1` and `b2` are either
-    (4, 4), shared by every row, or (P, 4, 4). Each row's report lists the
-    intersection of its three best-response masks in profile order.
-    """
-    _, counts, flat, payoffs = nash_columns(a, b1, b2, delta)
-    return reports_from_columns(counts, tuple(map(_PROFILES.__getitem__, flat)), tuple(zip(*payoffs)))
-
-
 def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> tuple[np.ndarray, ...]:
-    """`max_payoff_profile` of each row's report, without building the reports:
-    the (P,) profile indices 16 i + 4 j + k (-1 for a row with no equilibrium)
-    and the (P, 3) payoffs there. Arrays as in `nash_equilibria_stack`; payoffs finite."""
+    """Each row's equilibrium with the highest A payoff, the first in profile
+    order on a tie, without building reports: the (P,) profile indices
+    16 i + 4 j + k (-1 for a row with no equilibrium) and the (P, 3) payoffs
+    there. Arrays as in `nash_columns`; payoffs finite."""
     a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
     # the highest A payoff among the equilibria; argmax takes the first profile on a tie
     best = np.where(nash, a.reshape(nash.shape), -np.inf).argmax(axis=-1)
@@ -136,8 +110,9 @@ def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: 
 
 
 def nash_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> EquilibriumReport:
-    """One Bayesian game's case of `nash_equilibria_stack`."""
-    return nash_equilibria_stack(np.asarray(a)[None], b1, b2, delta)[0]
+    """One Bayesian game's equilibria in profile order: row 0 of `nash_columns`."""
+    _, _, flat, payoffs = nash_columns(np.asarray(a)[None], b1, b2, delta)
+    return EquilibriumReport(tuple(map(PROFILES.__getitem__, flat)), tuple(zip(*payoffs)))
 
 
 def detect_transitions(ps: list[float], member: list[bool], window: int) -> tuple[float, ...]:
@@ -169,31 +144,32 @@ def detect_transitions(ps: list[float], member: list[bool], window: int) -> tupl
     return tuple(thresholds)
 
 
-def max_payoff_profile(report: EquilibriumReport) -> Profile:
-    """Equilibrium with the highest payoff_A; ties break toward the
-    lexicographically first profile."""
-    if report.empty:
-        raise NoEquilibriumError("report has no equilibria")
-    ranked = sorted(zip(report.profiles, report.payoffs), key=lambda pp: (-pp[1][0], pp[0]))
-    return ranked[0][0]
-
-
 def rmsd_at_equilibrium_stack(
     a: np.ndarray, b1: np.ndarray, b2: np.ndarray, best: np.ndarray, payoffs: np.ndarray
 ) -> list[float | None]:
     """Each row's payoff RMSD from its reference at the reference's best equilibrium, None where it
-    has none: `best` and `payoffs` as `best_equilibria_stack` gives them, arrays as in `nash_equilibria_stack`."""
+    has none: `best` and `payoffs` as `best_equilibria_stack` gives them, arrays as in `nash_columns`.
+    A row whose squared deviations overflow is computed again scaled by its largest |payoff|."""
     a, b1, b2, payoffs = (np.asarray(values, dtype=float) for values in (a, b1, b2, payoffs))
     if len(a) != len(best):
         raise ValueError(f"{len(a)} payoff rows for {len(best)} references")
     row = np.flatnonzero(best >= 0)
-    obs = np.stack(_payoffs_at(a, b1, b2, row, best[row]), axis=-1)
-    values = iter(np.sqrt(np.mean((obs - payoffs[row]) ** 2, axis=-1)).tolist())
+    obs, ref = np.stack(_payoffs_at(a, b1, b2, row, best[row]), axis=-1), payoffs[row]
+    with np.errstate(over="ignore"):
+        values = np.sqrt(np.mean((obs - ref) ** 2, axis=-1))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        obs, ref = obs[bad], ref[bad]
+        scale = np.maximum(np.abs(obs), np.abs(ref)).max(axis=-1, keepdims=True)
+        values[bad] = scale[:, 0] * np.sqrt(np.mean((obs / scale - ref / scale) ** 2, axis=-1))
+    values = iter(values.tolist())
     return [None if n < 0 else next(values) for n in best.tolist()]
 
 
 def rmsd_at_equilibrium(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, reference: EquilibriumReport) -> float:
-    """One Bayesian game's case of `rmsd_at_equilibrium_stack`, at the report's `max_payoff_profile`."""
-    i, j, k = best = max_payoff_profile(reference)
-    payoffs = [reference.payoffs[reference.profiles.index(best)]]
-    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, np.array([16 * i + 4 * j + k]), payoffs)[0]
+    """One Bayesian game's case of `rmsd_at_equilibrium_stack`, at the report's equilibrium with the
+    highest A payoff, the lexicographically first profile on a tie."""
+    if reference.empty:
+        raise NoEquilibriumError("report has no equilibria")
+    best, payoffs = min(zip(*reference), key=lambda pp: (-pp[1][0], pp[0]))
+    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, np.array([PROFILES.index(best)]), [payoffs])[0]

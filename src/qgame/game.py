@@ -13,11 +13,16 @@ B's, each indexed by outcome 2*a + b. Tables are configuration inputs; the
 bundled default rows are the standard prisoner's dilemma for the A-vs-B1
 game and an asymmetric variant for A-vs-B2 in which mutual defection pays
 B2 nothing.
+
+A Bayesian game's profile (i, j, k) is the strategies of A, B1 and B2.
+`PROFILES` is the one table of the 64 profiles in profile order, (i, j, k)
+at index 16 i + 4 j + k, and `PROFILE_NAMES` names them ('IXI').
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import product
 
 import numpy as np
 
@@ -47,6 +52,11 @@ def profile_from_names(names: str) -> Profile:
 
 def profile_names(profile: Profile) -> str:
     return "".join(s.name for s in profile)
+
+
+# the 64 profiles in profile order, (i, j, k) at index 16 i + 4 j + k, and their names
+PROFILES = tuple(product(STRATEGIES, repeat=3))
+PROFILE_NAMES = tuple(map(profile_names, PROFILES))
 
 
 def payoff_table(rows) -> np.ndarray:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -125,9 +125,6 @@ class NoiseModel:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
         if not isinstance(data, dict):
@@ -147,20 +144,12 @@ def _per_qubit_confusion(p01: float, p10: float) -> np.ndarray:
 def _crosstalk_map(gamma: float, n_qubits: int) -> np.ndarray:
     """Symmetric nearest-channel bleed: a bright channel lights up a dark
     neighbor with probability gamma, applied per ordered adjacent pair."""
-    size = 2**n_qubits
-    total = np.eye(size)
+    bleed = np.eye(4)  # on a pair (a, b): |10> stays with 1 - gamma, else turns |11>
+    bleed[2:, 2] = 1 - gamma, gamma
+    total = np.eye(2**n_qubits)
     for src in range(n_qubits - 1):
-        for a, b in ((src, src + 1), (src + 1, src)):
-            step = np.zeros((size, size))
-            bit_a = 1 << (n_qubits - 1 - a)
-            bit_b = 1 << (n_qubits - 1 - b)
-            for s in range(size):
-                if (s & bit_a) and not (s & bit_b):
-                    step[s, s] = 1 - gamma
-                    step[s | bit_b, s] = gamma
-                else:
-                    step[s, s] = 1.0
-            total = step @ total
+        for pair in ((src, src + 1), (src + 1, src)):
+            total = apply_matrix(total.T, bleed, pair, n_qubits).T  # each column of total in turn
     return total
 
 

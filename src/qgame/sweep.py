@@ -52,7 +52,9 @@ profile's column of the Nash mask; `emit_report`, `load_result`,
 `rmsd_analysis` and the CLI read and write the columns, and build no
 per-cell record. `run_sweep` and `load_result` are the only builders of a
 `SweepResult`. `SweepResult.cells` is a view of the same data as immutable
-`CellResult` and `EquilibriumReport` named tuples, built on first access.
+`CellResult` and `EquilibriumReport` named tuples, built on first access,
+each report cut from the columns at its cell's `n_equilibria`. Profiles
+are named and indexed by `game`'s one profile table.
 All angles are in units of pi in configs and output files and in radians
 inside the package.
 """
@@ -80,19 +82,19 @@ from qgame.equilibrium import (
     detect_transitions,
     nash_columns,
     nash_equilibria,
-    reports_from_columns,
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
 )
 from qgame.game import (
     DEFAULT_PAYOFF_ROWS_B1,
     DEFAULT_PAYOFF_ROWS_B2,
+    PROFILE_NAMES,
+    PROFILES,
     STRATEGIES,
     final_states,
     payoff_table,
     payoff_tensor,
     profile_from_names,
-    profile_names,
     tensor_from_distributions,
 )
 from qgame.noise import (
@@ -339,11 +341,12 @@ class SweepResult:
 
     @cached_property
     def cells(self) -> tuple[CellResult, ...]:
-        """The cells as records, in column order, built on first access: each report is a slice of
-        one profile tuple and one payoff-row tuple."""
+        """The cells as records, in column order, each report its cell's next `n_equilibria` equilibria."""
         cells, equilibria = self.cell_columns, self.equilibrium_columns
-        profiles = tuple(map(_PROFILES.__getitem__, equilibria.profile))
-        reports = reports_from_columns(cells.n_equilibria, profiles, tuple(zip(*equilibria[1:])))
+        profiles, payoffs = map(_PROFILES.__getitem__, equilibria.profile), zip(*equilibria[1:])
+        reports = [None if count is None else EquilibriumReport(tuple(itertools.islice(profiles, count)),
+                                                                tuple(itertools.islice(payoffs, count)))
+                   for count in cells.n_equilibria]
         records = zip(cells.chi_nominal_pi, cells.chi_measured_pi, cells.p, reports, cells.rmsd, cells.error)
         return tuple(itertools.starmap(CellResult, records))
 
@@ -459,13 +462,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         counts, rmsds = zip(*(next(observed) if error is None else (None, None) for error in errors))
         measured = tuple((np.repeat(chi_refs, n_p) / np.pi).tolist())
     # each angle's solved p values and the tracked profile's membership there, off its column of the Nash mask
-    member, transitions = iter(nash[:, _PROFILE_NAMES.index(config.tracked_profile)].tolist()), []
+    member, transitions = iter(nash[:, PROFILE_NAMES.index(config.tracked_profile)].tolist()), []
     for chi_pi, solved in zip(config.chi_grid_pi, ok.reshape(n_chi, n_p).tolist()):
         ps = list(itertools.compress(config.p_grid, solved))
         flags = list(itertools.islice(member, len(ps)))
         transitions.append((chi_pi, detect_transitions(ps, flags, config.transition_window) if ps else None))
     cells = CellColumns(nominal, measured, config.p_grid * n_chi, counts, rmsds, errors)
-    equilibria = EquilibriumColumns(tuple(map(_PROFILE_NAMES.__getitem__, flat)), *map(tuple, payoffs))
+    equilibria = EquilibriumColumns(tuple(map(PROFILE_NAMES.__getitem__, flat)), *map(tuple, payoffs))
     return SweepResult(config, cells, equilibria, tuple(transitions), tuple(zip(config.chi_grid_pi, estimates)))
 
 
@@ -532,9 +535,7 @@ _float_text = float.__repr__
 _COMPACT = (",", ":")  # json.dumps separators without whitespace
 # sweep.json's two column blocks: one entry per cell, and one per equilibrium, cut by n_equilibria
 _CELL_COLUMNS, _EQUILIBRIUM_COLUMNS = CellColumns._fields, EquilibriumColumns._fields
-# each profile's name at its index 16 i + 4 j + k, and each name's profile
-_PROFILE_NAMES = tuple(map(profile_names, itertools.product(STRATEGIES, repeat=3)))
-_PROFILES = dict(zip(_PROFILE_NAMES, itertools.product(STRATEGIES, repeat=3)))
+_PROFILES = dict(zip(PROFILE_NAMES, PROFILES))  # each profile's name -> the profile
 
 
 def _csv_field(value) -> str:

@@ -266,6 +266,27 @@ def trajectory_counts(
     return np.bincount(outcomes, minlength=size)
 
 
+def crosstalk_map_dense(gamma: float, n_qubits: int) -> np.ndarray:
+    """The readout crosstalk map built one dense 2^n x 2^n step per ordered
+    adjacent pair (a, b), state by state: a state with a bright and b dark
+    keeps its population with 1 - gamma and moves gamma to b bright."""
+    size = 2**n_qubits
+    total = np.eye(size)
+    for src in range(n_qubits - 1):
+        for a, b in ((src, src + 1), (src + 1, src)):
+            step = np.zeros((size, size))
+            bit_a = 1 << (n_qubits - 1 - a)
+            bit_b = 1 << (n_qubits - 1 - b)
+            for s in range(size):
+                if (s & bit_a) and not (s & bit_b):
+                    step[s, s] = 1 - gamma
+                    step[s | bit_b, s] = gamma
+                else:
+                    step[s, s] = 1.0
+            total = step @ total
+    return total
+
+
 def reference_outcome_law(gates, n: int, nominal_chi: float, noise) -> np.ndarray:
     """`noise.outcome_law` evaluated per angle: the density matrices evolve
     at nominal + offset + each quadrature node, and the node weights carry
@@ -426,11 +447,21 @@ def reference_rmsd_rows(result) -> list[dict]:
     return rows
 
 
+def max_payoff_profile(report):
+    """The report's equilibrium with the highest payoff_A; ties break toward
+    the lexicographically first profile. The reference rule that
+    `best_equilibria_stack` and `rmsd_at_equilibrium` are tested against."""
+    from qgame.equilibrium import NoEquilibriumError
+
+    if report.empty:
+        raise NoEquilibriumError("report has no equilibria")
+    ranked = sorted(zip(report.profiles, report.payoffs), key=lambda pp: (-pp[1][0], pp[0]))
+    return ranked[0][0]
+
+
 def reference_rmsd(a, b1, b2, reference):
     """RMSD of one game's observed payoffs from the reference report at its
     best equilibrium, gathered entry by entry; None for an empty report."""
-    from qgame.equilibrium import max_payoff_profile
-
     if reference.empty:
         return None
     profile = max_payoff_profile(reference)

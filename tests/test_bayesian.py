@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgame.bayesian import compose
-from qgame.equilibrium import nash_equilibria, nash_equilibria_stack
+from qgame.equilibrium import nash_columns, nash_equilibria
 from qgame.game import DEFAULT_PAYOFF_ROWS_B1, DEFAULT_PAYOFF_ROWS_B2, Strategy, payoff_table, payoff_tensor
 
 import oracles
@@ -63,12 +63,14 @@ def test_b_payoffs_invariant_in_p():
     # each B type is solved with its own game's array at every p
     (a1, b1), (a2, b2) = tensors_at(0.22)
     ps = (0.0, 0.3, 1.0)
-    reports = nash_equilibria_stack(compose(np.stack([a1] * 3), np.stack([a2] * 3), ps), b1, b2, EVERY_PROFILE)
-    for report in reports:
-        assert len(report.profiles) == 64
-        for (i, j, k), (_, pay_b1, pay_b2) in zip(report.profiles, report.payoffs):
-            assert pay_b1 == b1[i, j]
-            assert pay_b2 == b2[i, k]
+    _, counts, flat, (_, pay_b1, pay_b2) = nash_columns(
+        compose(np.stack([a1] * 3), np.stack([a2] * 3), ps), b1, b2, EVERY_PROFILE
+    )
+    assert counts == [64] * 3 and flat == list(range(64)) * 3
+    for n, (b1_payoff, b2_payoff) in enumerate(zip(pay_b1, pay_b2)):
+        i, j, k = np.unravel_index(n % 64, (4, 4, 4))
+        assert b1_payoff == b1[i, j]
+        assert b2_payoff == b2[i, k]
 
 
 def test_matches_dense_oracle():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,15 +16,15 @@ from qgame.equilibrium import (
     NoEquilibriumError,
     best_equilibria_stack,
     detect_transitions,
-    max_payoff_profile,
+    nash_columns,
     nash_equilibria,
-    nash_equilibria_stack,
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
 )
 from qgame.game import (
     DEFAULT_PAYOFF_ROWS_B1,
     DEFAULT_PAYOFF_ROWS_B2,
+    PROFILES,
     Strategy,
     payoff_table,
     payoff_tensor,
@@ -191,9 +193,12 @@ def test_rmsd_requires_reference_equilibrium():
 
 
 def test_max_payoff_tie_break_is_lexicographic():
-    report = nash_equilibria(*bayes_at(0.0, 0.0), 0.0)
-    # all profiles tie at payoff_A = 11; IXI sorts first
-    assert max_payoff_profile(report) == profile_from_names("IXI")
+    tensor = bayes_at(0.0, 0.0)
+    report = nash_equilibria(*tensor, 0.0)
+    # all profiles tie at payoff_A = 11; IXI sorts first, for the reference rule and the stacked pick
+    assert oracles.max_payoff_profile(report) == profile_from_names("IXI")
+    best = best_equilibria_stack(tensor[0][None], *tensor[1:], 0.0)[0]
+    assert best.tolist() == [flat_index(profile_from_names("IXI"))]
 
 
 def test_reported_payoffs_equal_tensor_entries():
@@ -246,23 +251,35 @@ def integer_columns(draw, rows=None):
 @given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
 @settings(max_examples=100, deadline=None)
 def test_stack_rows_match_single_solves_and_brute_force(column, delta):
-    a, b1, b2 = column
-    reports = nash_equilibria_stack(a, b1, b2, delta)
-    assert len(reports) == len(a)
-    for n, report in enumerate(reports):
-        row_b1 = b1 if b1.ndim == 2 else b1[n]
-        row_b2 = b2 if b2.ndim == 2 else b2[n]
-        tensor = synthetic_tensor(a[n], row_b1, row_b2)
+    nash, counts, flat, payoffs = nash_columns(*column, delta)
+    assert nash.shape == (len(column[0]), 64) and len(counts) == len(column[0])
+    assert sum(counts) == len(flat) == nash.sum() and all(len(values) == len(flat) for values in payoffs)
+    rows = iter(zip(flat, zip(*payoffs)))
+    for n, count in enumerate(counts):
+        tensor = row_tensor(column, n)
         single = nash_equilibria(*tensor, delta)
-        assert report.profiles == single.profiles
-        assert report.payoffs == single.payoffs == tuple(payoffs_at(tensor, pr) for pr in report.profiles)
-        got = [(int(i), int(j), int(k)) for i, j, k in report.profiles]
-        assert got == oracles.brute_force_equilibria(*tensor, delta)
+        got = list(itertools.islice(rows, count))
+        assert [PROFILES[index] for index, _ in got] == list(single.profiles)
+        assert [tuple(row) for _, row in got] == list(single.payoffs)
+        assert single.payoffs == tuple(payoffs_at(tensor, pr) for pr in single.profiles)
+        assert [int(index) for index, _ in got] == np.flatnonzero(nash[n]).tolist()
+        assert [PROFILES[index] for index, _ in got] == oracles.brute_force_equilibria(*tensor, delta)
 
 
 def flat_index(profile) -> int:
     i, j, k = profile
     return 16 * i + 4 * j + k
+
+
+def row_tensor(column, n):
+    """Row n of a column of tensors as one game's arrays; a shared B array serves every row."""
+    a, b1, b2 = column
+    return synthetic_tensor(a[n], b1 if b1.ndim == 2 else b1[n], b2 if b2.ndim == 2 else b2[n])
+
+
+def row_reports(column, delta):
+    """Each row's `nash_equilibria` report."""
+    return [nash_equilibria(*row_tensor(column, n), delta) for n in range(len(column[0]))]
 
 
 # no pure equilibrium: A wants to match B1's choice, B1 to play A's choice plus one
@@ -278,32 +295,37 @@ PENNIES = (
 @settings(max_examples=150, deadline=None)
 def test_best_stack_rows_match_max_payoff_profile_of_the_reports(column, delta):
     # payoffs from {0, ..., 3} make tied best equilibria common
-    reports = nash_equilibria_stack(*column, delta)
+    reports = row_reports(column, delta)
     best, payoffs = best_equilibria_stack(*column, delta)
     assert best.shape == (len(reports),) and payoffs.shape == (len(reports), 3)
     for n, report in enumerate(reports):
         if report.empty:
             assert best[n] == -1
             continue
-        profile = max_payoff_profile(report)
+        profile = oracles.max_payoff_profile(report)
         assert best[n] == flat_index(profile)
         assert tuple(payoffs[n].tolist()) == report.payoffs[report.profiles.index(profile)]
 
 
 def test_best_stack_marks_rows_without_an_equilibrium():
-    reports = nash_equilibria_stack(*PENNIES, 0.0)
+    reports = row_reports(PENNIES, 0.0)
     assert not reports[0].empty and reports[1].empty
-    assert best_equilibria_stack(*PENNIES, 0.0)[0].tolist() == [flat_index(max_payoff_profile(reports[0])), -1]
+    assert nash_columns(*PENNIES, 0.0)[1] == [len(reports[0].profiles), 0]
+    want = [flat_index(oracles.max_payoff_profile(reports[0])), -1]
+    assert best_equilibria_stack(*PENNIES, 0.0)[0].tolist() == want
 
 
 @given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
 @example(column=PENNIES, delta=0.0)
 @settings(max_examples=60, deadline=None)
-def test_stack_reports_are_whole_records(column, delta):
-    # each report is a slice of the flat columns, which rests on the row order of the mask
-    reports = nash_equilibria_stack(*column, delta)
-    assert type(reports) is list and len(reports) == len(column[0])
-    for report in reports:
+def test_columns_are_plain_lists_and_row_reports_whole_records(column, delta):
+    # the flat columns follow the row order of the mask, and each row's report is read off them
+    _, counts, flat, payoffs = nash_columns(*column, delta)
+    assert type(counts) is list and all(type(count) is int for count in counts)
+    assert type(flat) is list and all(type(index) is int for index in flat)
+    assert type(payoffs) is list and len(payoffs) == 3
+    assert all(type(values) is list and all(type(x) is float for x in values) for values in payoffs)
+    for report in row_reports(column, delta):
         oracles.assert_whole_report(report)
 
 
@@ -316,7 +338,7 @@ def columns_with_references(draw):
     reference_column, delta = draw(integer_columns(rows=len(a))), draw(st.sampled_from([0.0, 0.1]))
     emptied = np.array(draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))))
     best, payoffs = best_equilibria_stack(*reference_column, delta)
-    reports = nash_equilibria_stack(*reference_column, delta)
+    reports = row_reports(reference_column, delta)
     reports = [EquilibriumReport((), ()) if e else r for r, e in zip(reports, emptied)]
     return (a, b1, b2), (np.where(emptied, -1, best), payoffs), reports
 
@@ -351,13 +373,39 @@ def test_rmsd_stack_reads_the_tie_broken_best_profile_and_skips_empty_rows():
         rmsd_at_equilibrium_stack(a, b1, b2, best[:1], payoffs[:1])
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]], ids=["profile", "reversed", "shuffled"])
+def test_rmsd_of_a_hand_built_report_in_any_order_uses_the_reference_rule(order):
+    # XYZ and IZI tie for the highest A payoff; the reference rule takes IZI, the first profile,
+    # wherever it sits in the report and whatever the tied payoffs of B
+    names, rows = ["ZII", "XYZ", "IZI", "YXX"], [(1.0, 0.0, 0.0), (5.0, 2.0, 2.0), (5.0, 1.0, 3.0), (4.0, 4.0, 4.0)]
+    report = EquilibriumReport(tuple(profile_from_names(names[n]) for n in order), tuple(rows[n] for n in order))
+    assert oracles.max_payoff_profile(report) == profile_from_names("IZI")
+    tensor = random_tensor(np.random.default_rng(11))
+    assert rmsd_at_equilibrium(*tensor, report) == oracles.reference_rmsd(*tensor, report)
+    observed = payoffs_at(tensor, profile_from_names("IZI"))
+    assert rmsd_at_equilibrium(*tensor, report) == float(np.sqrt(np.mean((np.subtract(observed, rows[2])) ** 2)))
+
+
+def test_rmsd_stack_scales_rows_whose_squares_overflow():
+    # differences of 2e300 overflow when squared; such a row is computed scaled by its largest |payoff|,
+    # without a warning (RuntimeWarnings fail the tests), and the ordinary row keeps its plain bits
+    a, b1, b2 = np.zeros((2, 4, 4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+    a[0, 0, 0, 0], a[1, 0, 0, 0] = 1e300, 3.0
+    payoffs = np.array([[-1e300, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    got = rmsd_at_equilibrium_stack(a, b1, b2, np.array([0, 0]), payoffs)
+    assert got[0] == pytest.approx(2e300 / np.sqrt(3), rel=1e-12) and np.isfinite(got[0])
+    assert got[1] == float(np.sqrt(np.mean(np.array([2.0, 0.0, 0.0]) ** 2)))
+    report = EquilibriumReport((profile_from_names("III"),), ((-1e300, 1e300, 0.0),))
+    assert rmsd_at_equilibrium(a[0], b1, b2, report) == pytest.approx(1e300 * np.sqrt(5 / 3), rel=1e-12)
+
+
 def test_negative_delta_rejected():
     tensor = bayes_at(0.1 * np.pi, 0.5)
     message = "delta=-0.1 must be >= 0"
     with pytest.raises(ValueError, match=message):
         nash_equilibria(*tensor, -0.1)
     with pytest.raises(ValueError, match=message):
-        nash_equilibria_stack(tensor[0][None], *tensor[1:], -0.1)
+        nash_columns(tensor[0][None], *tensor[1:], -0.1)
     with pytest.raises(ValueError, match=message):
         best_equilibria_stack(tensor[0][None], *tensor[1:], -0.1)
 
@@ -365,9 +413,9 @@ def test_negative_delta_rejected():
 def test_stack_shape_validation():
     a = np.zeros((3, 4, 4, 4))
     with pytest.raises(ValueError, match=r"got \(4, 4, 4\), \(4, 4\), \(4, 4\)"):
-        nash_equilibria_stack(a[0], np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+        nash_columns(a[0], np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
     with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
-        nash_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
+        nash_columns(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
     with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
         best_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
 

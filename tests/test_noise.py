@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,12 +23,14 @@ from qgame.noise import (
     spam_correct,
     spam_correct_stack,
     split_counts,
+    _crosstalk_map,
 )
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.statevector import Gate
 
 from oracles import (
     CALIBRATION_GATES,
+    crosstalk_map_dense,
     parallel_gates,
     reference_child_rng,
     reference_outcome_law,
@@ -205,7 +207,7 @@ class TestNoiseModel:
 
     def test_dict_round_trip(self):
         noise = NoiseModel.default_profile(seed=17)
-        assert NoiseModel.from_dict(noise.to_dict()) == noise
+        assert NoiseModel.from_dict(asdict(noise)) == noise
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -224,7 +226,7 @@ class TestNoiseModel:
         noise = NoiseModel.default_profile(seed)
         assert noise.seed == int(seed) and type(noise.seed) is int
         assert noise == NoiseModel.default_profile(int(seed))
-        assert type(noise.to_dict()["seed"]) is int
+        assert type(asdict(noise)["seed"]) is int
 
     @pytest.mark.parametrize(
         "seed, message",
@@ -272,6 +274,12 @@ class TestConfusion:
         src = 0b10000
         assert conf.matrix[0b11000, src] > 0.09
         assert conf.matrix[src, src] < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.03, 0.1, 1 / 3, 0.37, 0.5])
+    def test_crosstalk_map_matches_dense_steps_bit_for_bit(self, gamma, n):
+        # one 4x4 bleed per ordered adjacent pair, applied through apply_matrix, against dense 2^n steps
+        assert _crosstalk_map(gamma, n).tobytes() == crosstalk_map_dense(gamma, n).tobytes()
 
     def test_rejects_non_stochastic(self):
         bad = np.eye(32)

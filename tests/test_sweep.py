@@ -30,10 +30,9 @@ from qgame.equilibrium import (
     DELTA_SHOTS,
     EquilibriumReport,
     best_equilibria_stack,
-    max_payoff_profile,
-    nash_equilibria_stack,
+    nash_columns,
 )
-from qgame.game import DEFAULT_PAYOFF_ROWS_B1, STRATEGIES, profile_from_names
+from qgame.game import DEFAULT_PAYOFF_ROWS_B1, PROFILES, profile_from_names
 from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.sweep import (
@@ -60,6 +59,7 @@ from oracles import (
     branch_indices,
     branch_map,
     brute_force_equilibria,
+    max_payoff_profile,
     reference_analytic_reports,
     reference_child_rng,
     reference_emit,
@@ -75,8 +75,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
-# profile -> its flat index 16 i + 4 j + k
-_PROFILE_INDEX = {profile: n for n, profile in enumerate(itertools.product(STRATEGIES, repeat=3))}
+def assert_columns_match_reports(columns, reports) -> None:
+    """`nash_columns`' counts, flat profiles and payoff rows are those of `reports`, row after row."""
+    _, counts, flat, payoffs = columns
+    assert counts == [len(report.profiles) for report in reports]
+    assert [PROFILES[index] for index in flat] == [profile for report in reports for profile in report.profiles]
+    assert list(zip(*payoffs)) == [row for report in reports for row in report.payoffs]
 
 
 def analytic_config(**kw) -> ExperimentConfig:
@@ -318,10 +322,10 @@ class TestAnalyticSweep:
                 payoff_rows_b1=[[[3, 3], [0, 5]], [[5, 0], [1, 1]]],
                 payoff_rows_b2=[[[2, 1], [0, 0]], [[0, 0], [1, 2]]],
             ).tables
-        got = nash_equilibria_stack(*_analytic_payoffs([chi], tables, DEFAULT_P_GRID), delta)
-        assert got == reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)
+        got = nash_columns(*_analytic_payoffs([chi], tables, DEFAULT_P_GRID), delta)
+        assert_columns_match_reports(got, reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta))
         if chi == 0.0 and not custom:
-            assert len(got[0].profiles) == 8
+            assert got[1][0] == 8
 
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     def test_grid_solve_matches_per_angle_references_in_chi_major_order(self, delta):
@@ -331,9 +335,9 @@ class TestAnalyticSweep:
         chis, tables = [0.0, 0.1 * np.pi, np.pi / 4], ExperimentConfig().tables
         payoffs = _analytic_payoffs(chis, tables, DEFAULT_P_GRID)
         want = [report for chi in chis for report in reference_analytic_reports(chi, tables, DEFAULT_P_GRID, delta)]
-        assert nash_equilibria_stack(*payoffs, delta) == want
+        assert_columns_match_reports(nash_columns(*payoffs, delta), want)
         best = best_equilibria_stack(*payoffs, delta)[0].tolist()
-        assert best == [-1 if r.empty else _PROFILE_INDEX[max_payoff_profile(r)] for r in want]
+        assert best == [-1 if r.empty else PROFILES.index(max_payoff_profile(r)) for r in want]
 
 
 class TestShotSweep:
@@ -1229,7 +1233,7 @@ def with_column(data: dict, key: str, name: str, change) -> str:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ANY_FLOAT = st.floats()  # NaN, both infinities, both zeros and subnormals included
-PROFILE = st.sampled_from(list(itertools.product(STRATEGIES, repeat=3)))
+PROFILE = st.sampled_from(PROFILES)
 EQUILIBRIA = st.lists(st.tuples(PROFILE, st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)), min_size=1, max_size=8).map(
     lambda pairs: EquilibriumReport(*map(tuple, zip(*pairs)))
 )
@@ -1720,6 +1724,38 @@ class TestCli:
         assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert "0.17" in capsys.readouterr().out
         assert (tmp_path / "thresholds.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, code, marks",
+        [
+            # IXI stays an equilibrium over the whole grid: no transitions
+            ({"chi_grid_pi": [0.05], "p_grid": [0.0, 0.01, 0.02]}, 0, ["none"]),
+            # 20 shots empty a branch in every cell: each angle's transitions are unknown
+            ({"mode": "shots", "shots": 20, "chi_grid_pi": [0, 0.1], "p_grid": [0.2, 0.5, 0.8]}, 3, ["n/a", "n/a"]),
+        ],
+        ids=["no-transitions", "every-cell-failed"],
+    )
+    def test_thresholds_print_none_or_n_a(self, tmp_path, capsys, config, code, marks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == code
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == [f"chi={float(chi)}pi profile=IXI transitions at p: {mark}"
+                         for chi, mark in zip(config["chi_grid_pi"], marks)]
+        # the table keeps a blank field for both
+        rows = [f"{float(chi)},IXI,,3\n" for chi in config["chi_grid_pi"]]
+        assert (tmp_path / "thresholds.csv").read_text() == "chi_pi,profile,thresholds,window\n" + "".join(rows)
+
+    def test_huge_finite_payoffs_write_a_sweep_that_loads(self, tmp_path, capsys):
+        # the deviations near 1e197 square past the float range; their RMSDs are computed scaled
+        # by the largest payoff, finite and without a warning (RuntimeWarnings fail the tests)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "shots", "payoff_rows_b1": [[[1e200, 3], [0, 5]], [[5, 0], [1, 1]]],
+                                    "chi_grid_pi": [0, 0.1], "p_grid": [0.2, 0.5]}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rmsds = json.loads((tmp_path / "sweep.json").read_text())["cells"]["rmsd"]
+        assert rmsds[:2] == [0.0, 0.0] and all(1e196 < rmsd < 1e198 for rmsd in rmsds[2:])
+        assert main(["rmsd", "--from", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "saved")]) == 0
 
     def test_rmsd_command(self, tmp_path, capsys):
         cfg = shot_config(chi_grid_pi=(0.05,), p_grid=(0.0, 0.5), shots=4_000, seed=6)
