@@ -124,7 +124,7 @@ def _cmd_rmsd(args: argparse.Namespace) -> int:
     write_csv(path, ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells"), rows)
     print(f"wrote csv: {path}")
     for row in rows:
-        mean = "n/a" if row["mean_rmsd"] is None else f"{row['mean_rmsd']:.4f}"
+        mean = "n/a" if row["mean_rmsd"] is None else f"{row['mean_rmsd']:.4g}"
         print(f"chi={row['chi_nominal_pi']}pi mean_rmsd={mean} over {row['n_cells']} cells")
     return EXIT_CELL_FAILURE if _cell_failures(result) else EXIT_OK
 

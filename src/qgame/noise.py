@@ -15,15 +15,16 @@ cached, so a sweep evolves each circuit once, not once per angle, and
 models that differ only in readout, angle error or seed share it. The law
 at an angle is then a weighted sum of the node values, the weights folding
 in the systematic offset and the Gaussian spread of the angle, followed by
-the readout confusion matrix, the same matrix that SPAM correction inverts.
-A confusion matrix computes its condition number and inverse once, so
-correcting a pool is one matrix-vector product, and a stack of pools is
-corrected in one call. Sampling then draws counts, never per-shot
-outcomes: `sample_outcomes` is one multinomial draw of `outcome_law`,
-with the same (gates, n, chi, noise) arguments, for every circuit. The
-type split draws a binomial per outcome count. A population is a plain
-32-entry count array, and each single-row function is the one-row case
-of its stacked form.
+`readout_matrix(noise, n)`, cached per noise model. SPAM correction takes
+the same `NoiseModel` and inverts that matrix, whose 5-qubit condition
+number and inverse are computed once, so it cannot invert a map the
+emulation did not apply, and correcting a stack of pools is one matrix
+product per pool. Sampling then draws counts, never per-shot outcomes:
+`sample_outcomes` is one multinomial draw of `outcome_law`, with the same
+(gates, n, chi, noise) arguments, for every circuit. The type split draws
+a binomial per outcome count. A population is a plain 32-entry count
+array, and each single-row function is the one-row case of its stacked
+form.
 
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (angle, circuit variant,
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +59,7 @@ _NEGATIVE_FLOOR = 1e-3  # fraction of total population
 
 
 class SpamCorrectionError(ValueError):
-    """Confusion matrix unusable or corrected populations meaningfully negative."""
+    """Readout matrix unusable or corrected populations meaningfully negative."""
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -136,11 +137,6 @@ class NoiseModel:
         return cls(**data)
 
 
-def _per_qubit_confusion(p01: float, p10: float) -> np.ndarray:
-    # column j = true bit j, rows = observed bit
-    return np.array([[1 - p01, p10], [p01, 1 - p10]])
-
-
 def _crosstalk_map(gamma: float, n_qubits: int) -> np.ndarray:
     """Symmetric nearest-channel bleed: a bright channel lights up a dark
     neighbor with probability gamma, applied per ordered adjacent pair."""
@@ -153,85 +149,48 @@ def _crosstalk_map(gamma: float, n_qubits: int) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Column-stochastic map from true to observed outcome probabilities.
-
-    The matrix is immutable, so its condition number and inverse are
-    computed once, on first use, and kept on the instance.
-    """
-
-    matrix: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float).copy()
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if (matrix < -1e-12).any():
-            raise ValueError("confusion entries must be nonnegative")
-        sums = matrix.sum(axis=0)
-        if np.abs(sums - 1.0).max() > 1e-9:
-            raise ValueError("confusion matrix columns must sum to 1")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    @lru_cache(maxsize=8)
-    def from_flips(
-        cls, p01: float, p10: float, n_qubits: int = N_QUBITS, crosstalk: float = 0.0
-    ) -> "ConfusionMatrix":
-        """One shared instance per parameter set, so every caller reuses its
-        factorization."""
-        single = _per_qubit_confusion(p01, p10)
-        full = np.array([[1.0]])
-        for _ in range(n_qubits):
-            full = np.kron(full, single)
-        if crosstalk > 0:
-            full = _crosstalk_map(crosstalk, n_qubits) @ full
-        return cls(full)
-
-    @classmethod
-    def from_noise(cls, noise: NoiseModel, n_qubits: int = N_QUBITS) -> "ConfusionMatrix":
-        return cls.from_flips(noise.readout_flip_0to1, noise.readout_flip_1to0, n_qubits, noise.crosstalk)
-
-    def apply(self, probs: np.ndarray) -> np.ndarray:
-        return self.matrix @ probs
-
-    @cached_property
-    def condition(self) -> float:
-        return float(np.linalg.cond(self.matrix))
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        inverse = np.linalg.inv(self.matrix)
-        inverse.flags.writeable = False
-        return inverse
+@lru_cache(maxsize=8)
+def readout_matrix(noise: NoiseModel, n_qubits: int = N_QUBITS) -> np.ndarray:
+    """The read-only column-stochastic map from true to observed outcome
+    probabilities on `n_qubits`, one per noise model: each qubit's bit flips
+    on its own, then the crosstalk bleed acts."""
+    p01, p10 = noise.readout_flip_0to1, noise.readout_flip_1to0
+    single = np.array([[1 - p01, p10], [p01, 1 - p10]])  # column j = true bit j, rows = observed bit
+    matrix = reduce(np.kron, [single] * n_qubits, np.array([[1.0]]))  # qubit 0 the most significant bit
+    if noise.crosstalk > 0:
+        matrix = _crosstalk_map(noise.crosstalk, n_qubits) @ matrix
+    matrix.flags.writeable = False
+    return matrix
 
 
-def spam_correct_stack(
-    counts: np.ndarray, confusion: ConfusionMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the confusion map on every row of a (..., 32) stack of counts.
+@lru_cache(maxsize=8)
+def _readout_inverse(noise: NoiseModel) -> tuple[float, np.ndarray | None]:
+    """The 5-qubit readout matrix's condition number and read-only inverse,
+    computed once per noise model; no inverse past the condition limit."""
+    matrix = readout_matrix(noise, N_QUBITS)  # the key outcome_law caches it under
+    cond = float(np.linalg.cond(matrix))
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        return cond, None
+    inverse = np.linalg.inv(matrix)
+    inverse.flags.writeable = False
+    return cond, inverse
+
+
+def spam_correct_stack(counts: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the readout matrix of `noise` on every row of a (..., 32) stack of counts.
 
     Small negative results (within 0.1% of the row's total) are clipped and
-    the row rescaled to its total; anything worse means the confusion model
+    the row rescaled to its total; anything worse means the readout model
     does not match the data. Returns the corrected stack, the mask of rows
     that fail, whose corrected values mean nothing, and each row's most
     negative corrected value. An unusable matrix raises for the whole stack.
     """
-    if confusion.matrix.shape[0] != N_OUTCOMES:
-        raise ValueError("confusion matrix size does not match population vector")
-    cond = confusion.condition
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    cond, inverse = _readout_inverse(noise)
+    if inverse is None:
         raise SpamCorrectionError(f"confusion matrix ill-conditioned (cond={cond:.3g})")
     counts = np.ascontiguousarray(counts, dtype=float)
     # one matrix-vector product per row, so a row's result does not depend on the stack
-    corrected = (confusion.inverse @ counts[..., None])[..., 0]
+    corrected = (inverse @ counts[..., None])[..., 0]
     total = counts.sum(axis=-1)
     worst = corrected.min(axis=-1)
     clipped = np.clip(corrected, 0.0, None)
@@ -240,14 +199,14 @@ def spam_correct_stack(
     return clipped * (total / np.where(failed, 1.0, scale))[..., None], failed, worst
 
 
-def spam_correct(counts: np.ndarray, confusion: ConfusionMatrix) -> np.ndarray:
+def spam_correct(counts: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """One 32-entry count array's case of `spam_correct_stack`; a failed row raises."""
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (N_OUTCOMES,):
         raise ValueError(f"expected {N_OUTCOMES} entries, got {counts.shape}")
     if not np.isfinite(counts).all() or (counts < 0).any():
         raise ValueError("counts must be finite and nonnegative")
-    corrected, failed, worst = spam_correct_stack(counts, confusion)
+    corrected, failed, worst = spam_correct_stack(counts, noise)
     if failed:
         if worst < 0:  # else every entry was 0 and clipping left nothing
             raise SpamCorrectionError(
@@ -346,14 +305,14 @@ def outcome_law(gates: tuple[Gate, ...], n: int, nominal_chi: float, noise: Nois
     exp(-m^2 sigma^2 / 2) gives the Gaussian average exactly, as
     sum_j w_j diag(theta_j) with weights shifted by c:
     w_j = (1 + 2 sum_m exp(-m^2 sigma^2 / 2) cos(m (theta_j - c))) / (2d + 1).
-    The readout matrix then acts on the average.
+    `readout_matrix(noise, n)` then acts on the average.
     """
     nodes, diagonals = _node_diagonals(gates, n, noise.single_qubit_depol, noise.two_qubit_depol)
     freqs = np.arange(1, len(nodes) // 2 + 1)
     damping = np.exp(-0.5 * (freqs * noise.chi_jitter_sigma) ** 2)
     chi = nominal_chi + noise.chi_offset
     weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes - chi))) / len(nodes)
-    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(weights @ diagonals), 0.0, None)
+    probs = np.clip(readout_matrix(noise, n) @ (weights @ diagonals), 0.0, None)
     return probs / probs.sum()
 
 

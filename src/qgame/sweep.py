@@ -102,7 +102,6 @@ from qgame.noise import (
     PURPOSE_SAMPLE,
     PURPOSE_SPLIT,
     ChiEstimate,
-    ConfusionMatrix,
     NoiseModel,
     SpamCorrectionError,
     child_rng,
@@ -377,7 +376,7 @@ def _split_pools(config: ExperimentConfig, counts: np.ndarray, rng: np.random.Ge
     return np.where(pools.sum(axis=-1, keepdims=True) > 0, pools, counts[:, None, None, :])
 
 
-def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, confusion: ConfusionMatrix) -> str:
+def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, noise: NoiseModel) -> str:
     """A failed cell's message: the error of the single-cell step that fails
     first in per-cell order, read off the cell's (variant, type, step) mask
     of failed steps (SPAM correction, raw parse, corrected parse) and run on
@@ -385,7 +384,7 @@ def _cell_error(steps: np.ndarray, pools: np.ndarray, corrected: np.ndarray, con
     v, t, step = np.unravel_index(np.argmax(steps), steps.shape)
     try:
         if step == 0:
-            spam_correct(pools[v, t], confusion)
+            spam_correct(pools[v, t], noise)
         else:
             parse_branches((pools if step == 1 else corrected)[v, t], tuple(Variant)[v])
     except (SpamCorrectionError, EmptyBranchError) as exc:
@@ -408,13 +407,13 @@ def _sample(config: ExperimentConfig, chi_pi: float) -> tuple:
 
 
 def _reduce(
-    config: ExperimentConfig, confusion: ConfusionMatrix, counts: np.ndarray, rng: np.random.Generator
+    config: ExperimentConfig, counts: np.ndarray, rng: np.random.Generator
 ) -> tuple[list[str | None], np.ndarray]:
     """One angle's failure message per p (None where the cell solves) and the
     (game, player, solved p, strategy A, strategy B) payoffs, from the split of `counts` on `rng`."""
     pools = _split_pools(config, counts, rng)
     try:
-        corrected, spam_failed, _ = spam_correct_stack(pools, confusion)
+        corrected, spam_failed, _ = spam_correct_stack(pools, config.noise)
     except SpamCorrectionError:
         # an unusable readout matrix fails every cell, each with its own error
         corrected, spam_failed = pools, np.ones(pools.shape[:-1], dtype=bool)
@@ -424,7 +423,7 @@ def _reduce(
     # (variant, type, p, step): which single-cell steps fail, in per-cell order
     steps = np.stack([spam_failed, raw_empty, (totals <= 0).any(axis=-1)], axis=-1)
     failed = steps.any(axis=(0, 1, 3))
-    errors = [_cell_error(steps[:, :, n], pools[:, :, n], corrected[:, :, n], confusion) if fails else None
+    errors = [_cell_error(steps[:, :, n], pools[:, :, n], corrected[:, :, n], config.noise) if fails else None
               for n, fails in enumerate(failed.tolist())]
     # (game, player, variant, p, branch) payoffs, then (game, player, p, pair) in strategy-pair order
     pays = [tensor_from_distributions(dists[:, t, ~failed], table) for t, table in enumerate(config.tables)]
@@ -432,27 +431,36 @@ def _reduce(
     return errors, pays.reshape(2, 2, -1, 4, 4)
 
 
+def _measured(config: ExperimentConfig, values) -> tuple[np.ndarray, tuple]:
+    """Each angle's measured value in radians, from its calibration estimate in `values`, and each cell's
+    chi_measured_pi. Analytic mode measures nothing: the nominal angle. Shot mode clips the estimate,
+    which lives in [0, pi/2], to the protocol's saturation at pi/4."""
+    if config.mode == MODE_ANALYTIC:
+        return np.multiply(config.chi_grid_pi, np.pi), tuple(np.repeat(config.chi_grid_pi, len(config.p_grid)).tolist())
+    chis = np.clip(values, 0.0, CHI_MAX)
+    return chis, tuple((np.repeat(chis, len(config.p_grid)) / np.pi).tolist())
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the full grid. Deterministic for a given config and seed."""
     n_chi, n_p, delta = len(config.chi_grid_pi), len(config.p_grid), config.effective_delta
     nominal = tuple(itertools.chain.from_iterable(itertools.repeat(chi_pi, n_p) for chi_pi in config.chi_grid_pi))
     if config.mode == MODE_ANALYTIC:
-        chis = np.multiply(config.chi_grid_pi, np.pi)
+        chis, measured = _measured(config, ())
         nash, counts, flat, payoffs = nash_columns(*_analytic_payoffs(chis, config.tables, config.p_grid), delta)
         # the analytic run is its own benchmark; no reference point exists
         # where the equilibrium set is empty
-        counts, measured, errors = tuple(counts), nominal, (None,) * len(counts)
+        counts, errors = tuple(counts), (None,) * len(counts)
         rmsds = tuple(0.0 if count else None for count in counts)
         ok = np.ones(len(counts), dtype=bool)
         estimates = [ChiEstimate(chi, 0.0) for chi in chis.tolist()]
     else:
         shot_counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
-        # the estimator lives in [0, pi/2]; the protocol angle saturates at pi/4
-        chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
+        chi_refs, measured = _measured(config, [estimate.value for estimate in estimates])
         # every cell's theory reference, at its angle's measured value, in one pass
         best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
-        # one readout matrix per sweep: its factorization serves every cell
-        errors, pays = zip(*map(partial(_reduce, config, ConfusionMatrix.from_noise(config.noise)), shot_counts, rngs))
+        # SPAM correction inverts the readout matrix of config.noise, factored once per noise model
+        errors, pays = zip(*map(partial(_reduce, config), shot_counts, rngs))
         errors, pays = tuple(itertools.chain(*errors)), np.concatenate(pays, axis=2)
         ok = np.array([error is None for error in errors])
         pay_a = compose(pays[0, 0], pays[1, 0], np.tile(config.p_grid, n_chi)[ok])
@@ -460,7 +468,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         nash, counts, flat, payoffs = nash_columns(pay_a, pays[0, 1], pays[1, 1], delta)
         observed = zip(counts, rmsds)  # a failed cell has neither
         counts, rmsds = zip(*(next(observed) if error is None else (None, None) for error in errors))
-        measured = tuple((np.repeat(chi_refs, n_p) / np.pi).tolist())
     # each angle's solved p values and the tracked profile's membership there, off its column of the Nash mask
     member, transitions = iter(nash[:, PROFILE_NAMES.index(config.tracked_profile)].tolist()), []
     for chi_pi, solved in zip(config.chi_grid_pi, ok.reshape(n_chi, n_p).tolist()):
@@ -476,14 +483,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 # analyses over a finished sweep
 
 def rmsd_analysis(result: SweepResult) -> list[dict]:
-    """Per-angle aggregate of cell-level payoff deviations, over cells in any order; off-grid cells are dropped."""
-    cells, rows = result.cell_columns, []
-    nominal, rmsds = np.array(cells.chi_nominal_pi, dtype=float), np.array(cells.rmsd, dtype=float)
-    scored = np.not_equal(np.array(cells.rmsd, dtype=object), None)  # a None rmsd reads NaN in `rmsds`
-    for chi_pi in result.config.chi_grid_pi:
-        at = np.flatnonzero(nominal == chi_pi)  # the angle's cells in result order
-        values = rmsds[at[scored[at]]]
-        rows.append({"chi_nominal_pi": chi_pi, "chi_measured_pi": cells.chi_measured_pi[at[0]] if at.size else None,
+    """Per-angle aggregate of cell-level payoff deviations, each angle's cells one row of the chi-major grid."""
+    cells, n_p, rows = result.cell_columns, len(result.config.p_grid), []
+    for start, chi_pi in zip(range(0, len(cells.rmsd), n_p), result.config.chi_grid_pi):
+        values = np.array([rmsd for rmsd in cells.rmsd[start:start + n_p] if rmsd is not None], dtype=float)
+        rows.append({"chi_nominal_pi": chi_pi, "chi_measured_pi": cells.chi_measured_pi[start],
                      "mean_rmsd": float(values.mean()) if values.size else None,
                      "max_rmsd": float(values.max()) if values.size else None, "n_cells": values.size})
     return rows
@@ -698,13 +702,10 @@ def result_from_dict(data: dict) -> SweepResult:
         at, points = list(zip(nominal_pi, ps)), list(itertools.product(chi_grid, p_grid))  # run_sweep's order
         index = next(n for n, point in enumerate(at) if point != points[n])
         raise ConfigError(f"cell {index} at (chi_nominal_pi, p) = {at[index]}, expected {points[index]}")
-    # a measured angle past pi/4 within check_chi's tolerance loads, as a config grid angle may
-    if min(measured) < 0.0 or max(measured) > 0.25:
-        for index, angle in enumerate(measured):
-            try:
-                check_chi(angle * np.pi)
-            except ValueError as exc:
-                raise ConfigError(f"cell {index}: {exc}") from exc
+    expected = _measured(config, value)[1]  # run_sweep's rule, from the file's own chi_measurements
+    if tuple(measured) != expected:
+        index, got, want = next((n, a, b) for n, (a, b) in enumerate(zip(measured, expected)) if a != b)
+        raise ConfigError(f"cell {index}: chi_measured_pi={got!r}, expected {want!r} from chi_measurements")
     if min(filter(None, rmsds), default=0.0) < 0.0:  # filter(None) drops the nulls and zeros
         index = next(n for n, rmsd in enumerate(rmsds) if rmsd is not None and rmsd < 0.0)
         raise ConfigError(f"cell {index}: rmsd={rmsds[index]} is negative")

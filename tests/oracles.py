@@ -291,7 +291,7 @@ def reference_outcome_law(gates, n: int, nominal_chi: float, noise) -> np.ndarra
     """`noise.outcome_law` evaluated per angle: the density matrices evolve
     at nominal + offset + each quadrature node, and the node weights carry
     no shift."""
-    from qgame.noise import ConfusionMatrix, _noisy_diagonals
+    from qgame.noise import _noisy_diagonals, readout_matrix
 
     degree = 2 * sum(gate.name in ("J", "JDAG") for gate in gates)
     nodes = 2 * np.pi * np.arange(2 * degree + 1) / (2 * degree + 1)
@@ -300,7 +300,7 @@ def reference_outcome_law(gates, n: int, nominal_chi: float, noise) -> np.ndarra
     weights = (1 + 2 * damping @ np.cos(np.outer(freqs, nodes))) / len(nodes)
     chi = nominal_chi + noise.chi_offset
     probs = weights @ _noisy_diagonals(gates, n, chi + nodes, noise.single_qubit_depol, noise.two_qubit_depol)
-    probs = np.clip(ConfusionMatrix.from_noise(noise, n).apply(probs), 0.0, None)
+    probs = np.clip(readout_matrix(noise, n) @ probs, 0.0, None)
     return probs / probs.sum()
 
 
@@ -499,7 +499,6 @@ def reference_shot_sweep(config):
         PURPOSE_CALIBRATION,
         PURPOSE_SAMPLE,
         PURPOSE_SPLIT,
-        ConfusionMatrix,
         SpamCorrectionError,
         measure_chi,
         sample_outcomes,
@@ -510,7 +509,6 @@ def reference_shot_sweep(config):
     from qgame.sweep import CellResult
 
     tables = config.tables
-    confusion = ConfusionMatrix.from_noise(config.noise)
     delta = config.effective_delta
     cells, transitions, measurements = [], [], []
     for chi_pi in config.chi_grid_pi:
@@ -541,7 +539,7 @@ def reference_shot_sweep(config):
                     for t, pool in enumerate((to_b1[v][n], counts[v] - to_b1[v][n])):
                         if pool.sum() == 0:
                             pool = counts[v]
-                        corrected = spam_correct(pool, confusion)
+                        corrected = spam_correct(pool, config.noise)
                         parse_branches(pool, variant)  # a branch without raw shots is empty
                         dists[t].update(parse_branches(corrected, variant))
             except (SpamCorrectionError, EmptyBranchError) as exc:
@@ -586,7 +584,6 @@ def reference_sweep_records(config):
         rmsd_at_equilibrium_stack,
     )
     from qgame.game import profile_from_names
-    from qgame.noise import ConfusionMatrix
     from qgame.statevector import CHI_MAX
     from qgame.sweep import CellResult, _analytic_payoffs, _reduce, _sample
 
@@ -603,9 +600,9 @@ def reference_sweep_records(config):
         counts, estimates, rngs = zip(*(_sample(config, chi_pi) for chi_pi in config.chi_grid_pi))
         chi_refs = [min(max(estimate.value, 0.0), CHI_MAX) for estimate in estimates]
         best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
-        confusion, errors, pays = ConfusionMatrix.from_noise(config.noise), [], []
+        errors, pays = [], []
         for angle_counts, rng in zip(counts, rngs):
-            angle_errors, angle_pays = _reduce(config, confusion, angle_counts, rng)
+            angle_errors, angle_pays = _reduce(config, angle_counts, rng)
             errors.extend(angle_errors)
             pays.append(angle_pays)
         pays = np.concatenate(pays, axis=2)

@@ -11,7 +11,7 @@ import numpy as np
 
 from qgame.equilibrium import DELTA_SHOTS
 from qgame.game import payoff_table, profile_from_names
-from qgame.noise import ConfusionMatrix, NoiseModel, outcome_law, spam_correct
+from qgame.noise import NoiseModel, outcome_law, readout_matrix, spam_correct
 from qgame.sweep import ExperimentConfig, emit_report, run_sweep, verify_parallelization
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 
@@ -135,8 +135,8 @@ def test_criterion_6_shot_convergence():
     )
 
     truth = outcome_law(build_circuit(Variant.I_CIRCUIT, np.pi / 8), N_QUBITS, np.pi / 8, NoiseModel()) * 30_000
-    conf = ConfusionMatrix.from_flips(0.006, 0.006)
-    recovered = spam_correct(conf.apply(truth), conf)
+    readout = NoiseModel(readout_flip_0to1=0.006, readout_flip_1to0=0.006)
+    recovered = spam_correct(readout_matrix(readout) @ truth, readout)
     spam_err = float(np.abs(recovered - truth).max())
     ok = sets_match and payoffs_close and spam_err < 1e-9
     check(

@@ -20,7 +20,6 @@ from qgame.game import (
     profile_names,
     tensor_from_distributions,
 )
-from qgame.noise import ConfusionMatrix
 from qgame.sweep import ExperimentConfig
 
 import oracles
@@ -282,17 +281,3 @@ def test_profile_string_round_trip():
     for names in (5, None, ["Z", "Y", "X"]):  # not a string: a ValueError, not a TypeError
         with pytest.raises(ValueError, match="bad profile string"):
             profile_from_names(names)
-
-
-# each maker gives equal values for equal arguments and different ones otherwise
-ARRAY_DATACLASSES = {
-    "ConfusionMatrix": lambda v: ConfusionMatrix(np.roll(np.eye(4), v, axis=0)),
-}
-
-
-@pytest.mark.parametrize("name", ARRAY_DATACLASSES)
-def test_array_dataclasses_compare_by_value(name):
-    make = ARRAY_DATACLASSES[name]
-    assert make(0) == make(0)
-    assert make(0) != make(1)
-    assert make(0) != "not a dataclass"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qgame.noise import (
     ChiEstimate,
-    ConfusionMatrix,
     PURPOSE_CALIBRATION,
     NoiseModel,
     SpamCorrectionError,
@@ -19,6 +18,7 @@ from qgame.noise import (
     estimate_chi_from_counts,
     measure_chi,
     outcome_law,
+    readout_matrix,
     sample_outcomes,
     spam_correct,
     spam_correct_stack,
@@ -255,25 +255,48 @@ def test_child_rng_is_the_documented_seed_sequence_stream(seed):
     assert np.array_equal(stream.binomial(1_000, 0.3, 8), reference.binomial(1_000, 0.3, 8))
 
 
+def readout(p01: float, p10: float, crosstalk: float = 0.0) -> NoiseModel:
+    """A noise model with readout errors only."""
+    return NoiseModel(readout_flip_0to1=p01, readout_flip_1to0=p10, crosstalk=crosstalk)
+
+
 class TestConfusion:
     def test_classical_outcome_retention(self):
         # survival of a definite 5-bit outcome under independent 1% flips
-        conf = ConfusionMatrix.from_flips(0.01, 0.01)
+        matrix = readout_matrix(readout(0.01, 0.01))
         for outcome in (0, 9, 31):
-            assert conf.matrix[outcome, outcome] == pytest.approx(0.99**5, abs=1e-15)
+            assert matrix[outcome, outcome] == pytest.approx(0.99**5, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_flip_map_is_the_product_of_per_qubit_flips(self, n):
+        # entry (observed, true): one factor per qubit, qubit 0 the most significant bit
+        p01, p10 = 0.02, 0.07
+        flip = {(0, 0): 1 - p01, (1, 0): p01, (0, 1): p10, (1, 1): 1 - p10}
+        dense = [[math.prod(flip[(o >> k) & 1, (t >> k) & 1] for k in range(n)) for t in range(2**n)]
+                 for o in range(2**n)]
+        np.testing.assert_allclose(readout_matrix(readout(p01, p10), n), dense, rtol=0, atol=1e-15)
 
     def test_columns_stochastic_with_crosstalk(self):
-        conf = ConfusionMatrix.from_flips(0.02, 0.01, crosstalk=0.03)
-        sums = conf.matrix.sum(axis=0)
+        matrix = readout_matrix(readout(0.02, 0.01, crosstalk=0.03))
+        sums = matrix.sum(axis=0)
         assert np.abs(sums - 1.0).max() < 1e-12
-        assert (conf.matrix >= 0).all()
+        assert (matrix >= 0).all()
 
     def test_crosstalk_moves_population_to_neighbor(self):
-        conf = ConfusionMatrix.from_noise(NoiseModel(crosstalk=0.1))
+        matrix = readout_matrix(NoiseModel(crosstalk=0.1))
         # outcome 10000: qubit 0 bright, qubit 1 dark -> bleeds toward 11000
         src = 0b10000
-        assert conf.matrix[0b11000, src] > 0.09
-        assert conf.matrix[src, src] < 1.0
+        assert matrix[0b11000, src] > 0.09
+        assert matrix[src, src] < 1.0
+
+    def test_one_read_only_matrix_per_noise_model(self):
+        # outcome_law and spam_correct read the same cached array, which no caller can change
+        noise = readout(0.004, 0.006, crosstalk=0.01)
+        matrix = readout_matrix(noise, N_QUBITS)
+        assert readout_matrix(replace(noise), N_QUBITS) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.03, 0.1, 1 / 3, 0.37, 0.5])
@@ -281,24 +304,18 @@ class TestConfusion:
         # one 4x4 bleed per ordered adjacent pair, applied through apply_matrix, against dense 2^n steps
         assert _crosstalk_map(gamma, n).tobytes() == crosstalk_map_dense(gamma, n).tobytes()
 
-    def test_rejects_non_stochastic(self):
-        bad = np.eye(32)
-        bad[0, 0] = 0.9
-        with pytest.raises(ValueError, match="sum to 1"):
-            ConfusionMatrix(bad)
-
 
 class TestSpamCorrection:
     def test_round_trip_recovers_true_populations(self):
         truth = zero_noise_law(Variant.X_CIRCUIT, np.pi / 8) * 30_000
-        conf = ConfusionMatrix.from_flips(0.006, 0.006)
-        corrected = spam_correct(conf.apply(truth), conf)
+        noise = readout(0.006, 0.006)
+        corrected = spam_correct(readout_matrix(noise) @ truth, noise)
         assert np.abs(corrected - truth).max() < 1e-9
         assert corrected.sum() == pytest.approx(30_000)
 
     def test_identity_confusion_is_noop(self):
         pops = np.full(32, 10.0)
-        corrected = spam_correct(pops, ConfusionMatrix(np.eye(32)))
+        corrected = spam_correct(pops, NoiseModel())  # no readout error: the identity map
         assert np.allclose(corrected, pops)
 
     def test_correction_improves_sampled_estimate(self):
@@ -307,8 +324,7 @@ class TestSpamCorrection:
         noise = NoiseModel(readout_flip_0to1=0.01, readout_flip_1to0=0.012)
         shots = 200_000
         raw = sample_outcomes(gates, N_QUBITS, chi, noise, shots, np.random.default_rng(21))
-        conf = ConfusionMatrix.from_noise(noise)
-        corrected = spam_correct(raw, conf)
+        corrected = spam_correct(raw, noise)
         err_raw = np.abs(raw / raw.sum() - exact).sum()
         err_corrected = np.abs(corrected / corrected.sum() - exact).sum()
         assert err_corrected < err_raw
@@ -318,43 +334,42 @@ class TestSpamCorrection:
         # inversion goes strongly negative on neighboring channels
         counts = np.zeros(32)
         counts[0] = 1_000.0
-        conf = ConfusionMatrix.from_flips(0.006, 0.006)
         with pytest.raises(SpamCorrectionError, match="below"):
-            spam_correct(counts, conf)
+            spam_correct(counts, readout(0.006, 0.006))
 
     def test_matches_linear_solve_on_random_pools(self):
         # the cached inverse stands in for a solve per call
         rng = np.random.default_rng(17)
-        conf = ConfusionMatrix.from_flips(0.03, 0.05, crosstalk=0.02)
+        noise = readout(0.03, 0.05, crosstalk=0.02)
+        matrix = readout_matrix(noise)
         for _ in range(20):
             truth = rng.dirichlet(np.ones(32)) * rng.integers(100, 100_000)
-            pops = conf.apply(truth)
-            want = np.linalg.solve(conf.matrix, pops)
-            got = spam_correct(pops, conf)
+            pops = matrix @ truth
+            want = np.linalg.solve(matrix, pops)
+            got = spam_correct(pops, noise)
             assert np.abs(got - want).max() <= 1e-12 * pops.sum()
         # and the negative floor rejects exactly what the solve rejects
         counts = np.zeros(32)
         counts[0] = 1_000.0
-        worst = np.linalg.solve(conf.matrix, counts).min()
+        worst = np.linalg.solve(matrix, counts).min()
         message = f"corrected population {worst:.4g} below -0.001 of total {1000.0:.4g}"
         with pytest.raises(SpamCorrectionError) as caught:
-            spam_correct(counts, conf)
+            spam_correct(counts, noise)
         assert str(caught.value) == message
 
     def test_singular_confusion_rejected(self):
-        conf = ConfusionMatrix.from_flips(0.5, 0.5)
         with pytest.raises(SpamCorrectionError, match="ill-conditioned"):
-            spam_correct(np.full(32, 1.0), conf)
+            spam_correct(np.full(32, 1.0), readout(0.5, 0.5))
 
     def test_small_negatives_clipped_and_total_preserved(self):
-        conf = ConfusionMatrix.from_flips(0.006, 0.006)
+        noise = readout(0.006, 0.006)
         truth = np.zeros(32)
         truth[3] = 995.0
         truth[7] = 5.0
-        smeared = conf.apply(truth)
+        smeared = readout_matrix(noise) @ truth
         # nudge one channel just below its consistent value
         smeared[1] = max(smeared[1] - 0.4, 0.0)
-        corrected = spam_correct(smeared, conf)
+        corrected = spam_correct(smeared, noise)
         assert (corrected >= 0).all()
         assert corrected.sum() == pytest.approx(smeared.sum())
 
@@ -362,22 +377,22 @@ class TestSpamCorrection:
     def test_stack_rows_match_single_calls(self):
         # sampled pools clip small negatives; a pure outcome breaks the
         # floor and an all-zero row leaves nothing after clipping
-        conf = ConfusionMatrix.from_flips(0.006, 0.006)
+        noise = readout(0.006, 0.006)
         rng = np.random.default_rng(23)
-        law = conf.apply(rng.dirichlet(np.full(32, 0.3)))
+        law = readout_matrix(noise) @ rng.dirichlet(np.full(32, 0.3))
         stack = rng.multinomial(3_000, law / law.sum(), size=(3, 4)).astype(float)
         stack[0, 1] = 0.0
         stack[0, 1, 5] = 800.0
         stack[2, 3] = 0.0
-        corrected, failed, worst = spam_correct_stack(stack, conf)
+        corrected, failed, worst = spam_correct_stack(stack, noise)
         assert failed[0, 1] and failed[2, 3] and failed.sum() == 2
         for index in np.ndindex(failed.shape):
             pops = stack[index]
             if not failed[index]:
-                np.testing.assert_allclose(corrected[index], spam_correct(pops, conf), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(corrected[index], spam_correct(pops, noise), rtol=0, atol=1e-12)
                 continue
             with pytest.raises(SpamCorrectionError) as caught:
-                spam_correct(pops, conf)
+                spam_correct(pops, noise)
             if pops.sum() > 0:
                 want = f"corrected population {worst[index]:.4g} below -0.001 of total {pops.sum():.4g}"
             else:
@@ -402,25 +417,24 @@ class TestSpamCorrection:
                 for v, variant in enumerate(Variant)
             ])
 
-        plain = ConfusionMatrix.from_flips(0.006, 0.006)
-        crosstalk = ConfusionMatrix.from_flips(0.006, 0.006, crosstalk=0.03)
-        data, data_crosstalk = counts(NoiseModel(**flips)), counts(NoiseModel(**flips, crosstalk=0.03))
+        plain, crosstalk = NoiseModel(**flips), NoiseModel(**flips, crosstalk=0.03)
+        data, data_crosstalk = counts(plain), counts(crosstalk)
         _, failed, worst = spam_correct_stack(data, crosstalk)
         assert failed.all() and (worst < -4 * np.sqrt(300_000)).all()
-        for rows, conf in ((data, plain), (data_crosstalk, crosstalk), (data_crosstalk, plain)):
-            assert not spam_correct_stack(rows, conf)[1].any()
+        for rows, model in ((data, plain), (data_crosstalk, crosstalk), (data_crosstalk, plain)):
+            assert not spam_correct_stack(rows, model)[1].any()
 
     def test_shape_and_sign_validation(self):
-        conf = ConfusionMatrix.from_flips(0.006, 0.006)
+        noise = readout(0.006, 0.006)
         with pytest.raises(ValueError, match="expected 32 entries"):
-            spam_correct(np.zeros(16), conf)
+            spam_correct(np.zeros(16), noise)
         with pytest.raises(ValueError, match="expected 32 entries"):
-            spam_correct(np.ones((2, 32)), conf)  # a stack goes through spam_correct_stack
+            spam_correct(np.ones((2, 32)), noise)  # a stack goes through spam_correct_stack
         for value in (-1.0, np.nan, np.inf):
             bad = np.zeros(32)
             bad[2] = value
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                spam_correct(bad, conf)
+                spam_correct(bad, noise)
 
 
 class TestBayesianSplit:

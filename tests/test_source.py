@@ -1,0 +1,42 @@
+"""Source hygiene of the package: no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qgame"
+
+# perfbench/layertrace.py traces these where the sweep looks names up, so
+# `qgame.sweep` keeps importing them although the sweep calls neither
+TRACED_IN_SWEEP = {"nash_equilibria", "rmsd_at_equilibrium"}
+
+
+def unused_imports(source: str, allowed=frozenset()) -> list[str]:
+    """Names that `source` imports but never reads, bar `allowed` and the
+    names a module re-exports in its `__all__`."""
+    tree = ast.parse(source)
+    imported, used = set(), set(allowed)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # `import a.b` binds `a`
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_module_uses_every_name_it_imports(path):
+    allowed = TRACED_IN_SWEEP if path.stem == "sweep" else frozenset()
+    assert unused_imports(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_leftover_import_is_found():
+    source = "from functools import cached_property, lru_cache\nimport numpy as np\nimport os.path\n\nlru_cache(np)\n"
+    assert unused_imports(source) == ["cached_property", "os"]
+    assert unused_imports("from x import a, b\n__all__ = ['a']\n") == ["b"]
+    assert unused_imports("from x import a\n", allowed={"a"}) == []

@@ -905,8 +905,14 @@ class TestSerialization:
             (lambda data: with_first_cell(data, rmsd="0.0"), "cell 0: rmsd: expected a number, got '0.0'"),
             # values no sweep writes: a negative rmsd or spread, an angle out of range
             (lambda data: with_first_cell(data, rmsd=-0.5), "cell 0: rmsd=-0.5 is negative"),
-            (lambda data: with_first_cell(data, chi_measured_pi=0.3), f"cell 0: chi={0.3 * np.pi} outside [0, pi/4]"),
-            (lambda data: with_first_cell(data, chi_measured_pi=-0.01), f"cell 0: chi={-0.01 * np.pi} outside"),
+            (
+                lambda data: with_first_cell(data, chi_measured_pi=0.3),
+                "cell 0: chi_measured_pi=0.3, expected 0.0 from chi_measurements",
+            ),
+            (
+                lambda data: with_first_cell(data, chi_measured_pi=-0.01),
+                "cell 0: chi_measured_pi=-0.01, expected 0.0 from chi_measurements",
+            ),
             (
                 lambda data: with_first(data, "chi_measurements", sigma_rad=-0.1),
                 "chi_nominal_pi 0.0: sigma_rad=-0.1 is negative",
@@ -1032,13 +1038,33 @@ class TestSerialization:
             load_result(path)
 
     def test_measured_angle_within_check_chi_tolerance_loads(self, tmp_path):
-        # past pi/4 by less than check_chi's tolerance, as a config grid angle may be
-        cfg = analytic_config(chi_grid_pi=(0.0,), p_grid=(0.5,))
+        # a config grid angle past pi/4 by less than check_chi's tolerance, which analytic mode measures as itself
+        cfg = analytic_config(chi_grid_pi=(0.25 + 1e-14,), p_grid=(0.5,))
+        path = emit_report(run_sweep(cfg), tmp_path)["json"]
+        assert load_result(path).cells[0].chi_measured_pi == 0.25 + 1e-14
+
+    def test_measured_angle_that_contradicts_chi_measurements_is_config_error(self, tmp_path):
+        # shot mode records each angle's estimate clipped to [0, pi/4]; chi = 0 measures 0.0684 rad here
+        cfg = shot_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.2, 0.5), seed=3,
+                          noise=NoiseModel.default_profile(3), calibration_shots=500)
         data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
-        data["cells"]["chi_measured_pi"][0] = 0.25 + 1e-14
+        assert load_result(tmp_path / "sweep.json").cells[0].chi_measured_pi == data["cells"]["chi_measured_pi"][0]
+        value = data["chi_measurements"][0]["value_rad"]
+        data["cells"]["chi_measured_pi"][0:2] = 0.2, 0.01
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(data))
-        assert load_result(path).cells[0].chi_measured_pi == 0.25 + 1e-14
+        message = f"cell 0: chi_measured_pi=0.2, expected {value / np.pi!r} from chi_measurements"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_result(path)
+
+    def test_estimate_past_pi_over_4_is_recorded_at_pi_over_4(self, tmp_path):
+        # the estimator reaches pi/2; the cells' measured angle saturates where the protocol does
+        cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), seed=0, calibration_shots=10)
+        data = json.loads(Path(emit_report(run_sweep(cfg), tmp_path)["json"]).read_text())
+        data["chi_measurements"][0]["value_rad"], data["cells"]["chi_measured_pi"] = 1.5, [0.25]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        assert load_result(path).cells[0].chi_measured_pi == 0.25
 
     @pytest.mark.parametrize("bad", ["1.5", True, None])
     def test_payoff_that_is_not_a_number_names_its_cell(self, tmp_path, bad):
@@ -1087,7 +1113,7 @@ class TestSerialization:
             ("chi_measurements", {"sigma_rad": float("nan")}, "sigma_rad: expected a finite number, got nan"),
             ("chi_measurements", {"sigma_rad": -0.1}, "chi_nominal_pi 0.0: sigma_rad=-0.1 is negative"),
             ("cells", {"rmsd": -0.5}, "cell 0: rmsd=-0.5 is negative"),
-            ("cells", {"chi_measured_pi": 0.3}, f"cell 0: chi={0.3 * np.pi} outside [0, pi/4]"),
+            ("cells", {"chi_measured_pi": 0.3}, "cell 0: chi_measured_pi=0.3, expected 0.0 from chi_measurements"),
             ("chi_measurements", {"value_rad": 1.6}, "chi_nominal_pi 0.0: value_rad=1.6 outside [0, pi/2]"),
         ],
     )
@@ -1458,23 +1484,23 @@ class TestAnalyses:
         assert all(r["mean_rmsd"] == 0.0 for r in rows)
         assert all(r["n_cells"] == 2 for r in rows)
 
-    @given(order=st.permutations(range(12)), drop=st.sets(st.integers(0, 11), max_size=4))
+    @given(kinds=st.lists(st.sampled_from(["scored", "infinite", "empty", "failed"]), min_size=9, max_size=9),
+           rmsds=st.lists(st.floats(0.0, 10.0), min_size=9, max_size=9))
     @settings(max_examples=40, deadline=None)
-    def test_rmsd_rows_match_per_angle_scan_for_any_cell_order(self, order, drop):
-        # hand-built cells in any order, some angles short of cells or without
-        # any, failed and empty cells and an off-grid angle included
-        base = run_sweep(analytic_config(chi_grid_pi=(0.0, 0.05, 0.1), p_grid=(0.2, 0.5)))
-        report = base.cells[0].report
-        cells = [
-            CellResult(0.0, 0.01, 0.2, report, 0.3), CellResult(0.0, 0.02, 0.5, report, 0.1),
-            CellResult(0.05, 0.06, 0.2, None, None, "boom"), CellResult(0.05, 0.04, 0.5, report, 0.7),
-            CellResult(0.05, 0.05, 0.2, EquilibriumReport((), ()), None), CellResult(0.1, 0.11, 0.5, report, 1e-3),
-            CellResult(0.1, 0.09, 0.2, report, 2.5), CellResult(0.2, 0.2, 0.5, report, 9.0),
-            CellResult(0.0, 0.03, 0.5, report, 0.2), CellResult(0.1, 0.1, 0.5, report, math.inf),
-            CellResult(0.05, 0.05, 0.5, None, None, "bust"), CellResult(0.0, 0.0, 0.2, report, 0.0),
-        ]
-        result = result_from_records(base.config, [cells[n] for n in order if n not in drop], base.transitions,
-                                     base.chi_measurements)
+    def test_rmsd_rows_match_per_angle_scan_of_grid_ordered_cells(self, kinds, rmsds):
+        # hand-built cells in run_sweep's chi-major order: scored, infinite, empty and failed
+        # cells mixed, so some angles have fewer scored cells than p values, or none
+        base = run_sweep(analytic_config(chi_grid_pi=(0.0, 0.05, 0.1), p_grid=(0.2, 0.5, 0.8)))
+        report, cells = base.cells[0].report, []
+        for (chi_pi, p), kind, rmsd in zip(itertools.product((0.0, 0.05, 0.1), (0.2, 0.5, 0.8)), kinds, rmsds):
+            measured = chi_pi + 0.01  # one measured angle per nominal one
+            cells.append({
+                "scored": CellResult(chi_pi, measured, p, report, rmsd),
+                "infinite": CellResult(chi_pi, measured, p, report, math.inf),
+                "empty": CellResult(chi_pi, measured, p, EquilibriumReport((), ()), None),
+                "failed": CellResult(chi_pi, measured, p, None, None, "boom"),
+            }[kind])
+        result = result_from_records(base.config, cells, base.transitions, base.chi_measurements)
         assert rmsd_analysis(result) == reference_rmsd_rows(result)
 
     def test_threshold_rows_shape(self):
@@ -1798,6 +1824,20 @@ class TestCliFromSavedSweep:
         assert loaded == fresh
         assert fresh[0] == code
         assert (tmp_path / "out" / table).read_bytes() == fresh_table
+
+    def test_huge_mean_rmsd_prints_four_significant_digits(self, tmp_path, capsys):
+        # a 1e200 payoff puts the chi = 0.1 pi mean near 3.4e197, which a fixed-point format prints digit by digit
+        config = {"mode": "shots", "payoff_rows_b1": [[[1e200, 3], [0, 5]], [[5, 0], [1, 1]]],
+                  "chi_grid_pi": [0, 0.1], "p_grid": [0.2, 0.5]}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code, out, _ = self.run_cli(capsys, ["rmsd", "--from", str(tmp_path / "sweep.json"), "--out", str(tmp_path)])
+        with open(tmp_path / "rmsd.csv", newline="") as handle:
+            means = [float(row["mean_rmsd"]) for row in csv.DictReader(handle)]
+        assert code == 0 and f"{means[1]:.4g}" == "3.393e+197"
+        assert out.splitlines()[1:] == [f"chi=0.0pi mean_rmsd={means[0]:.4g} over 2 cells",
+                                        "chi=0.1pi mean_rmsd=3.393e+197 over 2 cells"]
 
     @pytest.mark.parametrize(
         "extra, named",
