@@ -6,8 +6,8 @@ Every other public name is imported from its own module, e.g.
 `qgame.sweep.emit_report` or `qgame.noise.outcome_law`.
 """
 
-from qgame.noise import NoiseModel
-from qgame.sweep import ExperimentConfig, run_sweep
+from qgame.config import ExperimentConfig, NoiseModel
+from qgame.sweep import run_sweep
 
 __all__ = ["ExperimentConfig", "NoiseModel", "run_sweep", "__version__"]
 

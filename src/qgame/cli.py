@@ -23,13 +23,9 @@ import os
 import sys
 from dataclasses import replace
 
+from qgame.config import DEFAULT_CHI_GRID_PI, MODE_ANALYTIC, MODE_SHOTS, ConfigError, ExperimentConfig
 from qgame.statevector import check_chi
 from qgame.sweep import (
-    DEFAULT_CHI_GRID_PI,
-    MODE_ANALYTIC,
-    MODE_SHOTS,
-    ConfigError,
-    ExperimentConfig,
     SweepResult,
     emit_report,
     load_result,
@@ -81,11 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {name: getattr(args, name) for name in ("mode", "seed") if getattr(args, name) is not None}
     return replace(config, **overrides)
 
 

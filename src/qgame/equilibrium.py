@@ -37,9 +37,6 @@ from qgame.game import PROFILES, Profile
 
 TIE_EPS = 1e-9
 
-DELTA_ANALYTIC = 0.0
-DELTA_SHOTS = 0.1
-
 
 class NoEquilibriumError(ValueError):
     """Raised when an operation needs at least one reference equilibrium."""

@@ -38,14 +38,12 @@ run that draws calls `child_rng`.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from qgame.config import NoiseModel
 from qgame.parallel import N_OUTCOMES, N_QUBITS
 from qgame.statevector import Gate, apply_matrix, gate_matrix
 
@@ -65,76 +63,6 @@ class SpamCorrectionError(ValueError):
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream for (master seed, integer key path)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
-
-
-def config_number(name: str, value) -> float:
-    """A config number as a float: a finite real, not a bool or a string."""
-    # bool is an int subclass (a JSON true must not count as 1); a float or int skips the slow ABC check
-    if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float; its repr may run to thousands of digits
-        raise ValueError(f"{name}: expected a finite number, got an integer too large for a float") from None
-    # json.load reads NaN and Infinity, which slip past every order check
-    if not finite:
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    single_qubit_depol: float = 0.0
-    two_qubit_depol: float = 0.0
-    readout_flip_0to1: float = 0.0
-    readout_flip_1to0: float = 0.0
-    crosstalk: float = 0.0
-    chi_offset: float = 0.0
-    chi_jitter_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name != "seed":
-                object.__setattr__(self, f.name, config_number(f.name, getattr(self, f.name)))
-        for name in ("single_qubit_depol", "two_qubit_depol", "readout_flip_0to1", "readout_flip_1to0", "crosstalk"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 0.5:
-                raise ValueError(f"{name}={value} outside [0, 0.5]")
-        if self.chi_jitter_sigma < 0:
-            raise ValueError("chi_jitter_sigma must be >= 0")
-        # numpy integers too, stored as int, which JSON can write; bool is an int subclass
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-
-    @classmethod
-    def default_profile(cls, seed: int = 0) -> "NoiseModel":
-        """Hardware-like emulation defaults: 0.5% / 1.5% depolarization per
-        one-/two-qubit gate, 0.6% symmetric readout flips, and a small
-        systematic offset plus shot-to-shot spread of the entangling angle.
-        """
-        return cls(
-            single_qubit_depol=0.005,
-            two_qubit_depol=0.015,
-            readout_flip_0to1=0.006,
-            readout_flip_1to0=0.006,
-            chi_offset=0.002 * np.pi,
-            chi_jitter_sigma=0.004 * np.pi,
-            seed=seed,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseModel":
-        if not isinstance(data, dict):
-            raise ValueError("noise must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown noise fields: {sorted(extra)}")
-        return cls(**data)
 
 
 def _crosstalk_map(gamma: float, n_qubits: int) -> np.ndarray:

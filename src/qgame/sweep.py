@@ -65,18 +65,24 @@ import bisect
 import itertools
 import json
 import math
-import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from qgame.bayesian import compose
+from qgame.config import (
+    DEFAULT_CHI_GRID_PI,
+    MODE_ANALYTIC,
+    ConfigError,
+    ExperimentConfig,
+    NoiseModel,
+    _grid_key,
+    config_number,
+)
 from qgame.equilibrium import (
-    DELTA_ANALYTIC,
-    DELTA_SHOTS,
     EquilibriumReport,
     best_equilibria_stack,
     detect_transitions,
@@ -85,27 +91,14 @@ from qgame.equilibrium import (
     rmsd_at_equilibrium,
     rmsd_at_equilibrium_stack,
 )
-from qgame.game import (
-    DEFAULT_PAYOFF_ROWS_B1,
-    DEFAULT_PAYOFF_ROWS_B2,
-    PROFILE_NAMES,
-    PROFILES,
-    STRATEGIES,
-    final_states,
-    payoff_table,
-    payoff_tensor,
-    profile_from_names,
-    tensor_from_distributions,
-)
+from qgame.game import PROFILE_NAMES, PROFILES, STRATEGIES, final_states, payoff_tensor, tensor_from_distributions
 from qgame.noise import (
     PURPOSE_CALIBRATION,
     PURPOSE_SAMPLE,
     PURPOSE_SPLIT,
     ChiEstimate,
-    NoiseModel,
     SpamCorrectionError,
     child_rng,
-    config_number,
     measure_chi,
     outcome_law,
     sample_outcomes,
@@ -122,18 +115,13 @@ from qgame.parallel import (
     build_circuit,
     parse_branches,
 )
-from qgame.statevector import CHI_MAX, check_chi
+from qgame.statevector import CHI_MAX
 
 # The sweep calls neither this name, `nash_equilibria` nor `rmsd_at_equilibrium`; perfbench/layertrace.py
 # traces them here. They go away with those trace points when the benchmark traces the stacked steps.
 bayesian_split = split_counts
 
 SCHEMA_VERSION = 4
-MODE_ANALYTIC = "analytic"
-MODE_SHOTS = "shots"
-
-DEFAULT_CHI_GRID_PI = tuple(i / 40 for i in range(11))  # 0 to 0.25 in steps of 0.025
-DEFAULT_P_GRID = tuple(i / 100 for i in range(101))
 
 _CSV_COLUMNS = (
     "chi_nominal_pi",
@@ -149,152 +137,6 @@ _CSV_COLUMNS = (
     "mode",
     "seed",
 )
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration or result file."""
-
-
-def _grid_key(chi_pi: float) -> int:
-    """An angle's entry in its shot-mode stream keys, in millionths; p is in no key."""
-    return round(chi_pi * 10**6)
-
-
-def _plain_number(name: str, value):
-    """A config number as a plain number JSON can write: an integer (numpy's too) as int, another real as float."""
-    config_number(name, value)
-    return int(value) if isinstance(value, numbers.Integral) else float(value)
-
-
-def _plain_numbers(name: str, rows):
-    """Nested lists or an array of config numbers as nested tuples of `_plain_number`s."""
-    if isinstance(rows, np.ndarray) and rows.ndim:
-        rows = rows.tolist()  # plain Python numbers, nested as lists
-    if isinstance(rows, (list, tuple)):
-        return tuple(_plain_numbers(name, r) for r in rows)
-    return _plain_number(name, rows)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: str = MODE_ANALYTIC
-    chi_grid_pi: tuple = DEFAULT_CHI_GRID_PI
-    p_grid: tuple = DEFAULT_P_GRID
-    delta: float | None = None  # None: 0 for analytic, 0.1 for shots
-    shots: int = 30_000
-    calibration_shots: int = 3_000
-    seed: int = 0
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    payoff_rows_b1: tuple = DEFAULT_PAYOFF_ROWS_B1
-    payoff_rows_b2: tuple = DEFAULT_PAYOFF_ROWS_B2
-    tracked_profile: str = "IXI"
-    transition_window: int = 3
-
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_ANALYTIC, MODE_SHOTS):
-            raise ConfigError(f"mode must be '{MODE_ANALYTIC}' or '{MODE_SHOTS}', got {self.mode!r}")
-        try:
-            for name in ("chi_grid_pi", "p_grid"):
-                grid = getattr(self, name)
-                # a number or a 0-d array does not iterate; a string or a dict iterates item by item
-                if not isinstance(grid, (list, tuple)) and not (isinstance(grid, np.ndarray) and grid.ndim == 1):
-                    raise ValueError(f"{name}: expected a list of numbers, got {grid!r}")
-                object.__setattr__(self, name, tuple(config_number(name, value) for value in grid))
-            if self.delta is not None:
-                object.__setattr__(self, "delta", _plain_number("delta", self.delta))
-            for name in ("payoff_rows_b1", "payoff_rows_b2"):
-                object.__setattr__(self, name, _plain_numbers(name, getattr(self, name)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # bool is an int subclass; a JSON true must not count as 1. Stored as int, which JSON can write
-        for name in ("shots", "calibration_shots", "transition_window", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed < 2**64:  # the range NoiseModel.seed takes
-            raise ConfigError(f"seed={self.seed} outside [0, 2**64)")
-        for name, grid in (("chi_grid_pi", self.chi_grid_pi), ("p_grid", self.p_grid)):
-            if not grid:
-                raise ConfigError(f"{name} must be nonempty")
-            for a, b in zip(grid, grid[1:]):
-                if b <= a:
-                    raise ConfigError(f"{name} must be strictly ascending")
-                if self.mode == MODE_SHOTS and name == "chi_grid_pi" and _grid_key(a) == _grid_key(b):
-                    raise ConfigError(f"{name} points {a!r} and {b!r} share one keyed stream (same millionth)")
-        try:
-            check_chi(np.multiply(self.chi_grid_pi, np.pi))  # the angles exactly as run_sweep computes them
-        except ValueError as exc:
-            raise ConfigError(f"chi_grid_pi: {exc}") from exc
-        if self.p_grid[0] < 0.0 or self.p_grid[-1] > 1.0:  # as strict as compose
-            raise ConfigError("p_grid outside [0.0, 1.0]")
-        if self.shots <= 0 or self.calibration_shots <= 0 or self.transition_window <= 0:
-            raise ConfigError("shots, calibration_shots and transition_window must be positive")
-        if max(self.shots, self.calibration_shots) >= 2**63:  # Generator.multinomial takes a C long
-            raise ConfigError("shots and calibration_shots must be below 2**63")
-        if self.delta is not None and self.delta < 0:
-            raise ConfigError("delta must be >= 0")
-        if not isinstance(self.noise, NoiseModel):
-            raise ConfigError("noise must be a NoiseModel")
-        try:
-            profile_from_names(self.tracked_profile)
-        except ValueError as exc:
-            raise ConfigError(f"tracked_profile: {exc}") from exc
-        self.tables  # builds and checks both payoff tables
-
-    @property
-    def effective_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
-        return DELTA_ANALYTIC if self.mode == MODE_ANALYTIC else DELTA_SHOTS
-
-    @cached_property
-    def tables(self) -> np.ndarray:
-        """The read-only (game, player, outcome) payoff stack: B1's table, then B2's."""
-        tables = []
-        for name in ("payoff_rows_b1", "payoff_rows_b2"):
-            try:
-                tables.append(payoff_table(getattr(self, name)))
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
-        tables = np.stack(tables)
-        tables.flags.writeable = False
-        return tables
-
-    def to_dict(self) -> dict:
-        """The fields as plain data, the noise model a nested dict; JSON writes the tuples as lists."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        payload = dict(data)
-        if "noise" in payload and not isinstance(payload["noise"], NoiseModel):
-            try:
-                payload["noise"] = NoiseModel.from_dict(payload["noise"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad noise model: {exc}") from exc
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        # JSON text is UTF-8; json.load recurses once per nested list or object
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
 
 class CellResult(NamedTuple):
@@ -439,6 +281,19 @@ def _measured(config: ExperimentConfig, values) -> tuple[np.ndarray, tuple]:
         return np.multiply(config.chi_grid_pi, np.pi), tuple(np.repeat(config.chi_grid_pi, len(config.p_grid)).tolist())
     chis = np.clip(values, 0.0, CHI_MAX)
     return chis, tuple((np.repeat(chis, len(config.p_grid)) / np.pi).tolist())
+
+
+def _check_estimates(config: ExperimentConfig, values: list, sigmas: list) -> None:
+    """Raise ConfigError, naming the angle, at a calibration estimate `run_sweep` does not record: one outside
+    estimate_chi_from_counts's ranges, or in analytic mode one that is not `_measured`'s angle with sigma 0.0."""
+    for chi_pi, chi, value, sigma in zip(config.chi_grid_pi, _measured(config, values)[0].tolist(), values, sigmas):
+        if not 0.0 <= value <= math.pi / 2:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={value} outside [0, pi/2]")
+        if sigma < 0.0:
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: sigma_rad={sigma} is negative")
+        if config.mode == MODE_ANALYTIC and (value, sigma) != (chi, 0.0):
+            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={value} and sigma_rad={sigma}, "
+                              f"expected {chi} and 0.0 in analytic mode")
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -622,7 +477,7 @@ def emit_report(result: SweepResult, out_dir) -> dict:
     with open(paths["csv"], "w", newline="") as csv_file:
         csv_file.writelines(lines)
 
-    head = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
+    head = {"schema_version": SCHEMA_VERSION, "config": asdict(config),
             "chi_measurements": [{"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
                                  for chi_pi, est in result.chi_measurements],
             "transitions": [{"chi_pi": chi_pi, "thresholds": None if thresholds is None else list(thresholds)}
@@ -681,19 +536,13 @@ def result_from_dict(data: dict) -> SweepResult:
     config = ExperimentConfig.from_dict(data["config"])
     transitions, measurements = data["transitions"], data["chi_measurements"]
     chi_grid, p_grid = config.chi_grid_pi, config.p_grid
-    try:  # one transition and one measurement per angle, in run_sweep's order
-        chis = _grid_points("transitions chi_pi", [t["chi_pi"] for t in transitions], chi_grid, whole=True)
-        nominal = _grid_points("chi_nominal_pi", [m["chi_nominal_pi"] for m in measurements], chi_grid, whole=True)
-        thresholds = [None if t["thresholds"] is None else _grid_points("thresholds", t["thresholds"], p_grid)
-                      for t in transitions]
-        value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for chi_pi, angle, spread in zip(nominal, value, sigma):  # the ranges estimate_chi_from_counts returns
-        if not 0.0 <= angle <= math.pi / 2:
-            raise ConfigError(f"chi_nominal_pi {chi_pi}: value_rad={angle} outside [0, pi/2]")
-        if spread < 0.0:
-            raise ConfigError(f"chi_nominal_pi {chi_pi}: sigma_rad={spread} is negative")
+    # one transition and one measurement per angle, in run_sweep's order
+    chis = _grid_points("transitions chi_pi", [t["chi_pi"] for t in transitions], chi_grid, whole=True)
+    nominal = _grid_points("chi_nominal_pi", [m["chi_nominal_pi"] for m in measurements], chi_grid, whole=True)
+    thresholds = [None if t["thresholds"] is None else _grid_points("thresholds", t["thresholds"], p_grid)
+                  for t in transitions]
+    value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
+    _check_estimates(config, value, sigma)
 
     cells = _columns(data, "cells", _CELL_COLUMNS, len(chi_grid) * len(p_grid))
     nominal_pi, measured, ps = (_floats(name, cells[name]) for name in _CELL_COLUMNS[:3])

@@ -29,6 +29,7 @@ import csv
 import itertools
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -334,7 +335,8 @@ def reference_verify_rows(chi_grid_pi, branch_maps=None) -> list[dict]:
     canonical branch-map order. `branch_maps` substitutes a variant's
     (x, y, z) -> pair mapping, as a negative control."""
     from qgame.game import final_states
-    from qgame.noise import NoiseModel, outcome_law
+    from qgame.config import NoiseModel
+    from qgame.noise import outcome_law
     from qgame.parallel import N_QUBITS, Variant, build_circuit
 
     rows = []
@@ -686,7 +688,7 @@ def _reference_dict(result) -> dict:
                 equilibria["payoff_B2"].append(b2)
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": result.config.to_dict(),
+        "config": asdict(result.config),
         "chi_measurements": [
             {"chi_nominal_pi": chi_pi, "value_rad": est.value, "sigma_rad": est.sigma}
             for chi_pi, est in result.chi_measurements

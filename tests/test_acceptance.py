@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from qgame.equilibrium import DELTA_SHOTS
+from qgame.config import DELTA_SHOTS, ExperimentConfig, NoiseModel
 from qgame.game import payoff_table, profile_from_names
-from qgame.noise import NoiseModel, outcome_law, readout_matrix, spam_correct
-from qgame.sweep import ExperimentConfig, emit_report, run_sweep, verify_parallelization
+from qgame.noise import outcome_law, readout_matrix, spam_correct
+from qgame.sweep import emit_report, run_sweep, verify_parallelization
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 
 from oracles import bayes_tensor_dense, brute_force_equilibria

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgame.config import ExperimentConfig
 from qgame.game import (
     DEFAULT_PAYOFF_ROWS_B1,
     DEFAULT_PAYOFF_ROWS_B2,
@@ -20,7 +21,6 @@ from qgame.game import (
     profile_names,
     tensor_from_distributions,
 )
-from qgame.sweep import ExperimentConfig
 
 import oracles
 
@@ -172,6 +172,21 @@ def test_payoff_tensor_bits_match_per_pair_reference_on_drawn_tables(chi, entrie
     table = np.reshape(entries, (2, 4))  # A's 2x2 entries, then B's
     got, want = payoff_tensor(chi, table), oracles.reference_payoff_tensor(chi, table)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+PAYOFF_ROWS = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=8, max_size=8).map(
+    lambda entries: np.reshape(entries, (2, 2, 2))
+)
+
+
+@given(chi=st.floats(min_value=0.0, max_value=float(np.pi / 4)), rows=st.tuples(PAYOFF_ROWS, PAYOFF_ROWS))
+@settings(max_examples=60, deadline=None)
+def test_payoff_tensor_is_affine_in_sin_squared_two_chi(chi, rows):
+    # every outcome probability is D0 + sin^2(2 chi) (D1 - D0), so every payoff is P0 + sin^2(2 chi) (P1 - P0)
+    tables = np.stack([payoff_table(r) for r in rows])
+    p0, p1 = payoff_tensor(0.0, tables), payoff_tensor(np.pi / 4, tables)
+    closed_form = p0 + np.sin(2 * chi) ** 2 * (p1 - p0)
+    assert np.abs(payoff_tensor(chi, tables) - closed_form).max() <= 1e-12 * max(1.0, np.abs(tables).max())
 
 
 def assert_angle_stack_matches_single_angles(chis, tables) -> None:

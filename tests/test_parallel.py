@@ -8,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
+from qgame.config import NoiseModel
 from qgame.game import Strategy, final_states
-from qgame.noise import NoiseModel, outcome_law
+from qgame.noise import outcome_law
 from qgame.parallel import (
     _BRANCH_INDEX,
     BRANCH_PAIRS,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgame.config import NoiseModel
 from qgame.game import final_states
-from qgame.noise import NoiseModel, outcome_law
+from qgame.noise import outcome_law
 from qgame.statevector import (
     CHI_MAX,
     Gate,

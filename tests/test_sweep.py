@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +26,17 @@ import qgame.cli
 import qgame.noise
 import qgame.sweep
 from qgame.cli import main
+from qgame.config import DEFAULT_CHI_GRID_PI, DEFAULT_P_GRID, DELTA_SHOTS, ConfigError, ExperimentConfig, NoiseModel
 from qgame.equilibrium import (
-    DELTA_SHOTS,
     EquilibriumReport,
     best_equilibria_stack,
     nash_columns,
 )
 from qgame.game import DEFAULT_PAYOFF_ROWS_B1, PROFILES, profile_from_names
-from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, NoiseModel, sample_outcomes, split_counts
+from qgame.noise import PURPOSE_CALIBRATION, PURPOSE_SAMPLE, PURPOSE_SPLIT, sample_outcomes, split_counts
 from qgame.parallel import N_QUBITS, Variant, build_circuit
 from qgame.sweep import (
-    DEFAULT_CHI_GRID_PI,
-    DEFAULT_P_GRID,
     CellResult,
-    ConfigError,
-    ExperimentConfig,
     SweepResult,
     _analytic_payoffs,
     _split_pools,
@@ -113,7 +109,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = shot_config(seed=11, noise=NoiseModel.default_profile(seed=11), delta=0.2)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         assert ExperimentConfig.from_json(path) == cfg
 
     def test_validation_failures(self):
@@ -125,7 +121,7 @@ class TestConfig:
             ExperimentConfig(chi_grid_pi=(0.3,))
         with pytest.raises(ConfigError, match="nonempty"):
             ExperimentConfig(p_grid=())
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match=re.escape("shots=0 outside [1, 2**63)")):
             ExperimentConfig(shots=0)
         with pytest.raises(ConfigError, match="delta"):
             ExperimentConfig(delta=-0.1)
@@ -135,6 +131,13 @@ class TestConfig:
             ExperimentConfig.from_dict({"mode": "analytic", "bogus": 1})
         with pytest.raises(ConfigError, match="noise"):
             ExperimentConfig.from_dict({"noise": {"single_qubit_depol": 0.9}})
+
+    def test_unknown_keys_of_mixed_types_are_config_error(self):
+        # a dict built in Python may mix key types, which sorting them once raised a bare TypeError on
+        with pytest.raises(ConfigError, match=re.escape("unknown config fields: [1, 'a']")):
+            ExperimentConfig.from_dict({1: 2, "a": 3})
+        with pytest.raises(ConfigError, match=re.escape("bad noise model: unknown noise fields: [0, 'b']")):
+            ExperimentConfig.from_dict({"noise": {0: 1, "b": 2}})
 
     @pytest.mark.parametrize("grids", [((0.25 + 5e-13,), (0.5,)), ((0.0,), (1 + 5e-13,))])
     def test_grid_just_past_the_bound_is_rejected_or_sweeps(self, grids):
@@ -191,7 +194,7 @@ class TestConfig:
         # an array of rows was rejected ("expected a number, got array(...)"), though the grids take arrays
         plain = ExperimentConfig(payoff_rows_b1=rows, payoff_rows_b2=rows)
         numpy_cfg = ExperimentConfig(payoff_rows_b1=np.array(rows), payoff_rows_b2=np.array(rows))
-        assert numpy_cfg == plain and json.dumps(numpy_cfg.to_dict()) == json.dumps(plain.to_dict())
+        assert numpy_cfg == plain and json.dumps(asdict(numpy_cfg)) == json.dumps(asdict(plain))
         entries = itertools.chain.from_iterable(itertools.chain.from_iterable(numpy_cfg.payoff_rows_b1))
         assert {type(entry) for entry in entries} == {type(rows[0][0][0])}
 
@@ -925,6 +928,11 @@ class TestSerialization:
                 lambda data: with_first(data, "chi_measurements", value_rad=-0.1),
                 "chi_nominal_pi 0.0: value_rad=-0.1 outside",
             ),
+            # an analytic sweep records each nominal angle with no spread
+            (
+                lambda data: with_first(data, "chi_measurements", value_rad=1.2, sigma_rad=0.3),
+                "chi_nominal_pi 0.0: value_rad=1.2 and sigma_rad=0.3, expected 0.0 and 0.0 in analytic mode",
+            ),
             (
                 lambda data: json.dumps({**data, "cells": {name: column * 2 for name, column in data["cells"].items()}}),
                 "cells.chi_nominal_pi: expected a list of length 1",
@@ -1000,6 +1008,7 @@ class TestSerialization:
             "sigma-negative",
             "chi-value-above-range",
             "chi-value-negative",
+            "analytic-estimate-not-nominal",
             "more-cells-than-grid-points",
             "more-transitions-than-angles",
             "no-measurements",
@@ -1213,7 +1222,7 @@ class TestColumnarResult:
         monkeypatch.setattr(qgame.cli, "run_sweep", lambda cfg: seen.append(run_sweep(cfg)) or seen[-1])
         monkeypatch.setattr(qgame.cli, "load_result", lambda path: seen.append(load_result(path)) or seen[-1])
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(asdict(config)))
         out = tmp_path / "cli"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3  # a starved sweep fails cells
         for command in ("rmsd", "thresholds"):
@@ -1441,7 +1450,7 @@ class TestTableCsvMatchesReference:
     )
     def test_cli_rmsd_and_thresholds_tables(self, tmp_path, config):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(asdict(config)))
         for command in ("rmsd", "thresholds"):
             main([command, "--config", str(path), "--out", str(tmp_path / "cli")])
         result = run_sweep(config)
@@ -1737,7 +1746,7 @@ class TestCli:
     def test_cell_failures_exit_code(self, tmp_path, capsys):
         cfg = shot_config(chi_grid_pi=(0.25,), p_grid=(0.5,), shots=40, seed=0)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
@@ -1746,7 +1755,7 @@ class TestCli:
     def test_thresholds_command(self, tmp_path, capsys):
         cfg = analytic_config(chi_grid_pi=(0.05,))
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert "0.17" in capsys.readouterr().out
         assert (tmp_path / "thresholds.csv").exists()
@@ -1786,7 +1795,7 @@ class TestCli:
     def test_rmsd_command(self, tmp_path, capsys):
         cfg = shot_config(chi_grid_pi=(0.05,), p_grid=(0.0, 0.5), shots=4_000, seed=6)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         assert main(["rmsd", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "rmsd.csv").exists()
         assert "mean_rmsd" in (tmp_path / "rmsd.csv").read_text()
@@ -1813,7 +1822,7 @@ class TestCliFromSavedSweep:
     @pytest.mark.parametrize("command, table", [("rmsd", "rmsd.csv"), ("thresholds", "thresholds.csv")])
     def test_matches_fresh_run(self, tmp_path, capsys, config, code, command, table):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config.to_dict()))
+        cfg.write_text(json.dumps(asdict(config)))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "saved")]) == code
         out = str(tmp_path / "out")
         capsys.readouterr()
