@@ -11,16 +11,21 @@ per angle, one shot dataset per circuit variant from `outcome_law` (which
 evolves each circuit once per depolarization) and a calibration run that
 measures the angle. References: that analytic pass at every measured
 angle, cut by `best_equilibria_stack` to each cell's best equilibrium and
-its payoffs, with no reports built. Reduce, one angle at a time, so only
-one angle's pools are ever held: one `split_counts` call draws the type
-pools of every p, the I-circuit's first, from the angle's split stream
-into a (variant, type, p, outcome) stack, which is SPAM-corrected, split
-into branch distributions and turned into payoffs per branch, then put
-in strategy-pair order (`parallel.BRANCH_PAIRS`). Analyse, once over all
+its payoffs, with no reports built. Reduce, one angle at a time: one
+`split_counts` call draws the type pools of every p, the I-circuit's first,
+from the angle's split stream into a (variant, type, p, outcome) stack,
+which is SPAM-corrected, split into branch distributions and turned into
+payoffs per branch, then put in strategy-pair order
+(`parallel.BRANCH_PAIRS`). The split runs on one worker thread, one angle
+ahead: it draws angle n + 1 while the calling thread reduces angle n, and
+the first angle beside the references, so at most two angles' pools are
+held. Everything else, every name `perfbench/layertrace.py` wraps here
+included, runs on the calling thread. Analyse, once over all
 solved cells: one `compose`, one `rmsd_at_equilibrium_stack` gather and
 one `nash_columns` solve. Each angle draws on 4 keyed streams
 (two sample, calibration, split), each its own `noise.child_rng` and apart
-from the others, so the stage order moves no draw. Keys are the angle in
+from the others, so neither the stage order nor the split's thread moves a
+draw. Keys are the angle in
 millionths, the variant (0 for the calibration and split streams) and the
 purpose tag. So a run on a subset of the angles with the same p grid
 reproduces its cells of the full run (a subset of the p values moves later
@@ -62,10 +67,12 @@ inside the package.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -248,12 +255,49 @@ def _sample(config: ExperimentConfig, chi_pi: float) -> tuple:
     return counts, estimate, child_rng(config.seed, key, 0, PURPOSE_SPLIT)
 
 
-def _reduce(
-    config: ExperimentConfig, counts: np.ndarray, rng: np.random.Generator
-) -> tuple[list[str | None], np.ndarray]:
-    """One angle's failure message per p (None where the cell solves) and the
-    (game, player, solved p, strategy A, strategy B) payoffs, from the split of `counts` on `rng`."""
-    pools = _split_pools(config, counts, rng)
+@contextlib.contextmanager
+def _split_ahead(config: ExperimentConfig, shot_counts: tuple, rngs: tuple):
+    """An iterator over each angle's `_split_pools` of `shot_counts` on `rngs`, in grid order, drawn on one
+    worker thread that starts on entry and runs one angle ahead of the caller: it draws angle n + 1 while
+    the caller reduces angle n, so at most two angles' pools are held. numpy's binomial loop releases the
+    GIL, so the draws run beside the caller's work. A draw's exception is raised to the caller at its
+    angle; exit stops and joins the worker."""
+    slot, drawn, taken, stop = [None], threading.Semaphore(0), threading.Semaphore(0), threading.Event()
+
+    def draw() -> None:
+        try:
+            for counts, rng in zip(shot_counts, rngs):
+                slot[0] = _split_pools(config, counts, rng)
+                drawn.release()
+                taken.acquire()
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again on the caller's thread
+            slot[0] = exc
+            drawn.release()
+
+    def pools():
+        for _ in rngs:
+            drawn.acquire()
+            angle = slot[0]
+            taken.release()
+            if isinstance(angle, BaseException):
+                raise angle
+            yield angle
+
+    worker = threading.Thread(target=draw, name="qgame-split")
+    worker.start()
+    try:
+        yield pools()
+    finally:
+        stop.set()
+        taken.release()
+        worker.join()
+
+
+def _reduce(config: ExperimentConfig, pools: np.ndarray) -> tuple[list[str | None], np.ndarray]:
+    """One angle's failure message per p (None where the cell solves) and the (game, player, solved p,
+    strategy A, strategy B) payoffs, from its (variant, type, p, outcome) `pools`."""
     try:
         corrected, spam_failed, _ = spam_correct_stack(pools, config.noise)
     except SpamCorrectionError:
@@ -312,10 +356,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     else:
         shot_counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
         chi_refs, measured = _measured(config, [estimate.value for estimate in estimates])
-        # every cell's theory reference, at its angle's measured value, in one pass
-        best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
-        # SPAM correction inverts the readout matrix of config.noise, factored once per noise model
-        errors, pays = zip(*map(partial(_reduce, config), shot_counts, rngs))
+        with _split_ahead(config, shot_counts, rngs) as pools:
+            # every cell's theory reference, at its angle's measured value, in one pass
+            best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
+            # SPAM correction inverts the readout matrix of config.noise, factored once per noise model
+            errors, pays = zip(*map(partial(_reduce, config), pools))
         errors, pays = tuple(itertools.chain(*errors)), np.concatenate(pays, axis=2)
         ok = np.array([error is None for error in errors])
         pay_a = compose(pays[0, 0], pays[1, 0], np.tile(config.p_grid, n_chi)[ok])

@@ -572,7 +572,8 @@ def reference_shot_sweep(config):
 def reference_sweep_records(config):
     """`run_sweep`'s cells and transitions built the old per-cell way: the
     sweep's own stages (`_analytic_payoffs`, and in shot mode `_sample`,
-    `best_equilibria_stack`, `_reduce`, `compose` and
+    `best_equilibria_stack`, `_split_pools` and `_reduce` on the calling
+    thread, one angle after another, `compose` and
     `rmsd_at_equilibrium_stack`), then one `nash_equilibria` solve, one
     `EquilibriumReport` and one `CellResult` per cell, each made by its class,
     and each angle's transitions from the tracked profile's membership in
@@ -587,7 +588,7 @@ def reference_sweep_records(config):
     )
     from qgame.game import profile_from_names
     from qgame.statevector import CHI_MAX
-    from qgame.sweep import CellResult, _analytic_payoffs, _reduce, _sample
+    from qgame.sweep import CellResult, _analytic_payoffs, _reduce, _sample, _split_pools
 
     delta, n_chi, n_p = config.effective_delta, len(config.chi_grid_pi), len(config.p_grid)
     points = list(itertools.product(config.chi_grid_pi, config.p_grid))
@@ -604,7 +605,7 @@ def reference_sweep_records(config):
         best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
         errors, pays = [], []
         for angle_counts, rng in zip(counts, rngs):
-            angle_errors, angle_pays = _reduce(config, angle_counts, rng)
+            angle_errors, angle_pays = _reduce(config, _split_pools(config, angle_counts, rng))
             errors.extend(angle_errors)
             pays.append(angle_pays)
         pays = np.concatenate(pays, axis=2)

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -575,8 +576,9 @@ class TestShotSweep:
         assert cell.error is not None and cell.error.startswith("corrected population")
 
     def test_default_profile_sweep_peak_memory_stays_bounded(self):
-        # the reduce stage runs one angle at a time: about 1.2-1.7 MB traced at
-        # peak, where reducing the whole grid in one stack took 5.7-7.6 MB
+        # the reduce stage runs one angle at a time, the next angle's split drawn
+        # beside it on the worker thread: about 1.7 MB traced at peak, where
+        # reducing the whole grid in one stack took 5.7-7.6 MB
         cfg = shot_config(noise=NoiseModel.default_profile(0))
         run_sweep(cfg)  # fills the outcome law's node cache
         tracemalloc.start()
@@ -586,6 +588,55 @@ class TestShotSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5e6
+
+    @pytest.mark.parametrize("fail", [None, "tensor_from_distributions", "split_counts"])
+    def test_split_worker_ends_with_the_sweep(self, monkeypatch, fail):
+        # the type split's worker thread is joined before run_sweep returns or
+        # raises, whether the calling thread raises in the third angle's reduce
+        # (its fifth payoff call) or the worker raises in the fourth angle's split
+        at = {"tensor_from_distributions": 5, "split_counts": 4}.get(fail)
+        if fail is not None:
+            real, calls = getattr(qgame.sweep, fail), []
+
+            def failing(*args):
+                calls.append(args)
+                if len(calls) == at:
+                    raise RuntimeError(f"{fail} failed on call {at}")
+                return real(*args)
+
+            monkeypatch.setattr(qgame.sweep, fail, failing)
+        cfg = shot_config(chi_grid_pi=(0.0, 0.05, 0.1, 0.15, 0.2), p_grid=(0.2, 0.5, 0.8), shots=2_000)
+        before = threading.enumerate()
+        if fail is None:
+            run_sweep(cfg)
+        else:
+            with pytest.raises(RuntimeError, match=f"^{fail} failed on call {at}$"):
+                run_sweep(cfg)
+        assert threading.enumerate() == before
+
+    def test_concurrent_sweeps_match_serial_ones(self):
+        # three sweeps at once, each with its split worker, put six threads on
+        # the cores with the interpreter switching between them as often as it
+        # can; each angle's pools still reach that angle's reduce
+        configs = [shot_config(chi_grid_pi=(0.0, 0.05, 0.1, 0.15), p_grid=(0.2, 0.5, 0.8), shots=2_000, seed=seed,
+                               noise=NoiseModel.default_profile(seed)) for seed in (7, 8, 9)]
+        expected, results = [run_sweep(cfg) for cfg in configs], [None] * len(configs)
+
+        def sweep(n):
+            results[n] = run_sweep(configs[n])
+
+        threads = [threading.Thread(target=sweep, args=(n,)) for n in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
     def test_same_seed_same_result(self):
         cfg = shot_config(chi_grid_pi=(0.075,), p_grid=(0.3, 0.7), shots=5_000, seed=13,
@@ -664,6 +715,27 @@ class TestTracedBenchmark:
         counts = tracer.counts
         assert counts["noise.spam_correct.calls"] == counts["noise.spam_correct.errors"] == len(result.cells)
         assert counts["parallel.parse_branches.calls"] == 0
+
+    @pytest.mark.parametrize("mode", ["shots", "analytic"])
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch, mode):
+        # the tracer keeps one span stack without a lock, so each name it wraps
+        # in qgame.sweep runs on the thread that called run_sweep, never on the
+        # type split's worker
+        called = []
+        for module, attr, *_ in load_layertrace().TRACE_POINTS:
+            if module is qgame.sweep:
+                def recording(*args, _real=getattr(module, attr), _attr=attr, **kwargs):
+                    called.append((_attr, threading.get_ident()))
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(qgame.sweep, attr, recording)
+        cfg = shot_config(noise=NoiseModel.default_profile(0)) if mode == "shots" else analytic_config()
+        qgame.sweep.run_sweep(cfg)
+        names = {attr for attr, _ in called}
+        assert {"run_sweep", "payoff_tensor", "compose", "detect_transitions"} <= names
+        if mode == "shots":
+            assert {"sample_outcomes", "measure_chi", "build_circuit", "tensor_from_distributions"} <= names
+        assert {ident for _, ident in called} == {threading.get_ident()}
 
     def test_traced_split_alias_is_never_called(self):
         # the tracer's split counter reads `.total`, which a count array lacks,
