@@ -16,13 +16,16 @@ its payoffs, with no reports built. Reduce, one angle at a time: one
 from the angle's split stream into a (variant, type, p, outcome) stack,
 which is SPAM-corrected, split into branch distributions and turned into
 payoffs per branch, then put in strategy-pair order
-(`parallel.BRANCH_PAIRS`). The split runs on one worker thread, one angle
-ahead: it draws angle n + 1 while the calling thread reduces angle n, and
-the first angle beside the references, so at most two angles' pools are
-held. Everything else, every name `perfbench/layertrace.py` wraps here
-included, runs on the calling thread. Analyse, once over all
-solved cells: one `compose`, one `rmsd_at_equilibrium_stack` gather and
-one `nash_columns` solve. Each angle draws on 4 keyed streams
+(`parallel.BRANCH_PAIRS`). The split runs on a one-worker
+`concurrent.futures.ThreadPoolExecutor`, one angle ahead: it draws angle
+n + 1 while the calling thread reduces angle n, and the first angle beside
+the references, so at most two angles' pools are held. The worker's
+exception is raised again at its angle, and the executor's exit joins the
+worker before `run_sweep` returns or raises. Everything else, every name
+`perfbench/layertrace.py` wraps here included, runs on the calling thread.
+Analyse, once over all solved cells: one `compose`, one
+`rmsd_at_equilibrium_stack` gather and one `nash_columns` solve. Each angle
+draws on 4 keyed streams
 (two sample, calibration, split), each its own `noise.child_rng` and apart
 from the others, so neither the stage order nor the split's thread moves a
 draw. Keys are the angle in
@@ -67,12 +70,10 @@ inside the package.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import itertools
 import json
 import math
 import os
-import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -255,44 +256,14 @@ def _sample(config: ExperimentConfig, chi_pi: float) -> tuple:
     return counts, estimate, child_rng(config.seed, key, 0, PURPOSE_SPLIT)
 
 
-@contextlib.contextmanager
-def _split_ahead(config: ExperimentConfig, shot_counts: tuple, rngs: tuple):
-    """An iterator over each angle's `_split_pools` of `shot_counts` on `rngs`, in grid order, drawn on one
-    worker thread that starts on entry and runs one angle ahead of the caller: it draws angle n + 1 while
-    the caller reduces angle n, so at most two angles' pools are held. numpy's binomial loop releases the
-    GIL, so the draws run beside the caller's work. A draw's exception is raised to the caller at its
-    angle; exit stops and joins the worker."""
-    slot, drawn, taken, stop = [None], threading.Semaphore(0), threading.Semaphore(0), threading.Event()
-
-    def draw() -> None:
-        try:
-            for counts, rng in zip(shot_counts, rngs):
-                slot[0] = _split_pools(config, counts, rng)
-                drawn.release()
-                taken.acquire()
-                if stop.is_set():
-                    return
-        except BaseException as exc:  # raised again on the caller's thread
-            slot[0] = exc
-            drawn.release()
-
-    def pools():
-        for _ in rngs:
-            drawn.acquire()
-            angle = slot[0]
-            taken.release()
-            if isinstance(angle, BaseException):
-                raise angle
-            yield angle
-
-    worker = threading.Thread(target=draw, name="qgame-split")
-    worker.start()
-    try:
-        yield pools()
-    finally:
-        stop.set()
-        taken.release()
-        worker.join()
+def _one_ahead(ahead, futures):
+    """The result of the future `ahead`, then of each of `futures` in turn. Each next future is pulled, and
+    so its split submitted, before the current one's result is awaited, and no result is kept past its
+    turn: one split runs beside the caller's work, and at most two angles' pools are held."""
+    for future in futures:
+        yield ahead.result()
+        ahead = future
+    yield ahead.result()
 
 
 def _reduce(config: ExperimentConfig, pools: np.ndarray) -> tuple[list[str | None], np.ndarray]:
@@ -356,7 +327,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     else:
         shot_counts, estimates, rngs = zip(*map(partial(_sample, config), config.chi_grid_pi))
         chi_refs, measured = _measured(config, [estimate.value for estimate in estimates])
-        with _split_ahead(config, shot_counts, rngs) as pools:
+        # imported here, not at the top: it loads logging, and only a shot sweep starts a worker
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qgame-split") as executor:
+            splits = map(partial(executor.submit, _split_pools, config), shot_counts, rngs)
+            pools = _one_ahead(next(splits), splits)  # angle 0's split runs beside the references pass
             # every cell's theory reference, at its angle's measured value, in one pass
             best, ref_payoffs = best_equilibria_stack(*_analytic_payoffs(chi_refs, config.tables, config.p_grid), delta)
             # SPAM correction inverts the readout matrix of config.noise, factored once per noise model

@@ -1,7 +1,11 @@
-"""Source hygiene of the package: no module imports a name it never uses, and the
-modules import each other in layers, without a cycle."""
+"""Source hygiene of the package: no module imports a name it never uses, the
+modules import each other in layers, without a cycle, and importing the package
+loads no module that only a shot sweep needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,12 @@ def test_import_cycle_is_found():
     assert package_imports(source, ["sweep", "noise", "game", "config"]) == {"sweep", "noise", "game"}
     assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}, "e": set()}) == ["a", "b", "c", "d"]
     assert import_cycle({"a": {"b"}, "b": set()}) == []
+
+
+def test_package_import_loads_no_executor():
+    # only a shot sweep starts the split worker, so `import qgame`, which every
+    # CLI call pays, loads neither concurrent.futures nor the logging it pulls in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, qgame; print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -577,7 +578,7 @@ class TestShotSweep:
 
     def test_default_profile_sweep_peak_memory_stays_bounded(self):
         # the reduce stage runs one angle at a time, the next angle's split drawn
-        # beside it on the worker thread: about 1.7 MB traced at peak, where
+        # beside it on the executor's worker: 1.68 MB traced at peak, where
         # reducing the whole grid in one stack took 5.7-7.6 MB
         cfg = shot_config(noise=NoiseModel.default_profile(0))
         run_sweep(cfg)  # fills the outcome law's node cache
@@ -589,12 +590,16 @@ class TestShotSweep:
             tracemalloc.stop()
         assert peak <= 2.5e6
 
-    @pytest.mark.parametrize("fail", [None, "tensor_from_distributions", "split_counts"])
-    def test_split_worker_ends_with_the_sweep(self, monkeypatch, fail):
+    @pytest.mark.parametrize("fail, at", [(None, None), ("tensor_from_distributions", 5), ("split_counts", 4),
+                                          ("split_counts", 1), ("best_equilibria_stack", 1)],
+                             ids=["None", "tensor_from_distributions", "split_counts", "split_counts-first-angle",
+                                  "best_equilibria_stack"])
+    def test_split_worker_ends_with_the_sweep(self, monkeypatch, fail, at):
         # the type split's worker thread is joined before run_sweep returns or
         # raises, whether the calling thread raises in the third angle's reduce
-        # (its fifth payoff call) or the worker raises in the fourth angle's split
-        at = {"tensor_from_distributions": 5, "split_counts": 4}.get(fail)
+        # (its fifth payoff call) or in the references pass while the first
+        # angle's split is in flight, or the worker raises in the fourth or the
+        # first angle's split
         if fail is not None:
             real, calls = getattr(qgame.sweep, fail), []
 
@@ -613,6 +618,45 @@ class TestShotSweep:
             with pytest.raises(RuntimeError, match=f"^{fail} failed on call {at}$"):
                 run_sweep(cfg)
         assert threading.enumerate() == before
+
+    def test_first_split_overlaps_the_references_pass(self, monkeypatch):
+        # the first angle's split is handed to the worker before the calling
+        # thread starts the references pass, so it draws beside that pass
+        started, real_split, real_best = threading.Event(), qgame.sweep._split_pools, qgame.sweep.best_equilibria_stack
+
+        def split(*args):
+            started.set()
+            return real_split(*args)
+
+        def best(*args):
+            assert started.wait(timeout=5), "the first split had not started when the references pass began"
+            return real_best(*args)
+
+        monkeypatch.setattr(qgame.sweep, "_split_pools", split)
+        monkeypatch.setattr(qgame.sweep, "best_equilibria_stack", best)
+        run_sweep(shot_config(chi_grid_pi=(0.0, 0.1), p_grid=(0.2, 0.8), shots=2_000))
+
+    def test_split_holds_at_most_two_angles_pools(self, monkeypatch):
+        # no angle's pools outlive its reduce: each reduce starts with every
+        # earlier angle's pools freed, and each split with at most the
+        # previous angle's pools held, whenever the worker gets to run
+        real_split, real_reduce, drawn, at_split, at_reduce = qgame.sweep._split_pools, qgame.sweep._reduce, [], [], []
+
+        def split(*args):
+            at_split.append(sum(ref() is not None for ref in drawn))
+            drawn.append(weakref.ref(pools := real_split(*args)))
+            return pools
+
+        def reduce(config, pools):
+            angle = next(n for n, ref in enumerate(drawn) if ref() is pools)
+            at_reduce.append(sum(ref() is not None for ref in drawn[:angle]))
+            return real_reduce(config, pools)
+
+        monkeypatch.setattr(qgame.sweep, "_split_pools", split)
+        monkeypatch.setattr(qgame.sweep, "_reduce", reduce)
+        run_sweep(shot_config(chi_grid_pi=(0.0, 0.05, 0.1, 0.15, 0.2), p_grid=(0.2, 0.5, 0.8), shots=2_000))
+        assert at_reduce == [0] * 5
+        assert max(at_split) <= 1
 
     def test_concurrent_sweeps_match_serial_ones(self):
         # three sweeps at once, each with its split worker, put six threads on
