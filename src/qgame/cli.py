@@ -8,7 +8,7 @@ Subcommands map one-to-one onto the library's analyses:
   verify      branch-parsing equivalence check for the 5-qubit circuits
 
 `rmsd` and `thresholds` take `--from sweep.json` to analyse a saved sweep
-instead of running one.
+instead of running one. A table's columns are the keys of `qgame.sweep`'s rows.
 
 Exit codes: 0 success, 2 bad configuration, bad result file or
 unwritable output, 3 completed with per-cell hard failures (or failed
@@ -54,8 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the full grid and emit CSV/JSON")
     _add_config_options(sweep)
+    sweep.set_defaults(run=_cmd_sweep)
 
-    for name, text in (("rmsd", "aggregate payoff deviation per angle"), ("thresholds", "transition points per angle")):
+    for name, text, analyse, line in (
+        ("rmsd", "aggregate payoff deviation per angle", rmsd_analysis, _rmsd_line),
+        ("thresholds", "transition points per angle", threshold_rows, _threshold_line),
+    ):
         analysis = sub.add_parser(name, help=text)
         _add_config_options(analysis)
         analysis.add_argument(
@@ -65,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="analyse a sweep.json written by `qgame sweep` instead of running the sweep; "
             "excludes --config, --mode and --seed",
         )
+        analysis.set_defaults(run=_cmd_table, analyse=analyse, line=line)
 
     verify = sub.add_parser("verify", help="check branch-parsed vs direct distributions")
     verify.add_argument(
@@ -72,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated angles in units of pi (default: the sweep grid)",
     )
     verify.add_argument("--out", help="optional output directory for verify.csv")
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -109,28 +115,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_rmsd(args: argparse.Namespace) -> int:
-    result = _analysed_result(args)
-    rows = rmsd_analysis(result)
-    path = os.path.join(args.out, "rmsd.csv")
-    write_csv(path, ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells"), rows)
+def _write_table(args: argparse.Namespace, rows: list[dict]) -> None:
+    path = os.path.join(args.out, f"{args.command}.csv")
+    write_csv(path, rows)
     print(f"wrote csv: {path}")
-    for row in rows:
-        mean = "n/a" if row["mean_rmsd"] is None else f"{row['mean_rmsd']:.4g}"
-        print(f"chi={row['chi_nominal_pi']}pi mean_rmsd={mean} over {row['n_cells']} cells")
-    return EXIT_CELL_FAILURE if _cell_failures(result) else EXIT_OK
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _rmsd_line(row: dict) -> str:
+    mean = "n/a" if row["mean_rmsd"] is None else f"{row['mean_rmsd']:.4g}"
+    return f"chi={row['chi_nominal_pi']}pi mean_rmsd={mean} over {row['n_cells']} cells"
+
+
+def _threshold_line(row: dict) -> str:
+    # None: every cell of the angle failed, so its transitions are unknown
+    marks = "n/a" if row["thresholds"] is None else ", ".join(f"{t:g}" for t in row["thresholds"]) or "none"
+    return f"chi={row['chi_pi']}pi profile={row['profile']} transitions at p: {marks}"
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    """`rmsd` or `thresholds`: the command's table of the analysed sweep, written and printed row by row."""
     result = _analysed_result(args)
-    rows = threshold_rows(result)
-    path = os.path.join(args.out, "thresholds.csv")
-    write_csv(path, ("chi_pi", "profile", "thresholds", "window"), rows)
-    print(f"wrote csv: {path}")
-    for row in rows:
-        # None: every cell of the angle failed, so its transitions are unknown
-        marks = "n/a" if row["thresholds"] is None else ", ".join(f"{t:g}" for t in row["thresholds"]) or "none"
-        print(f"chi={row['chi_pi']}pi profile={row['profile']} transitions at p: {marks}")
+    rows = args.analyse(result)
+    _write_table(args, rows)
+    print("\n".join(map(args.line, rows)))
     return EXIT_CELL_FAILURE if _cell_failures(result) else EXIT_OK
 
 
@@ -152,34 +159,21 @@ def _parse_chi_grid(text: str) -> tuple:
 def _cmd_verify(args: argparse.Namespace) -> int:
     grid = _parse_chi_grid(args.chi_grid) if args.chi_grid else DEFAULT_CHI_GRID_PI
     rows = verify_parallelization(grid)
-    columns = ("chi_pi", "variant", "max_linf", "aux_marginal_dev", "passed", "worst_branch")
     if args.out:
-        path = os.path.join(args.out, "verify.csv")
-        write_csv(path, columns, rows)
-        print(f"wrote csv: {path}")
-    all_ok = True
+        _write_table(args, rows)
     for row in rows:
         status = "pass" if row["passed"] else f"FAIL (worst branch {row['worst_branch']})"
         print(
             f"chi={row['chi_pi']}pi {row['variant']}-circuit: "
             f"max_linf={row['max_linf']:.3e} aux_dev={row['aux_marginal_dev']:.3e} {status}"
         )
-        all_ok = all_ok and row["passed"]
-    return EXIT_OK if all_ok else EXIT_CELL_FAILURE
-
-
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "rmsd": _cmd_rmsd,
-    "thresholds": _cmd_thresholds,
-    "verify": _cmd_verify,
-}
+    return EXIT_OK if all(row["passed"] for row in rows) else EXIT_CELL_FAILURE
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -432,10 +432,14 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns: tuple, rows: list[dict]) -> None:
-    """Header plus one line per row, fields in `columns` order. No field of
+def write_csv(path, rows: list[dict]) -> None:
+    """Header plus one line per row. The columns are the first row's keys, in
+    order, so an empty table has no header and is a ValueError. No field of
     the rmsd, thresholds or verify tables can hold a comma, a quote or a
     line break, so csv.writer would quote none."""
+    if not rows:
+        raise ValueError(f"no rows to write to {path}")
+    columns = tuple(rows[0])
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")

@@ -1542,13 +1542,14 @@ class TestEmitterMatchesReference:
         assert b"np.float64" not in Path(numpy_paths["csv"]).read_bytes()
 
 
+# each table's columns as the spec: write_csv takes its header from the rows, the reference from these
 RMSD_COLUMNS = ("chi_nominal_pi", "chi_measured_pi", "mean_rmsd", "max_rmsd", "n_cells")
 THRESHOLD_COLUMNS = ("chi_pi", "profile", "thresholds", "window")
 VERIFY_COLUMNS = ("chi_pi", "variant", "max_linf", "aux_marginal_dev", "passed", "worst_branch")
 
 
 class TestTableCsvMatchesReference:
-    """write_csv writes the bytes of csv.writer for every table it serves."""
+    """write_csv writes the bytes of csv.writer, under the spec's header, for every table it serves."""
 
     @staticmethod
     def assert_matches_reference(path, columns, rows, ref_dir) -> None:
@@ -1586,19 +1587,25 @@ class TestTableCsvMatchesReference:
         rmsd_rows, rows = rmsd_analysis(result), threshold_rows(result)
         assert rmsd_rows[0]["mean_rmsd"] is None
         assert [row["thresholds"] for row in rows] == [None, []]
-        write_csv(tmp_path / "out" / "rmsd.csv", RMSD_COLUMNS, rmsd_rows)
-        write_csv(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows)
+        write_csv(tmp_path / "out" / "rmsd.csv", rmsd_rows)
+        write_csv(tmp_path / "out" / "thresholds.csv", rows)
         self.assert_matches_reference(tmp_path / "out" / "rmsd.csv", RMSD_COLUMNS, rmsd_rows, tmp_path)
         self.assert_matches_reference(tmp_path / "out" / "thresholds.csv", THRESHOLD_COLUMNS, rows, tmp_path)
 
     def test_numpy_float_fields_are_written_as_plain_floats(self, tmp_path):
         plain = {"chi_nominal_pi": 0.1, "chi_measured_pi": 0.1, "mean_rmsd": 0.5, "max_rmsd": None, "n_cells": 3}
         numpy_row = {**plain, "chi_measured_pi": np.float64(0.1), "mean_rmsd": np.float64(0.5)}
-        write_csv(tmp_path / "numpy.csv", RMSD_COLUMNS, [numpy_row])
-        write_csv(tmp_path / "plain.csv", RMSD_COLUMNS, [plain])
+        write_csv(tmp_path / "numpy.csv", [numpy_row])
+        write_csv(tmp_path / "plain.csv", [plain])
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert (tmp_path / "numpy.csv").read_text().splitlines()[1] == "0.1,0.1,0.5,,3"
         self.assert_matches_reference(tmp_path / "numpy.csv", RMSD_COLUMNS, [numpy_row], tmp_path / "ref")
+
+    def test_empty_table_is_an_error(self, tmp_path):
+        # the header comes from the first row, so a table without rows has none to write
+        with pytest.raises(ValueError, match="no rows"):
+            write_csv(tmp_path / "out" / "empty.csv", [])
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyses:
@@ -1707,6 +1714,21 @@ class TestCli:
         assert main(["verify", "--chi-grid", "0,0.125,0.25"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+    def test_failed_verify_row_exits_3(self, tmp_path, capsys, monkeypatch):
+        # I-circuit branches (0,0,0) and (0,0,1) claim each other's pair, so only the X-circuit row passes
+        pairs = qgame.sweep.BRANCH_PAIRS.copy()
+        pairs[0, [0, 1]] = pairs[0, [1, 0]]
+        monkeypatch.setattr(qgame.sweep, "BRANCH_PAIRS", pairs)
+        assert main(["verify", "--chi-grid", "0.1", "--out", str(tmp_path)]) == 3
+        bad, good = verify_parallelization((0.1,))
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"chi=0.1pi I-circuit: max_linf={bad['max_linf']:.3e} aux_dev={bad['aux_marginal_dev']:.3e} "
+            f"FAIL (worst branch {bad['worst_branch']})",
+            f"chi=0.1pi X-circuit: max_linf={good['max_linf']:.3e} aux_dev={good['aux_marginal_dev']:.3e} pass",
+        ]
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()))
+        assert [(row["passed"], row["worst_branch"]) for row in rows] == [("false", bad["worst_branch"]), ("true", good["worst_branch"])]
 
     def test_bad_chi_grid_is_config_error(self, capsys):
         assert main(["verify", "--chi-grid", "0.4"]) == 2
