@@ -13,8 +13,8 @@ are kept.
 
 `nash_columns` solves a stack of tensors (one per p, or per grid cell) in
 one array pass: the masks take the player's own choice on a negative axis,
-so one rule, in one private helper, serves every stack, and B payoffs
-shared by the stack are masked once. It reads the equilibria off the mask
+so one rule, in one private helper, serves every stack; B1's and B2's
+payoffs come as one (4, 4) row per game, as A's do. It reads the equilibria off the mask
 in row-major order, with one `flatnonzero` and one gather, as per-row
 counts and flat profile and payoff columns, and hands back the mask too, so
 the sweep reads the tracked profile's membership off its column without
@@ -66,21 +66,21 @@ def _nash_mask(a, b1, b2, delta: float) -> tuple[np.ndarray, ...]:
     """The float arrays and the (P, 64) mask of each row's equilibria, in profile order."""
     a, b1, b2 = (np.asarray(values, dtype=float) for values in (a, b1, b2))
     rows = len(a)
-    if a.shape != (rows, 4, 4, 4) or {b1.shape, b2.shape} - {(4, 4), (rows, 4, 4)}:
+    if a.shape != (rows, 4, 4, 4) or {b1.shape, b2.shape} != {(rows, 4, 4)}:
         shapes = f"{a.shape}, {b1.shape}, {b2.shape}"
-        raise ValueError(f"expected (P, 4, 4, 4), then (4, 4) or (P, 4, 4) twice; got {shapes}")
+        raise ValueError(f"expected (P, 4, 4, 4), then (P, 4, 4) twice; got {shapes}")
     nash = (
         _near_max_mask(a, -3, delta)
-        & _near_max_mask(b1, -1, delta)[..., :, :, None]
-        & _near_max_mask(b2, -1, delta)[..., :, None, :]
+        & _near_max_mask(b1, -1, delta)[:, :, :, None]
+        & _near_max_mask(b2, -1, delta)[:, :, None, :]
     )
     return a, b1, b2, nash.reshape(rows, 64)
 
 
 def _payoffs_at(a, b1, b2, row, flat) -> tuple[np.ndarray, ...]:
-    """The A, B1 and B2 payoffs of profiles `flat` in rows `row`; a shared B array drops the row index."""
+    """The A, B1 and B2 payoffs of profiles `flat` in rows `row`."""
     i, j, k = np.unravel_index(flat, (4, 4, 4))
-    return a[row, i, j, k], b1[(row, i, j)[3 - b1.ndim :]], b2[(row, i, k)[3 - b2.ndim :]]
+    return a[row, i, j, k], b1[row, i, j], b2[row, i, k]
 
 
 def nash_columns(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> tuple:
@@ -88,7 +88,7 @@ def nash_columns(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) ->
     order, each row's equilibrium count, and every equilibrium, row by row and
     each row's in profile order, as its profile index 16 i + 4 j + k and a list
     of its A, B1 and B2 payoffs each. `a` is a (P, 4, 4, 4) stack of A's
-    payoffs; `b1` and `b2` are either (4, 4), shared by every row, or (P, 4, 4)."""
+    payoffs, `b1` and `b2` (P, 4, 4) stacks of B1's and B2's."""
     a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
     row, flat = np.divmod(np.flatnonzero(nash), 64)
     payoffs = [values.tolist() for values in _payoffs_at(a, b1, b2, row, flat)]
@@ -108,7 +108,7 @@ def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: 
 
 def nash_equilibria(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: float) -> EquilibriumReport:
     """One Bayesian game's equilibria in profile order: row 0 of `nash_columns`."""
-    _, _, flat, payoffs = nash_columns(np.asarray(a)[None], b1, b2, delta)
+    _, _, flat, payoffs = nash_columns(*(np.asarray(values)[None] for values in (a, b1, b2)), delta)
     return EquilibriumReport(tuple(map(PROFILES.__getitem__, flat)), tuple(zip(*payoffs)))
 
 
@@ -169,4 +169,5 @@ def rmsd_at_equilibrium(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, reference
     if reference.empty:
         raise NoEquilibriumError("report has no equilibria")
     best, payoffs = min(zip(*reference), key=lambda pp: (-pp[1][0], pp[0]))
-    return rmsd_at_equilibrium_stack(np.asarray(a)[None], b1, b2, np.array([PROFILES.index(best)]), [payoffs])[0]
+    stack = (np.asarray(values)[None] for values in (a, b1, b2))
+    return rmsd_at_equilibrium_stack(*stack, np.array([PROFILES.index(best)]), [payoffs])[0]

@@ -43,13 +43,6 @@ STRATEGIES = tuple(Strategy)
 Profile = tuple[Strategy, Strategy, Strategy]
 
 
-def profile_from_names(names: str) -> Profile:
-    """Parse e.g. "IXI" into a strategy triple; anything else is a ValueError."""
-    if not isinstance(names, str) or len(names) != 3 or any(c not in "IXYZ" for c in names):
-        raise ValueError(f"bad profile string {names!r}")
-    return tuple(Strategy[c] for c in names)  # type: ignore[return-value]
-
-
 def profile_names(profile: Profile) -> str:
     return "".join(s.name for s in profile)
 
@@ -57,6 +50,13 @@ def profile_names(profile: Profile) -> str:
 # the 64 profiles in profile order, (i, j, k) at index 16 i + 4 j + k, and their names
 PROFILES = tuple(product(STRATEGIES, repeat=3))
 PROFILE_NAMES = tuple(map(profile_names, PROFILES))
+
+
+def profile_from_names(names: str) -> Profile:
+    """The profile that `PROFILE_NAMES` names e.g. "IXI"; anything else is a ValueError."""
+    if names not in PROFILE_NAMES:
+        raise ValueError(f"bad profile string {names!r}")
+    return PROFILES[PROFILE_NAMES.index(names)]
 
 
 def payoff_table(rows) -> np.ndarray:

@@ -85,8 +85,7 @@ def readout_matrix(noise: NoiseModel, n_qubits: int = N_QUBITS) -> np.ndarray:
     p01, p10 = noise.readout_flip_0to1, noise.readout_flip_1to0
     single = np.array([[1 - p01, p10], [p01, 1 - p10]])  # column j = true bit j, rows = observed bit
     matrix = reduce(np.kron, [single] * n_qubits, np.array([[1.0]]))  # qubit 0 the most significant bit
-    if noise.crosstalk > 0:
-        matrix = _crosstalk_map(noise.crosstalk, n_qubits) @ matrix
+    matrix = _crosstalk_map(noise.crosstalk, n_qubits) @ matrix  # the identity at crosstalk 0
     matrix.flags.writeable = False
     return matrix
 

@@ -18,8 +18,8 @@ This module alone knows the outcome-bit layout. Both variants share one
 branch table, two constant arrays: branch 4x + 2y + z holds aux outcome
 (x, y, z), and `BRANCH_PAIRS` names the strategy pair that each branch of
 each variant plays. `branch_distributions` splits any stack of 32-outcome
-populations into the 8 branches; `parse_branches` is its one-row case,
-keyed by strategy pair.
+populations into the 8 branches; `parse_branches` is its checked one-row
+case.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ def branch_distributions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return subs / np.where(totals <= 0, 1.0, totals)[..., None], totals
 
 
-def parse_branches(counts: np.ndarray, variant: Variant) -> dict[tuple[Strategy, Strategy], np.ndarray]:
-    """Split a 32-outcome population into 8 per-pair conditional distributions.
+def parse_branches(counts: np.ndarray, variant: Variant) -> np.ndarray:
+    """Split a 32-outcome population into its (8, 4) branch distributions.
 
     `counts` is a 32-vector of counts or frequencies; this is one row of
-    `branch_distributions`. A branch with zero total raises EmptyBranchError
-    rather than silently emitting zeros.
+    `branch_distributions`, the branches in the order `BRANCH_PAIRS[v]`
+    names them for variant `variant`. A branch with zero total raises
+    EmptyBranchError rather than silently emitting zeros.
     """
     if np.ndim(counts) != 1:
         raise ValueError(f"expected {N_OUTCOMES} outcome entries, got {np.shape(counts)}")
@@ -110,5 +111,4 @@ def parse_branches(counts: np.ndarray, variant: Variant) -> dict[tuple[Strategy,
         raise EmptyBranchError(
             f"branch (x,y,z)=({x},{y},{z}) of {variant.value}-circuit has zero population"
         )
-    pairs = BRANCH_PAIRS[list(Variant).index(variant)].tolist()
-    return {(Strategy(pair // 4), Strategy(pair % 4)): dist for pair, dist in zip(pairs, dists)}
+    return dists

@@ -131,22 +131,6 @@ bayesian_split = split_counts
 
 SCHEMA_VERSION = 4
 
-_CSV_COLUMNS = (
-    "chi_nominal_pi",
-    "chi_measured_pi",
-    "p",
-    "n_equilibria",
-    "profile",
-    "payoff_A",
-    "payoff_B1",
-    "payoff_B2",
-    "rmsd",
-    "delta",
-    "mode",
-    "seed",
-)
-
-
 class CellResult(NamedTuple):
     """One (chi, p) grid point. `error` set means the cell failed and
     carries no report; an empty report is a legitimate no-equilibrium cell."""
@@ -177,6 +161,10 @@ class EquilibriumColumns(NamedTuple):
     payoff_A: tuple
     payoff_B1: tuple
     payoff_B2: tuple
+
+
+# sweep.csv: a cell's place, its count and one equilibrium per line, then its rmsd and the run's constants
+_CSV_COLUMNS = (*CellColumns._fields[:4], *EquilibriumColumns._fields, "rmsd", "delta", "mode", "seed")
 
 
 @dataclass(frozen=True)
@@ -413,8 +401,6 @@ def verify_parallelization(chi_grid_pi=DEFAULT_CHI_GRID_PI) -> list[dict]:
 # writes any float, numpy's too, as json.dump does; numpy's own repr is np.float64(0.5)
 _float_text = float.__repr__
 _COMPACT = (",", ":")  # json.dumps separators without whitespace
-# sweep.json's two column blocks: one entry per cell, and one per equilibrium, cut by n_equilibria
-_CELL_COLUMNS, _EQUILIBRIUM_COLUMNS = CellColumns._fields, EquilibriumColumns._fields
 _PROFILES = dict(zip(PROFILE_NAMES, PROFILES))  # each profile's name -> the profile
 
 
@@ -510,9 +496,10 @@ def emit_report(result: SweepResult, out_dir) -> dict:
     cell_json = (*map(_json_floats, (chi, measured, p)), json.dumps(counts, separators=_COMPACT),
                  _json_floats([r or "null" for r in rmsd]), json.dumps(cells.error, separators=_COMPACT))
     equilibrium_json = (json.dumps(names, separators=_COMPACT), *map(_json_floats, payoffs))
+    document = (f'{json.dumps(head, separators=_COMPACT)[:-1]},"cells":{_json_object(CellColumns._fields, cell_json)},'
+                f'"equilibria":{_json_object(EquilibriumColumns._fields, equilibrium_json)}}}\n')
     with open(paths["json"], "w") as json_file:
-        json_file.write(f'{json.dumps(head, separators=_COMPACT)[:-1]},"cells":{_json_object(_CELL_COLUMNS, cell_json)},'
-                        f'"equilibria":{_json_object(_EQUILIBRIUM_COLUMNS, equilibrium_json)}}}\n')
+        json_file.write(document)
     return paths
 
 
@@ -569,8 +556,8 @@ def result_from_dict(data: dict) -> SweepResult:
     value, sigma = ([config_number(key, m[key]) for m in measurements] for key in ("value_rad", "sigma_rad"))
     _check_estimates(config, value, sigma)
 
-    cells = _columns(data, "cells", _CELL_COLUMNS, len(chi_grid) * len(p_grid))
-    nominal_pi, measured, ps = (_floats(name, cells[name]) for name in _CELL_COLUMNS[:3])
+    cells = _columns(data, "cells", CellColumns._fields, len(chi_grid) * len(p_grid))
+    nominal_pi, measured, ps = (_floats(name, cells[name]) for name in CellColumns._fields[:3])
     rmsds, counts, errors = _floats("rmsd", cells["rmsd"], nullable=True), cells["n_equilibria"], cells["error"]
     if nominal_pi != [chi for chi in chi_grid for _ in p_grid] or ps != list(p_grid) * len(chi_grid):
         at, points = list(zip(nominal_pi, ps)), list(itertools.product(chi_grid, p_grid))  # run_sweep's order
@@ -591,7 +578,7 @@ def result_from_dict(data: dict) -> SweepResult:
                               "a cell has a null n_equilibria and rmsd exactly when its error is a string")
 
     stops = list(itertools.accumulate([0 if count is None else count for count in counts]))
-    equilibria = _columns(data, "equilibria", _EQUILIBRIUM_COLUMNS, stops[-1])  # a grid has a cell
+    equilibria = _columns(data, "equilibria", EquilibriumColumns._fields, stops[-1])  # a grid has a cell
     cell, names = partial(bisect.bisect_right, stops), equilibria["profile"]  # the cell of an equilibrium index
     try:
         known = set(names) <= _PROFILES.keys()
@@ -601,7 +588,7 @@ def result_from_dict(data: dict) -> SweepResult:
         index = next(n for n, name in enumerate(names) if type(name) is not str or name not in _PROFILES)
         raise ConfigError(f"cell {cell(index)}: profile: expected a name like 'IXI', got {names[index]!r}")
     # payoffs are numbers, NaN and infinities included, as emit_report writes them
-    payoffs = (_floats(name, equilibria[name], cell, finite=False) for name in _EQUILIBRIUM_COLUMNS[1:])
+    payoffs = (_floats(name, equilibria[name], cell, finite=False) for name in EquilibriumColumns._fields[1:])
     cells = CellColumns(*map(tuple, (nominal_pi, measured, ps, counts, rmsds, errors)))
     return SweepResult(config, cells, EquilibriumColumns(*map(tuple, (names, *payoffs))), tuple(zip(chis, thresholds)),
                        tuple(zip(nominal, map(ChiEstimate, value, sigma))))

@@ -543,7 +543,8 @@ def reference_shot_sweep(config):
                             pool = counts[v]
                         corrected = spam_correct(pool, config.noise)
                         parse_branches(pool, variant)  # a branch without raw shots is empty
-                        dists[t].update(parse_branches(corrected, variant))
+                        # branch rows in aux-outcome order, each mapped to its pair by the dense rule
+                        dists[t].update(zip(branch_map(variant).values(), parse_branches(corrected, variant)))
             except (SpamCorrectionError, EmptyBranchError) as exc:
                 column.append(CellResult(chi_pi, chi_ref / np.pi, p, None, None, error=str(exc)))
                 continue
@@ -703,6 +704,23 @@ def _reference_dict(result) -> dict:
     }
 
 
+# sweep.csv's header, spelled out: the spec the package's column blocks must reproduce
+SWEEP_CSV_COLUMNS = (
+    "chi_nominal_pi",
+    "chi_measured_pi",
+    "p",
+    "n_equilibria",
+    "profile",
+    "payoff_A",
+    "payoff_B1",
+    "payoff_B2",
+    "rmsd",
+    "delta",
+    "mode",
+    "seed",
+)
+
+
 def reference_write_csv(path, columns: tuple, rows: list[dict]) -> None:
     """A table written through `csv.writer`: header plus one line per row,
     each field formatted by the package's `_csv_field`."""
@@ -720,10 +738,8 @@ def reference_emit(result, out_dir) -> tuple[bytes, bytes]:
     """The bytes of sweep.csv and sweep.json written the slow way:
     `csv.writer` (through `reference_write_csv`) over one dict per row, and
     one compact `json.dump(..., separators=(",", ":"))` of the whole result."""
-    from qgame.sweep import _CSV_COLUMNS
-
     csv_path, json_path = os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.json")
-    reference_write_csv(csv_path, _CSV_COLUMNS, _reference_rows(result))  # makes out_dir
+    reference_write_csv(csv_path, SWEEP_CSV_COLUMNS, _reference_rows(result))  # makes out_dir
     with open(json_path, "w") as handle:
         json.dump(_reference_dict(result), handle, separators=(",", ":"))
         handle.write("\n")

@@ -64,7 +64,7 @@ def test_b_payoffs_invariant_in_p():
     (a1, b1), (a2, b2) = tensors_at(0.22)
     ps = (0.0, 0.3, 1.0)
     _, counts, flat, (_, pay_b1, pay_b2) = nash_columns(
-        compose(np.stack([a1] * 3), np.stack([a2] * 3), ps), b1, b2, EVERY_PROFILE
+        compose(np.stack([a1] * 3), np.stack([a2] * 3), ps), np.stack([b1] * 3), np.stack([b2] * 3), EVERY_PROFILE
     )
     assert counts == [64] * 3 and flat == list(range(64)) * 3
     for n, (b1_payoff, b2_payoff) in enumerate(zip(pay_b1, pay_b2)):

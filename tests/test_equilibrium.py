@@ -197,7 +197,7 @@ def test_max_payoff_tie_break_is_lexicographic():
     report = nash_equilibria(*tensor, 0.0)
     # all profiles tie at payoff_A = 11; IXI sorts first, for the reference rule and the stacked pick
     assert oracles.max_payoff_profile(report) == profile_from_names("IXI")
-    best = best_equilibria_stack(tensor[0][None], *tensor[1:], 0.0)[0]
+    best = best_equilibria_stack(*(values[None] for values in tensor), 0.0)[0]
     assert best.tolist() == [flat_index(profile_from_names("IXI"))]
 
 
@@ -237,15 +237,16 @@ def test_solver_matches_brute_force_with_ties(a, b1, b2, delta):
 
 @st.composite
 def integer_columns(draw, rows=None):
-    """A column of P tensors with payoffs in {0, ..., 3}, its B arrays
-    either shared (4, 4) or one per row (P, 4, 4); P is drawn unless given."""
+    """A column of P tensors with payoffs in {0, ..., 3}, its (P, 4, 4) B
+    arrays either one (4, 4) array repeated down the rows, as the analytic
+    grid repeats an angle's, or drawn row by row; P is drawn unless given."""
     rows = draw(st.integers(1, 5)) if rows is None else rows
     payoffs = st.integers(0, 3)
     a = draw(hnp.arrays(np.int64, (rows, 4, 4, 4), elements=payoffs))
     b_shape = draw(st.sampled_from([(4, 4), (rows, 4, 4)]))
     b1 = draw(hnp.arrays(np.int64, b_shape, elements=payoffs))
     b2 = draw(hnp.arrays(np.int64, b_shape, elements=payoffs))
-    return a, b1, b2
+    return a, np.broadcast_to(b1, (rows, 4, 4)), np.broadcast_to(b2, (rows, 4, 4))
 
 
 @given(column=integer_columns(), delta=st.sampled_from([0.0, 0.1]))
@@ -272,9 +273,8 @@ def flat_index(profile) -> int:
 
 
 def row_tensor(column, n):
-    """Row n of a column of tensors as one game's arrays; a shared B array serves every row."""
-    a, b1, b2 = column
-    return synthetic_tensor(a[n], b1 if b1.ndim == 2 else b1[n], b2 if b2.ndim == 2 else b2[n])
+    """Row n of a column of tensors as one game's arrays."""
+    return synthetic_tensor(*(values[n] for values in column))
 
 
 def row_reports(column, delta):
@@ -285,8 +285,8 @@ def row_reports(column, delta):
 # no pure equilibrium: A wants to match B1's choice, B1 to play A's choice plus one
 PENNIES = (
     np.stack([np.zeros((4, 4, 4), dtype=np.int64), np.broadcast_to(np.eye(4, dtype=np.int64)[:, :, None], (4, 4, 4))]),
-    np.roll(np.eye(4, dtype=np.int64), 1, axis=1),
-    np.zeros((4, 4), dtype=np.int64),
+    np.broadcast_to(np.roll(np.eye(4, dtype=np.int64), 1, axis=1), (2, 4, 4)),
+    np.zeros((2, 4, 4), dtype=np.int64),
 )
 
 
@@ -351,7 +351,7 @@ def test_rmsd_stack_rows_match_single_rows_bit_for_bit(column):
     got = rmsd_at_equilibrium_stack(a, b1, b2, best, payoffs)
     assert len(got) == len(references)
     for n, (value, reference) in enumerate(zip(got, references)):
-        tensor = synthetic_tensor(a[n], b1 if b1.ndim == 2 else b1[n], b2 if b2.ndim == 2 else b2[n])
+        tensor = row_tensor((a, b1, b2), n)
         assert value == oracles.reference_rmsd(*tensor, reference)
         if reference.empty:
             with pytest.raises(NoEquilibriumError):
@@ -389,14 +389,14 @@ def test_rmsd_of_a_hand_built_report_in_any_order_uses_the_reference_rule(order)
 def test_rmsd_stack_scales_rows_whose_squares_overflow():
     # differences of 2e300 overflow when squared; such a row is computed scaled by its largest |payoff|,
     # without a warning (RuntimeWarnings fail the tests), and the ordinary row keeps its plain bits
-    a, b1, b2 = np.zeros((2, 4, 4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+    a, b1, b2 = np.zeros((2, 4, 4, 4)), np.zeros((2, 4, 4)), np.zeros((2, 4, 4))
     a[0, 0, 0, 0], a[1, 0, 0, 0] = 1e300, 3.0
     payoffs = np.array([[-1e300, 0.0, 0.0], [1.0, 0.0, 0.0]])
     got = rmsd_at_equilibrium_stack(a, b1, b2, np.array([0, 0]), payoffs)
     assert got[0] == pytest.approx(2e300 / np.sqrt(3), rel=1e-12) and np.isfinite(got[0])
     assert got[1] == float(np.sqrt(np.mean(np.array([2.0, 0.0, 0.0]) ** 2)))
     report = EquilibriumReport((profile_from_names("III"),), ((-1e300, 1e300, 0.0),))
-    assert rmsd_at_equilibrium(a[0], b1, b2, report) == pytest.approx(1e300 * np.sqrt(5 / 3), rel=1e-12)
+    assert rmsd_at_equilibrium(a[0], b1[0], b2[0], report) == pytest.approx(1e300 * np.sqrt(5 / 3), rel=1e-12)
 
 
 def test_negative_delta_rejected():
@@ -405,9 +405,9 @@ def test_negative_delta_rejected():
     with pytest.raises(ValueError, match=message):
         nash_equilibria(*tensor, -0.1)
     with pytest.raises(ValueError, match=message):
-        nash_columns(tensor[0][None], *tensor[1:], -0.1)
+        nash_columns(*(values[None] for values in tensor), -0.1)
     with pytest.raises(ValueError, match=message):
-        best_equilibria_stack(tensor[0][None], *tensor[1:], -0.1)
+        best_equilibria_stack(*(values[None] for values in tensor), -0.1)
 
 
 def test_stack_shape_validation():
@@ -418,6 +418,11 @@ def test_stack_shape_validation():
         nash_columns(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
     with pytest.raises(ValueError, match=r"got \(3, 4, 4, 4\), \(4, 4\), \(2, 4, 4\)"):
         best_equilibria_stack(a, np.zeros((4, 4)), np.zeros((2, 4, 4)), 0.0)
+    # B payoffs come one row per game: a (4, 4) array shared by the stack is a shape error
+    with pytest.raises(ValueError, match=r"then \(P, 4, 4\) twice; got \(3, 4, 4, 4\), \(4, 4\), \(4, 4\)"):
+        nash_columns(a, np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+    with pytest.raises(ValueError, match=r"got \(1, 3, 4, 4, 4\), \(1, 4, 4\), \(1, 4, 4\)"):
+        nash_equilibria(a, np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
 
 
 @given(

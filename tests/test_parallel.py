@@ -37,6 +37,11 @@ def direct_law(chi, u_a, u_b):
     return np.abs(final_states(chi)[4 * u_a + u_b]) ** 2
 
 
+def parsed_pairs(dist, variant) -> dict:
+    """`parse_branches`'s rows keyed by the pair the oracle's dense rule gives each branch, in aux-outcome order."""
+    return dict(zip(branch_map(variant).values(), parse_branches(dist, variant)))
+
+
 def test_gate_sequence_layout():
     names = [g.name for g in build_circuit(Variant.I_CIRCUIT, 0.2)]
     assert names == ["H", "H", "H", "J", "CNOT", "CZ", "CZ", "JDAG"]
@@ -47,7 +52,7 @@ def test_gate_sequence_layout():
 def test_classical_branches_are_basis_outcomes():
     # chi=0: each branch is the classical outcome of its strategy pair
     dist = exact_law(Variant.I_CIRCUIT, 0.0)
-    branches = parse_branches(dist, Variant.I_CIRCUIT)
+    branches = parsed_pairs(dist, Variant.I_CIRCUIT)
     for (ua, ub), sub in branches.items():
         a = 1 if ua in (Strategy.X, Strategy.Y) else 0
         b = 1 if ub in (Strategy.X, Strategy.Y) else 0
@@ -69,7 +74,7 @@ def test_aux_marginals_uniform():
 
 def test_branch_equals_direct_game_sampled_case():
     dist = exact_law(Variant.X_CIRCUIT, np.pi / 8)
-    branches = parse_branches(dist, Variant.X_CIRCUIT)
+    branches = parsed_pairs(dist, Variant.X_CIRCUIT)
     want = direct_law(np.pi / 8, Strategy.I, Strategy.X)
     np.testing.assert_allclose(branches[(Strategy.I, Strategy.X)], want, atol=1e-10)
 
@@ -80,7 +85,7 @@ def test_exhaustive_game_equivalence():
     for chi in CHI_GRID:
         for variant in Variant:
             dist = exact_law(variant, chi)
-            branches = parse_branches(dist, variant)
+            branches = parsed_pairs(dist, variant)
             assert len(branches) == 8
             for (ua, ub), sub in branches.items():
                 want = direct_law(chi, ua, ub)
@@ -118,7 +123,7 @@ def test_phase_equivalent_composite_strategies():
     # direct game with an explicit Y
     for chi in (0.1, np.pi / 4):
         dist = exact_law(Variant.I_CIRCUIT, chi)
-        branches = parse_branches(dist, Variant.I_CIRCUIT)
+        branches = parsed_pairs(dist, Variant.I_CIRCUIT)
         for z, ub in ((0, Strategy.I), (1, Strategy.Z)):
             assert BRANCH_PAIRS[0, 6 + z] == 4 * Strategy.Y + ub  # branch (x, y, z) = (1, 1, z)
             want = direct_law(chi, Strategy.Y, ub)
@@ -128,8 +133,8 @@ def test_phase_equivalent_composite_strategies():
 def test_uniform_population_parses_flat():
     flat = np.full(32, 10.0)
     branches = parse_branches(flat, Variant.I_CIRCUIT)
-    for sub in branches.values():
-        np.testing.assert_allclose(sub, [0.25, 0.25, 0.25, 0.25])
+    assert branches.shape == (8, 4)
+    np.testing.assert_allclose(branches, 0.25)
 
 
 @pytest.mark.parametrize("variant, tag", [(Variant.I_CIRCUIT, "I"), (Variant.X_CIRCUIT, "X")], ids=["I", "X"])
@@ -154,13 +159,11 @@ def test_stack_rows_match_single_calls(variant):
     dists, totals = branch_distributions(stack)
     empty = totals <= 0
     assert empty.any(axis=-1).sum() == 2
-    keys, pairs = list(branch_map(variant)), list(branch_map(variant).values())
+    keys = list(branch_map(variant))
     for index in np.ndindex(stack.shape[:-1]):
         np.testing.assert_array_equal(totals[index], [stack[index][branch_indices(*key)].sum() for key in keys])
         if not empty[index].any():
-            single = parse_branches(stack[index], variant)
-            for branch, pair in enumerate(pairs):
-                np.testing.assert_allclose(dists[index][branch], single[pair], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(parse_branches(stack[index], variant), dists[index])
             continue
         with pytest.raises(EmptyBranchError) as caught:
             parse_branches(stack[index], variant)
