@@ -14,15 +14,15 @@ are kept.
 `nash_columns` solves a stack of tensors (one per p, or per grid cell) in
 one array pass: the masks take the player's own choice on a negative axis,
 so one rule, in one private helper, serves every stack; B1's and B2's
-payoffs come as one (4, 4) row per game, as A's do. It reads the equilibria off the mask
-in row-major order, with one `flatnonzero` and one gather, as per-row
-counts and flat profile and payoff columns, and hands back the mask too, so
-the sweep reads the tracked profile's membership off its column without
-building reports. `best_equilibria_stack` reads the same mask down to each
-row's best equilibrium, the highest A payoff and the first profile on a
-tie, with a masked argmax, and `rmsd_at_equilibrium_stack` gathers payoffs
-there. `nash_equilibria` and `rmsd_at_equilibrium` are their one-row cases,
-on an `EquilibriumReport`.
+payoffs come as one (4, 4) row per game, as A's do. It reads the
+equilibria off the mask in row-major order, with one `flatnonzero` and one
+gather, as per-row counts and flat profile and payoff columns, and hands
+back the mask too, so the sweep reads the tracked profile's membership off
+its column without building reports. `best_equilibria_stack` reads the
+same mask down to each row's best equilibrium, the highest A payoff and
+the first profile on a tie, with a masked argmax, and
+`rmsd_at_equilibrium_stack` gathers payoffs there. `nash_equilibria` and
+`rmsd_at_equilibrium` are their one-row cases, on an `EquilibriumReport`.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def best_equilibria_stack(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, delta: 
     """Each row's equilibrium with the highest A payoff, the first in profile
     order on a tie, without building reports: the (P,) profile indices
     16 i + 4 j + k (-1 for a row with no equilibrium) and the (P, 3) payoffs
-    there. Arrays as in `nash_columns`; payoffs finite."""
+    there. `a` is a (P, 4, 4, 4) stack and `b1` and `b2` (P, 4, 4) stacks,
+    as in `nash_columns`; payoffs finite."""
     a, b1, b2, nash = _nash_mask(a, b1, b2, delta)
     # the highest A payoff among the equilibria; argmax takes the first profile on a tie
     best = np.where(nash, a.reshape(nash.shape), -np.inf).argmax(axis=-1)

@@ -19,12 +19,13 @@ in the systematic offset and the Gaussian spread of the angle, followed by
 the same `NoiseModel` and inverts that matrix, whose 5-qubit condition
 number and inverse are computed once, so it cannot invert a map the
 emulation did not apply, and correcting a stack of pools is one matrix
-product per pool. Sampling then draws counts, never per-shot outcomes:
-`sample_outcomes` is one multinomial draw of `outcome_law`, with the same
-(gates, n, chi, noise) arguments, for every circuit. The type split draws
-a binomial per outcome count. A population is a plain 32-entry count
-array, and each single-row function is the one-row case of its stacked
-form.
+product per pool. It fails a pool whose clipped negative mass exceeds
+2 sqrt(total), beyond the pool's shot noise. Sampling then draws counts,
+never per-shot outcomes: `sample_outcomes` is one multinomial draw of
+`outcome_law`, with the same (gates, n, chi, noise) arguments, for every
+circuit. The type split draws a binomial per outcome count. A population
+is a plain 32-entry count array, and each single-row function is the
+one-row case of its stacked form.
 
 Reproducibility contract: one master seed; every consumer derives an
 independent child stream keyed by integers (angle, circuit variant,
@@ -53,7 +54,8 @@ PURPOSE_SPLIT = 1
 PURPOSE_CALIBRATION = 2
 
 _COND_LIMIT = 1e8
-_NEGATIVE_FLOOR = 1e-3  # fraction of total population
+# a row fails when its negative mass exceeds this many sqrt(total), the scale of its shot noise
+_NEGATIVE_SIGMAS = 2.0
 
 
 class SpamCorrectionError(ValueError):
@@ -106,11 +108,13 @@ def _readout_inverse(noise: NoiseModel) -> tuple[float, np.ndarray | None]:
 def spam_correct_stack(counts: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert the readout matrix of `noise` on every row of a (..., 32) stack of counts.
 
-    Small negative results (within 0.1% of the row's total) are clipped and
-    the row rescaled to its total; anything worse means the readout model
-    does not match the data. Returns the corrected stack, the mask of rows
-    that fail, whose corrected values mean nothing, and each row's most
-    negative corrected value. An unusable matrix raises for the whole stack.
+    Negative results are clipped and the row rescaled to its total. A row's
+    negative mass, its clipped sum minus its corrected sum, is shot noise
+    while it stays within 2 sqrt(total); more means the readout model does
+    not match the data, and so does a row that clipping leaves empty.
+    Returns the corrected stack, the mask of rows that fail, whose corrected
+    values mean nothing, and each row's negative mass. An unusable matrix
+    raises for the whole stack.
     """
     cond, inverse = _readout_inverse(noise)
     if inverse is None:
@@ -119,11 +123,11 @@ def spam_correct_stack(counts: np.ndarray, noise: NoiseModel) -> tuple[np.ndarra
     # one matrix-vector product per row, so a row's result does not depend on the stack
     corrected = (inverse @ counts[..., None])[..., 0]
     total = counts.sum(axis=-1)
-    worst = corrected.min(axis=-1)
     clipped = np.clip(corrected, 0.0, None)
     scale = clipped.sum(axis=-1)
-    failed = (worst < -_NEGATIVE_FLOOR * total) | (scale <= 0)
-    return clipped * (total / np.where(failed, 1.0, scale))[..., None], failed, worst
+    negative = scale - corrected.sum(axis=-1)
+    failed = (negative > _NEGATIVE_SIGMAS * np.sqrt(total)) | (scale <= 0)
+    return clipped * (total / np.where(failed, 1.0, scale))[..., None], failed, negative
 
 
 def spam_correct(counts: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -133,11 +137,13 @@ def spam_correct(counts: np.ndarray, noise: NoiseModel) -> np.ndarray:
         raise ValueError(f"expected {N_OUTCOMES} entries, got {counts.shape}")
     if not np.isfinite(counts).all() or (counts < 0).any():
         raise ValueError("counts must be finite and nonnegative")
-    corrected, failed, worst = spam_correct_stack(counts, noise)
+    corrected, failed, negative = spam_correct_stack(counts, noise)
     if failed:
-        if worst < 0:  # else every entry was 0 and clipping left nothing
+        total = counts.sum()
+        if negative > _NEGATIVE_SIGMAS * np.sqrt(total):  # else clipping left nothing
             raise SpamCorrectionError(
-                f"corrected population {worst:.4g} below -{_NEGATIVE_FLOOR} of total {counts.sum():.4g}"
+                f"corrected negative mass {negative:.4g} above {_NEGATIVE_SIGMAS:g} sqrt(total) = "
+                f"{_NEGATIVE_SIGMAS * np.sqrt(total):.4g} of total {total:.4g}"
             )
         raise SpamCorrectionError("correction wiped out all population")
     return corrected

@@ -38,18 +38,19 @@ and with it their streams. The one-row cases (`spam_correct`, `parse_branches`,
 checks. `parallel` alone knows the outcome-bit layout; this module and
 `verify_parallelization` read its branch table.
 
-Cell failures (an empty branch after an unlucky split, an inconsistent SPAM
-inversion) are recorded on the cell instead of aborting the sweep. A branch
-with no raw shots is empty, whatever the readout inverse spreads into it. A
-failed cell carries its first failure in per-cell order: I-circuit before
-X-circuit, B1 before B2, SPAM correction before parsing the raw pool before
-parsing the corrected one. That step is read off the stacked failure masks,
-and only its single-cell function, `spam_correct` or `parse_branches`, runs on
-that one pool to word the error, so each failed cell makes exactly one
+Cell failures (an empty branch after an unlucky split, a SPAM inversion whose
+negative mass exceeds 2 sqrt(total), an unusable readout matrix) are recorded
+on the cell instead of aborting the sweep; the default profile fails no cell.
+A branch with no raw shots is empty, whatever the readout inverse spreads into
+it. A failed cell carries its first failure in per-cell order: I-circuit
+before X-circuit, B1 before B2, SPAM correction before parsing the raw pool
+before parsing the corrected one. That step is read off the stacked failure
+masks, and only its single-cell function, `spam_correct` or `parse_branches`,
+runs on that one pool to word the error, so each failed cell makes exactly one
 single-cell call, and it fails. `perfbench/layertrace.py` counts those calls
 and wraps the names it traces where this module looks them up, so every name
-in its TRACE_POINTS stays an attribute here, even the ones the sweep no
-longer calls.
+in its TRACE_POINTS stays an attribute here, even the ones the sweep no longer
+calls.
 
 A `SweepResult` holds the two column blocks of a schema-4 `sweep.json`, each
 column a tuple: `cell_columns`, one entry per cell, and

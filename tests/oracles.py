@@ -9,7 +9,8 @@ apply so its bits pin the stacked `payoff_tensor`,
 `reference_analytic_reports` and `reference_shot_sweep`, which check the
 sweep's batched columns against the package's own single-cell functions
 run cell by cell, on streams from `reference_child_rng`, one numpy
-SeedSequence per key, `reference_sweep_records`, which runs the sweep's own
+SeedSequence per key, each parsed branch row keyed by the pair
+`branch_map` gives it, `reference_sweep_records`, which runs the sweep's own
 stages and builds its records one cell at a time,
 `reference_outcome_law`, which evolves the package's density matrices at
 each call's own shifted angles instead of reusing cached node values,
@@ -18,7 +19,8 @@ its two-qubit game branch by branch through `branch_map`'s per-variant dict
 of pairs instead of the shared branch table, `result_from_records`, which
 builds a sweep's columns from hand-built records, and
 `reference_write_csv` and `reference_emit`, which write tables and a sweep
-through the stdlib's csv and json encoders, and `assert_whole_report` and
+through the stdlib's csv and json encoders, sweep.csv under its own
+spelled-out header `SWEEP_CSV_COLUMNS`, and `assert_whole_report` and
 `assert_whole_cell`, which check a record's class and every field by type,
 since a named tuple equals a plain tuple of its fields.
 """

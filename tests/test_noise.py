@@ -331,11 +331,15 @@ class TestSpamCorrection:
 
     def test_inconsistent_populations_raise(self):
         # a pure observed outcome is impossible under nonzero flips, and the
-        # inversion goes strongly negative on neighboring channels
-        counts = np.zeros(32)
+        # inversion goes negative on neighboring channels: 0.98 sqrt(total)
+        # of negative mass at 1k counts, within shot noise, and 3.1 sqrt(total)
+        # at 10k, past the 2 sqrt(total) bound
+        noise, counts = readout(0.006, 0.006), np.zeros(32)
         counts[0] = 1_000.0
-        with pytest.raises(SpamCorrectionError, match="below"):
-            spam_correct(counts, readout(0.006, 0.006))
+        assert spam_correct(counts, noise).sum() == pytest.approx(1_000.0)
+        counts[0] = 10_000.0
+        with pytest.raises(SpamCorrectionError, match="above 2 sqrt"):
+            spam_correct(counts, noise)
 
     def test_matches_linear_solve_on_random_pools(self):
         # the cached inverse stands in for a solve per call
@@ -348,11 +352,13 @@ class TestSpamCorrection:
             want = np.linalg.solve(matrix, pops)
             got = spam_correct(pops, noise)
             assert np.abs(got - want).max() <= 1e-12 * pops.sum()
-        # and the negative floor rejects exactly what the solve rejects
+        # and the negative-mass bound rejects exactly what the solve rejects
         counts = np.zeros(32)
         counts[0] = 1_000.0
-        worst = np.linalg.solve(matrix, counts).min()
-        message = f"corrected population {worst:.4g} below -0.001 of total {1000.0:.4g}"
+        negative = -np.minimum(np.linalg.solve(matrix, counts), 0.0).sum()
+        bound = 2 * np.sqrt(1_000.0)
+        message = f"corrected negative mass {negative:.4g} above 2 sqrt(total) = {bound:.4g} of total 1000"
+        assert negative > bound
         with pytest.raises(SpamCorrectionError) as caught:
             spam_correct(counts, noise)
         assert str(caught.value) == message
@@ -375,26 +381,32 @@ class TestSpamCorrection:
 
 
     def test_stack_rows_match_single_calls(self):
-        # sampled pools clip small negatives; a pure outcome breaks the
-        # floor and an all-zero row leaves nothing after clipping
+        # sampled pools clip small negatives; a pure outcome of 10k counts
+        # breaks the negative-mass bound and an all-zero row leaves nothing
+        # after clipping
         noise = readout(0.006, 0.006)
         rng = np.random.default_rng(23)
         law = readout_matrix(noise) @ rng.dirichlet(np.full(32, 0.3))
         stack = rng.multinomial(3_000, law / law.sum(), size=(3, 4)).astype(float)
         stack[0, 1] = 0.0
-        stack[0, 1, 5] = 800.0
+        stack[0, 1, 5] = 10_000.0
         stack[2, 3] = 0.0
-        corrected, failed, worst = spam_correct_stack(stack, noise)
+        corrected, failed, negative = spam_correct_stack(stack, noise)
         assert failed[0, 1] and failed[2, 3] and failed.sum() == 2
         for index in np.ndindex(failed.shape):
             pops = stack[index]
+            # the negative mass is what clipping removes from the plain inverse
+            assert negative[index] == pytest.approx(-np.minimum(np.linalg.solve(readout_matrix(noise), pops), 0).sum(),
+                                                    rel=1e-9, abs=1e-9)
             if not failed[index]:
+                assert negative[index] <= 2 * np.sqrt(pops.sum())
                 np.testing.assert_allclose(corrected[index], spam_correct(pops, noise), rtol=0, atol=1e-12)
                 continue
             with pytest.raises(SpamCorrectionError) as caught:
                 spam_correct(pops, noise)
             if pops.sum() > 0:
-                want = f"corrected population {worst[index]:.4g} below -0.001 of total {pops.sum():.4g}"
+                bound = 2 * np.sqrt(pops.sum())
+                want = f"corrected negative mass {negative[index]:.4g} above 2 sqrt(total) = {bound:.4g} of total 1e+04"
             else:
                 want = "correction wiped out all population"
             assert str(caught.value) == want
@@ -403,8 +415,8 @@ class TestSpamCorrection:
     def test_readout_model_mismatch_fails_every_row(self, seed):
         # 300k-shot rows of both circuits at four angles, corrected by a readout
         # model that disagrees with the data about crosstalk 0.03. Data without
-        # crosstalk under an inverse with it goes 2300-3700 counts negative,
-        # 4-7 sqrt(total): a floor that passes it hides a real mismatch. The
+        # crosstalk under an inverse with it has 12k-19k counts of negative
+        # mass, 21-36 sqrt(total): a bound that passes it hides a real mismatch. The
         # other way round, the plain inverse leaves a valid distribution, which
         # no negativity check can tell from a matched one.
         chis = (0.0, 0.1 * np.pi, 0.2 * np.pi, np.pi / 4)
@@ -419,8 +431,8 @@ class TestSpamCorrection:
 
         plain, crosstalk = NoiseModel(**flips), NoiseModel(**flips, crosstalk=0.03)
         data, data_crosstalk = counts(plain), counts(crosstalk)
-        _, failed, worst = spam_correct_stack(data, crosstalk)
-        assert failed.all() and (worst < -4 * np.sqrt(300_000)).all()
+        _, failed, negative = spam_correct_stack(data, crosstalk)
+        assert failed.all() and (negative > 4 * np.sqrt(300_000)).all()
         for rows, model in ((data, plain), (data_crosstalk, crosstalk), (data_crosstalk, plain)):
             assert not spam_correct_stack(rows, model)[1].any()
 

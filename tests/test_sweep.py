@@ -496,10 +496,11 @@ class TestShotSweep:
     def test_angle_subset_reproduces_the_full_grid_cells(self):
         # every stream is keyed by the angle's value, not its position, so a
         # run on a subset of the angles with the same p grid draws the same
-        # shots and splits as the full default-grid run
+        # shots and splits as the full default-grid run; at 2k shots the
+        # pools at p near 0 and 1 are small enough to empty a branch
         noise = NoiseModel.default_profile(0)
-        full = run_sweep(shot_config(noise=noise))
-        sub = run_sweep(shot_config(chi_grid_pi=(0.05, 0.2), noise=noise))
+        full = run_sweep(shot_config(noise=noise, shots=2_000))
+        sub = run_sweep(shot_config(chi_grid_pi=(0.05, 0.2), noise=noise, shots=2_000))
         cells = {(cell.chi_nominal_pi, cell.p): cell for cell in full.cells}
         assert sub.cells == tuple(cells[cell.chi_nominal_pi, cell.p] for cell in sub.cells)
         assert len(sub.cells) == 2 * len(DEFAULT_P_GRID)
@@ -516,19 +517,20 @@ class TestShotSweep:
             assert cell.rmsd < 0.15
 
     @pytest.mark.parametrize(
-        "seed, noise",
+        "seed, noise, shots",
         [
-            (0, NoiseModel.default_profile(0)),
-            (1, NoiseModel.default_profile(1)),
-            (0, NoiseModel(readout_flip_0to1=0.5, readout_flip_1to0=0.5)),
+            (0, NoiseModel.default_profile(0), 2_000),
+            (1, NoiseModel.default_profile(1), 2_000),
+            (0, NoiseModel(readout_flip_0to1=0.5, readout_flip_1to0=0.5), 30_000),
         ],
         ids=["default-seed0", "default-seed1", "singular-readout"],
     )
-    def test_column_matches_per_cell_reference(self, seed, noise):
-        # p near 0 and 1 leaves small pools, whose correction fails at
-        # these seeds; a singular readout matrix fails every cell
+    def test_column_matches_per_cell_reference(self, seed, noise, shots):
+        # at 2k shots, p near 0 and 1 leaves pools of 20 to 100 shots, some
+        # with an empty branch at these seeds; a singular readout matrix
+        # fails every cell
         p_grid = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.5, 0.96, 0.97, 0.98, 0.99, 1.0)
-        cfg = shot_config(chi_grid_pi=(0.05, 0.2), p_grid=p_grid, seed=seed, noise=noise)
+        cfg = shot_config(chi_grid_pi=(0.05, 0.2), p_grid=p_grid, shots=shots, seed=seed, noise=noise)
         result = run_sweep(cfg)
         cells, transitions, measurements = reference_shot_sweep(cfg)
         assert any(cell.error is not None for cell in cells)
@@ -546,6 +548,24 @@ class TestShotSweep:
         assert result.transitions == tuple(transitions)
         assert result.chi_measurements == tuple(measurements)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_profile_fails_no_cell(self, monkeypatch, seed):
+        # every SPAM-corrected pool of the default profile keeps its negative mass far inside the
+        # 2 sqrt(total) bound, at most 0.25 sqrt(total) at these seeds, so none of the default
+        # grid's 1111 cells fails
+        ratios, correct = [], qgame.sweep.spam_correct_stack
+
+        def recording(counts, noise):
+            corrected, failed, negative = correct(counts, noise)
+            ratios.append((negative / np.sqrt(counts.sum(axis=-1))).max())
+            return corrected, failed, negative
+
+        monkeypatch.setattr(qgame.sweep, "spam_correct_stack", recording)
+        result = run_sweep(ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(seed), seed=seed))
+        assert len(result.cell_columns.error) == 1111
+        assert result.cell_columns.error.count(None) == 1111
+        assert len(ratios) == 11 and max(ratios) < 0.5
+
     def test_tiny_pools_under_readout_noise_fail_their_cells(self):
         # at p = 0.01 to 0.03 the B1 pools hold 1 to 3 of 100 shots; the
         # readout inverse spreads clipped mass into every branch, so only
@@ -562,11 +582,12 @@ class TestShotSweep:
 
     def test_first_failure_in_cell_order_names_the_error(self, monkeypatch):
         # the I-circuit's shots miss a whole branch, and the X-circuit's all
-        # sit in one outcome, which breaks the SPAM floor; the I-circuit
-        # comes first, so its empty branch names the cell's error
+        # sit in one outcome: at 100k shots its pools' negative mass breaks
+        # the 2 sqrt(total) SPAM bound; the I-circuit comes first, so its
+        # empty branch names the cell's error
         counts = {Variant.I_CIRCUIT: np.full(32, 100), Variant.X_CIRCUIT: np.zeros(32, dtype=int)}
         counts[Variant.I_CIRCUIT][branch_indices(1, 1, 1)] = 0
-        counts[Variant.X_CIRCUIT][0] = 3_200
+        counts[Variant.X_CIRCUIT][0] = 100_000
         variants = {build_circuit(variant, 0.0): variant for variant in Variant}  # a circuit is its gate tuple
         monkeypatch.setattr(qgame.sweep, "sample_outcomes", lambda gates, *args: counts[variants[gates]])
         cfg = shot_config(chi_grid_pi=(0.1,), p_grid=(0.5,), noise=NoiseModel(readout_flip_0to1=0.005))
@@ -574,7 +595,7 @@ class TestShotSweep:
         assert cell.error == "branch (x,y,z)=(1,1,1) of I-circuit has zero population"
         counts[Variant.I_CIRCUIT][:] = 100
         cell = run_sweep(cfg).cells[0]
-        assert cell.error is not None and cell.error.startswith("corrected population")
+        assert cell.error is not None and cell.error.startswith("corrected negative mass")
 
     def test_default_profile_sweep_peak_memory_stays_bounded(self):
         # the reduce stage runs one angle at a time, the next angle's split drawn
@@ -829,13 +850,15 @@ class TestSerialization:
         assert digest == "469bf75cf09215f95e4e70c40a8ac9f0a465928013d85710bcc9dcad9b0c49b3"
 
     def test_default_noisy_shot_sweep_matches_pinned_digests(self, tmp_path):
-        # the benchmark's shots_noisy workload at seed 0, which fails 57 cells
+        # the benchmark's shots_noisy workload at seed 0, which fails no cell; re-pinned when SPAM
+        # correction's 0.1% negative floor, which failed 57 of its cells, gave way to the 2 sqrt(total)
+        # bound on a pool's negative mass
         cfg = ExperimentConfig(mode="shots", noise=NoiseModel.default_profile(0), seed=0)
         paths = emit_report(run_sweep(cfg), tmp_path)
         digests = [hashlib.sha256(Path(paths[fmt]).read_bytes()).hexdigest() for fmt in ("csv", "json")]
         assert digests == [
-            "b2d5b3dfdaf50756cb0b67fae84c672d5f0c2fc8d71d7cee6e73c586b991d343",
-            "0579ecc976d0be3b2ffedf0605ce3fd44f9ec45c5a7a76e8b44814c7ad5ba83a",
+            "b5506a661aa98e58496088df5d5249ac6ea0a430890e159a17f3ea65c7366bef",
+            "83fd705bce078fd4361e97ffdca3bdfdfd64e5c9f152ed355c2dbfcd760c0723",
         ]
 
     def test_multi_equilibrium_cell_spans_rows(self, tmp_path):
@@ -931,8 +954,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("noise", [None, NoiseModel.default_profile(0)], ids=["analytic", "shots_noisy"])
     def test_built_and_loaded_records_are_whole(self, tmp_path, noise):
-        # every cell and report of a built, a noisy and a loaded sweep is a whole record
-        cfg = ExperimentConfig() if noise is None else ExperimentConfig(mode="shots", noise=noise, seed=0)
+        # every cell and report of a built, a noisy and a loaded sweep is a whole record; at 2k shots
+        # the noisy sweep's pools at p near 0 and 1 empty a branch in some cells
+        cfg = ExperimentConfig() if noise is None else ExperimentConfig(mode="shots", noise=noise, seed=0, shots=2_000)
         result = run_sweep(cfg)
         loaded = load_result(emit_report(result, tmp_path)["json"])
         if noise is not None:
